@@ -9,7 +9,8 @@ least-squares estimates from the same echo frames.
 import numpy as np
 
 from adradar import (PipelineConfig, baseline_velocities, build_preamble,
-                     delay_doppler_map, run_pipeline, synthesize_frame)
+                     delay_doppler_map, detection_threshold, run_pipeline,
+                     synthesize_frame)
 from adradar.scene import Scenario, build_scene, frame_truth, scene_backscatter
 from adradar.sequences import correlation_segment
 
@@ -34,7 +35,7 @@ def main():
     lags = np.arange(truth.delay_samples[0] - 40, truth.delay_samples[-1] + 41)
     ddm = delay_doppler_map(list(frames.values()), s_c, wf.frame_period,
                             lags=lags)
-    threshold = 512 * np.sqrt(scene.noise_clutter_var)
+    threshold = detection_threshold(scene.noise_clutter_var)
     base_v = baseline_velocities(ddm, scene.source_velocity, wf.wavelength,
                                  scenario.num_targets, 0.5 * m_count * threshold)
 

@@ -6,9 +6,8 @@ least-squares channel coefficients, wrapped raw Dopplers, wrap counts, the
 refined Dopplers, and the final velocities.
 """
 
-import numpy as np
-
-from adradar import PipelineConfig, build_preamble, run_pipeline, synthesize_frame
+from adradar import (PipelineConfig, build_preamble, detection_threshold,
+                     run_pipeline, synthesize_frame)
 from adradar.scene import Scenario, build_scene, frame_truth, scene_backscatter
 
 
@@ -29,7 +28,7 @@ def main():
                                   preamble.samples, m, None)
               for m in (0, m_i, m_d)}
     cfg = PipelineConfig(m_d=m_d, m_i=m_i,
-                         threshold=512 * np.sqrt(scene.noise_clutter_var),
+                         threshold=detection_threshold(scene.noise_clutter_var),
                          expected_targets=scenario.num_targets)
     res = run_pipeline(frames, preamble, wf, scene.source_velocity,
                        scene.tx_power, cfg)

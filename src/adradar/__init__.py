@@ -4,17 +4,17 @@ from .baseline import DelayDopplerMap, baseline_velocities, delay_doppler_map
 from .echo import EchoFrame, read_frame_dump, synthesize_frame, write_frame_dump
 from .estimator import (DelayEstimate, DopplerEstimate, PipelineConfig,
                         VelocityEstimate, build_shift_matrix, denominator_inverse,
-                        estimate_delays, lse_coefficients, raw_doppler,
-                        refine_doppler, run_pipeline, velocity_from_doppler,
-                        wrap_count)
+                        detection_threshold, estimate_delays, lse_coefficients,
+                        raw_doppler, refine_doppler, run_pipeline,
+                        velocity_from_doppler, wrap_count)
 from .harness import (ExperimentConfig, TrialRecord, bootstrap_ci, nmse,
-                      run_experiment, sweep_cpi, sweep_framegap, write_csv)
+                      run_experiment, sweep_cpi, sweep_framegap)
 from .params import WaveformParams
 from .phasedarray import (BeamformerWeights, UpaGeometry, beam_gain,
-                          design_wide_beam, measure_beamwidth, rx_beam,
+                          design_wide_beam, gain_cut, measure_beamwidth, rx_beam,
                           steering_upa, steering_x, steering_y, wide_beam)
 from .scene import (FrameTruth, Scenario, Scene, Target, backscatter_coefficient,
-                    build_scene, default_scenario, frame_truth, large_scale_gain,
+                    build_scene, designed_beam, frame_truth, large_scale_gain,
                     load_scenario, noise_clutter_variance, save_scenario)
 from .sequences import (GolayPair, Preamble, build_preamble, correlation_profile,
                         correlation_segment, cross_correlate, generate_golay_pair)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DetectionShortfallError
+from .scene import Scenario
 from .sequences import CORR_SEGMENT_OFFSET, correlation_profile
 
 
@@ -31,7 +32,7 @@ class DelayDopplerMap:
 
 
 def delay_doppler_map(frames, s_c: np.ndarray, frame_period: float,
-                      lags=None, pad_factor: int = 1) -> DelayDopplerMap:
+                      lags=None) -> DelayDopplerMap:
     """Build the delay-Doppler map from all frames of a CPI.
 
     Entry (l, q) is sum_m R_m[l] exp(-j 2 pi q m / M): the slow-time DFT of
@@ -46,16 +47,11 @@ def delay_doppler_map(frames, s_c: np.ndarray, frame_period: float,
     lags : array of int, optional
         Delay bins to evaluate; default is every lag computable from the
         first frame.
-    pad_factor : int
-        Zero padding of the slow-time DFT (1 = none, the default, keeping
-        the bin width at exactly 1/CPI).
     """
     frames = sorted(frames, key=lambda f: f.m)
     m_count = len(frames)
     if m_count < 2:
         raise ValueError("delay-Doppler map needs at least two frames")
-    if pad_factor < 1:
-        raise ValueError("pad_factor must be >= 1")
 
     n_c = len(s_c)
     first_lag = frames[0].k_start - CORR_SEGMENT_OFFSET
@@ -75,18 +71,17 @@ def delay_doppler_map(frames, s_c: np.ndarray, frame_period: float,
         profile = correlation_profile(s_c, frame.samples[first:last + n_c])
         slow_time[:, col] = profile[lags - lag_lo]
 
-    n_fft = m_count * pad_factor
-    values = np.fft.fft(slow_time, n=n_fft, axis=1)
+    values = np.fft.fft(slow_time, axis=1)
     # The correlator conjugates the echo, so a Doppler nu appears at -nu on
     # the DFT frequency axis; negate to read bins directly in echo Doppler.
-    doppler_bins = -np.fft.fftfreq(n_fft, d=frame_period)
+    doppler_bins = -np.fft.fftfreq(m_count, d=frame_period)
     return DelayDopplerMap(values=values, lags=lags, doppler_bins_hz=doppler_bins,
                            doppler_bin_width_hz=1.0 / (m_count * frame_period))
 
 
 def baseline_velocities(ddm: DelayDopplerMap, v_source: float, wavelength: float,
                         expected_targets: int, threshold: float,
-                        guard: int = 8) -> np.ndarray:
+                        guard: int = Scenario.guard) -> np.ndarray:
     """Velocities of the strongest map peaks, associated by delay order.
 
     Picks ``expected_targets`` peaks greedily by magnitude; after accepting a

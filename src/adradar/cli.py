@@ -12,9 +12,9 @@ import numpy as np
 
 from . import harness
 from .errors import AggregationError, EstimationError, ScenarioError
-from .harness import ExperimentConfig
-from .phasedarray import UpaGeometry, _gain_cut
-from .scene import Scenario, _designed_beam, load_scenario
+from .harness import ESTIMATORS, ExperimentConfig
+from .phasedarray import gain_cut
+from .scene import Scenario, designed_beam, load_scenario
 from .selftest import run_selftest
 
 
@@ -49,8 +49,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="Monte Carlo NMSE at one CPI")
     common(p)
-    p.add_argument("--estimator", choices=("proposed", "baseline", "both"),
-                   default="proposed")
+    p.add_argument("--estimator", choices=tuple(ESTIMATORS),
+                   default=ExperimentConfig.estimators)
 
     p = sub.add_parser("sweep-cpi", help="NMSE of both estimators versus CPI")
     common(p)
@@ -83,7 +83,7 @@ def _experiment(scenario: Scenario, args) -> ExperimentConfig:
         p_tx_dbm=args.p_tx_dbm,
         m_i_offset=(args.mi_offset if args.mi_offset is not None
                     else scenario.m_i_offset),
-        estimators=getattr(args, "estimator", "proposed"),
+        estimators=getattr(args, "estimator", ExperimentConfig.estimators),
         seed=args.seed)
 
 
@@ -109,13 +109,10 @@ def run_cli(argv) -> int:
 
         if args.command == "beam-pattern":
             scenario = _load(args)
-            geo = UpaGeometry(nx_tx=scenario.nx_tx, ny_tx=scenario.ny_tx,
-                              nx_rx=scenario.nx_rx, ny_rx=scenario.ny_rx)
-            beam = _designed_beam(scenario, geo)
             angles = np.arange(-np.pi / 2 + args.resolution, np.pi / 2,
                                args.resolution)
-            gains = _gain_cut(beam, geo, "tx", "azimuth",
-                              scenario.elevation_center_rad, angles)
+            gains = gain_cut(designed_beam(scenario), scenario.geometry(), "tx",
+                             "azimuth", scenario.elevation_center_rad, angles)
             lines = ["angle_rad,gain_db"]
             floor = gains.max() * 1e-12
             for ang, g in zip(angles, gains):
@@ -129,8 +126,7 @@ def run_cli(argv) -> int:
         scenario = _load(args)
         exp = _experiment(scenario, args)
         if args.command == "simulate":
-            records = harness.run_experiment(scenario, exp)
-            rows = harness._point_rows(scenario, exp, records, exp.cpi_s)
+            rows = harness.sweep_cpi(scenario, exp, [exp.cpi_s])
         elif args.command == "sweep-framegap":
             rows = harness.sweep_framegap(scenario, exp, args.gaps)
         elif args.command == "sweep-cpi":

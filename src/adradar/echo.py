@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScenarioError
-from .scene import FrameTruth, Scene
+from .scene import FrameTruth, Scenario, Scene
 
-_DUMP_MAGIC = b"ADRECHO\x00"
+_DUMP_MAGIC = b"ADRECHO\x01"
+_DUMP_MAGIC_V0 = b"ADRECHO\x00"   # no window origin; rejected on read
 
 
 @dataclass(frozen=True)
@@ -34,9 +35,10 @@ class EchoFrame:
     samples: np.ndarray
 
 
-def synthesize_frame(scene: Scene, truth: FrameTruth, preamble_samples: np.ndarray,
-                     m: int, rng: np.random.Generator,
-                     first_delay_window: bool = False) -> EchoFrame:
+def synthesize_frame(
+        scene: Scene, truth: FrameTruth, preamble_samples: np.ndarray, m: int,
+        rng: np.random.Generator,
+        first_delay_window: bool = Scenario.first_delay_window) -> EchoFrame:
     """Generate the frame-m echo for every target plus noise.
 
     Parameters
@@ -77,14 +79,11 @@ def synthesize_frame(scene: Scene, truth: FrameTruth, preamble_samples: np.ndarr
 
 
 def write_frame_dump(path, frame: EchoFrame) -> None:
-    """Debug dump: 24-byte header (magic, m, length) then interleaved f64 re/im.
-
-    The window origin is not part of the format; dumps restore with
-    ``k_start = 0``.
-    """
+    """Debug dump: 32-byte header (magic, m, k_start, length) then interleaved
+    f64 re/im, so a reloaded frame keeps its window origin."""
     with open(path, "wb") as f:
         f.write(_DUMP_MAGIC)
-        f.write(struct.pack("<qq", frame.m, len(frame.samples)))
+        f.write(struct.pack("<qqq", frame.m, frame.k_start, len(frame.samples)))
         inter = np.empty(2 * len(frame.samples), dtype="<f8")
         inter[0::2] = frame.samples.real
         inter[1::2] = frame.samples.imag
@@ -92,11 +91,29 @@ def write_frame_dump(path, frame: EchoFrame) -> None:
 
 
 def read_frame_dump(path) -> EchoFrame:
+    """Load a ``write_frame_dump`` file.
+
+    Raises
+    ------
+    ValueError
+        If the file is not a current-version dump or its payload is not
+        exactly the header's sample count.
+    """
     with open(path, "rb") as f:
         magic = f.read(8)
+        if magic == _DUMP_MAGIC_V0:
+            raise ValueError("frame dump predates the window origin field; "
+                             "re-dump it")
         if magic != _DUMP_MAGIC:
             raise ValueError("not an echo frame dump")
-        m, n = struct.unpack("<qq", f.read(16))
-        inter = np.frombuffer(f.read(16 * n), dtype="<f8")
+        header = f.read(24)
+        if len(header) != 24:
+            raise ValueError("frame dump header truncated")
+        m, k_start, n = struct.unpack("<qqq", header)
+        payload = f.read()
+    if n < 0 or len(payload) != 16 * n:
+        raise ValueError(f"frame dump holds {len(payload)} payload bytes, "
+                         f"header says {n} samples ({16 * n} bytes)")
+    inter = np.frombuffer(payload, dtype="<f8")
     samples = inter[0::2] + 1j * inter[1::2]
-    return EchoFrame(m=int(m), k_start=0, samples=samples)
+    return EchoFrame(m=int(m), k_start=int(k_start), samples=samples)

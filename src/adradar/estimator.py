@@ -19,8 +19,9 @@ from .echo import EchoFrame
 from .errors import (AssociationError, DetectionShortfallError, NoTargetError,
                      SingularDesignError)
 from .params import WaveformParams
-from .sequences import (CORR_SEGMENT_OFFSET, Preamble, correlation_profile,
-                        correlation_segment)
+from .scene import Scenario
+from .sequences import (CORR_SEGMENT_LEN, CORR_SEGMENT_OFFSET, Preamble,
+                        correlation_profile, correlation_segment)
 
 _COND_LIMIT = 1e12
 
@@ -56,10 +57,6 @@ class VelocityEstimate:
     doppler: DopplerEstimate
     delays: dict                # frame index -> DelayEstimate
 
-    def relative_squared_errors(self, true_velocities) -> np.ndarray:
-        v = np.asarray(true_velocities, dtype=float)
-        return ((v - self.velocities) / v) ** 2
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -69,14 +66,21 @@ class PipelineConfig:
     m_i: int
     threshold: float
     expected_targets: int
-    search_halfwidth: int = 1024
-    guard: int = 8
-    first_delay_window: bool = False
+    search_halfwidth: int = Scenario.search_halfwidth
+    guard: int = Scenario.guard
+    first_delay_window: bool = Scenario.first_delay_window
+
+
+def detection_threshold(noise_clutter_var: float) -> float:
+    """Per-frame detection threshold 512 * sigma_cn: the Cauchy-Schwarz bound
+    on the correlator's noise term, |z^H s_c| <= ||z|| ||s_c||."""
+    return CORR_SEGMENT_LEN * np.sqrt(noise_clutter_var)
 
 
 def estimate_delays(frame: EchoFrame, s_c: np.ndarray, threshold: float,
-                    expected_targets: int = None, search_halfwidth: int = 1024,
-                    guard: int = 8) -> DelayEstimate:
+                    expected_targets: int = None,
+                    search_halfwidth: int = Scenario.search_halfwidth,
+                    guard: int = Scenario.guard) -> DelayEstimate:
     """Correlation-based multi-target delay estimation on one frame.
 
     The correlation at lag l is R[l] = sum_k s_c[k] conj(y[m, l + k + 2048]),

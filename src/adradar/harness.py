@@ -2,8 +2,9 @@
 
 Every random draw derives from (seed, trial, stream, ...) seed sequences, so
 runs are reproducible bit-for-bit regardless of worker count, and common
-random numbers carry across sweep points that share trial indices.  Workers
-are capped by the ADRADAR_WORKERS environment variable (default 1).
+random numbers carry across sweep points that share trial indices.  The
+ADRADAR_WORKERS environment variable sets the worker count (default 1, at
+most the CPU count).
 """
 
 import os
@@ -15,7 +16,7 @@ import numpy as np
 from .baseline import baseline_velocities, delay_doppler_map
 from .echo import synthesize_frame
 from .errors import AggregationError, EstimationError
-from .estimator import PipelineConfig, run_pipeline
+from .estimator import PipelineConfig, detection_threshold, run_pipeline
 from .scene import (Scenario, build_scene, draw_betas, frame_truth,
                     scene_backscatter)
 from .sequences import (CORR_SEGMENT_OFFSET, build_preamble,
@@ -25,12 +26,17 @@ _STREAM_NOISE = 0
 _STREAM_BETA = 1
 _STREAM_BOOTSTRAP = 2
 
-# Per-frame detection threshold is 512 sigma_cn (Cauchy-Schwarz bound on the
-# noise term of the correlator); the map threshold additionally allows for
-# worst-case off-grid scalloping of the slow-time DFT peak.
+# The map threshold scales the per-frame detection threshold by the frame
+# count and allows for worst-case off-grid scalloping of the slow-time DFT
+# peak.
 _MAP_SCALLOP_MARGIN = 0.5
 
 BASELINE_LAG_HALFWIDTH = 128
+
+# ``ExperimentConfig.estimators`` choice -> estimator names it runs, in CSV
+# row order.
+ESTIMATORS = {"proposed": ("proposed",), "baseline": ("baseline",),
+              "both": ("proposed", "baseline")}
 
 
 @dataclass(frozen=True)
@@ -38,17 +44,23 @@ class ExperimentConfig:
     """One Monte Carlo experiment over a fixed scenario."""
 
     cpi_s: float
-    trials: int = 200
+    trials: int = Scenario.trials
     p_tx_dbm: float = None        # None: use the scenario value
-    m_i_offset: int = 6
-    estimators: str = "proposed"  # proposed | baseline | both
+    m_i_offset: int = Scenario.m_i_offset
+    estimators: str = "proposed"  # a key of ESTIMATORS
     seed: int = None              # None: use the scenario value
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.estimators not in ("proposed", "baseline", "both"):
+        if self.estimators not in ESTIMATORS:
             raise ValueError(f"unknown estimator selection {self.estimators!r}")
+
+    def resolve(self, scenario: Scenario) -> "ExperimentConfig":
+        """This experiment with an unset seed and TX power taken from ``scenario``."""
+        return replace(
+            self, seed=scenario.seed if self.seed is None else self.seed,
+            p_tx_dbm=scenario.p_tx_dbm if self.p_tx_dbm is None else self.p_tx_dbm)
 
 
 @dataclass(frozen=True)
@@ -64,6 +76,20 @@ class TrialRecord:
     delays: tuple = ()
 
 
+def _relative_squared_errors(records, estimator: str) -> np.ndarray:
+    """(trial, target) squared relative velocity errors of the successful trials."""
+    ok = [r for r in records if estimator in r.estimates]
+    if not ok:
+        raise AggregationError(f"no successful trials for {estimator!r}")
+    true_v = np.array([r.true_velocities for r in ok])
+    stationary = np.flatnonzero(np.any(true_v == 0, axis=0))
+    if stationary.size:
+        raise AggregationError(f"target {stationary[0]} has true velocity 0 m/s; "
+                               "its relative error is undefined")
+    est_v = np.array([r.estimates[estimator] for r in ok])
+    return ((true_v - est_v) / true_v) ** 2
+
+
 def nmse(records, estimator: str = "proposed") -> float:
     """Mean over targets of the empirical mean squared relative velocity error.
 
@@ -72,42 +98,31 @@ def nmse(records, estimator: str = "proposed") -> float:
     Raises
     ------
     AggregationError
-        If no trial succeeded.
+        If no trial succeeded, or a target is stationary.
     """
-    per_trial = [
-        ((np.asarray(r.true_velocities) - np.asarray(r.estimates[estimator]))
-         / np.asarray(r.true_velocities)) ** 2
-        for r in records if estimator in r.estimates]
-    if not per_trial:
-        raise AggregationError(f"no successful trials for {estimator!r}")
-    return float(np.mean(np.vstack(per_trial), axis=0).mean())
+    return float(np.mean(_relative_squared_errors(records, estimator), axis=0).mean())
 
 
 def bootstrap_ci(records, estimator: str, seed: int, resamples: int = 500,
                  level: float = 0.95):
     """Percentile bootstrap confidence interval of the NMSE over trials."""
-    ok = [r for r in records if estimator in r.estimates]
-    if not ok:
-        raise AggregationError(f"no successful trials for {estimator!r}")
-    errors = np.vstack([
-        ((np.asarray(r.true_velocities) - np.asarray(r.estimates[estimator]))
-         / np.asarray(r.true_velocities)) ** 2 for r in ok])
+    errors = _relative_squared_errors(records, estimator)
     rng = np.random.default_rng([seed, _STREAM_BOOTSTRAP])
-    idx = rng.integers(0, len(ok), size=(resamples, len(ok)))
+    idx = rng.integers(0, len(errors), size=(resamples, len(errors)))
     stats = errors[idx].mean(axis=(1, 2))
     lo, hi = np.quantile(stats, [(1 - level) / 2, (1 + level) / 2])
     return float(lo), float(hi)
 
 
 def _run_one_trial(scenario: Scenario, exp: ExperimentConfig, trial: int) -> TrialRecord:
-    seed = exp.seed if exp.seed is not None else scenario.seed
-    beta_rng = np.random.default_rng([seed, trial, _STREAM_BETA])
+    """One trial of a resolved experiment (see ``ExperimentConfig.resolve``)."""
+    beta_rng = np.random.default_rng([exp.seed, trial, _STREAM_BETA])
     betas = draw_betas(scenario, beta_rng)
     scene = build_scene(scenario, betas=betas, p_tx_dbm=exp.p_tx_dbm)
     wf = scene.wf
     preamble = build_preamble()
     s_c = correlation_segment(preamble).astype(float)
-    threshold = 512.0 * np.sqrt(scene.noise_clutter_var) * scenario.threshold_scale
+    threshold = detection_threshold(scene.noise_clutter_var) * scenario.threshold_scale
 
     m_count = wf.frames_per_cpi(exp.cpi_s)
     m_d = m_count - 1
@@ -115,13 +130,12 @@ def _run_one_trial(scenario: Scenario, exp: ExperimentConfig, trial: int) -> Tri
     if not 0 <= m_i < m_d:
         raise ValueError(f"m_i offset {exp.m_i_offset} invalid for M={m_count}")
 
-    want_proposed = exp.estimators in ("proposed", "both")
-    want_baseline = exp.estimators in ("baseline", "both")
-    needed = range(m_count) if want_baseline else sorted({0, m_i, m_d})
+    names = ESTIMATORS[exp.estimators]
+    needed = range(m_count) if "baseline" in names else sorted({0, m_i, m_d})
     h = scene_backscatter(scene)
     frames = {}
     for m in needed:
-        rng = np.random.default_rng([seed, trial, _STREAM_NOISE, m])
+        rng = np.random.default_rng([exp.seed, trial, _STREAM_NOISE, m])
         frames[m] = synthesize_frame(scene, frame_truth(scene, m, h),
                                      preamble.samples, m, rng,
                                      scenario.first_delay_window)
@@ -129,51 +143,58 @@ def _run_one_trial(scenario: Scenario, exp: ExperimentConfig, trial: int) -> Tri
     true_v = tuple(t.velocity for t in scene.targets)
     estimates, failures = {}, {}
     wraps, delays = (), ()
-    if want_proposed:
-        cfg = PipelineConfig(m_d=m_d, m_i=m_i, threshold=threshold,
-                             expected_targets=scenario.num_targets,
-                             search_halfwidth=scenario.search_halfwidth,
-                             guard=scenario.guard,
-                             first_delay_window=scenario.first_delay_window)
+    for name in names:
         try:
-            res = run_pipeline(frames, preamble, wf, scene.source_velocity,
-                               scene.tx_power, cfg)
-            estimates["proposed"] = tuple(float(v) for v in res.velocities)
-            wraps = tuple(int(n) for n in res.doppler.wrap_count)
-            delays = tuple(int(d) for d in res.delays[0].delays)
+            if name == "proposed":
+                cfg = PipelineConfig(m_d=m_d, m_i=m_i, threshold=threshold,
+                                     expected_targets=scenario.num_targets,
+                                     search_halfwidth=scenario.search_halfwidth,
+                                     guard=scenario.guard,
+                                     first_delay_window=scenario.first_delay_window)
+                res = run_pipeline(frames, preamble, wf, scene.source_velocity,
+                                   scene.tx_power, cfg)
+                velocities = res.velocities
+                wraps = tuple(int(n) for n in res.doppler.wrap_count)
+                delays = tuple(int(d) for d in res.delays[0].delays)
+            else:
+                # Window the map around the frame-0 dominant correlation peak;
+                # targets are assumed not too far apart, as in the delay stage.
+                profile0 = np.abs(correlation_profile(s_c, frames[0].samples))
+                first_valid = frames[0].k_start - CORR_SEGMENT_OFFSET
+                dominant = first_valid + int(np.argmax(profile0))
+                lo = max(dominant - BASELINE_LAG_HALFWIDTH, first_valid)
+                hi = min(dominant + BASELINE_LAG_HALFWIDTH,
+                         first_valid + len(profile0) - 1)
+                lags = np.arange(lo, hi + 1)
+                ddm = delay_doppler_map(list(frames.values()), s_c,
+                                        wf.frame_period, lags=lags)
+                map_threshold = threshold * m_count * _MAP_SCALLOP_MARGIN
+                velocities = baseline_velocities(
+                    ddm, scene.source_velocity, wf.wavelength,
+                    scenario.num_targets, map_threshold, guard=scenario.guard)
+            estimates[name] = tuple(float(v) for v in velocities)
         except EstimationError as exc:
-            failures["proposed"] = f"{type(exc).__name__}: {exc}"
-    if want_baseline:
-        try:
-            # Window the map around the frame-0 dominant correlation peak;
-            # targets are assumed not too far apart, as in the delay stage.
-            profile0 = np.abs(correlation_profile(s_c, frames[0].samples))
-            first_valid = frames[0].k_start - CORR_SEGMENT_OFFSET
-            dominant = first_valid + int(np.argmax(profile0))
-            lo = max(dominant - BASELINE_LAG_HALFWIDTH, first_valid)
-            hi = min(dominant + BASELINE_LAG_HALFWIDTH,
-                     first_valid + len(profile0) - 1)
-            lags = np.arange(lo, hi + 1)
-            ddm = delay_doppler_map(list(frames.values()), s_c, wf.frame_period,
-                                    lags=lags)
-            map_threshold = threshold * m_count * _MAP_SCALLOP_MARGIN
-            bv = baseline_velocities(ddm, scene.source_velocity, wf.wavelength,
-                                     scenario.num_targets, map_threshold,
-                                     guard=scenario.guard)
-            estimates["baseline"] = tuple(float(v) for v in bv)
-        except EstimationError as exc:
-            failures["baseline"] = f"{type(exc).__name__}: {exc}"
-    return TrialRecord(trial=trial, seed=seed, true_velocities=true_v,
+            failures[name] = f"{type(exc).__name__}: {exc}"
+    return TrialRecord(trial=trial, seed=exp.seed, true_velocities=true_v,
                        estimates=estimates, failures=failures,
                        wrap_counts=wraps, delays=delays)
 
 
 def _worker_count() -> int:
-    return max(1, int(os.environ.get("ADRADAR_WORKERS", "1")))
+    """ADRADAR_WORKERS (default 1), capped at the CPU count."""
+    raw = os.environ.get("ADRADAR_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"ADRADAR_WORKERS must be an integer >= 1, got {raw!r}")
+    return min(workers, os.cpu_count() or 1)
 
 
 def run_experiment(scenario: Scenario, exp: ExperimentConfig):
     """Run all trials of one experiment; results are in trial order."""
+    exp = exp.resolve(scenario)
     workers = _worker_count()
     trials = range(exp.trials)
     if workers == 1:
@@ -183,24 +204,20 @@ def run_experiment(scenario: Scenario, exp: ExperimentConfig):
                              [exp] * exp.trials, trials, chunksize=8))
 
 
-def _point_rows(scenario, exp, records, x_value):
-    """CSV rows (one per estimator) for a finished batch of trials."""
-    seed = exp.seed if exp.seed is not None else scenario.seed
-    p_tx = exp.p_tx_dbm if exp.p_tx_dbm is not None else scenario.p_tx_dbm
-    names = {"proposed": ("proposed",), "baseline": ("baseline",),
-             "both": ("proposed", "baseline")}[exp.estimators]
+def _point_rows(scenario, exp, x_value):
+    """Run one sweep point of a resolved experiment; CSV rows, one per estimator."""
+    records = run_experiment(scenario, exp)
     rows = []
-    for name in names:
+    for name in ESTIMATORS[exp.estimators]:
+        try:
+            value = nmse(records, name)
+        except AggregationError as exc:
+            raise AggregationError(f"{exc} at x={x_value}") from exc
+        lo, hi = bootstrap_ci(records, name, exp.seed)
         n_fail = sum(1 for r in records if name in r.failures)
-        n_ok = sum(1 for r in records if name in r.estimates)
-        if n_ok == 0:
-            raise AggregationError(
-                f"all {len(records)} trials failed for {name!r} at x={x_value}")
-        value = nmse(records, name)
-        lo, hi = bootstrap_ci(records, name, seed)
-        rows.append({"x": x_value, "estimator": name, "p_tx_dbm": p_tx,
+        rows.append({"x": x_value, "estimator": name, "p_tx_dbm": exp.p_tx_dbm,
                      "nmse": value, "ci_lo": lo, "ci_hi": hi,
-                     "trials": n_ok, "failures": n_fail})
+                     "trials": len(records) - n_fail, "failures": n_fail})
     return rows
 
 
@@ -209,6 +226,7 @@ def sweep_framegap(scenario: Scenario, exp: ExperimentConfig, gaps):
 
     m_d is pinned to M-1; all gaps share trial seeds (common random numbers).
     """
+    exp = exp.resolve(scenario)
     m_count = scenario.waveform().frames_per_cpi(exp.cpi_s)
     for gap in gaps:
         if not 1 <= gap < m_count:
@@ -216,21 +234,19 @@ def sweep_framegap(scenario: Scenario, exp: ExperimentConfig, gaps):
     rows = []
     for gap in gaps:
         point = replace(exp, m_i_offset=int(gap), estimators="proposed")
-        records = run_experiment(scenario, point)
-        rows.extend(_point_rows(scenario, point, records, x_value=int(gap)))
+        rows.extend(_point_rows(scenario, point, x_value=int(gap)))
     return rows
 
 
 def sweep_cpi(scenario: Scenario, exp: ExperimentConfig, cpis, p_tx_dbm_grid=None):
     """NMSE of both estimators versus CPI duration, optionally over TX powers."""
-    powers = ([exp.p_tx_dbm if exp.p_tx_dbm is not None else scenario.p_tx_dbm]
-              if p_tx_dbm_grid is None else list(p_tx_dbm_grid))
+    exp = exp.resolve(scenario)
+    powers = [exp.p_tx_dbm] if p_tx_dbm_grid is None else list(p_tx_dbm_grid)
     rows = []
     for p_tx in powers:
         for cpi in cpis:
             point = replace(exp, cpi_s=float(cpi), p_tx_dbm=float(p_tx))
-            records = run_experiment(scenario, point)
-            rows.extend(_point_rows(scenario, point, records, x_value=float(cpi)))
+            rows.extend(_point_rows(scenario, point, x_value=float(cpi)))
     return rows
 
 
@@ -246,8 +262,3 @@ def format_csv(rows) -> str:
             format(row[key], ".12g") if isinstance(row[key], float) else str(row[key])
             for key in CSV_HEADER))
     return "\n".join(lines) + "\n"
-
-
-def write_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(format_csv(rows))

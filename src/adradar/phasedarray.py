@@ -3,7 +3,9 @@
 The source vehicle carries co-located TX and RX UPAs.  A wide azimuth beam is
 formed by a weighted sum of a few steering vectors on the x-axis, Kronecker
 multiplied with the single y-axis (elevation) steering vector, then normalized.
-The RX beam is the elementwise conjugate of the TX beam.
+The RX beam is the elementwise conjugate of the TX beam.  The steering
+functions take scalar angles or arrays of them (one vector per angle, along a
+new last axis).
 """
 
 from dataclasses import dataclass
@@ -48,24 +50,25 @@ class BeamformerWeights:
     elevation: float = 0.0
 
 
-def steering_x(azimuth: float, elevation: float, n: int, dx: float = 0.5) -> np.ndarray:
+def steering_x(azimuth, elevation, n: int, dx: float = 0.5) -> np.ndarray:
     """x-axis steering vector: entry m = exp(j*m*psi_x), psi_x = 2*pi*dx*cos(el)*sin(az)."""
     psi = 2.0 * np.pi * dx * np.cos(elevation) * np.sin(azimuth)
-    return np.exp(1j * psi * np.arange(n))
+    return np.exp(1j * np.multiply.outer(psi, np.arange(n)))
 
 
-def steering_y(elevation: float, n: int, dy: float = 0.5) -> np.ndarray:
+def steering_y(elevation, n: int, dy: float = 0.5) -> np.ndarray:
     """y-axis steering vector: entry m = exp(j*m*psi_y), psi_y = 2*pi*dy*sin(el)."""
     psi = 2.0 * np.pi * dy * np.sin(elevation)
-    return np.exp(1j * psi * np.arange(n))
+    return np.exp(1j * np.multiply.outer(psi, np.arange(n)))
 
 
-def steering_upa(azimuth: float, elevation: float, geometry: UpaGeometry,
+def steering_upa(azimuth, elevation, geometry: UpaGeometry,
                  side: str = "tx") -> np.ndarray:
     """Full UPA steering vector, the Kronecker product of the axis vectors."""
     nx, ny = geometry.counts(side)
-    return np.kron(steering_x(azimuth, elevation, nx, geometry.dx),
-                   steering_y(elevation, ny, geometry.dy))
+    ax = steering_x(azimuth, elevation, nx, geometry.dx)
+    ay = steering_y(elevation, ny, geometry.dy)
+    return (ax[..., :, None] * ay[..., None, :]).reshape(ax.shape[:-1] + (-1,))
 
 
 def wide_beam(azimuths, weights, elevation: float, geometry: UpaGeometry,
@@ -110,21 +113,14 @@ def beam_gain(f: BeamformerWeights, azimuth: float, elevation: float,
     return float(np.abs(np.vdot(a, f.entries)) ** 2)
 
 
-def _gain_cut(f, geometry, side, plane, elevation_center, angles):
+def gain_cut(f: BeamformerWeights, geometry: UpaGeometry, side: str, plane: str,
+             elevation_center: float, angles: np.ndarray) -> np.ndarray:
+    """Power pattern |a^H f|^2 at ``angles`` along the azimuth cut (elevation
+    ``elevation_center``) or the elevation cut (azimuth zero)."""
     if plane == "azimuth":
-        nx, _ = geometry.counts(side)
-        ax = np.exp(1j * 2 * np.pi * geometry.dx * np.cos(elevation_center)
-                    * np.outer(np.sin(angles), np.arange(nx)))
-        _, ny = geometry.counts(side)
-        ay = steering_y(elevation_center, ny, geometry.dy)
-        a = np.einsum("ki,j->kij", ax, ay).reshape(len(angles), -1)
+        a = steering_upa(angles, elevation_center, geometry, side)
     elif plane == "elevation":
-        nx, ny = geometry.counts(side)
-        # Azimuth fixed at 0: psi_x = 0 regardless of elevation.
-        ax = np.ones((len(angles), nx))
-        ay = np.exp(1j * 2 * np.pi * geometry.dy
-                    * np.outer(np.sin(angles), np.arange(ny)))
-        a = np.einsum("ki,kj->kij", ax + 0j, ay).reshape(len(angles), -1)
+        a = steering_upa(0.0, angles, geometry, side)
     else:
         raise ValueError(f"plane must be 'azimuth' or 'elevation', got {plane!r}")
     return np.abs(a.conj() @ f.entries) ** 2
@@ -146,7 +142,7 @@ def measure_beamwidth(f: BeamformerWeights, geometry: UpaGeometry,
         crossed inside the scanned interval.
     """
     angles = np.arange(-np.pi / 2 + resolution, np.pi / 2, resolution)
-    gains = _gain_cut(f, geometry, side, plane, elevation_center, angles)
+    gains = gain_cut(f, geometry, side, plane, elevation_center, angles)
     peak = int(np.argmax(gains))
     half = gains[peak] / 2.0
     if gains[peak] <= 0 or np.all(gains >= half * 0.999999):

@@ -6,6 +6,7 @@ clutter-plus-noise variance.  Per-frame truth (Doppler, integer delay,
 backscatter coefficient) is derived under a constant-velocity model.
 """
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -201,6 +202,10 @@ class Scenario:
                               frame_len=self.frame_len,
                               preamble_len=self.preamble_len)
 
+    def geometry(self) -> UpaGeometry:
+        return UpaGeometry(nx_tx=self.nx_tx, ny_tx=self.ny_tx,
+                           nx_rx=self.nx_rx, ny_rx=self.ny_rx)
+
 
 def save_scenario(scn: Scenario, path) -> None:
     data = {k: (list(v) if isinstance(v, tuple) else v)
@@ -213,19 +218,30 @@ def save_scenario(scn: Scenario, path) -> None:
 def load_scenario(path) -> Scenario:
     with open(path, encoding="utf-8") as f:
         data = json.load(f)
-    known = {f.name for f in Scenario.__dataclass_fields__.values()}
-    unknown = set(data) - known
+    if not isinstance(data, dict):
+        raise ScenarioError("scenario file must hold a JSON object")
+    types = {f.name: f.type for f in Scenario.__dataclass_fields__.values()}
+    unknown = set(data) - set(types)
     if unknown:
         raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
-    for key, val in data.items():
-        if isinstance(val, list):
-            data[key] = tuple(val)
-    return Scenario(**data)
+    return Scenario(**{key: _checked(key, types[key], val)
+                       for key, val in data.items()})
 
 
-def default_scenario() -> Scenario:
-    """The stock three-target V2V scenario used by the experiment harness."""
-    return Scenario()
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _checked(key: str, kind: type, val):
+    """``val`` as a ``kind`` Scenario field; ints widen to float, lists to tuples."""
+    if kind is float and _is_number(val):
+        return float(val)
+    if kind is tuple and isinstance(val, list) and all(map(_is_number, val)):
+        return tuple(val)
+    if kind in (int, str, bool) and type(val) is kind:
+        return val
+    expected = "a list of numbers" if kind is tuple else kind.__name__
+    raise ScenarioError(f"scenario key {key!r} must be {expected}, got {val!r}")
 
 
 def draw_betas(scn: Scenario, rng: np.random.Generator) -> np.ndarray:
@@ -237,19 +253,17 @@ def draw_betas(scn: Scenario, rng: np.random.Generator) -> np.ndarray:
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-_BEAM_CACHE = {}
+def designed_beam(scn: Scenario) -> BeamformerWeights:
+    """The scenario's wide TX beam; the deterministic bisection runs once per design."""
+    return _design_wide_beam_once(scn.geometry(), scn.n_beams,
+                                  scn.azimuth_beamwidth_rad,
+                                  scn.elevation_center_rad)
 
 
-def _designed_beam(scn: Scenario, geometry: UpaGeometry) -> BeamformerWeights:
-    # The bisection is deterministic; memoize per design so Monte Carlo
-    # trials do not redo the pattern scans.
-    key = (geometry, scn.n_beams, scn.azimuth_beamwidth_rad,
-           scn.elevation_center_rad)
-    if key not in _BEAM_CACHE:
-        _BEAM_CACHE[key] = design_wide_beam(
-            scn.azimuth_beamwidth_rad, scn.n_beams, geometry,
-            elevation_center=scn.elevation_center_rad)
-    return _BEAM_CACHE[key]
+@functools.cache
+def _design_wide_beam_once(geometry, n_beams, width, elevation_center):
+    return design_wide_beam(width, n_beams, geometry,
+                            elevation_center=elevation_center)
 
 
 def build_scene(scn: Scenario, betas=None, p_tx_dbm=None) -> Scene:
@@ -259,9 +273,7 @@ def build_scene(scn: Scenario, betas=None, p_tx_dbm=None) -> Scene:
     ``p_tx_dbm`` overrides the scenario TX power, which the sweeps use.
     """
     wf = scn.waveform()
-    geometry = UpaGeometry(nx_tx=scn.nx_tx, ny_tx=scn.ny_tx,
-                           nx_rx=scn.nx_rx, ny_rx=scn.ny_rx)
-    f_tx = _designed_beam(scn, geometry)
+    f_tx = designed_beam(scn)
     f_rx = rx_beam(f_tx)
     if betas is None:
         betas = np.ones(scn.num_targets, dtype=complex)
@@ -276,5 +288,5 @@ def build_scene(scn: Scenario, betas=None, p_tx_dbm=None) -> Scene:
     n0 = dbm_to_watts(scn.noise_density_dbm_hz)
     sigma2 = noise_clutter_variance(n0, wf.bandwidth_hz, p_tx, scn.clutter_ratio)
     return Scene(source_velocity=scn.source_velocity_mps, targets=targets,
-                 tx_power=p_tx, noise_clutter_var=sigma2, geometry=geometry,
+                 tx_power=p_tx, noise_clutter_var=sigma2, geometry=scn.geometry(),
                  f_tx=f_tx, f_rx=f_rx, wf=wf)

@@ -3,10 +3,10 @@
 import numpy as np
 
 from .echo import synthesize_frame
-from .estimator import PipelineConfig, run_pipeline
-from .harness import ExperimentConfig, format_csv, run_experiment, _point_rows
-from .phasedarray import UpaGeometry, measure_beamwidth
-from .scene import Scenario, build_scene, frame_truth, _designed_beam
+from .estimator import PipelineConfig, detection_threshold, run_pipeline
+from .harness import ExperimentConfig, format_csv, sweep_cpi
+from .phasedarray import measure_beamwidth
+from .scene import Scenario, build_scene, designed_beam, frame_truth
 from .sequences import build_preamble, correlation_segment, generate_golay_pair
 from .waveform import nyquist_residual, rrc_taps
 
@@ -34,9 +34,8 @@ def _check_preamble():
 
 def _check_beamwidths():
     scn = Scenario()
-    geo = UpaGeometry(nx_tx=scn.nx_tx, ny_tx=scn.ny_tx,
-                      nx_rx=scn.nx_rx, ny_rx=scn.ny_rx)
-    f = _designed_beam(scn, geo)
+    geo = scn.geometry()
+    f = designed_beam(scn)
     az = measure_beamwidth(f, geo, "azimuth", scn.elevation_center_rad)
     el = measure_beamwidth(f, geo, "elevation", scn.elevation_center_rad)
     ok = abs(az - 0.4084) / 0.4084 < 0.05 and abs(el - 1.0399) / 1.0399 < 0.05
@@ -58,7 +57,7 @@ def _check_noiseless_pipeline():
     frames = {m: synthesize_frame(scene, frame_truth(scene, m), pre.samples,
                                   m, None) for m in (0, m_i, m_d)}
     cfg = PipelineConfig(m_d=m_d, m_i=m_i,
-                         threshold=512 * np.sqrt(scene.noise_clutter_var),
+                         threshold=detection_threshold(scene.noise_clutter_var),
                          expected_targets=scn.num_targets)
     res = run_pipeline(frames, pre, wf, scene.source_velocity,
                        scene.tx_power, cfg)
@@ -70,10 +69,7 @@ def _check_noiseless_pipeline():
 def _check_determinism():
     scn = Scenario()
     exp = ExperimentConfig(cpi_s=2e-4, trials=4)
-    outputs = []
-    for _ in range(2):
-        records = run_experiment(scn, exp)
-        outputs.append(format_csv(_point_rows(scn, exp, records, exp.cpi_s)))
+    outputs = [format_csv(sweep_cpi(scn, exp, [exp.cpi_s])) for _ in range(2)]
     return outputs[0] == outputs[1], "repeated run produces identical CSV"
 
 

@@ -41,8 +41,6 @@ class Preamble:
     """3328-sample +/-1 training field (STF followed by CEF)."""
 
     samples: np.ndarray
-    correlation_segment_offset: int = CORR_SEGMENT_OFFSET
-    correlation_segment_length: int = CORR_SEGMENT_LEN
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -109,8 +107,7 @@ def build_preamble() -> Preamble:
 
 def correlation_segment(p: Preamble) -> np.ndarray:
     """Return the 512-sample correlation window s_c at offset 2048."""
-    o, n = p.correlation_segment_offset, p.correlation_segment_length
-    return p.samples[o:o + n]
+    return p.samples[CORR_SEGMENT_OFFSET:CORR_SEGMENT_OFFSET + CORR_SEGMENT_LEN]
 
 
 def cross_correlate(s_c: np.ndarray, window: np.ndarray, lag: int):

@@ -12,11 +12,12 @@ import pytest
 from adradar.baseline import baseline_velocities, delay_doppler_map
 from adradar.cli import run_cli
 from adradar.echo import synthesize_frame
-from adradar.estimator import PipelineConfig, denominator_inverse, run_pipeline
+from adradar.estimator import (PipelineConfig, denominator_inverse,
+                               detection_threshold, run_pipeline)
 from adradar.harness import ExperimentConfig, sweep_cpi, sweep_framegap
-from adradar.phasedarray import UpaGeometry, measure_beamwidth
-from adradar.scene import (Scenario, build_scene, frame_truth, scene_backscatter,
-                           _designed_beam)
+from adradar.phasedarray import measure_beamwidth
+from adradar.scene import (Scenario, build_scene, designed_beam, frame_truth,
+                           scene_backscatter)
 from adradar.sequences import (build_preamble, correlation_segment,
                                generate_golay_pair)
 
@@ -78,7 +79,7 @@ def test_criterion_3_noiseless_recovery():
     frames = {m: synthesize_frame(scene, frame_truth(scene, m, h),
                                   pre.samples, m, None) for m in (0, m_i, m_d)}
     cfg = PipelineConfig(m_d=m_d, m_i=m_i,
-                         threshold=512 * np.sqrt(scene.noise_clutter_var),
+                         threshold=detection_threshold(scene.noise_clutter_var),
                          expected_targets=3)
     res = run_pipeline(frames, pre, wf, scene.source_velocity,
                        scene.tx_power, cfg)
@@ -261,9 +262,8 @@ def test_criterion_6d_proposed_improves_with_power(cpi_sweep):
 def test_criterion_7_beamwidths():
     t0 = time.time()
     scn = Scenario()
-    geo = UpaGeometry(nx_tx=scn.nx_tx, ny_tx=scn.ny_tx,
-                      nx_rx=scn.nx_rx, ny_rx=scn.ny_rx)
-    beam = _designed_beam(scn, geo)
+    geo = scn.geometry()
+    beam = designed_beam(scn)
     az = measure_beamwidth(beam, geo, "azimuth", scn.elevation_center_rad)
     el = measure_beamwidth(beam, geo, "elevation", scn.elevation_center_rad)
     ok = (abs(az - 0.4084) / 0.4084 < 0.05

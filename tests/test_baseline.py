@@ -4,6 +4,7 @@ import pytest
 from adradar.baseline import baseline_velocities, delay_doppler_map
 from adradar.echo import synthesize_frame
 from adradar.errors import DetectionShortfallError
+from adradar.estimator import detection_threshold
 from adradar.scene import Scenario, build_scene, frame_truth, scene_backscatter
 
 
@@ -145,7 +146,7 @@ def test_three_target_association_by_delay(preamble, s_c, default_scene, true_ve
     m_count = len(frames)
     ddm = delay_doppler_map(frames, s_c, wf.frame_period,
                             lags=np.arange(130, 250))
-    thr = 0.5 * m_count * 512 * np.sqrt(default_scene.noise_clutter_var)
+    thr = 0.5 * m_count * detection_threshold(default_scene.noise_clutter_var)
     v = baseline_velocities(ddm, default_scene.source_velocity, wf.wavelength,
                             3, thr)
     # quantization-limited: each error at most half a Doppler bin in velocity
@@ -162,13 +163,7 @@ def test_power_invariance_high_snr(preamble, s_c):
         frames = synth_cpi(scene, 0.4e-3, preamble, noiseless=False, seed=3)
         ddm = delay_doppler_map(frames, s_c, scene.wf.frame_period,
                                 lags=np.arange(130, 250))
-        thr = 0.5 * len(frames) * 512 * np.sqrt(scene.noise_clutter_var)
+        thr = 0.5 * len(frames) * detection_threshold(scene.noise_clutter_var)
         results.append(baseline_velocities(ddm, scene.source_velocity,
                                            scene.wf.wavelength, 3, thr))
     np.testing.assert_allclose(results[0], results[1], rtol=1e-12)
-
-
-def test_pad_factor_validation(preamble, s_c, default_scene):
-    frames = synth_cpi(default_scene, 0.2e-3, preamble)
-    with pytest.raises(ValueError):
-        delay_doppler_map(frames, s_c, default_scene.wf.frame_period, pad_factor=0)

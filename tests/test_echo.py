@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from adradar.echo import read_frame_dump, synthesize_frame, write_frame_dump
+from adradar.estimator import detection_threshold, estimate_delays
 from adradar.scene import Scenario, build_scene, frame_truth
 
 
@@ -123,9 +124,43 @@ def test_frame_dump_roundtrip(tmp_path, preamble, default_scene):
     write_frame_dump(path, frame)
     loaded = read_frame_dump(path)
     assert loaded.m == 7
+    assert loaded.k_start == frame.k_start
     np.testing.assert_array_equal(loaded.samples, frame.samples)
-    # 24-byte header + interleaved float64 re/im
-    assert path.stat().st_size == 24 + 16 * len(frame.samples)
+    # 32-byte header (magic, m, k_start, length) + interleaved float64 re/im
+    assert path.stat().st_size == 32 + 16 * len(frame.samples)
+
+
+def test_frame_dump_reload_gives_the_same_delays(tmp_path, preamble, s_c,
+                                                 default_scene):
+    truth = frame_truth(default_scene, 7)
+    frame = synthesize_frame(default_scene, truth, preamble.samples, 7,
+                             np.random.default_rng(42))
+    path = tmp_path / "frame.bin"
+    write_frame_dump(path, frame)
+    threshold = detection_threshold(default_scene.noise_clutter_var)
+    before = estimate_delays(frame, s_c, threshold, expected_targets=3)
+    after = estimate_delays(read_frame_dump(path), s_c, threshold,
+                            expected_targets=3)
+    assert after.delays.tolist() == before.delays.tolist()
+    assert before.delays.tolist() == truth.delay_samples.tolist()
+
+
+def test_frame_dump_rejects_truncated_payload(tmp_path, preamble, default_scene):
+    frame = synthesize_frame(default_scene, frame_truth(default_scene, 0),
+                             preamble.samples, 0, None)
+    path = tmp_path / "frame.bin"
+    write_frame_dump(path, frame)
+    path.write_bytes(path.read_bytes()[:32 + 16 * 1000])
+    with pytest.raises(ValueError, match="payload"):
+        read_frame_dump(path)
+
+
+def test_frame_dump_rejects_the_version_without_window_origin(tmp_path):
+    path = tmp_path / "old.bin"
+    path.write_bytes(b"ADRECHO\x00" + np.array([7, 1], dtype="<i8").tobytes()
+                     + np.zeros(2, dtype="<f8").tobytes())
+    with pytest.raises(ValueError, match="window origin"):
+        read_frame_dump(path)
 
 
 def test_frame_dump_rejects_garbage(tmp_path):

@@ -5,7 +5,8 @@ from adradar.echo import synthesize_frame
 from adradar.errors import (DetectionShortfallError, NoTargetError,
                             SingularDesignError)
 from adradar.estimator import (PipelineConfig, build_shift_matrix,
-                               denominator_inverse, estimate_delays,
+                               denominator_inverse, detection_threshold,
+                               estimate_delays,
                                lse_coefficients, raw_doppler, refine_doppler,
                                run_pipeline, velocity_from_doppler, wrap_count)
 from adradar.scene import Scenario, build_scene, frame_truth
@@ -73,7 +74,7 @@ def test_default_scene_delays(preamble, s_c, default_scene):
     frame = noiseless_frame(default_scene, 0, preamble)
     truth = frame_truth(default_scene, 0)
     est = estimate_delays(frame, s_c,
-                          threshold=512 * np.sqrt(default_scene.noise_clutter_var),
+                          threshold=detection_threshold(default_scene.noise_clutter_var),
                           expected_targets=3)
     assert est.delays.tolist() == truth.delay_samples.tolist()
 
@@ -87,6 +88,7 @@ def test_threshold_is_cauchy_schwarz_bound(s_c):
     inner = abs(np.vdot(z, s_c))
     assert inner <= np.linalg.norm(z) * np.linalg.norm(s_c)
     assert np.linalg.norm(s_c) == pytest.approx(np.sqrt(512))
+    assert detection_threshold(sigma ** 2) == pytest.approx(512 * sigma, rel=1e-12)
 
 
 def test_no_target_error(preamble, s_c, default_scene):
@@ -311,7 +313,7 @@ def run_noiseless_pipeline(scene, preamble, cpi_s=0.5e-3, gap=6):
     m_d, m_i = m_count - 1, m_count - 1 - gap
     frames = {m: noiseless_frame(scene, m, preamble) for m in (0, m_i, m_d)}
     cfg = PipelineConfig(m_d=m_d, m_i=m_i,
-                         threshold=512 * np.sqrt(scene.noise_clutter_var),
+                         threshold=detection_threshold(scene.noise_clutter_var),
                          expected_targets=len(scene.targets))
     return run_pipeline(frames, preamble, wf, scene.source_velocity,
                         scene.tx_power, cfg)
@@ -360,7 +362,7 @@ def test_pipeline_first_delay_window(preamble, default_scene, true_velocities):
                                   first_delay_window=True)
               for m in (0, m_i, m_d)}
     cfg = PipelineConfig(m_d=m_d, m_i=m_i,
-                         threshold=512 * np.sqrt(default_scene.noise_clutter_var),
+                         threshold=detection_threshold(default_scene.noise_clutter_var),
                          expected_targets=3, first_delay_window=True)
     res = run_pipeline(frames, preamble, wf, default_scene.source_velocity,
                        default_scene.tx_power, cfg)

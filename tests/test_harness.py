@@ -1,12 +1,15 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
 from adradar.cli import run_cli
-from adradar.errors import AggregationError
+from adradar.errors import AggregationError, ScenarioError
 from adradar.harness import (CSV_HEADER, ExperimentConfig, TrialRecord,
-                             bootstrap_ci, format_csv, nmse, run_experiment,
-                             sweep_cpi, sweep_framegap)
-from adradar.scene import Scenario, save_scenario
+                             _worker_count, bootstrap_ci, format_csv, nmse,
+                             run_experiment, sweep_cpi, sweep_framegap)
+from adradar.scene import Scenario, load_scenario, save_scenario
 
 
 def record(true_v, est_v, trial=0):
@@ -40,6 +43,14 @@ def test_nmse_excludes_failures_and_errors_when_empty():
     assert nmse(recs) == pytest.approx(0.0025, rel=1e-12)
     with pytest.raises(AggregationError):
         nmse([failed_record([20.0])])
+
+
+def test_stationary_target_is_an_aggregation_error():
+    recs = [record([20.0, 0.0], [20.1, 0.05], t) for t in range(3)]
+    with pytest.raises(AggregationError, match="target 1"):
+        nmse(recs)
+    with pytest.raises(AggregationError, match="target 1"):
+        bootstrap_ci(recs, "proposed", seed=1)
 
 
 def test_bootstrap_ci_brackets_point_estimate():
@@ -84,6 +95,26 @@ def test_worker_count_does_not_change_results(monkeypatch):
     monkeypatch.setenv("ADRADAR_WORKERS", "2")
     parallel = run_experiment(scn, exp)
     assert [r.estimates for r in serial] == [r.estimates for r in parallel]
+
+
+@pytest.mark.parametrize("raw", ["0", "-3", "abc", "2.5", ""])
+def test_worker_count_rejects_non_positive_integers(monkeypatch, raw):
+    monkeypatch.setenv("ADRADAR_WORKERS", raw)
+    with pytest.raises(ValueError, match="ADRADAR_WORKERS"):
+        _worker_count()
+
+
+def test_worker_count_defaults_to_one_and_caps_at_cpu_count(monkeypatch):
+    monkeypatch.delenv("ADRADAR_WORKERS", raising=False)
+    assert _worker_count() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("ADRADAR_WORKERS", "64")
+    assert _worker_count() == 2
+    monkeypatch.setenv("ADRADAR_WORKERS", "1")
+    assert _worker_count() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    monkeypatch.setenv("ADRADAR_WORKERS", "4")
+    assert _worker_count() == 1
 
 
 def test_sweep_framegap_shape_and_crn():
@@ -145,6 +176,28 @@ def test_cli_scenario_file_and_unknown_flag(tmp_path):
 
 def test_cli_bad_scenario_path_is_config_error(tmp_path):
     assert run_cli(["simulate", "--scenario", str(tmp_path / "nope.json")]) == 1
+
+
+@pytest.mark.parametrize("key, value", [("p_tx_dbm", "20"), ("trials", 2.5),
+                                        ("frame_len", 13632.5), ("seed", "1")])
+def test_cli_scenario_of_wrong_json_type_is_config_error(tmp_path, key, value):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({key: value}))
+    assert run_cli(["simulate", "--scenario", str(path), "--cpi", "2e-4",
+                    "--trials", "2", "--output", str(tmp_path / "x.csv")]) == 1
+
+
+def test_load_scenario_widens_ints_and_rejects_bools(tmp_path):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"p_tx_dbm": 10, "target_ranges_m": [14, 15.7, 17.9]}))
+    scn = load_scenario(path)
+    assert scn.p_tx_dbm == 10.0 and isinstance(scn.p_tx_dbm, float)
+    assert scn.target_ranges_m == (14, 15.7, 17.9)
+    for bad in ({"trials": True}, {"target_ranges_m": ["14", 15.7, 17.9]},
+                {"first_delay_window": 1}):
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ScenarioError):
+            load_scenario(path)
 
 
 def test_cli_estimation_failure_exit_code(tmp_path):

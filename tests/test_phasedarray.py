@@ -3,8 +3,8 @@ import pytest
 
 from adradar.errors import BeamMeasurementError, DegenerateBeamError
 from adradar.phasedarray import (UpaGeometry, beam_gain, design_wide_beam,
-                                 measure_beamwidth, rx_beam, steering_upa,
-                                 steering_x, steering_y, wide_beam)
+                                 gain_cut, measure_beamwidth, rx_beam,
+                                 steering_upa, steering_x, steering_y, wide_beam)
 
 GEO = UpaGeometry()
 
@@ -37,6 +37,33 @@ def test_steering_vectors_unit_modulus():
         v = steering_upa(az, el, GEO, "tx")
         np.testing.assert_allclose(np.abs(v), 1.0, atol=1e-12)
         assert v[0] == pytest.approx(1.0)
+
+
+def test_steering_vectors_accept_arrays_of_angles():
+    rng = np.random.default_rng(5)
+    az, el = rng.uniform(-np.pi / 2, np.pi / 2, (2, 7))
+    geo = UpaGeometry(nx_tx=5, ny_tx=3)
+    for batch, single in ((steering_x(az, el, 8), lambda a, e: steering_x(a, e, 8)),
+                          (steering_y(el, 3), lambda a, e: steering_y(e, 3)),
+                          (steering_upa(az, el, geo), lambda a, e: steering_upa(a, e, geo))):
+        expected = np.array([single(a, e) for a, e in zip(az, el)])
+        assert batch.shape == expected.shape
+        np.testing.assert_allclose(batch, expected, rtol=0, atol=1e-12)
+    # a scalar elevation broadcasts against an array of azimuths
+    assert steering_upa(az, 0.1, geo).shape == (7, 15)
+
+
+def test_gain_cut_matches_beam_gain_in_both_planes():
+    f = wide_beam([-0.2, 0.0, 0.2], [1.0, 1.0, 1.0], 0.1, GEO)
+    angles = np.linspace(-1.2, 1.2, 25)
+    az_cut = gain_cut(f, GEO, "tx", "azimuth", 0.1, angles)
+    el_cut = gain_cut(f, GEO, "tx", "elevation", 0.1, angles)
+    np.testing.assert_allclose(az_cut, [beam_gain(f, a, 0.1, GEO) for a in angles],
+                               rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(el_cut, [beam_gain(f, 0.0, a, GEO) for a in angles],
+                               rtol=1e-9, atol=1e-12)
+    with pytest.raises(ValueError):
+        gain_cut(f, GEO, "tx", "diagonal", 0.1, angles)
 
 
 def test_steering_upa_broadside_and_kron():

@@ -5,7 +5,7 @@ from scipy.constants import c as C0
 from adradar.errors import ScenarioError
 from adradar.phasedarray import UpaGeometry, rx_beam, steering_upa, wide_beam
 from adradar.scene import (Scenario, Target, backscatter_coefficient, build_scene,
-                           dbm_to_watts, default_scenario, frame_truth,
+                           dbm_to_watts, frame_truth,
                            large_scale_gain, load_scenario, noise_clutter_variance,
                            save_scenario, scene_backscatter)
 
@@ -151,7 +151,7 @@ def test_target_validation():
 
 
 def test_scenario_roundtrip(tmp_path):
-    scn = default_scenario()
+    scn = Scenario()
     path = tmp_path / "scenario.json"
     save_scenario(scn, path)
     loaded = load_scenario(path)

@@ -1,0 +1,69 @@
+"""Module boundaries of the package: no module reaches into a sibling's privates.
+
+A ``_``-prefixed name is private to the module that defines it.  The scan
+flags ``from .sibling import _name`` (relative or absolute) and
+``sibling._name`` attribute access through an imported sibling module.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "adradar"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _is_sibling(node: ast.ImportFrom) -> bool:
+    return node.level > 0 or (node.module or "").split(".")[0] == "adradar"
+
+
+def private_imports(source: str):
+    """(line, text) of every sibling-private name ``source`` imports or reaches."""
+    tree = ast.parse(source)
+    found, sibling_modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _is_sibling(node):
+            for alias in node.names:
+                if _is_private(alias.name):
+                    found.append((node.lineno, f"import {alias.name}"))
+                elif node.module is None or node.module == "adradar":
+                    sibling_modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("adradar.") and alias.asname:
+                    sibling_modules.add(alias.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _is_private(node.attr)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in sibling_modules):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(found)
+
+
+def test_the_scan_sees_the_package():
+    assert {p.stem for p in MODULES} >= {"cli", "harness", "scene", "selftest"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_a_sibling_private_name(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_scan_flags_each_form():
+    source = ("from .scene import _designed_beam\n"
+              "from adradar.phasedarray import _gain_cut\n"
+              "from . import harness\n"
+              "import adradar.echo as echo\n"
+              "harness._point_rows()\n"
+              "echo._DUMP_MAGIC\n"
+              "from .scene import Scenario\n"
+              "def _local():\n"
+              "    return _local\n")
+    assert [text for _, text in private_imports(source)] == [
+        "import _designed_beam", "import _gain_cut", "harness._point_rows",
+        "echo._DUMP_MAGIC"]
