@@ -20,7 +20,7 @@ def main():
     scene = build_scene(scenario)
     wf = scene.wf
     preamble = build_preamble()
-    s_c = correlation_segment(preamble).astype(float)
+    s_c = correlation_segment(preamble)
 
     cpi = 1e-3
     m_count = wf.frames_per_cpi(cpi)
@@ -37,7 +37,7 @@ def main():
                             lags=lags)
     threshold = detection_threshold(scene.noise_clutter_var)
     base_v = baseline_velocities(ddm, scene.source_velocity, wf.wavelength,
-                                 scenario.num_targets, 0.5 * m_count * threshold)
+                                 scenario.num_targets, threshold)
 
     cfg = PipelineConfig(m_d=m_count - 1, m_i=m_count - 7, threshold=threshold,
                          expected_targets=scenario.num_targets)

@@ -22,7 +22,7 @@ def main():
     print("worst off-peak |R_a+R_b| :", np.abs(np.delete(total, 127)).max())
 
     pre = build_preamble()
-    s_c = correlation_segment(pre).astype(float)
+    s_c = correlation_segment(pre)
     print("\npreamble length          :", len(pre))
     print("correlation segment      : samples [2048, 2560) = [-a, -b, -a, +b]")
 

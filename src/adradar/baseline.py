@@ -11,9 +11,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .echo import EchoFrame
 from .errors import DetectionShortfallError
+from .estimator import pick_peaks, velocity_from_doppler
 from .scene import Scenario
-from .sequences import CORR_SEGMENT_OFFSET, correlation_profile
+from .sequences import correlation_profile
+
+# Half-width, in lags, of the map window around frame 0's dominant peak.
+BASELINE_LAG_HALFWIDTH = 128
+# Map threshold factor on top of the M-frame coherent gain: worst-case
+# off-grid scalloping of the slow-time DFT peak.
+_MAP_SCALLOP_MARGIN = 0.5
 
 
 @dataclass(frozen=True)
@@ -29,6 +37,17 @@ class DelayDopplerMap:
     lags: np.ndarray
     doppler_bins_hz: np.ndarray
     doppler_bin_width_hz: float
+
+
+def map_lags(frame0: EchoFrame, profile0: np.ndarray) -> np.ndarray:
+    """Map lags within ``BASELINE_LAG_HALFWIDTH`` of the dominant peak of frame
+    0's correlation profile, clipped to the frame; targets are assumed not too
+    far apart, as in the proposed estimator's delay stage."""
+    first = frame0.first_lag
+    dominant = first + int(np.argmax(np.abs(profile0)))
+    lo = max(dominant - BASELINE_LAG_HALFWIDTH, first)
+    hi = min(dominant + BASELINE_LAG_HALFWIDTH, first + len(profile0) - 1)
+    return np.arange(lo, hi + 1)
 
 
 def delay_doppler_map(frames, s_c: np.ndarray, frame_period: float,
@@ -54,17 +73,14 @@ def delay_doppler_map(frames, s_c: np.ndarray, frame_period: float,
         raise ValueError("delay-Doppler map needs at least two frames")
 
     n_c = len(s_c)
-    first_lag = frames[0].k_start - CORR_SEGMENT_OFFSET
-    n_lags_full = len(frames[0].samples) - n_c + 1
     if lags is None:
-        lags = first_lag + np.arange(n_lags_full)
+        lags = frames[0].first_lag + np.arange(len(frames[0].samples) - n_c + 1)
     lags = np.asarray(lags, dtype=np.int64)
 
     slow_time = np.empty((len(lags), m_count), dtype=complex)
     lag_lo, lag_hi = int(lags.min()), int(lags.max())
     for col, frame in enumerate(frames):
-        offset = frame.k_start - CORR_SEGMENT_OFFSET
-        first, last = lag_lo - offset, lag_hi - offset
+        first, last = lag_lo - frame.first_lag, lag_hi - frame.first_lag
         if first < 0 or last + n_c > len(frame.samples):
             raise ValueError("requested lags outside the computable range")
         # Correlate only over the samples the requested lags touch.
@@ -84,30 +100,25 @@ def baseline_velocities(ddm: DelayDopplerMap, v_source: float, wavelength: float
                         guard: int = Scenario.guard) -> np.ndarray:
     """Velocities of the strongest map peaks, associated by delay order.
 
-    Picks ``expected_targets`` peaks greedily by magnitude; after accepting a
-    peak, every bin within ``guard`` delay lags is suppressed (a target
-    occupies one delay stripe, Doppler leakage included).  Each accepted
-    peak's Doppler bin center maps to a velocity, and the result is ordered
-    by increasing delay.
+    ``threshold`` is the per-frame detection threshold; the map's is
+    ``threshold * M * 0.5``.  ``pick_peaks`` takes delay rows by their peak
+    magnitude, suppressing rows within ``guard`` lags of an accepted one (a
+    target occupies one delay stripe, Doppler leakage included).  Each row's
+    strongest Doppler bin center maps to a velocity, ordered by delay.
 
     Raises
     ------
     DetectionShortfallError
-        If fewer than ``expected_targets`` peaks exceed ``threshold``.
+        If fewer than ``expected_targets`` peaks exceed the map threshold.
     """
     mag = np.abs(ddm.values)
-    available = np.ones(len(ddm.lags), dtype=bool)
-    picks = []
-    while len(picks) < expected_targets:
-        masked = np.where(available[:, None], mag, -1.0)
-        i, q = np.unravel_index(int(np.argmax(masked)), masked.shape)
-        if masked[i, q] <= threshold:
-            raise DetectionShortfallError(
-                f"only {len(picks)} of {expected_targets} map peaks above "
-                f"threshold {threshold:.3e}")
-        picks.append((int(ddm.lags[i]), int(q)))
-        lag = ddm.lags[i]
-        available[np.abs(ddm.lags - lag) <= guard] = False
-    picks.sort()
-    nu = np.array([ddm.doppler_bins_hz[q] for _, q in picks])
-    return v_source - nu * wavelength / 2.0
+    map_threshold = threshold * mag.shape[1] * _MAP_SCALLOP_MARGIN
+    rows = pick_peaks(mag.max(axis=1), ddm.lags, expected_targets,
+                      map_threshold, guard)
+    if len(rows) < expected_targets:
+        raise DetectionShortfallError(
+            f"only {len(rows)} of {expected_targets} map peaks above "
+            f"threshold {map_threshold:.3e}")
+    rows.sort(key=lambda i: ddm.lags[i])
+    nu = ddm.doppler_bins_hz[np.argmax(mag[rows], axis=1)]
+    return velocity_from_doppler(nu, v_source, wavelength)

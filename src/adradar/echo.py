@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ScenarioError
 from .scene import FrameTruth, Scenario, Scene
+from .sequences import CORR_SEGMENT_OFFSET
 
 _DUMP_MAGIC = b"ADRECHO\x01"
 _DUMP_MAGIC_V0 = b"ADRECHO\x00"   # no window origin; rejected on read
@@ -33,6 +34,11 @@ class EchoFrame:
     m: int
     k_start: int
     samples: np.ndarray
+
+    @property
+    def first_lag(self) -> int:
+        """Delay lag of index 0 of this frame's correlation profile."""
+        return self.k_start - CORR_SEGMENT_OFFSET
 
 
 def synthesize_frame(

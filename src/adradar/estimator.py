@@ -20,8 +20,8 @@ from .errors import (AssociationError, DetectionShortfallError, NoTargetError,
                      SingularDesignError)
 from .params import WaveformParams
 from .scene import Scenario
-from .sequences import (CORR_SEGMENT_LEN, CORR_SEGMENT_OFFSET, Preamble,
-                        correlation_profile, correlation_segment)
+from .sequences import (CORR_SEGMENT_LEN, Preamble, correlation_profile,
+                        correlation_segment)
 
 _COND_LIMIT = 1e12
 
@@ -77,8 +77,24 @@ def detection_threshold(noise_clutter_var: float) -> float:
     return CORR_SEGMENT_LEN * np.sqrt(noise_clutter_var)
 
 
+def pick_peaks(score, lags, count: int, threshold: float, guard: int) -> list:
+    """Indices of up to ``count`` peaks of ``score``, in pick order: take the
+    largest remaining score above ``threshold`` (the first on ties), suppress
+    every entry whose lag is within ``guard`` of its lag, repeat."""
+    remaining = np.array(score, dtype=float)
+    lags = np.asarray(lags)
+    picks = []
+    while len(picks) < count:
+        i = int(np.argmax(remaining))
+        if not remaining[i] > threshold:
+            break
+        picks.append(i)
+        remaining[np.abs(lags - lags[i]) <= guard] = -np.inf
+    return picks
+
+
 def estimate_delays(frame: EchoFrame, s_c: np.ndarray, threshold: float,
-                    expected_targets: int = None,
+                    expected_targets: int,
                     search_halfwidth: int = Scenario.search_halfwidth,
                     guard: int = Scenario.guard) -> DelayEstimate:
     """Correlation-based multi-target delay estimation on one frame.
@@ -86,60 +102,40 @@ def estimate_delays(frame: EchoFrame, s_c: np.ndarray, threshold: float,
     The correlation at lag l is R[l] = sum_k s_c[k] conj(y[m, l + k + 2048]),
     so a target at delay l_p peaks at l = l_p.  The dominant delay is the
     global argmax of |R|; further targets are local maxima above ``threshold``
-    within ``search_halfwidth`` lags of the dominant, accepted largest first
+    within ``search_halfwidth`` lags of the dominant, picked by ``pick_peaks``
     with ``guard`` lags suppressed on both sides of every accepted peak.
-
-    Parameters
-    ----------
-    expected_targets : int, optional
-        When given, exactly this many peaks are required (perfect-detection
-        assumption); fewer raises DetectionShortfallError.
+    Exactly ``expected_targets`` peaks are required (perfect-detection
+    assumption).
 
     Raises
     ------
     NoTargetError
         If no lag exceeds the threshold.
+    DetectionShortfallError
+        If fewer than ``expected_targets`` peaks are found.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    first_lag = frame.k_start - CORR_SEGMENT_OFFSET
-    profile = correlation_profile(s_c, frame.samples)
-    mag = np.abs(profile)
-
+    mag = np.abs(correlation_profile(s_c, frame.samples))
     dom = int(np.argmax(mag))
     if mag[dom] <= threshold:
         raise NoTargetError(
             f"no correlation peak above threshold {threshold:.3e} "
             f"(max {mag[dom]:.3e}) in frame {frame.m}")
 
-    lo = max(0, dom - search_halfwidth)
-    hi = min(len(mag), dom + search_halfwidth + 1)
+    lags = frame.first_lag + np.arange(len(mag))
     interior = np.zeros(len(mag), dtype=bool)
     interior[1:-1] = (mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:])
-    candidate = interior & (mag > threshold)
-    candidate[:lo] = False
-    candidate[hi:] = False
+    candidate = (interior & (mag > threshold)
+                 & (np.abs(lags - lags[dom]) <= search_halfwidth))
     candidate[dom] = True
-
-    accepted = []
-    available = candidate.copy()
-    order_mag = mag.copy()
-    while available.any():
-        pick = int(np.argmax(np.where(available, order_mag, -1.0)))
-        accepted.append(pick)
-        available[max(0, pick - guard):pick + guard + 1] = False
-        if expected_targets is not None and len(accepted) == expected_targets:
-            break
-
-    if expected_targets is not None and len(accepted) != expected_targets:
+    accepted = sorted(pick_peaks(np.where(candidate, mag, 0.0), lags,
+                                 expected_targets, threshold, guard))
+    if len(accepted) != expected_targets:
         raise DetectionShortfallError(
             f"frame {frame.m}: detected {len(accepted)} of "
             f"{expected_targets} targets above threshold {threshold:.3e}")
-
-    accepted = sorted(accepted)
-    delays = np.array([first_lag + i for i in accepted], dtype=np.int64)
-    dominant_index = accepted.index(dom)
-    return DelayEstimate(delays=delays, dominant_index=dominant_index,
+    return DelayEstimate(delays=lags[accepted], dominant_index=accepted.index(dom),
                          correlation_peak=mag[accepted])
 
 
@@ -236,9 +232,10 @@ def refine_doppler(nu_md: float, n_wraps: int, d_md: float) -> float:
     return float(nu_md + 2.0 * np.pi * n_wraps * d_md)
 
 
-def velocity_from_doppler(nu_hz: float, v_source: float, wavelength: float) -> float:
-    """Two-way Doppler to absolute target velocity: V = V_s - nu * lambda / 2."""
-    return float(v_source - nu_hz * wavelength / 2.0)
+def velocity_from_doppler(nu_hz, v_source: float, wavelength: float):
+    """Two-way Doppler (scalar or array) to absolute target velocity:
+    V = V_s - nu * lambda / 2."""
+    return v_source - nu_hz * wavelength / 2.0
 
 
 def _lse_window(frame: EchoFrame, delays: np.ndarray, preamble: Preamble,
@@ -263,7 +260,7 @@ def run_pipeline(frames, preamble: Preamble, wf: WaveformParams,
 
     Parameters
     ----------
-    frames : mapping of frame index to EchoFrame
+    frames : dict of frame index to EchoFrame
         Must contain frames 0, cfg.m_i, and cfg.m_d.
 
     Notes
@@ -275,18 +272,16 @@ def run_pipeline(frames, preamble: Preamble, wf: WaveformParams,
     """
     if not 0 <= cfg.m_i < cfg.m_d:
         raise ValueError(f"need 0 <= m_i < m_d, got m_i={cfg.m_i} m_d={cfg.m_d}")
-    s_c = correlation_segment(preamble).astype(float)
+    s_c = correlation_segment(preamble)
 
     needed = (0, cfg.m_i, cfg.m_d)
-    frame_map = {f.m: f for f in frames.values()} if isinstance(frames, dict) \
-        else {f.m: f for f in frames}
-    missing = [m for m in needed if m not in frame_map]
+    missing = [m for m in needed if m not in frames]
     if missing:
         raise ValueError(f"pipeline needs frames {needed}, missing {missing}")
 
     delay_est = {}
     for m in needed:
-        delay_est[m] = estimate_delays(frame_map[m], s_c, cfg.threshold,
+        delay_est[m] = estimate_delays(frames[m], s_c, cfg.threshold,
                                        cfg.expected_targets,
                                        cfg.search_halfwidth, cfg.guard)
     counts = {m: len(delay_est[m].delays) for m in needed}
@@ -296,7 +291,7 @@ def run_pipeline(frames, preamble: Preamble, wf: WaveformParams,
     coeffs = {}
     for m in needed:
         est = delay_est[m]
-        y, rows = _lse_window(frame_map[m], est.delays, preamble,
+        y, rows = _lse_window(frames[m], est.delays, preamble,
                               cfg.first_delay_window)
         s = build_shift_matrix(est.delays, preamble, rows)
         coeffs[m] = lse_coefficients(y, s, tx_power)
@@ -311,19 +306,17 @@ def run_pipeline(frames, preamble: Preamble, wf: WaveformParams,
     nu_mi = np.empty(n_targets)
     wraps = np.empty(n_targets, dtype=np.int64)
     nu_refined = np.empty(n_targets)
-    velocities = np.empty(n_targets)
     for p in range(n_targets):
         nu_raw[p] = raw_doppler(coeffs[cfg.m_d][p], coeffs[0][p], d_md)
         nu_mi[p] = raw_doppler(coeffs[cfg.m_i][p], coeffs[0][p], d_mi)
         sign = np.angle(coeffs[cfg.m_d][p] / coeffs[0][p])
         wraps[p] = wrap_count(nu_raw[p], nu_mi[p], d_md, d_mi, sign)
         nu_refined[p] = refine_doppler(nu_raw[p], wraps[p], d_md)
-        velocities[p] = velocity_from_doppler(nu_refined[p], v_source,
-                                              wf.wavelength)
 
     doppler = DopplerEstimate(h_hat=coeffs[0], h_hat_md=coeffs[cfg.m_d],
                               h_hat_mi=coeffs[cfg.m_i], nu_raw=nu_raw,
                               wrap_count=wraps, nu_refined=nu_refined,
                               d_md=d_md, d_mi=d_mi)
-    return VelocityEstimate(velocities=velocities, doppler=doppler,
-                            delays=delay_est)
+    return VelocityEstimate(
+        velocities=velocity_from_doppler(nu_refined, v_source, wf.wavelength),
+        doppler=doppler, delays=delay_est)

@@ -13,25 +13,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baseline import baseline_velocities, delay_doppler_map
+from .baseline import baseline_velocities, delay_doppler_map, map_lags
 from .echo import synthesize_frame
 from .errors import AggregationError, EstimationError
 from .estimator import PipelineConfig, detection_threshold, run_pipeline
 from .scene import (Scenario, build_scene, draw_betas, frame_truth,
                     scene_backscatter)
-from .sequences import (CORR_SEGMENT_OFFSET, build_preamble,
-                        correlation_profile, correlation_segment)
+from .sequences import build_preamble, correlation_profile, correlation_segment
 
 _STREAM_NOISE = 0
 _STREAM_BETA = 1
 _STREAM_BOOTSTRAP = 2
-
-# The map threshold scales the per-frame detection threshold by the frame
-# count and allows for worst-case off-grid scalloping of the slow-time DFT
-# peak.
-_MAP_SCALLOP_MARGIN = 0.5
-
-BASELINE_LAG_HALFWIDTH = 128
 
 # ``ExperimentConfig.estimators`` choice -> estimator names it runs, in CSV
 # row order.
@@ -121,7 +113,7 @@ def _run_one_trial(scenario: Scenario, exp: ExperimentConfig, trial: int) -> Tri
     scene = build_scene(scenario, betas=betas, p_tx_dbm=exp.p_tx_dbm)
     wf = scene.wf
     preamble = build_preamble()
-    s_c = correlation_segment(preamble).astype(float)
+    s_c = correlation_segment(preamble)
     threshold = detection_threshold(scene.noise_clutter_var) * scenario.threshold_scale
 
     m_count = wf.frames_per_cpi(exp.cpi_s)
@@ -157,21 +149,13 @@ def _run_one_trial(scenario: Scenario, exp: ExperimentConfig, trial: int) -> Tri
                 wraps = tuple(int(n) for n in res.doppler.wrap_count)
                 delays = tuple(int(d) for d in res.delays[0].delays)
             else:
-                # Window the map around the frame-0 dominant correlation peak;
-                # targets are assumed not too far apart, as in the delay stage.
-                profile0 = np.abs(correlation_profile(s_c, frames[0].samples))
-                first_valid = frames[0].k_start - CORR_SEGMENT_OFFSET
-                dominant = first_valid + int(np.argmax(profile0))
-                lo = max(dominant - BASELINE_LAG_HALFWIDTH, first_valid)
-                hi = min(dominant + BASELINE_LAG_HALFWIDTH,
-                         first_valid + len(profile0) - 1)
-                lags = np.arange(lo, hi + 1)
+                profile0 = correlation_profile(s_c, frames[0].samples)
                 ddm = delay_doppler_map(list(frames.values()), s_c,
-                                        wf.frame_period, lags=lags)
-                map_threshold = threshold * m_count * _MAP_SCALLOP_MARGIN
+                                        wf.frame_period,
+                                        lags=map_lags(frames[0], profile0))
                 velocities = baseline_velocities(
                     ddm, scene.source_velocity, wf.wavelength,
-                    scenario.num_targets, map_threshold, guard=scenario.guard)
+                    scenario.num_targets, threshold, guard=scenario.guard)
             estimates[name] = tuple(float(v) for v in velocities)
         except EstimationError as exc:
             failures[name] = f"{type(exc).__name__}: {exc}"

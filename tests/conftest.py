@@ -12,7 +12,7 @@ def preamble():
 
 @pytest.fixture(scope="session")
 def s_c(preamble):
-    return correlation_segment(preamble).astype(float)
+    return correlation_segment(preamble)
 
 
 @pytest.fixture(scope="session")

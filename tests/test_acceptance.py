@@ -280,7 +280,7 @@ def test_criterion_7_beamwidths():
 def test_criterion_8_baseline_quantization_bound():
     t0 = time.time()
     pre = build_preamble()
-    s_c = correlation_segment(pre).astype(float)
+    s_c = correlation_segment(pre)
     rng = np.random.default_rng(2024)
     base = Scenario(target_velocities_mps=(20.0,), target_ranges_m=(15.7,),
                     target_azimuths_rad=(0.0,), target_elevations_rad=(0.0,))

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from adradar.baseline import baseline_velocities, delay_doppler_map
 from adradar.echo import synthesize_frame
 from adradar.errors import DetectionShortfallError
-from adradar.estimator import detection_threshold
+from adradar.estimator import detection_threshold, pick_peaks
 from adradar.scene import Scenario, build_scene, frame_truth, scene_backscatter
 
 
@@ -146,7 +148,7 @@ def test_three_target_association_by_delay(preamble, s_c, default_scene, true_ve
     m_count = len(frames)
     ddm = delay_doppler_map(frames, s_c, wf.frame_period,
                             lags=np.arange(130, 250))
-    thr = 0.5 * m_count * detection_threshold(default_scene.noise_clutter_var)
+    thr = detection_threshold(default_scene.noise_clutter_var)
     v = baseline_velocities(ddm, default_scene.source_velocity, wf.wavelength,
                             3, thr)
     # quantization-limited: each error at most half a Doppler bin in velocity
@@ -163,7 +165,40 @@ def test_power_invariance_high_snr(preamble, s_c):
         frames = synth_cpi(scene, 0.4e-3, preamble, noiseless=False, seed=3)
         ddm = delay_doppler_map(frames, s_c, scene.wf.frame_period,
                                 lags=np.arange(130, 250))
-        thr = 0.5 * len(frames) * detection_threshold(scene.noise_clutter_var)
+        thr = detection_threshold(scene.noise_clutter_var)
         results.append(baseline_velocities(ddm, scene.source_velocity,
                                            scene.wf.wavelength, 3, thr))
     np.testing.assert_allclose(results[0], results[1], rtol=1e-12)
+
+
+def masked_map_picks(mag, lags, count, threshold, guard):
+    """Reference: greedy (lag, Doppler bin) picks straight on the 2-D map,
+    masking every row within ``guard`` lags of an accepted peak."""
+    available = np.ones(len(lags), dtype=bool)
+    picks = []
+    while len(picks) < count:
+        masked = np.where(available[:, None], mag, -1.0)
+        i, q = np.unravel_index(int(np.argmax(masked)), masked.shape)
+        if masked[i, q] <= threshold:
+            break
+        picks.append((int(lags[i]), int(q)))
+        available[np.abs(lags - lags[i]) <= guard] = False
+    return picks
+
+
+@given(st.data())
+def test_row_maxima_picks_match_the_2d_map_picks(data):
+    rows = data.draw(st.integers(1, 12), label="rows")
+    cols = data.draw(st.integers(1, 6), label="cols")
+    # small integers make ties common, within and across rows
+    mag = np.array(data.draw(st.lists(st.integers(0, 6), min_size=rows * cols,
+                                      max_size=rows * cols)),
+                   dtype=float).reshape(rows, cols)
+    lags = np.array(data.draw(st.lists(st.integers(-40, 40), min_size=rows,
+                                       max_size=rows, unique=True)))
+    count = data.draw(st.integers(1, 5), label="count")
+    threshold = data.draw(st.sampled_from([0.0, 1.0, 2.5, 4.0]), label="threshold")
+    guard = data.draw(st.integers(0, 8), label="guard")
+    picked = pick_peaks(mag.max(axis=1), lags, count, threshold, guard)
+    assert [(int(lags[i]), int(np.argmax(mag[i]))) for i in picked] == \
+        masked_map_picks(mag, lags, count, threshold, guard)

@@ -94,7 +94,7 @@ def test_threshold_is_cauchy_schwarz_bound(s_c):
 def test_no_target_error(preamble, s_c, default_scene):
     frame = noiseless_frame(default_scene, 0, preamble)
     with pytest.raises(NoTargetError):
-        estimate_delays(frame, s_c, threshold=1e6)
+        estimate_delays(frame, s_c, threshold=1e6, expected_targets=3)
 
 
 def test_detection_shortfall(preamble, s_c, default_scene):
@@ -109,7 +109,7 @@ def test_detection_shortfall(preamble, s_c, default_scene):
 def test_threshold_must_be_positive(preamble, s_c, default_scene):
     frame = noiseless_frame(default_scene, 0, preamble)
     with pytest.raises(ValueError):
-        estimate_delays(frame, s_c, threshold=0.0)
+        estimate_delays(frame, s_c, threshold=0.0, expected_targets=3)
 
 
 def test_scale_invariance(preamble, s_c, default_scene):
