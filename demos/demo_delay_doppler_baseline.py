@@ -29,7 +29,7 @@ def main():
     for m in range(m_count):
         rng = np.random.default_rng([scenario.seed, 0, 0, m])
         frames[m] = synthesize_frame(scene, frame_truth(scene, m, h),
-                                     preamble.samples, m, rng)
+                                     preamble.samples, rng)
 
     truth = frame_truth(scene, 0, h)
     lags = np.arange(truth.delay_samples[0] - 40, truth.delay_samples[-1] + 41)

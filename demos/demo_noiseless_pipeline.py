@@ -25,7 +25,7 @@ def main():
 
     h = scene_backscatter(scene)
     frames = {m: synthesize_frame(scene, frame_truth(scene, m, h),
-                                  preamble.samples, m, None)
+                                  preamble.samples, None)
               for m in (0, m_i, m_d)}
     cfg = PipelineConfig(m_d=m_d, m_i=m_i,
                          threshold=detection_threshold(scene.noise_clutter_var),

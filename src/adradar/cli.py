@@ -79,10 +79,7 @@ def _load(args) -> Scenario:
 def _experiment(scenario: Scenario, args) -> ExperimentConfig:
     return ExperimentConfig(
         cpi_s=args.cpi if args.cpi is not None else scenario.cpi_s,
-        trials=args.trials if args.trials is not None else scenario.trials,
-        p_tx_dbm=args.p_tx_dbm,
-        m_i_offset=(args.mi_offset if args.mi_offset is not None
-                    else scenario.m_i_offset),
+        trials=args.trials, p_tx_dbm=args.p_tx_dbm, m_i_offset=args.mi_offset,
         estimators=getattr(args, "estimator", ExperimentConfig.estimators),
         seed=args.seed)
 
@@ -111,7 +108,7 @@ def run_cli(argv) -> int:
             scenario = _load(args)
             angles = np.arange(-np.pi / 2 + args.resolution, np.pi / 2,
                                args.resolution)
-            gains = gain_cut(designed_beam(scenario), scenario.geometry(), "tx",
+            gains = gain_cut(designed_beam(scenario), scenario.geometry(),
                              "azimuth", scenario.elevation_center_rad, angles)
             lines = ["angle_rad,gain_db"]
             floor = gains.max() * 1e-12

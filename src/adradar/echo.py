@@ -42,10 +42,10 @@ class EchoFrame:
 
 
 def synthesize_frame(
-        scene: Scene, truth: FrameTruth, preamble_samples: np.ndarray, m: int,
+        scene: Scene, truth: FrameTruth, preamble_samples: np.ndarray,
         rng: np.random.Generator,
         first_delay_window: bool = Scenario.first_delay_window) -> EchoFrame:
-    """Generate the frame-m echo for every target plus noise.
+    """Generate the echo of frame ``truth.frame`` for every target plus noise.
 
     Parameters
     ----------
@@ -55,6 +55,7 @@ def synthesize_frame(
         Restrict the window to K_pre samples starting at the first delay,
         truncating later targets' tails.
     """
+    m = truth.frame
     k_pre = scene.wf.preamble_len
     if len(preamble_samples) != k_pre:
         raise ValueError("preamble length inconsistent with waveform parameters")

@@ -29,6 +29,10 @@ class SingularDesignError(EstimationError):
     """Least-squares design matrix is singular or ill-conditioned."""
 
 
+class LseWindowError(EstimationError):
+    """The least-squares window reaches outside the frame's synthesized samples."""
+
+
 class AssociationError(EstimationError):
     """Detected target counts differ across frames; rank-order association impossible."""
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .echo import EchoFrame
-from .errors import (AssociationError, DetectionShortfallError, NoTargetError,
-                     SingularDesignError)
+from .errors import (AssociationError, DetectionShortfallError,
+                     LseWindowError, NoTargetError, SingularDesignError)
 from .params import WaveformParams
 from .scene import Scenario
 from .sequences import (CORR_SEGMENT_LEN, Preamble, correlation_profile,
@@ -240,7 +240,14 @@ def velocity_from_doppler(nu_hz, v_source: float, wavelength: float):
 
 def _lse_window(frame: EchoFrame, delays: np.ndarray, preamble: Preamble,
                 first_delay_window: bool):
-    """Slice the frame to the LSE window starting at the estimated l_0."""
+    """Slice the frame to the LSE window starting at the estimated l_0.
+
+    Raises
+    ------
+    LseWindowError
+        If the window starts before the frame's first sample or ends after
+        its last one.
+    """
     k_pre = len(preamble.samples)
     if first_delay_window:
         rows = k_pre
@@ -248,8 +255,10 @@ def _lse_window(frame: EchoFrame, delays: np.ndarray, preamble: Preamble,
         rows = k_pre + int(delays[-1] - delays[0])
     start = int(delays[0]) - frame.k_start
     if start < 0 or start + rows > len(frame.samples):
-        rows = min(rows, len(frame.samples) - max(start, 0))
-        start = max(start, 0)
+        raise LseWindowError(
+            f"frame {frame.m}: LSE window [{int(delays[0])}, "
+            f"{int(delays[0]) + rows}) outside the frame's samples "
+            f"[{frame.k_start}, {frame.k_start + len(frame.samples)})")
     return frame.samples[start:start + rows], rows
 
 

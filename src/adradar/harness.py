@@ -36,23 +36,24 @@ class ExperimentConfig:
     """One Monte Carlo experiment over a fixed scenario."""
 
     cpi_s: float
-    trials: int = Scenario.trials
+    trials: int = None            # None: use the scenario value
     p_tx_dbm: float = None        # None: use the scenario value
-    m_i_offset: int = Scenario.m_i_offset
+    m_i_offset: int = None        # None: use the scenario value
     estimators: str = "proposed"  # a key of ESTIMATORS
     seed: int = None              # None: use the scenario value
 
     def __post_init__(self):
-        if self.trials < 1:
+        if self.trials is not None and self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.estimators not in ESTIMATORS:
             raise ValueError(f"unknown estimator selection {self.estimators!r}")
 
     def resolve(self, scenario: Scenario) -> "ExperimentConfig":
-        """This experiment with an unset seed and TX power taken from ``scenario``."""
-        return replace(
-            self, seed=scenario.seed if self.seed is None else self.seed,
-            p_tx_dbm=scenario.p_tx_dbm if self.p_tx_dbm is None else self.p_tx_dbm)
+        """This experiment with every unset field taken from ``scenario``."""
+        return replace(self, **{
+            name: getattr(scenario, name)
+            for name in ("trials", "p_tx_dbm", "m_i_offset", "seed")
+            if getattr(self, name) is None})
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ def _run_one_trial(scenario: Scenario, exp: ExperimentConfig, trial: int) -> Tri
     for m in needed:
         rng = np.random.default_rng([exp.seed, trial, _STREAM_NOISE, m])
         frames[m] = synthesize_frame(scene, frame_truth(scene, m, h),
-                                     preamble.samples, m, rng,
+                                     preamble.samples, rng,
                                      scenario.first_delay_window)
 
     true_v = tuple(t.velocity for t in scene.targets)

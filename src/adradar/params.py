@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from scipy.constants import c as SPEED_OF_LIGHT
+SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
 
 
 @dataclass(frozen=True)

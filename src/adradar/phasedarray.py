@@ -1,8 +1,9 @@
 """Uniform planar array steering, wide-beam synthesis, and pattern measurement.
 
 The source vehicle carries co-located TX and RX UPAs.  A wide azimuth beam is
-formed by a weighted sum of a few steering vectors on the x-axis, Kronecker
-multiplied with the single y-axis (elevation) steering vector, then normalized.
+formed on the TX array by a weighted sum of a few steering vectors on the
+x-axis, Kronecker multiplied with the single y-axis (elevation) steering
+vector, then normalized; the beam functions below all act on the TX array.
 The RX beam is the elementwise conjugate of the TX beam.  The steering
 functions take scalar angles or arrays of them (one vector per angle, along a
 new last axis).
@@ -42,12 +43,10 @@ class UpaGeometry:
 
 @dataclass(frozen=True)
 class BeamformerWeights:
-    """Unit-norm beamforming vector with the design metadata that produced it."""
+    """Unit-norm beamforming vector and the component azimuths it combines."""
 
     entries: np.ndarray
     azimuths: tuple = ()
-    weights: tuple = ()
-    elevation: float = 0.0
 
 
 def steering_x(azimuth, elevation, n: int, dx: float = 0.5) -> np.ndarray:
@@ -71,8 +70,8 @@ def steering_upa(azimuth, elevation, geometry: UpaGeometry,
     return (ax[..., :, None] * ay[..., None, :]).reshape(ax.shape[:-1] + (-1,))
 
 
-def wide_beam(azimuths, weights, elevation: float, geometry: UpaGeometry,
-              side: str = "tx") -> BeamformerWeights:
+def wide_beam(azimuths, weights, elevation: float,
+              geometry: UpaGeometry) -> BeamformerWeights:
     """Combine beams on the x-axis into one unit-norm wide-beam vector.
 
     f_x = sum_i gamma_i * a_x(phi_i, elevation); f = (f_x kron f_y) / ||.||.
@@ -86,7 +85,7 @@ def wide_beam(azimuths, weights, elevation: float, geometry: UpaGeometry,
     weights = tuple(complex(w) for w in weights)
     if not azimuths or len(azimuths) != len(weights):
         raise ValueError("azimuths and weights must be non-empty and equal length")
-    nx, ny = geometry.counts(side)
+    nx, ny = geometry.counts("tx")
     fx = np.zeros(nx, dtype=complex)
     for phi, gamma in zip(azimuths, weights):
         fx += gamma * steering_x(phi, elevation, nx, geometry.dx)
@@ -95,32 +94,29 @@ def wide_beam(azimuths, weights, elevation: float, geometry: UpaGeometry,
     norm = np.linalg.norm(f)
     if norm < 1e-12 * np.sqrt(nx * ny):
         raise DegenerateBeamError("beam combination is numerically zero")
-    return BeamformerWeights(entries=f / norm, azimuths=azimuths,
-                             weights=weights, elevation=elevation)
+    return BeamformerWeights(entries=f / norm, azimuths=azimuths)
 
 
 def rx_beam(f_tx: BeamformerWeights) -> BeamformerWeights:
     """Reciprocal receive beam: the elementwise conjugate of the TX beam."""
-    return BeamformerWeights(entries=np.conj(f_tx.entries), azimuths=f_tx.azimuths,
-                             weights=tuple(np.conj(w) for w in f_tx.weights),
-                             elevation=f_tx.elevation)
+    return BeamformerWeights(entries=np.conj(f_tx.entries), azimuths=f_tx.azimuths)
 
 
 def beam_gain(f: BeamformerWeights, azimuth: float, elevation: float,
-              geometry: UpaGeometry, side: str = "tx") -> float:
+              geometry: UpaGeometry) -> float:
     """Power pattern |a(az, el)^H f|^2 of a beamforming vector."""
-    a = steering_upa(azimuth, elevation, geometry, side)
+    a = steering_upa(azimuth, elevation, geometry)
     return float(np.abs(np.vdot(a, f.entries)) ** 2)
 
 
-def gain_cut(f: BeamformerWeights, geometry: UpaGeometry, side: str, plane: str,
+def gain_cut(f: BeamformerWeights, geometry: UpaGeometry, plane: str,
              elevation_center: float, angles: np.ndarray) -> np.ndarray:
     """Power pattern |a^H f|^2 at ``angles`` along the azimuth cut (elevation
     ``elevation_center``) or the elevation cut (azimuth zero)."""
     if plane == "azimuth":
-        a = steering_upa(angles, elevation_center, geometry, side)
+        a = steering_upa(angles, elevation_center, geometry)
     elif plane == "elevation":
-        a = steering_upa(0.0, angles, geometry, side)
+        a = steering_upa(0.0, angles, geometry)
     else:
         raise ValueError(f"plane must be 'azimuth' or 'elevation', got {plane!r}")
     return np.abs(a.conj() @ f.entries) ** 2
@@ -128,7 +124,7 @@ def gain_cut(f: BeamformerWeights, geometry: UpaGeometry, side: str, plane: str,
 
 def measure_beamwidth(f: BeamformerWeights, geometry: UpaGeometry,
                       plane: str = "azimuth", elevation_center: float = 0.0,
-                      side: str = "tx", resolution: float = 1e-3) -> float:
+                      resolution: float = 1e-3) -> float:
     """Half-power width of the mainlobe in one principal plane.
 
     Scans the pattern cut on a uniform grid (default 1 mrad), locates the
@@ -142,7 +138,7 @@ def measure_beamwidth(f: BeamformerWeights, geometry: UpaGeometry,
         crossed inside the scanned interval.
     """
     angles = np.arange(-np.pi / 2 + resolution, np.pi / 2, resolution)
-    gains = gain_cut(f, geometry, side, plane, elevation_center, angles)
+    gains = gain_cut(f, geometry, plane, elevation_center, angles)
     peak = int(np.argmax(gains))
     half = gains[peak] / 2.0
     if gains[peak] <= 0 or np.all(gains >= half * 0.999999):
@@ -181,7 +177,7 @@ def measure_beamwidth(f: BeamformerWeights, geometry: UpaGeometry,
 
 
 def design_wide_beam(target_width: float, n_beams: int, geometry: UpaGeometry,
-                     elevation_center: float = 0.0, side: str = "tx",
+                     elevation_center: float = 0.0,
                      tol: float = 1e-5) -> BeamformerWeights:
     """Pick component azimuths so the combined beam hits a 3 dB azimuth width.
 
@@ -194,11 +190,11 @@ def design_wide_beam(target_width: float, n_beams: int, geometry: UpaGeometry,
 
     def beam(delta):
         az = tuple(np.linspace(-delta, delta, n_beams)) if n_beams > 1 else (0.0,)
-        return wide_beam(az, (1.0,) * n_beams, elevation_center, geometry, side)
+        return wide_beam(az, (1.0,) * n_beams, elevation_center, geometry)
 
     def width(delta):
         return measure_beamwidth(beam(delta), geometry, "azimuth",
-                                 elevation_center, side)
+                                 elevation_center)
 
     lo = 0.0
     w_lo = width(lo)

@@ -11,10 +11,9 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
 
 from .errors import ScenarioError
-from .params import WaveformParams
+from .params import SPEED_OF_LIGHT, WaveformParams
 from .phasedarray import (BeamformerWeights, UpaGeometry, design_wide_beam,
                           rx_beam, steering_upa)
 

@@ -42,19 +42,17 @@ def rrc_taps(rolloff: float, span: int, samples_per_symbol: int) -> RrcFilter:
     sps = samples_per_symbol
     t = np.arange(span * sps + 1) / sps - span / 2  # in symbol periods
     beta = rolloff
-    taps = np.empty_like(t)
-    for i, ti in enumerate(t):
-        if abs(ti) < 1e-12:
-            taps[i] = 1.0 - beta + 4.0 * beta / np.pi
-        elif beta > 0 and abs(abs(ti) - 1.0 / (4.0 * beta)) < 1e-9:
-            taps[i] = (beta / np.sqrt(2.0)) * (
-                (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * beta))
-                + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * beta)))
-        else:
-            num = (np.sin(np.pi * ti * (1.0 - beta))
-                   + 4.0 * beta * ti * np.cos(np.pi * ti * (1.0 + beta)))
-            den = np.pi * ti * (1.0 - (4.0 * beta * ti) ** 2)
-            taps[i] = num / den
+    with np.errstate(divide="ignore", invalid="ignore"):
+        taps = ((np.sin(np.pi * t * (1.0 - beta))
+                 + 4.0 * beta * t * np.cos(np.pi * t * (1.0 + beta)))
+                / (np.pi * t * (1.0 - (4.0 * beta * t) ** 2)))
+    # The removable singularities at t = 0 and |t| = 1/(4 beta) take their limits.
+    if beta > 0:
+        edge = np.abs(np.abs(t) - 1.0 / (4.0 * beta)) < 1e-9
+        taps[edge] = (beta / np.sqrt(2.0)) * (
+            (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * beta))
+            + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * beta)))
+    taps[np.abs(t) < 1e-12] = 1.0 - beta + 4.0 * beta / np.pi
     taps = taps / np.linalg.norm(taps)
     return RrcFilter(rolloff=rolloff, span=span, samples_per_symbol=sps, taps=taps)
 

@@ -77,7 +77,7 @@ def test_criterion_3_noiseless_recovery():
     m_d, m_i = m_count - 1, m_count - 7
     h = scene_backscatter(scene)
     frames = {m: synthesize_frame(scene, frame_truth(scene, m, h),
-                                  pre.samples, m, None) for m in (0, m_i, m_d)}
+                                  pre.samples, None) for m in (0, m_i, m_d)}
     cfg = PipelineConfig(m_d=m_d, m_i=m_i,
                          threshold=detection_threshold(scene.noise_clutter_var),
                          expected_targets=3)
@@ -123,7 +123,7 @@ def test_criterion_4_wrap_compensation_sweep():
         scene = build_scene(scn)
         h = scene_backscatter(scene)
         frames = {m: synthesize_frame(scene, frame_truth(scene, m, h),
-                                      pre.samples, m, None)
+                                      pre.samples, None)
                   for m in (0, m_i, m_d)}
         cfg = PipelineConfig(m_d=m_d, m_i=m_i, threshold=1e-9,
                              expected_targets=1)
@@ -298,7 +298,7 @@ def test_criterion_8_baseline_quantization_bound():
         h = scene_backscatter(scene)
         delay = int(frame_truth(scene, 0).delay_samples[0])
         frames = [synthesize_frame(scene, frame_truth(scene, m, h),
-                                   pre.samples, m, None)
+                                   pre.samples, None)
                   for m in range(m_count)]
         ddm = delay_doppler_map(frames, s_c, wf.frame_period,
                                 lags=np.arange(delay - 16, delay + 17))

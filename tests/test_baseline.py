@@ -24,7 +24,7 @@ def synth_cpi(scene, cpi_s, preamble, noiseless=True, seed=5):
     for m in range(m_count):
         rng = None if noiseless else np.random.default_rng([seed, m])
         frames.append(synthesize_frame(scene, frame_truth(scene, m, h),
-                                       preamble.samples, m, rng))
+                                       preamble.samples, rng))
     return frames
 
 

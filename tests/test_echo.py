@@ -16,7 +16,7 @@ def single_target_scene(p_tx_dbm=0.0, velocity=20.279):
 def test_pure_shift_no_doppler(preamble):
     scene = single_target_scene(velocity=25.271)  # zero Doppler
     truth = frame_truth(scene, 0)
-    frame = synthesize_frame(scene, truth, preamble.samples, 0, rng=None)
+    frame = synthesize_frame(scene, truth, preamble.samples, rng=None)
     h = truth.backscatter[0]
     amp = np.sqrt(scene.tx_power)
     expected = amp * h * preamble.samples
@@ -29,7 +29,7 @@ def test_pure_shift_no_doppler(preamble):
 def test_phase_advances_per_sample(preamble):
     scene = single_target_scene()
     truth = frame_truth(scene, 0)
-    frame = synthesize_frame(scene, truth, preamble.samples, 0, rng=None)
+    frame = synthesize_frame(scene, truth, preamble.samples, rng=None)
     nu = truth.doppler_hz[0]
     ts = scene.wf.sample_period
     # strip the preamble sign, leaving the Doppler rotation
@@ -49,14 +49,14 @@ def test_two_target_superposition(preamble):
                    target_elevations_rad=(0.0, 0.0))
     scene = build_scene(scn)
     truth = frame_truth(scene, 0)
-    both = synthesize_frame(scene, truth, preamble.samples, 0, None)
+    both = synthesize_frame(scene, truth, preamble.samples, None)
 
     from dataclasses import replace
     parts = []
     for keep in range(2):
         sub = replace(scene, targets=(scene.targets[keep],))
         sub_truth = frame_truth(sub, 0)
-        f = synthesize_frame(sub, sub_truth, preamble.samples, 0, None)
+        f = synthesize_frame(sub, sub_truth, preamble.samples, None)
         padded = np.zeros_like(both.samples)
         off = f.k_start - both.k_start
         padded[off:off + len(f.samples)] = f.samples
@@ -67,8 +67,8 @@ def test_two_target_superposition(preamble):
 def test_window_length_extended_vs_first_delay(preamble, default_scene):
     truth = frame_truth(default_scene, 0)
     spread = int(truth.delay_samples[-1] - truth.delay_samples[0])
-    ext = synthesize_frame(default_scene, truth, preamble.samples, 0, None)
-    exact = synthesize_frame(default_scene, truth, preamble.samples, 0, None,
+    ext = synthesize_frame(default_scene, truth, preamble.samples, None)
+    exact = synthesize_frame(default_scene, truth, preamble.samples, None,
                              first_delay_window=True)
     assert len(ext.samples) == 3328 + spread
     assert len(exact.samples) == 3328
@@ -77,8 +77,8 @@ def test_window_length_extended_vs_first_delay(preamble, default_scene):
 
 def test_zero_noise_reproducible(preamble, default_scene):
     truth = frame_truth(default_scene, 5)
-    a = synthesize_frame(default_scene, truth, preamble.samples, 5, None)
-    b = synthesize_frame(default_scene, truth, preamble.samples, 5, None)
+    a = synthesize_frame(default_scene, truth, preamble.samples, None)
+    b = synthesize_frame(default_scene, truth, preamble.samples, None)
     assert np.array_equal(a.samples, b.samples)
 
 
@@ -88,11 +88,11 @@ def test_noise_statistics(preamble):
                    target_azimuths_rad=(0.0,), target_elevations_rad=(0.0,),
                    p_tx_dbm=-400.0)  # signal power ~0: noise-only frames
     scene = build_scene(scn)
-    truth = frame_truth(scene, 0)
     samples = []
     for m in range(12):
         rng = np.random.default_rng([99, 0, m])
-        samples.append(synthesize_frame(scene, truth, preamble.samples, m, rng).samples)
+        samples.append(synthesize_frame(scene, frame_truth(scene, m),
+                                        preamble.samples, rng).samples)
     z = np.concatenate(samples)
     var = np.mean(np.abs(z) ** 2)
     n = len(z)
@@ -102,23 +102,23 @@ def test_noise_statistics(preamble):
 def test_amplitude_linear_in_sqrt_power(preamble):
     s1 = single_target_scene(p_tx_dbm=0.0)
     s4 = single_target_scene(p_tx_dbm=10 * np.log10(4))
-    f1 = synthesize_frame(s1, frame_truth(s1, 0), preamble.samples, 0, None)
-    f4 = synthesize_frame(s4, frame_truth(s4, 0), preamble.samples, 0, None)
+    f1 = synthesize_frame(s1, frame_truth(s1, 0), preamble.samples, None)
+    f4 = synthesize_frame(s4, frame_truth(s4, 0), preamble.samples, None)
     np.testing.assert_allclose(f4.samples, 2.0 * f1.samples, rtol=1e-12)
 
 
 def test_same_seed_same_noise(preamble, default_scene):
     truth = frame_truth(default_scene, 3)
-    a = synthesize_frame(default_scene, truth, preamble.samples, 3,
+    a = synthesize_frame(default_scene, truth, preamble.samples,
                          np.random.default_rng([1, 2, 3]))
-    b = synthesize_frame(default_scene, truth, preamble.samples, 3,
+    b = synthesize_frame(default_scene, truth, preamble.samples,
                          np.random.default_rng([1, 2, 3]))
     assert np.array_equal(a.samples, b.samples)
 
 
 def test_frame_dump_roundtrip(tmp_path, preamble, default_scene):
     truth = frame_truth(default_scene, 7)
-    frame = synthesize_frame(default_scene, truth, preamble.samples, 7,
+    frame = synthesize_frame(default_scene, truth, preamble.samples,
                              np.random.default_rng(42))
     path = tmp_path / "frame.bin"
     write_frame_dump(path, frame)
@@ -133,7 +133,7 @@ def test_frame_dump_roundtrip(tmp_path, preamble, default_scene):
 def test_frame_dump_reload_gives_the_same_delays(tmp_path, preamble, s_c,
                                                  default_scene):
     truth = frame_truth(default_scene, 7)
-    frame = synthesize_frame(default_scene, truth, preamble.samples, 7,
+    frame = synthesize_frame(default_scene, truth, preamble.samples,
                              np.random.default_rng(42))
     path = tmp_path / "frame.bin"
     write_frame_dump(path, frame)
@@ -147,7 +147,7 @@ def test_frame_dump_reload_gives_the_same_delays(tmp_path, preamble, s_c,
 
 def test_frame_dump_rejects_truncated_payload(tmp_path, preamble, default_scene):
     frame = synthesize_frame(default_scene, frame_truth(default_scene, 0),
-                             preamble.samples, 0, None)
+                             preamble.samples, None)
     path = tmp_path / "frame.bin"
     write_frame_dump(path, frame)
     path.write_bytes(path.read_bytes()[:32 + 16 * 1000])

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from adradar.echo import synthesize_frame
-from adradar.errors import (DetectionShortfallError, NoTargetError,
-                            SingularDesignError)
+from adradar.echo import EchoFrame, synthesize_frame
+from adradar.errors import (DetectionShortfallError, LseWindowError,
+                            NoTargetError, SingularDesignError)
 from adradar.estimator import (PipelineConfig, build_shift_matrix,
                                denominator_inverse, detection_threshold,
                                estimate_delays,
                                lse_coefficients, raw_doppler, refine_doppler,
                                run_pipeline, velocity_from_doppler, wrap_count)
+from adradar.params import WaveformParams
 from adradar.scene import Scenario, build_scene, frame_truth
 
 TS = 1 / 1.76e9
@@ -31,7 +32,7 @@ def scene_with_delays(ranges, velocities=None, azimuths=None, p_tx_dbm=10.0):
 
 
 def noiseless_frame(scene, m, preamble):
-    return synthesize_frame(scene, frame_truth(scene, m), preamble.samples, m, None)
+    return synthesize_frame(scene, frame_truth(scene, m), preamble.samples, None)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +352,31 @@ def test_pipeline_requires_distinct_frames(preamble, default_scene):
         run_noiseless_pipeline(default_scene, preamble, gap=0)
 
 
+def run_on_hand_built_frames(preamble, samples):
+    # frames 0, 1 and 2 hold the same samples from k_start = 1000 on
+    frames = {m: EchoFrame(m=m, k_start=1000, samples=samples.astype(complex))
+              for m in range(3)}
+    cfg = PipelineConfig(m_d=2, m_i=1, threshold=1e-9, expected_targets=1)
+    return run_pipeline(frames, preamble, WaveformParams(), 25.0, 1.0, cfg)
+
+
+def test_lse_window_starting_before_the_frame_raises(preamble):
+    # the first 100 preamble samples are missing, so the delay estimate is
+    # 900, before the frame's first sample
+    with pytest.raises(LseWindowError,
+                       match=r"frame 0: LSE window \[900, 4228\) outside "
+                             r"the frame's samples \[1000, 4228\)"):
+        run_on_hand_built_frames(preamble, preamble.samples[100:])
+
+
+def test_lse_window_running_past_the_frame_end_raises(preamble):
+    # the last 100 preamble samples are missing
+    with pytest.raises(LseWindowError,
+                       match=r"frame 0: LSE window \[1000, 4328\) outside "
+                             r"the frame's samples \[1000, 4228\)"):
+        run_on_hand_built_frames(preamble, preamble.samples[:-100])
+
+
 def test_pipeline_first_delay_window(preamble, default_scene, true_velocities):
     # Restricting frames to K_pre samples at the first delay truncates the
     # later targets' tails; the estimates degrade slightly but stay close.
@@ -358,7 +384,7 @@ def test_pipeline_first_delay_window(preamble, default_scene, true_velocities):
     m_count = wf.frames_per_cpi(0.5e-3)
     m_d, m_i = m_count - 1, m_count - 7
     frames = {m: synthesize_frame(default_scene, frame_truth(default_scene, m),
-                                  preamble.samples, m, None,
+                                  preamble.samples, None,
                                   first_delay_window=True)
               for m in (0, m_i, m_d)}
     cfg = PipelineConfig(m_d=m_d, m_i=m_i,

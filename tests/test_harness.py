@@ -138,6 +138,19 @@ def test_sweep_cpi_shape():
     assert {row["p_tx_dbm"] for row in rows} == {10.0, 20.0}
 
 
+def test_unset_experiment_fields_come_from_the_scenario():
+    scn = Scenario(trials=3, m_i_offset=2, p_tx_dbm=7.0, seed=5)
+    resolved = ExperimentConfig(cpi_s=2e-4).resolve(scn)
+    assert (resolved.trials, resolved.m_i_offset, resolved.p_tx_dbm,
+            resolved.seed) == (3, 2, 7.0, 5)
+    explicit = ExperimentConfig(cpi_s=2e-4, trials=4, p_tx_dbm=10.0,
+                                m_i_offset=1, seed=9)
+    assert explicit.resolve(scn) == explicit
+    # the scenario's trial count, not the Scenario class default of 200
+    rows = sweep_cpi(Scenario(trials=3), ExperimentConfig(cpi_s=2e-4), [2e-4])
+    assert rows[0]["trials"] + rows[0]["failures"] == 3
+
+
 def test_format_csv_layout():
     rows = [{"x": 1, "estimator": "proposed", "p_tx_dbm": 10.0,
              "nmse": 1.5e-6, "ci_lo": 1e-6, "ci_hi": 2e-6,

@@ -56,14 +56,14 @@ def test_steering_vectors_accept_arrays_of_angles():
 def test_gain_cut_matches_beam_gain_in_both_planes():
     f = wide_beam([-0.2, 0.0, 0.2], [1.0, 1.0, 1.0], 0.1, GEO)
     angles = np.linspace(-1.2, 1.2, 25)
-    az_cut = gain_cut(f, GEO, "tx", "azimuth", 0.1, angles)
-    el_cut = gain_cut(f, GEO, "tx", "elevation", 0.1, angles)
+    az_cut = gain_cut(f, GEO, "azimuth", 0.1, angles)
+    el_cut = gain_cut(f, GEO, "elevation", 0.1, angles)
     np.testing.assert_allclose(az_cut, [beam_gain(f, a, 0.1, GEO) for a in angles],
                                rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(el_cut, [beam_gain(f, 0.0, a, GEO) for a in angles],
                                rtol=1e-9, atol=1e-12)
     with pytest.raises(ValueError):
-        gain_cut(f, GEO, "tx", "diagonal", 0.1, angles)
+        gain_cut(f, GEO, "diagonal", 0.1, angles)
 
 
 def test_steering_upa_broadside_and_kron():

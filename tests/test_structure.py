@@ -1,4 +1,5 @@
-"""Module boundaries of the package: no module reaches into a sibling's privates.
+"""Module boundaries of the package: no module reaches into a sibling's privates,
+and numpy is the only third-party package the runtime imports.
 
 A ``_``-prefixed name is private to the module that defines it.  The scan
 flags ``from .sibling import _name`` (relative or absolute) and
@@ -6,6 +7,9 @@ flags ``from .sibling import _name`` (relative or absolute) and
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,3 +71,10 @@ def test_the_scan_flags_each_form():
     assert [text for _, text in private_imports(source)] == [
         "import _designed_beam", "import _gain_cut", "harness._point_rows",
         "echo._DUMP_MAGIC"]
+
+
+def test_importing_the_package_does_not_load_scipy():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    subprocess.run([sys.executable, "-c",
+                    "import sys, adradar; assert 'scipy' not in sys.modules"],
+                   env=env, check=True, timeout=60)
