@@ -81,15 +81,16 @@ def pick_peaks(score, lags, count: int, threshold: float, guard: int) -> list:
     """Indices of up to ``count`` peaks of ``score``, in pick order: take the
     largest remaining score above ``threshold`` (the first on ties), suppress
     every entry whose lag is within ``guard`` of its lag, repeat."""
-    remaining = np.array(score, dtype=float)
-    lags = np.asarray(lags)
+    score = np.asarray(score, dtype=float)
+    idx = np.flatnonzero(score > threshold)  # nothing else can be picked
+    remaining, cand_lags = score[idx], np.asarray(lags)[idx]
     picks = []
-    while len(picks) < count:
-        i = int(np.argmax(remaining))
-        if not remaining[i] > threshold:
+    while len(picks) < count and idx.size:
+        j = int(np.argmax(remaining))
+        if remaining[j] == -np.inf:
             break
-        picks.append(i)
-        remaining[np.abs(lags - lags[i]) <= guard] = -np.inf
+        picks.append(int(idx[j]))
+        remaining[np.abs(cand_lags - cand_lags[j]) <= guard] = -np.inf
     return picks
 
 
@@ -240,14 +241,8 @@ def velocity_from_doppler(nu_hz, v_source: float, wavelength: float):
 
 def _lse_window(frame: EchoFrame, delays: np.ndarray, preamble: Preamble,
                 first_delay_window: bool):
-    """Slice the frame to the LSE window starting at the estimated l_0.
-
-    Raises
-    ------
-    LseWindowError
-        If the window starts before the frame's first sample or ends after
-        its last one.
-    """
+    """Slice the frame to the LSE window starting at the estimated l_0;
+    LseWindowError if the window reaches outside the frame's samples."""
     k_pre = len(preamble.samples)
     if first_delay_window:
         rows = k_pre
