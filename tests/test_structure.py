@@ -1,5 +1,5 @@
 """Module boundaries of the package: no module reaches into a sibling's privates,
-and numpy is the only third-party package the runtime imports.
+and importing the package does not load scipy (a test-only dependency).
 
 A ``_``-prefixed name is private to the module that defines it.  The scan
 flags ``from .sibling import _name`` (relative or absolute) and
