@@ -14,6 +14,7 @@ complete rows for every target; the narrower window that stops at the first
 target's tail is available via ``first_delay_window``.
 """
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -41,6 +42,20 @@ class EchoFrame:
         return self.k_start - CORR_SEGMENT_OFFSET
 
 
+@functools.lru_cache(maxsize=16)
+def doppler_phasors(doppler_hz: tuple, sample_period: float,
+                    preamble_len: int) -> np.ndarray:
+    """Read-only (P, K_pre) array exp(j 2 pi nu_p i T_s) for i in [0, K_pre).
+
+    A target's Doppler is fixed over a CPI, so every frame of it reuses the
+    same fast-time rotation; the frame and delay enter as one scalar phase.
+    """
+    phase = 2.0 * np.pi * np.outer(doppler_hz, np.arange(preamble_len)) * sample_period
+    phasors = np.exp(1j * phase)
+    phasors.flags.writeable = False
+    return phasors
+
+
 def synthesize_frame(
         scene: Scene, truth: FrameTruth, preamble_samples: np.ndarray,
         rng: np.random.Generator,
@@ -65,23 +80,29 @@ def synthesize_frame(
         n = k_pre
     else:
         n = k_pre + int(delays[-1] - delays[0])
-    if np.any(delays < k_start) or np.any(delays - k_start >= n):
-        raise ScenarioError(f"delay outside representable window at frame {m}")
-
-    k = k_start + np.arange(n)
     amp = np.sqrt(scene.tx_power)
     ts = scene.wf.sample_period
     big_k = scene.wf.frame_len
+    phasors = doppler_phasors(tuple(truth.doppler_hz), ts, k_pre)
     samples = np.zeros(n, dtype=complex)
-    for h, nu, ell in zip(truth.backscatter, truth.doppler_hz, delays):
-        idx = k - int(ell)
-        occupied = (idx >= 0) & (idx < k_pre)
-        phase = 2.0 * np.pi * nu * (k[occupied] + m * big_k) * ts
-        samples[occupied] += (amp * h * np.exp(1j * phase)
-                              * preamble_samples[idx[occupied]])
+    for h, nu, ell, phasor in zip(truth.backscatter, truth.doppler_hz, delays,
+                                  phasors):
+        # Phase at sample k = ell + i splits into a per-frame scalar at the
+        # echo's first sample and the CPI-constant phasor over i.
+        ell = int(ell)
+        lo = ell - k_start
+        if not 0 <= lo < n:
+            raise ScenarioError(f"delay outside representable window at frame {m}")
+        stop = min(lo + k_pre, n)
+        phase = 2.0 * np.pi * nu * (ell + m * big_k) * ts
+        rotated = phasor[:stop - lo] * preamble_samples[:stop - lo]
+        samples[lo:stop] += amp * h * np.exp(1j * phase) * rotated
     if rng is not None and scene.noise_clutter_var > 0:
         sigma = np.sqrt(scene.noise_clutter_var / 2.0)
-        samples += sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        # One draw of 2n normals is the real parts, then the imaginary parts.
+        z = rng.standard_normal((2, n))
+        samples.real += sigma * z[0]
+        samples.imag += sigma * z[1]
     return EchoFrame(m=m, k_start=k_start, samples=samples)
 
 

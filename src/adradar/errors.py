@@ -33,6 +33,10 @@ class LseWindowError(EstimationError):
     """The least-squares window reaches outside the frame's synthesized samples."""
 
 
+class ZeroCoefficientError(EstimationError, ZeroDivisionError):
+    """A frame-0 LSE coefficient is exactly zero, so no Doppler ratio exists."""
+
+
 class AssociationError(EstimationError):
     """Detected target counts differ across frames; rank-order association impossible."""
 

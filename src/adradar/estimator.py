@@ -17,7 +17,8 @@ import numpy as np
 
 from .echo import EchoFrame
 from .errors import (AssociationError, DetectionShortfallError,
-                     LseWindowError, NoTargetError, SingularDesignError)
+                     LseWindowError, NoTargetError, SingularDesignError,
+                     ZeroCoefficientError)
 from .params import WaveformParams
 from .scene import Scenario
 from .sequences import (CORR_SEGMENT_LEN, Preamble, correlation_profile,
@@ -206,7 +207,7 @@ def denominator_inverse(l_0: int, m: int, frame_len: int, preamble_len: int,
 def raw_doppler(h_md_p: complex, h_p: complex, d_md: float) -> float:
     """Wrapped Doppler estimate: angle(h_md[p]/h[p]) * D_md, angle in [-pi, pi]."""
     if h_p == 0:
-        raise ZeroDivisionError("frame-0 coefficient is zero")
+        raise ZeroCoefficientError("frame-0 coefficient is zero")
     return float(np.angle(h_md_p / h_p) * d_md)
 
 

@@ -127,15 +127,40 @@ def cross_correlate(s_c: np.ndarray, window: np.ndarray, lag: int):
     return np.dot(s_c, np.conj(window[lag:lag + n]))
 
 
+# The only segment the lattice in correlation_profile computes.
+_SEGMENT = correlation_segment(build_preamble())
+
+
 def correlation_profile(s_c: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """Vectorized cross_correlate over every admissible lag of ``window``.
+    """cross_correlate over every admissible lag of ``window``.
 
     Element ``l`` equals ``cross_correlate(s_c, window, l)``; the output has
-    ``len(window) - len(s_c) + 1`` entries.
+    ``len(window) - 511`` entries, complex128 for complex input and float64
+    otherwise.  Since s_c = [-Ga, -Gb, -Ga, +Gb], the profile is four shifted
+    outputs of one Ga/Gb correlator, computed by the 7-stage add/subtract
+    lattice of the generator (B. M. Popovic, "Efficient Golay correlator",
+    Electron. Lett. 35(17), 1999).  Integer-valued input gives exact output.
+
+    Raises
+    ------
+    ValueError
+        If ``s_c`` is not the 802.11ad correlation segment, or ``window`` is
+        shorter than it.
     """
-    n = len(s_c)
-    if len(window) < n:
+    if not np.array_equal(s_c, _SEGMENT):
+        raise ValueError("s_c is not the 802.11ad correlation segment")
+    if len(window) < CORR_SEGMENT_LEN:
         raise ValueError("window shorter than the correlation segment")
-    views = np.lib.stride_tricks.sliding_window_view(window, n)
     # s_c is real, so conjugation commutes out of the sum.
-    return np.conj(views @ s_c.astype(np.float64))
+    x = np.conj(np.asarray(window, dtype=np.result_type(window, np.float64)))
+    # a[l] = sum_j Ga[j] x[l + j] and b[l] = sum_j Gb[j] x[l + j], built one
+    # stage of the generator's recursion a, b = w a + b', w a - b' at a time.
+    # For w = -1 that pair is -(a - b'), -(a + b'): the sum and difference
+    # swap and both change sign, which the six such stages cancel.
+    a = b = x
+    for d, w in zip(_AD_DELAYS, _AD_WEIGHTS):
+        head, tail = a[:len(a) - d], b[d:]
+        a, b = (head + tail, head - tail) if w > 0 else (head - tail, head + tail)
+    n = len(x) - CORR_SEGMENT_LEN + 1
+    return (b[384:384 + n] - b[128:128 + n]) - (a[:n] + a[256:256 + n])
+

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from adradar.echo import read_frame_dump, synthesize_frame, write_frame_dump
+from adradar.echo import (doppler_phasors, read_frame_dump, synthesize_frame,
+                          write_frame_dump)
+from adradar.errors import ScenarioError
 from adradar.estimator import detection_threshold, estimate_delays
 from adradar.scene import Scenario, build_scene, frame_truth
 
@@ -51,7 +55,6 @@ def test_two_target_superposition(preamble):
     truth = frame_truth(scene, 0)
     both = synthesize_frame(scene, truth, preamble.samples, None)
 
-    from dataclasses import replace
     parts = []
     for keep in range(2):
         sub = replace(scene, targets=(scene.targets[keep],))
@@ -73,6 +76,71 @@ def test_window_length_extended_vs_first_delay(preamble, default_scene):
     assert len(ext.samples) == 3328 + spread
     assert len(exact.samples) == 3328
     np.testing.assert_allclose(exact.samples, ext.samples[:3328], rtol=1e-12)
+
+
+def per_sample_echo(scene, truth, preamble_samples, first_delay_window):
+    # Reference: the echo formula evaluated sample by sample, with the
+    # Doppler phase at the absolute index k + m K of every occupied sample.
+    m = truth.frame
+    k_pre = len(preamble_samples)
+    delays = truth.delay_samples
+    k_start = int(delays[0])
+    n = k_pre if first_delay_window else k_pre + int(delays[-1] - delays[0])
+    k = k_start + np.arange(n)
+    ts = scene.wf.sample_period
+    samples = np.zeros(n, dtype=complex)
+    for h, nu, ell in zip(truth.backscatter, truth.doppler_hz, delays):
+        idx = k - int(ell)
+        occupied = (idx >= 0) & (idx < k_pre)
+        phase = 2.0 * np.pi * nu * (k[occupied] + m * scene.wf.frame_len) * ts
+        samples[occupied] += (np.sqrt(scene.tx_power) * h * np.exp(1j * phase)
+                              * preamble_samples[idx[occupied]])
+    return k_start, samples
+
+
+@pytest.mark.parametrize("first_delay_window", [False, True])
+def test_synthesis_matches_the_per_sample_formula(preamble, default_scene,
+                                                  first_delay_window):
+    # A second scene whose targets close and open at 30 m/s, so their delays
+    # move between the frames checked.
+    vs = 25.271
+    moving = build_scene(Scenario(source_velocity_mps=vs,
+                                  target_velocities_mps=(vs + 30, vs, vs - 30)))
+    frames = (0, 1, 64, 128, 1000)
+    assert len({tuple(frame_truth(moving, m).delay_samples) for m in frames}) > 2
+    for scene in (default_scene, moving):
+        for m in frames:
+            truth = frame_truth(scene, m)
+            frame = synthesize_frame(scene, truth, preamble.samples, None,
+                                     first_delay_window)
+            k_start, expected = per_sample_echo(scene, truth, preamble.samples,
+                                                first_delay_window)
+            assert frame.k_start == k_start
+            np.testing.assert_allclose(frame.samples, expected, rtol=1e-12)
+
+
+def test_doppler_phasors_are_cached_read_only(preamble, default_scene):
+    truth = frame_truth(default_scene, 9)
+    doppler_phasors.cache_clear()
+    first = synthesize_frame(default_scene, truth, preamble.samples, None)
+    again = synthesize_frame(default_scene, truth, preamble.samples, None)
+    assert doppler_phasors.cache_info().hits >= 1
+    assert np.array_equal(first.samples, again.samples)
+    phasors = doppler_phasors(tuple(truth.doppler_hz),
+                              default_scene.wf.sample_period, len(preamble))
+    assert phasors.shape == (3, len(preamble))
+    with pytest.raises(ValueError):
+        phasors[0, 0] = 0
+
+
+def test_delay_outside_the_window_is_a_scenario_error(preamble, default_scene):
+    truth = frame_truth(default_scene, 0)
+    beyond = replace(truth, delay_samples=truth.delay_samples + [0, 0, 4000])
+    unsorted = replace(truth, delay_samples=truth.delay_samples[::-1])
+    for bad, first_delay_window in ((beyond, True), (unsorted, False)):
+        with pytest.raises(ScenarioError, match="outside representable window"):
+            synthesize_frame(default_scene, bad, preamble.samples, None,
+                             first_delay_window)
 
 
 def test_zero_noise_reproducible(preamble, default_scene):

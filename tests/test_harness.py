@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
+import adradar.harness
 from adradar.cli import run_cli
-from adradar.errors import AggregationError, ScenarioError
+from adradar.errors import AggregationError, EstimationError, ScenarioError
+from adradar.estimator import raw_doppler
 from adradar.harness import (CSV_HEADER, ExperimentConfig, TrialRecord,
                              _worker_count, bootstrap_ci, format_csv, nmse,
                              run_experiment, sweep_cpi, sweep_framegap)
@@ -75,6 +77,21 @@ def test_run_experiment_record_shape():
         if "proposed" in r.estimates:
             assert len(r.estimates["proposed"]) == 3
             assert len(r.wrap_counts) == 3
+
+
+def test_zero_frame0_coefficient_fails_the_trial_not_the_sweep(monkeypatch):
+    with pytest.raises(EstimationError):
+        raw_doppler(1.0, 0.0, 160.4)
+
+    def pipeline_with_a_zero_coefficient(*args):
+        return raw_doppler(1.0, 0.0, 160.4)
+
+    monkeypatch.setenv("ADRADAR_WORKERS", "1")
+    monkeypatch.setattr(adradar.harness, "run_pipeline",
+                        pipeline_with_a_zero_coefficient)
+    records = run_experiment(Scenario(), ExperimentConfig(cpi_s=2e-4, trials=2))
+    assert [r.failures for r in records] == [
+        {"proposed": "ZeroCoefficientError: frame-0 coefficient is zero"}] * 2
 
 
 def test_experiment_trials_deterministic_and_independent():

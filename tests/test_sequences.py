@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adradar.sequences import (CORR_SEGMENT_LEN, CORR_SEGMENT_OFFSET,
                                correlation_profile, correlation_segment,
@@ -114,3 +116,34 @@ def test_sidelobe_free_window_after_peak(preamble, s_c):
     peak = int(np.argmax(np.abs(profile)))
     assert peak == CORR_SEGMENT_OFFSET
     assert np.all(profile[peak + 1:peak + 128] == 0)
+
+
+def test_correlation_profile_rejects_another_segment(preamble, s_c):
+    # The lattice hard-wires the 802.11ad segment; any other s_c would be
+    # silently ignored if it were accepted.
+    window = preamble.samples.astype(float)
+    for bad in (-s_c, s_c[:256], preamble.samples[:512],
+                np.concatenate([s_c[1:], s_c[:1]])):
+        with pytest.raises(ValueError, match="correlation segment"):
+            correlation_profile(bad, window)
+    with pytest.raises(ValueError, match="shorter"):
+        correlation_profile(s_c, window[:511])
+    assert correlation_profile(s_c.astype(complex), window).shape == (2817,)
+
+
+@settings(max_examples=40, deadline=None)
+@given(length=st.integers(512, 4096), seed=st.integers(0, 2**32 - 1))
+def test_lattice_profile_matches_the_pointwise_oracle(s_c, length, seed):
+    rng = np.random.default_rng(seed)
+    lags = range(length - 511)
+    window = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    profile = correlation_profile(s_c, window)
+    expected = np.array([cross_correlate(s_c, window, lag) for lag in lags])
+    assert profile.dtype == np.complex128
+    assert np.max(np.abs(profile - expected)) <= 1e-12 * np.max(np.abs(expected))
+    # Integer-valued input: every sum is exact, whatever the summation order.
+    ints = rng.integers(-1000, 1001, size=length)
+    profile = correlation_profile(s_c, ints)
+    expected = np.array([cross_correlate(s_c, ints, lag) for lag in lags])
+    assert profile.dtype == np.float64
+    assert np.array_equal(profile, expected)
