@@ -11,6 +11,7 @@ resolves the integer number of turns, and the refined Doppler maps to a
 velocity through the two-way Doppler relation.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +22,14 @@ from .errors import (AssociationError, DetectionShortfallError,
                      ZeroCoefficientError)
 from .params import WaveformParams
 from .scene import Scenario
-from .sequences import (CORR_SEGMENT_LEN, Preamble, correlation_profile,
-                        correlation_segment)
+from .sequences import (CORR_SEGMENT_LEN, Preamble, build_preamble,
+                        correlation_profile, correlation_segment)
 
 _COND_LIMIT = 1e12
+# Entries of run_pipeline's design cache.  One entry is a float64 shift matrix
+# of rows x P and its P x P Gram matrix: 81 KB for three targets in the
+# default 3374-row window, so about 1.3 MB when full.
+_DESIGN_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -177,6 +182,11 @@ def lse_coefficients(y: np.ndarray, shift_matrix: np.ndarray,
         If the normal equations are ill-conditioned (cond >= 1e12); the
         message names the most correlated delay pair.
     """
+    return _solve(y, shift_matrix, _checked_gram(shift_matrix), tx_power)
+
+
+def _checked_gram(shift_matrix: np.ndarray) -> np.ndarray:
+    """S^T S, or SingularDesignError when its condition number is >= 1e12."""
     gram = shift_matrix.T @ shift_matrix  # S is real
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond >= _COND_LIMIT:
@@ -187,8 +197,29 @@ def lse_coefficients(y: np.ndarray, shift_matrix: np.ndarray,
         raise SingularDesignError(
             f"shift matrix ill-conditioned (cond {cond:.2e}); "
             f"columns {i} and {j} nearly collinear")
+    return gram
+
+
+def _solve(y, shift_matrix, gram, tx_power):
     rhs = shift_matrix.T @ y
     return np.linalg.solve(gram, rhs) / np.sqrt(tx_power)
+
+
+@functools.lru_cache(maxsize=_DESIGN_CACHE_SIZE)
+def _shift_design(offsets: tuple, rows: int):
+    """Read-only shift matrix of the 802.11ad preamble and its checked Gram
+    matrix, for delays ``offsets`` relative to the first one.
+
+    The design depends on the delays only through these offsets, so frames
+    and trials whose targets keep their spacing share one entry.  A design
+    that fails a check raises and is not cached, so it raises again on the
+    next call.
+    """
+    s = build_shift_matrix(offsets, build_preamble(), rows)
+    gram = _checked_gram(s)
+    s.flags.writeable = False
+    gram.flags.writeable = False
+    return s, gram
 
 
 def denominator_inverse(l_0: int, m: int, frame_len: int, preamble_len: int,
@@ -273,10 +304,13 @@ def run_pipeline(frames, preamble: Preamble, wf: WaveformParams,
     Targets are associated across frames by delay rank order; detected counts
     are forced equal by the perfect-detection assumption, and a mismatch
     raises AssociationError.  The frame-m_d scale factor uses that frame's
-    own first delay.
+    own first delay.  Only the 802.11ad preamble is accepted, since the
+    least-squares designs are cached for it.
     """
     if not 0 <= cfg.m_i < cfg.m_d:
         raise ValueError(f"need 0 <= m_i < m_d, got m_i={cfg.m_i} m_d={cfg.m_d}")
+    if not np.array_equal(preamble.samples, build_preamble().samples):
+        raise ValueError("preamble is not the 802.11ad training field")
     s_c = correlation_segment(preamble)
 
     needed = (0, cfg.m_i, cfg.m_d)
@@ -298,8 +332,8 @@ def run_pipeline(frames, preamble: Preamble, wf: WaveformParams,
         est = delay_est[m]
         y, rows = _lse_window(frames[m], est.delays, preamble,
                               cfg.first_delay_window)
-        s = build_shift_matrix(est.delays, preamble, rows)
-        coeffs[m] = lse_coefficients(y, s, tx_power)
+        s, gram = _shift_design(tuple((est.delays - est.delays[0]).tolist()), rows)
+        coeffs[m] = _solve(y, s, gram, tx_power)
 
     d_md = denominator_inverse(int(delay_est[cfg.m_d].delays[0]), cfg.m_d,
                                wf.frame_len, wf.preamble_len, wf.sample_period)

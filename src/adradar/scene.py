@@ -55,6 +55,21 @@ class Scene:
         if self.noise_clutter_var <= 0:
             raise ScenarioError("noise-plus-clutter variance must be positive")
 
+    @functools.cached_property
+    def _kinematics(self):
+        """Read-only per-target Doppler, initial ranges and range rates.
+
+        All three are constant over the CPI, so ``frame_truth`` builds them
+        once per scene rather than once per frame.
+        """
+        velocity = np.array([tg.velocity for tg in self.targets])
+        doppler = 2.0 * (self.source_velocity - velocity) / self.wf.wavelength
+        initial = np.array([tg.initial_range for tg in self.targets])
+        rate = velocity - self.source_velocity
+        for arr in (doppler, initial, rate):
+            arr.flags.writeable = False
+        return doppler, initial, rate
+
 
 @dataclass(frozen=True)
 class FrameTruth:
@@ -82,13 +97,27 @@ def backscatter_coefficient(target: Target, f_tx: BeamformerWeights,
     """Effective radar channel coefficient after TX and RX beamforming.
 
     h_p = sqrt(G_p) * beta_p * (f_RX^H a_RX*(phi, theta)) * (a_TX^H(phi, theta) f_TX),
-    held constant over one CPI.
+    held constant over one CPI.  The two beam factors are cached by value
+    (see ``_beam_factors``), so a scene's trials compute them once.
     """
-    a_rx = steering_upa(target.azimuth, target.elevation, geometry, "rx")
-    a_tx = steering_upa(target.azimuth, target.elevation, geometry, "tx")
-    rx_factor = np.vdot(f_rx.entries, np.conj(a_rx))
-    tx_factor = np.vdot(a_tx, f_tx.entries)
+    rx_factor, tx_factor = _beam_factors(target.azimuth, target.elevation,
+                                         geometry, _entries_key(f_tx),
+                                         _entries_key(f_rx))
     return complex(np.sqrt(gain) * target.beta * rx_factor * tx_factor)
+
+
+def _entries_key(f: BeamformerWeights) -> tuple:
+    # Python scalars round-trip the entries exactly and hash by value.
+    return tuple(f.entries.ravel().tolist())
+
+
+@functools.lru_cache(maxsize=64)
+def _beam_factors(azimuth, elevation, geometry, f_tx: tuple, f_rx: tuple):
+    """(f_RX^H a_RX*, a_TX^H f_TX) toward one direction, for beams given by
+    their entries; the key holds every value the factors depend on."""
+    a_rx = steering_upa(azimuth, elevation, geometry, "rx")
+    a_tx = steering_upa(azimuth, elevation, geometry, "tx")
+    return np.vdot(np.array(f_rx), np.conj(a_rx)), np.vdot(a_tx, np.array(f_tx))
 
 
 def noise_clutter_variance(noise_density_w_hz: float, bandwidth_hz: float,
@@ -119,19 +148,19 @@ def frame_truth(scene: Scene, m: int, backscatter: np.ndarray = None) -> FrameTr
     if m < 0:
         raise ValueError("frame index must be nonnegative")
     wf = scene.wf
-    t = m * wf.frame_period
-    doppler = np.array([2.0 * (scene.source_velocity - tg.velocity) / wf.wavelength
-                        for tg in scene.targets])
-    ranges = np.array([tg.initial_range + (tg.velocity - scene.source_velocity) * t
-                       for tg in scene.targets])
-    if np.any(ranges <= 0):
+    doppler, initial_ranges, range_rates = scene._kinematics
+    ranges = initial_ranges + range_rates * (m * wf.frame_period)
+    # The checks run over Python lists: for a few targets that costs far
+    # less than a numpy reduction per check.
+    if any(r <= 0 for r in ranges.tolist()):
         raise ScenarioError(f"target range nonpositive at frame {m}")
     delays = np.rint(2.0 * ranges / SPEED_OF_LIGHT / wf.sample_period).astype(np.int64)
-    if np.any(delays < 0):
+    lags = delays.tolist()
+    if any(lag < 0 for lag in lags):
         raise ScenarioError(f"negative delay at frame {m}")
-    if len(set(delays.tolist())) != len(delays):
+    if len(set(lags)) != len(lags):
         raise ScenarioError(f"delays collide after rounding at frame {m}: {delays}")
-    if np.any(np.diff(delays) <= 0):
+    if any(b <= a for a, b in zip(lags, lags[1:])):
         raise ScenarioError(f"delay ordering violated at frame {m}: {delays}")
     h = scene_backscatter(scene) if backscatter is None else backscatter
     return FrameTruth(frame=m, doppler_hz=doppler, delay_samples=delays, backscatter=h)

@@ -8,6 +8,7 @@ against that window gives a sidelobe-free delay peak, which is the property
 every estimator in this package leans on.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,13 +87,15 @@ def generate_golay_pair(length: int) -> GolayPair:
     return GolayPair(a=a, b=b)
 
 
+@functools.cache
 def build_preamble() -> Preamble:
-    """Assemble the 3328-sample training field.
+    """The 3328-sample training field, assembled once per process.
 
     Layout: STF = 16 x Ga followed by -Ga (2176 samples); CEF = Gu512, Gv512
     and a trailing -Gb (1152 samples), with Gu512 = [-Gb, -Ga, +Gb, -Ga] and
     Gv512 = [-Gb, +Ga, -Gb, -Ga].  Samples [2048, 2560) then read
-    [-Ga, -Gb, -Ga, +Gb], the correlation segment.
+    [-Ga, -Gb, -Ga, +Gb], the correlation segment.  Every call returns the
+    same ``Preamble``; its samples are read-only.
     """
     pair = generate_golay_pair(128)
     ga, gb = pair.a, pair.b
@@ -102,6 +105,7 @@ def build_preamble() -> Preamble:
     cef = np.concatenate([gu512, gv512, -gb])
     samples = np.concatenate([stf, cef])
     assert samples.shape[0] == PREAMBLE_LEN
+    samples.flags.writeable = False
     return Preamble(samples=samples)
 
 

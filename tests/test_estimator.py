@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adradar import estimator
 from adradar.echo import EchoFrame, synthesize_frame
 from adradar.errors import (DetectionShortfallError, LseWindowError,
                             NoTargetError, SingularDesignError)
@@ -11,6 +14,7 @@ from adradar.estimator import (PipelineConfig, build_shift_matrix,
                                run_pipeline, velocity_from_doppler, wrap_count)
 from adradar.params import WaveformParams
 from adradar.scene import Scenario, build_scene, frame_truth
+from adradar.sequences import Preamble
 
 TS = 1 / 1.76e9
 K = 13632
@@ -421,3 +425,93 @@ def test_pipeline_doppler_fields_self_consistent(preamble, default_scene):
         assert d.nu_refined[p] == pytest.approx(
             d.nu_raw[p] + 2 * np.pi * d.wrap_count[p] * d.d_md, rel=1e-12)
     assert d.d_mi > d.d_md
+
+
+# ---------------------------------------------------------------------------
+# cached least-squares designs
+# ---------------------------------------------------------------------------
+
+def uncached_coefficients(preamble, frame, delays, rows, tx_power):
+    """solve(S^T S, S^T y) / sqrt(P) with S built here, column by column."""
+    s = np.zeros((rows, len(delays)))
+    for p, ell in enumerate(delays):
+        lo = ell - delays[0]
+        n = min(K_PRE, rows - lo)
+        s[lo:lo + n, p] = preamble.samples[:n]
+    start = delays[0] - frame.k_start
+    y = frame.samples[start:start + rows]
+    return np.linalg.solve(s.T @ s, s.T @ y) / np.sqrt(tx_power)
+
+
+def frames_with_delays(preamble, delays, seed):
+    """Frames 0, 1, 2: unit-modulus echoes at ``delays`` with random phases,
+    plus weak noise, over [delays[0], delays[-1] + K_pre)."""
+    rng = np.random.default_rng(seed)
+    frames = {}
+    for m in range(3):
+        y = np.zeros(K_PRE + delays[-1] - delays[0], dtype=complex)
+        for ell in delays:
+            lo = ell - delays[0]
+            y[lo:lo + K_PRE] += np.exp(2j * np.pi * rng.random()) * preamble.samples
+        y += 0.01 * (rng.standard_normal(len(y)) + 1j * rng.standard_normal(len(y)))
+        frames[m] = EchoFrame(m=m, k_start=delays[0], samples=y)
+    return frames
+
+
+# Up to three targets within 127 lags of each other and more than the guard
+# apart: the preamble's correlation sidelobes (256 at multiples of 128 lags,
+# at most 38 within 127 lags) then cannot outscore a true peak.
+delay_sets = st.builds(
+    lambda first, gaps: [first + sum(gaps[:i]) for i in range(len(gaps) + 1)],
+    st.integers(2048, 20000),
+    st.lists(st.integers(9, 60), max_size=2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(delays=delay_sets, seed=st.integers(0, 2**32 - 1))
+def test_pipeline_coefficients_equal_the_uncached_solve(preamble, delays, seed):
+    frames = frames_with_delays(preamble, delays, seed)
+    tx_power = 0.01
+    # Both windows share the delay offsets but not the row count; each
+    # second run is served from the cache.
+    for first_delay_window in (False, True, False, True):
+        cfg = PipelineConfig(m_d=2, m_i=1, threshold=100.0,
+                             expected_targets=len(delays),
+                             first_delay_window=first_delay_window)
+        res = run_pipeline(frames, preamble, WaveformParams(), 25.0, tx_power, cfg)
+        coeffs = {0: res.doppler.h_hat, 1: res.doppler.h_hat_mi,
+                  2: res.doppler.h_hat_md}
+        rows = K_PRE if first_delay_window else len(frames[0].samples)
+        for m, frame in frames.items():
+            assert res.delays[m].delays.tolist() == delays
+            assert np.array_equal(coeffs[m], uncached_coefficients(
+                preamble, frame, delays, rows, tx_power))
+
+
+def test_cached_design_is_read_only():
+    s, gram = estimator._shift_design((0, 40), K_PRE + 40)
+    assert estimator._shift_design((0, 40), K_PRE + 40)[0] is s
+    for arr in (s, gram):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+
+
+def test_duplicate_delays_raise_on_every_call():
+    for _ in range(2):
+        with pytest.raises(SingularDesignError):
+            estimator._shift_design((0, 0), K_PRE)
+
+
+@pytest.mark.parametrize("index", [100, 2100, 3000], ids=["stf", "segment", "cef"])
+def test_pipeline_rejects_another_preamble(preamble, index):
+    frames = frames_with_delays(preamble, [3000, 3040], seed=3)
+    cfg = PipelineConfig(m_d=2, m_i=1, threshold=100.0, expected_targets=2)
+    args = (WaveformParams(), 25.0, 0.01, cfg)
+    samples = preamble.samples.copy()
+    same = run_pipeline(frames, Preamble(samples=samples.copy()), *args)
+    assert np.array_equal(same.doppler.h_hat,
+                          run_pipeline(frames, preamble, *args).doppler.h_hat)
+    samples[index] = -samples[index]
+    with pytest.raises(ValueError, match="802.11ad"):
+        run_pipeline(frames, Preamble(samples=samples), *args)

@@ -3,9 +3,10 @@ import pytest
 from scipy.constants import c as C0
 
 from adradar.errors import ScenarioError
+from adradar.params import SPEED_OF_LIGHT
 from adradar.phasedarray import UpaGeometry, rx_beam, steering_upa, wide_beam
-from adradar.scene import (Scenario, Target, backscatter_coefficient, build_scene,
-                           dbm_to_watts, frame_truth,
+from adradar.scene import (Scenario, Target, _beam_factors, backscatter_coefficient,
+                           build_scene, dbm_to_watts, frame_truth,
                            large_scale_gain, load_scenario, noise_clutter_variance,
                            save_scenario, scene_backscatter)
 
@@ -136,6 +137,80 @@ def test_delay_ordering_preserved_over_cpi(default_scene):
     for m in range(m_count):
         delays = frame_truth(default_scene, m, h).delay_samples
         assert np.all(np.diff(delays) > 0)
+
+
+def scalar_truth(scene, m):
+    """Per-target Doppler and delays, one scalar formula per target."""
+    wf = scene.wf
+    t = m * wf.frame_period
+    doppler, delays = [], []
+    for tg in scene.targets:
+        doppler.append(2.0 * (scene.source_velocity - tg.velocity) / wf.wavelength)
+        r = tg.initial_range + (tg.velocity - scene.source_velocity) * t
+        delays.append(int(np.rint(2.0 * r / SPEED_OF_LIGHT / wf.sample_period)))
+    return np.array(doppler), np.array(delays)
+
+
+def test_frame_truth_matches_the_scalar_formula(default_scene):
+    # A second scene whose targets close and open at 30 m/s, so their delays
+    # move between the frames checked.
+    vs = 25.271
+    moving = build_scene(Scenario(source_velocity_mps=vs,
+                                  target_velocities_mps=(vs + 30, vs, vs - 30)))
+    frames = (0, 1, 64, 128, 1000)
+    assert len({tuple(frame_truth(moving, m).delay_samples) for m in frames}) > 2
+    for scene in (default_scene, moving):
+        for m in frames:
+            truth = frame_truth(scene, m)
+            doppler, delays = scalar_truth(scene, m)
+            assert np.array_equal(truth.doppler_hz, doppler)
+            assert np.array_equal(truth.delay_samples, delays)
+            assert truth.delay_samples.dtype == np.int64
+            # The Doppler vector is shared by every frame of the scene.
+            assert not truth.doppler_hz.flags.writeable
+
+
+def test_frame_truth_names_the_frame_of_a_nonpositive_range():
+    # 1 m away and closing at 1000 m/s: the range reaches zero at frame 130.
+    vs = 25.271
+    scene = build_scene(Scenario(source_velocity_mps=vs,
+                                 target_velocities_mps=(vs - 1000.0,),
+                                 target_ranges_m=(1.0,), target_azimuths_rad=(0.0,),
+                                 target_elevations_rad=(0.0,)))
+    frame_truth(scene, 129)
+    with pytest.raises(ScenarioError, match="nonpositive at frame 130"):
+        frame_truth(scene, 130)
+
+
+def test_frame_truth_names_the_frame_of_a_later_collision():
+    # The second target closes on the first at 100 m/s; 0.5 m apart at frame 0.
+    vs = 25.271
+    scene = build_scene(Scenario(source_velocity_mps=vs,
+                                 target_velocities_mps=(vs, vs - 100.0),
+                                 target_ranges_m=(50.0, 50.5),
+                                 target_azimuths_rad=(0.0, 0.1),
+                                 target_elevations_rad=(0.0, 0.0)))
+    frame_truth(scene, 0)
+    with pytest.raises(ScenarioError, match="collide after rounding at frame 600"):
+        frame_truth(scene, 600)
+
+
+def test_beam_factors_are_cached_by_value():
+    t = Target(velocity=20.0, initial_range=30.0, azimuth=0.1, beta=1.0)
+    f = wide_beam([0.0, 0.2], [1.0, 1.0], 0.0, GEO)
+    h = backscatter_coefficient(t, f, rx_beam(f), 1e-12, GEO)
+    # Equal entries in a new object hit the cache; changed entries miss it.
+    twin = wide_beam([0.0, 0.2], [1.0, 1.0], 0.0, GEO)
+    hits = _beam_factors.cache_info().hits
+    assert backscatter_coefficient(t, twin, rx_beam(twin), 1e-12, GEO) == h
+    assert _beam_factors.cache_info().hits == hits + 1
+    f.entries[0] = -f.entries[0]
+    a_rx = steering_upa(0.1, 0.0, GEO, "rx")
+    a_tx = steering_upa(0.1, 0.0, GEO, "tx")
+    expected = (np.sqrt(1e-12) * np.vdot(rx_beam(f).entries, np.conj(a_rx))
+                * np.vdot(a_tx, f.entries))
+    assert backscatter_coefficient(t, f, rx_beam(f), 1e-12, GEO) == expected
+    assert expected != h
 
 
 def test_negative_beta_mode_rejected():

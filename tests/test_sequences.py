@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adradar.sequences import (CORR_SEGMENT_LEN, CORR_SEGMENT_OFFSET,
-                               correlation_profile, correlation_segment,
-                               cross_correlate, generate_golay_pair)
+                               build_preamble, correlation_profile,
+                               correlation_segment, cross_correlate,
+                               generate_golay_pair)
 
 
 def aperiodic_autocorr(x):
@@ -45,6 +46,15 @@ def test_invalid_length_rejected(bad):
 def test_preamble_length_and_alphabet(preamble):
     assert len(preamble) == 3328
     assert np.all(np.abs(preamble.samples) == 1)
+
+
+def test_preamble_is_built_once_and_read_only(preamble):
+    assert build_preamble() is preamble
+    assert not preamble.samples.flags.writeable
+    with pytest.raises(ValueError):
+        preamble.samples[0] = 0
+    with pytest.raises(ValueError):
+        correlation_segment(preamble)[0] = 0
 
 
 def test_preamble_window_identity(preamble):

@@ -1,5 +1,6 @@
 """Module boundaries of the package: no module reaches into a sibling's privates,
-and importing the package does not load scipy (a test-only dependency).
+importing the package does not load scipy (a test-only dependency), and every
+function the benchmark's tracer wraps is still where the tracer looks it up.
 
 A ``_``-prefixed name is private to the module that defines it.  The scan
 flags ``from .sibling import _name`` (relative or absolute) and
@@ -7,6 +8,7 @@ flags ``from .sibling import _name`` (relative or absolute) and
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "adradar"
+TRACER = PACKAGE.parent.parent / "perfbench" / "tracer.py"
 MODULES = sorted(PACKAGE.glob("*.py"))
 
 
@@ -78,3 +81,22 @@ def test_importing_the_package_does_not_load_scipy():
     subprocess.run([sys.executable, "-c",
                     "import sys, adradar; assert 'scipy' not in sys.modules"],
                    env=env, check=True, timeout=60)
+
+
+def tracer_targets():
+    """(module, attribute) of each ``TARGETS`` entry, read from the tracer's
+    source without importing it."""
+    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
+        if (isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TARGETS"]):
+            return [(entry.elts[0].value, entry.elts[1].value)
+                    for entry in node.value.elts]
+    raise AssertionError(f"no TARGETS assignment in {TRACER}")
+
+
+def test_every_tracer_target_resolves_to_a_callable():
+    targets = tracer_targets()
+    assert ("adradar.harness", "build_preamble") in targets
+    missing = [f"{module}.{attr}" for module, attr in targets
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []
