@@ -8,19 +8,15 @@ least-squares estimates from the same echo frames.
 
 import numpy as np
 
-from adradar import (PipelineConfig, baseline_velocities, build_preamble,
-                     delay_doppler_map, detection_threshold, run_pipeline,
-                     synthesize_frame)
+from adradar import (PipelineConfig, baseline_velocities, delay_doppler_map,
+                     detection_threshold, run_pipeline, synthesize_frame)
 from adradar.scene import Scenario, build_scene, frame_truth, scene_backscatter
-from adradar.sequences import correlation_segment
 
 
 def main():
     scenario = Scenario()
     scene = build_scene(scenario)
     wf = scene.wf
-    preamble = build_preamble()
-    s_c = correlation_segment(preamble)
 
     cpi = 1e-3
     m_count = wf.frames_per_cpi(cpi)
@@ -28,21 +24,18 @@ def main():
     frames = {}
     for m in range(m_count):
         rng = np.random.default_rng([scenario.seed, 0, 0, m])
-        frames[m] = synthesize_frame(scene, frame_truth(scene, m, h),
-                                     preamble.samples, rng)
+        frames[m] = synthesize_frame(scene, frame_truth(scene, m, h), rng)
 
     truth = frame_truth(scene, 0, h)
     lags = np.arange(truth.delay_samples[0] - 40, truth.delay_samples[-1] + 41)
-    ddm = delay_doppler_map(list(frames.values()), s_c, wf.frame_period,
-                            lags=lags)
+    ddm = delay_doppler_map(list(frames.values()), wf.frame_period, lags=lags)
     threshold = detection_threshold(scene.noise_clutter_var)
     base_v = baseline_velocities(ddm, scene.source_velocity, wf.wavelength,
                                  scenario.num_targets, threshold)
 
     cfg = PipelineConfig(m_d=m_count - 1, m_i=m_count - 7, threshold=threshold,
                          expected_targets=scenario.num_targets)
-    res = run_pipeline(frames, preamble, wf, scene.source_velocity,
-                       scene.tx_power, cfg)
+    res = run_pipeline(frames, wf, scene.source_velocity, scene.tx_power, cfg)
 
     print(f"CPI {cpi * 1e3:.1f} ms, M = {m_count}, Doppler bin "
           f"{ddm.doppler_bin_width_hz:.1f} Hz "

@@ -6,8 +6,8 @@ least-squares channel coefficients, wrapped raw Dopplers, wrap counts, the
 refined Dopplers, and the final velocities.
 """
 
-from adradar import (PipelineConfig, build_preamble, detection_threshold,
-                     run_pipeline, synthesize_frame)
+from adradar import (PipelineConfig, detection_threshold, run_pipeline,
+                     synthesize_frame)
 from adradar.scene import Scenario, build_scene, frame_truth, scene_backscatter
 
 
@@ -15,7 +15,6 @@ def main():
     scenario = Scenario()
     scene = build_scene(scenario)
     wf = scene.wf
-    preamble = build_preamble()
 
     cpi = scenario.cpi_s
     m_count = wf.frames_per_cpi(cpi)
@@ -24,14 +23,12 @@ def main():
           f"m_d = {m_d}, m_i = {m_i}")
 
     h = scene_backscatter(scene)
-    frames = {m: synthesize_frame(scene, frame_truth(scene, m, h),
-                                  preamble.samples, None)
+    frames = {m: synthesize_frame(scene, frame_truth(scene, m, h), None)
               for m in (0, m_i, m_d)}
     cfg = PipelineConfig(m_d=m_d, m_i=m_i,
                          threshold=detection_threshold(scene.noise_clutter_var),
                          expected_targets=scenario.num_targets)
-    res = run_pipeline(frames, preamble, wf, scene.source_velocity,
-                       scene.tx_power, cfg)
+    res = run_pipeline(frames, wf, scene.source_velocity, scene.tx_power, cfg)
 
     truth = frame_truth(scene, 0, h)
     print("\ndetected delays (frame 0):", res.delays[0].delays.tolist(),

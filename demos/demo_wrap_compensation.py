@@ -9,7 +9,7 @@ the narrow bands where the two frames disagree about the turn count.
 
 import numpy as np
 
-from adradar import PipelineConfig, build_preamble, run_pipeline, synthesize_frame
+from adradar import PipelineConfig, run_pipeline, synthesize_frame
 from adradar.estimator import denominator_inverse
 from adradar.scene import Scenario, build_scene, frame_truth, scene_backscatter
 
@@ -19,7 +19,6 @@ def main():
                     target_azimuths_rad=(0.0,), target_elevations_rad=(0.0,))
     scene0 = build_scene(base)
     wf = scene0.wf
-    preamble = build_preamble()
     m_count = wf.frames_per_cpi(0.5e-3)
     m_d, m_i = m_count - 1, m_count - 7
     ell0 = int(frame_truth(scene0, 0).delay_samples[0])
@@ -34,11 +33,10 @@ def main():
                        target_elevations_rad=(0.0,))
         scene = build_scene(scn)
         h = scene_backscatter(scene)
-        frames = {m: synthesize_frame(scene, frame_truth(scene, m, h),
-                                      preamble.samples, None)
+        frames = {m: synthesize_frame(scene, frame_truth(scene, m, h), None)
                   for m in (0, m_i, m_d)}
         cfg = PipelineConfig(m_d=m_d, m_i=m_i, threshold=1e-9, expected_targets=1)
-        res = run_pipeline(frames, preamble, wf, scene.source_velocity,
+        res = run_pipeline(frames, wf, scene.source_velocity,
                            scene.tx_power, cfg)
         nus.append(nu)
         raws.append(res.doppler.nu_raw[0])

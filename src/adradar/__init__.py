@@ -1,7 +1,7 @@
 """802.11ad joint radar-communication simulation and velocity estimation."""
 
 from .baseline import DelayDopplerMap, baseline_velocities, delay_doppler_map
-from .echo import EchoFrame, read_frame_dump, synthesize_frame, write_frame_dump
+from .echo import EchoFrame, synthesize_frame
 from .estimator import (DelayEstimate, DopplerEstimate, PipelineConfig,
                         VelocityEstimate, build_shift_matrix, denominator_inverse,
                         detection_threshold, estimate_delays, lse_coefficients,
@@ -17,7 +17,6 @@ from .scene import (FrameTruth, Scenario, Scene, Target, backscatter_coefficient
                     build_scene, designed_beam, frame_truth, large_scale_gain,
                     load_scenario, noise_clutter_variance, save_scenario)
 from .sequences import (GolayPair, Preamble, build_preamble, correlation_profile,
-                        correlation_segment, cross_correlate, generate_golay_pair)
-from .waveform import RrcFilter, nyquist_residual, rrc_taps
+                        correlation_segment, generate_golay_pair)
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from .echo import EchoFrame
 from .errors import DetectionShortfallError
 from .estimator import pick_peaks, velocity_from_doppler
 from .scene import Scenario
-from .sequences import correlation_profile
+from .sequences import build_preamble, correlation_profile, correlation_segment
 
 # Half-width, in lags, of the map window around frame 0's dominant peak.
 BASELINE_LAG_HALFWIDTH = 128
@@ -50,14 +50,13 @@ def map_lags(frame0: EchoFrame, profile0: np.ndarray) -> np.ndarray:
     return np.arange(lo, hi + 1)
 
 
-def delay_doppler_map(frames, s_c: np.ndarray, frame_period: float,
-                      lags=None) -> DelayDopplerMap:
+def delay_doppler_map(frames, frame_period: float, lags=None) -> DelayDopplerMap:
     """Build the delay-Doppler map from all frames of a CPI.
 
     Entry (l, q) is sum_m R_m[l] exp(-j 2 pi q m / M): the slow-time DFT of
-    the per-frame cross-correlations.  A target's correlator output rotates
-    by exp(-j 2 pi nu T_f) per frame, so it concentrates in the bin whose
-    ``doppler_bins_hz`` value is nearest nu.
+    the per-frame cross-correlations with the 802.11ad correlation segment.
+    A target's correlator output rotates by exp(-j 2 pi nu T_f) per frame, so
+    it concentrates in the bin whose ``doppler_bins_hz`` value is nearest nu.
 
     Parameters
     ----------
@@ -72,6 +71,7 @@ def delay_doppler_map(frames, s_c: np.ndarray, frame_period: float,
     if m_count < 2:
         raise ValueError("delay-Doppler map needs at least two frames")
 
+    s_c = correlation_segment(build_preamble())
     n_c = len(s_c)
     if lags is None:
         lags = frames[0].first_lag + np.arange(len(frames[0].samples) - n_c + 1)

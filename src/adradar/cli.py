@@ -105,6 +105,9 @@ def run_cli(argv) -> int:
             return 0 if run_selftest() else 2
 
         if args.command == "beam-pattern":
+            if not 0 < args.resolution < np.pi:  # else the angle grid is empty
+                raise ValueError(f"--resolution must lie in (0, pi), "
+                                 f"got {args.resolution}")
             scenario = _load(args)
             angles = np.arange(-np.pi / 2 + args.resolution, np.pi / 2,
                                args.resolution)

@@ -15,17 +15,13 @@ target's tail is available via ``first_delay_window``.
 """
 
 import functools
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ScenarioError
 from .scene import FrameTruth, Scenario, Scene
-from .sequences import CORR_SEGMENT_OFFSET
-
-_DUMP_MAGIC = b"ADRECHO\x01"
-_DUMP_MAGIC_V0 = b"ADRECHO\x00"   # no window origin; rejected on read
+from .sequences import CORR_SEGMENT_OFFSET, build_preamble
 
 
 @dataclass(frozen=True)
@@ -57,10 +53,10 @@ def doppler_phasors(doppler_hz: tuple, sample_period: float,
 
 
 def synthesize_frame(
-        scene: Scene, truth: FrameTruth, preamble_samples: np.ndarray,
-        rng: np.random.Generator,
+        scene: Scene, truth: FrameTruth, rng: np.random.Generator,
         first_delay_window: bool = Scenario.first_delay_window) -> EchoFrame:
-    """Generate the echo of frame ``truth.frame`` for every target plus noise.
+    """Generate the echo of frame ``truth.frame``: a delayed, Doppler-rotated
+    copy of the 802.11ad preamble per target, plus noise.
 
     Parameters
     ----------
@@ -71,9 +67,8 @@ def synthesize_frame(
         truncating later targets' tails.
     """
     m = truth.frame
-    k_pre = scene.wf.preamble_len
-    if len(preamble_samples) != k_pre:
-        raise ValueError("preamble length inconsistent with waveform parameters")
+    preamble = build_preamble().samples
+    k_pre = len(preamble)
     delays = truth.delay_samples
     k_start = int(delays[0])
     if first_delay_window:
@@ -95,7 +90,7 @@ def synthesize_frame(
             raise ScenarioError(f"delay outside representable window at frame {m}")
         stop = min(lo + k_pre, n)
         phase = 2.0 * np.pi * nu * (ell + m * big_k) * ts
-        rotated = phasor[:stop - lo] * preamble_samples[:stop - lo]
+        rotated = phasor[:stop - lo] * preamble[:stop - lo]
         samples[lo:stop] += amp * h * np.exp(1j * phase) * rotated
     if rng is not None and scene.noise_clutter_var > 0:
         sigma = np.sqrt(scene.noise_clutter_var / 2.0)
@@ -105,43 +100,3 @@ def synthesize_frame(
         samples.imag += sigma * z[1]
     return EchoFrame(m=m, k_start=k_start, samples=samples)
 
-
-def write_frame_dump(path, frame: EchoFrame) -> None:
-    """Debug dump: 32-byte header (magic, m, k_start, length) then interleaved
-    f64 re/im, so a reloaded frame keeps its window origin."""
-    with open(path, "wb") as f:
-        f.write(_DUMP_MAGIC)
-        f.write(struct.pack("<qqq", frame.m, frame.k_start, len(frame.samples)))
-        inter = np.empty(2 * len(frame.samples), dtype="<f8")
-        inter[0::2] = frame.samples.real
-        inter[1::2] = frame.samples.imag
-        f.write(inter.tobytes())
-
-
-def read_frame_dump(path) -> EchoFrame:
-    """Load a ``write_frame_dump`` file.
-
-    Raises
-    ------
-    ValueError
-        If the file is not a current-version dump or its payload is not
-        exactly the header's sample count.
-    """
-    with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic == _DUMP_MAGIC_V0:
-            raise ValueError("frame dump predates the window origin field; "
-                             "re-dump it")
-        if magic != _DUMP_MAGIC:
-            raise ValueError("not an echo frame dump")
-        header = f.read(24)
-        if len(header) != 24:
-            raise ValueError("frame dump header truncated")
-        m, k_start, n = struct.unpack("<qqq", header)
-        payload = f.read()
-    if n < 0 or len(payload) != 16 * n:
-        raise ValueError(f"frame dump holds {len(payload)} payload bytes, "
-                         f"header says {n} samples ({16 * n} bytes)")
-    inter = np.frombuffer(payload, dtype="<f8")
-    samples = inter[0::2] + 1j * inter[1::2]
-    return EchoFrame(m=int(m), k_start=int(k_start), samples=samples)

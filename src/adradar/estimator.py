@@ -22,7 +22,7 @@ from .errors import (AssociationError, DetectionShortfallError,
                      ZeroCoefficientError)
 from .params import WaveformParams
 from .scene import Scenario
-from .sequences import (CORR_SEGMENT_LEN, Preamble, build_preamble,
+from .sequences import (CORR_SEGMENT_LEN, PREAMBLE_LEN, build_preamble,
                         correlation_profile, correlation_segment)
 
 _COND_LIMIT = 1e12
@@ -100,14 +100,14 @@ def pick_peaks(score, lags, count: int, threshold: float, guard: int) -> list:
     return picks
 
 
-def estimate_delays(frame: EchoFrame, s_c: np.ndarray, threshold: float,
-                    expected_targets: int,
+def estimate_delays(frame: EchoFrame, threshold: float, expected_targets: int,
                     search_halfwidth: int = Scenario.search_halfwidth,
                     guard: int = Scenario.guard) -> DelayEstimate:
     """Correlation-based multi-target delay estimation on one frame.
 
     The correlation at lag l is R[l] = sum_k s_c[k] conj(y[m, l + k + 2048]),
-    so a target at delay l_p peaks at l = l_p.  The dominant delay is the
+    with s_c the 802.11ad correlation segment, so a target at delay l_p
+    peaks at l = l_p.  The dominant delay is the
     global argmax of |R|; further targets are local maxima above ``threshold``
     within ``search_halfwidth`` lags of the dominant, picked by ``pick_peaks``
     with ``guard`` lags suppressed on both sides of every accepted peak.
@@ -123,7 +123,8 @@ def estimate_delays(frame: EchoFrame, s_c: np.ndarray, threshold: float,
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    mag = np.abs(correlation_profile(s_c, frame.samples))
+    mag = np.abs(correlation_profile(correlation_segment(build_preamble()),
+                                     frame.samples))
     dom = int(np.argmax(mag))
     if mag[dom] <= threshold:
         raise NoTargetError(
@@ -146,8 +147,8 @@ def estimate_delays(frame: EchoFrame, s_c: np.ndarray, threshold: float,
                          correlation_peak=mag[accepted])
 
 
-def build_shift_matrix(delays, preamble: Preamble, rows: int) -> np.ndarray:
-    """Design matrix whose column p is the preamble shifted to delay l_p.
+def build_shift_matrix(delays, rows: int) -> np.ndarray:
+    """Design matrix whose column p is the 802.11ad preamble shifted to delay l_p.
 
     Row x corresponds to sample index k = l_0 + x; entry (x, p) equals
     s[l_0 + x - l_p] when that index lies in [0, K_pre) and zero otherwise.
@@ -162,13 +163,13 @@ def build_shift_matrix(delays, preamble: Preamble, rows: int) -> np.ndarray:
         raise SingularDesignError(f"duplicate delays {delays}")
     if np.any(np.diff(delays) < 0):
         raise ValueError("delays must be sorted ascending")
-    k_pre = len(preamble.samples)
+    preamble = build_preamble().samples
     s = np.zeros((rows, len(delays)))
     x = np.arange(rows)
     for p, ell in enumerate(delays):
         idx = delays[0] + x - ell
-        ok = (idx >= 0) & (idx < k_pre)
-        s[ok, p] = preamble.samples[idx[ok]]
+        ok = (idx >= 0) & (idx < PREAMBLE_LEN)
+        s[ok, p] = preamble[idx[ok]]
     return s
 
 
@@ -215,7 +216,7 @@ def _shift_design(offsets: tuple, rows: int):
     that fails a check raises and is not cached, so it raises again on the
     next call.
     """
-    s = build_shift_matrix(offsets, build_preamble(), rows)
+    s = build_shift_matrix(offsets, rows)
     gram = _checked_gram(s)
     s.flags.writeable = False
     gram.flags.writeable = False
@@ -271,15 +272,12 @@ def velocity_from_doppler(nu_hz, v_source: float, wavelength: float):
     return v_source - nu_hz * wavelength / 2.0
 
 
-def _lse_window(frame: EchoFrame, delays: np.ndarray, preamble: Preamble,
-                first_delay_window: bool):
+def _lse_window(frame: EchoFrame, delays: np.ndarray, first_delay_window: bool):
     """Slice the frame to the LSE window starting at the estimated l_0;
     LseWindowError if the window reaches outside the frame's samples."""
-    k_pre = len(preamble.samples)
-    if first_delay_window:
-        rows = k_pre
-    else:
-        rows = k_pre + int(delays[-1] - delays[0])
+    rows = PREAMBLE_LEN
+    if not first_delay_window:
+        rows += int(delays[-1] - delays[0])
     start = int(delays[0]) - frame.k_start
     if start < 0 or start + rows > len(frame.samples):
         raise LseWindowError(
@@ -289,8 +287,7 @@ def _lse_window(frame: EchoFrame, delays: np.ndarray, preamble: Preamble,
     return frame.samples[start:start + rows], rows
 
 
-def run_pipeline(frames, preamble: Preamble, wf: WaveformParams,
-                 v_source: float, tx_power: float,
+def run_pipeline(frames, wf: WaveformParams, v_source: float, tx_power: float,
                  cfg: PipelineConfig) -> VelocityEstimate:
     """Full velocity estimation over one CPI.
 
@@ -304,14 +301,10 @@ def run_pipeline(frames, preamble: Preamble, wf: WaveformParams,
     Targets are associated across frames by delay rank order; detected counts
     are forced equal by the perfect-detection assumption, and a mismatch
     raises AssociationError.  The frame-m_d scale factor uses that frame's
-    own first delay.  Only the 802.11ad preamble is accepted, since the
-    least-squares designs are cached for it.
+    own first delay.
     """
     if not 0 <= cfg.m_i < cfg.m_d:
         raise ValueError(f"need 0 <= m_i < m_d, got m_i={cfg.m_i} m_d={cfg.m_d}")
-    if not np.array_equal(preamble.samples, build_preamble().samples):
-        raise ValueError("preamble is not the 802.11ad training field")
-    s_c = correlation_segment(preamble)
 
     needed = (0, cfg.m_i, cfg.m_d)
     missing = [m for m in needed if m not in frames]
@@ -320,7 +313,7 @@ def run_pipeline(frames, preamble: Preamble, wf: WaveformParams,
 
     delay_est = {}
     for m in needed:
-        delay_est[m] = estimate_delays(frames[m], s_c, cfg.threshold,
+        delay_est[m] = estimate_delays(frames[m], cfg.threshold,
                                        cfg.expected_targets,
                                        cfg.search_halfwidth, cfg.guard)
     counts = {m: len(delay_est[m].delays) for m in needed}
@@ -330,8 +323,7 @@ def run_pipeline(frames, preamble: Preamble, wf: WaveformParams,
     coeffs = {}
     for m in needed:
         est = delay_est[m]
-        y, rows = _lse_window(frames[m], est.delays, preamble,
-                              cfg.first_delay_window)
+        y, rows = _lse_window(frames[m], est.delays, cfg.first_delay_window)
         s, gram = _shift_design(tuple((est.delays - est.delays[0]).tolist()), rows)
         coeffs[m] = _solve(y, s, gram, tx_power)
 

@@ -113,8 +113,7 @@ def _run_one_trial(scenario: Scenario, exp: ExperimentConfig, trial: int) -> Tri
     betas = draw_betas(scenario, beta_rng)
     scene = build_scene(scenario, betas=betas, p_tx_dbm=exp.p_tx_dbm)
     wf = scene.wf
-    preamble = build_preamble()
-    s_c = correlation_segment(preamble)
+    s_c = correlation_segment(build_preamble())  # for the baseline's frame-0 profile
     threshold = detection_threshold(scene.noise_clutter_var) * scenario.threshold_scale
 
     m_count = wf.frames_per_cpi(exp.cpi_s)
@@ -129,8 +128,7 @@ def _run_one_trial(scenario: Scenario, exp: ExperimentConfig, trial: int) -> Tri
     frames = {}
     for m in needed:
         rng = np.random.default_rng([exp.seed, trial, _STREAM_NOISE, m])
-        frames[m] = synthesize_frame(scene, frame_truth(scene, m, h),
-                                     preamble.samples, rng,
+        frames[m] = synthesize_frame(scene, frame_truth(scene, m, h), rng,
                                      scenario.first_delay_window)
 
     true_v = tuple(t.velocity for t in scene.targets)
@@ -144,15 +142,14 @@ def _run_one_trial(scenario: Scenario, exp: ExperimentConfig, trial: int) -> Tri
                                      search_halfwidth=scenario.search_halfwidth,
                                      guard=scenario.guard,
                                      first_delay_window=scenario.first_delay_window)
-                res = run_pipeline(frames, preamble, wf, scene.source_velocity,
+                res = run_pipeline(frames, wf, scene.source_velocity,
                                    scene.tx_power, cfg)
                 velocities = res.velocities
                 wraps = tuple(int(n) for n in res.doppler.wrap_count)
                 delays = tuple(int(d) for d in res.delays[0].delays)
             else:
                 profile0 = correlation_profile(s_c, frames[0].samples)
-                ddm = delay_doppler_map(list(frames.values()), s_c,
-                                        wf.frame_period,
+                ddm = delay_doppler_map(list(frames.values()), wf.frame_period,
                                         lags=map_lags(frames[0], profile0))
                 velocities = baseline_velocities(
                     ddm, scene.source_velocity, wf.wavelength,

@@ -2,6 +2,9 @@
 
 from dataclasses import dataclass
 
+from .errors import ScenarioError
+from .sequences import PREAMBLE_LEN
+
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact by the SI definition of the metre
 
 
@@ -18,13 +21,30 @@ class WaveformParams:
     frame_len : int
         Samples per frame, preamble plus data fields (K = 13632).
     preamble_len : int
-        Training samples per frame (K_pre = 3328).
+        Training samples per frame (K_pre = 3328, the 802.11ad training
+        field; no other length is accepted).
+
+    Raises
+    ------
+    ScenarioError
+        If the preamble length is not 3328, the frame is shorter than the
+        preamble, or the carrier or bandwidth is not positive.
     """
 
     carrier_hz: float = 60e9
     bandwidth_hz: float = 1.76e9
     frame_len: int = 13632
-    preamble_len: int = 3328
+    preamble_len: int = PREAMBLE_LEN
+
+    def __post_init__(self):
+        if self.preamble_len != PREAMBLE_LEN:
+            raise ScenarioError(f"preamble_len must be {PREAMBLE_LEN}, the "
+                                f"802.11ad training field, got {self.preamble_len}")
+        if self.frame_len < self.preamble_len:
+            raise ScenarioError(f"frame_len {self.frame_len} shorter than the "
+                                f"{self.preamble_len}-sample preamble")
+        if not (self.carrier_hz > 0 and self.bandwidth_hz > 0):
+            raise ScenarioError("carrier_hz and bandwidth_hz must be positive")
 
     @property
     def sample_period(self) -> float:

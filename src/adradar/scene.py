@@ -219,6 +219,7 @@ class Scenario:
                 raise ScenarioError(f"{name} must list one value per target")
         if self.beta_mode not in ("fixed", "rayleigh"):
             raise ScenarioError(f"unknown beta_mode {self.beta_mode!r}")
+        self.waveform()  # raises ScenarioError on bad waveform numbers
 
     @property
     def num_targets(self) -> int:

@@ -114,36 +114,20 @@ def correlation_segment(p: Preamble) -> np.ndarray:
     return p.samples[CORR_SEGMENT_OFFSET:CORR_SEGMENT_OFFSET + CORR_SEGMENT_LEN]
 
 
-def cross_correlate(s_c: np.ndarray, window: np.ndarray, lag: int):
-    """Correlate s_c against a conjugated slice of the observation window.
-
-    Returns sum_{k=0}^{511} s_c[k] * conj(window[lag + k]).  The conjugate
-    sits on the observation, so the result is conjugate-linear in ``window``.
-
-    Raises
-    ------
-    ValueError
-        If ``lag`` puts any required index outside ``window``.
-    """
-    n = len(s_c)
-    if lag < 0 or lag + n > len(window):
-        raise ValueError(f"lag {lag} out of range for window of length {len(window)}")
-    return np.dot(s_c, np.conj(window[lag:lag + n]))
-
-
 # The only segment the lattice in correlation_profile computes.
 _SEGMENT = correlation_segment(build_preamble())
 
 
 def correlation_profile(s_c: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """cross_correlate over every admissible lag of ``window``.
+    """Correlation of ``s_c`` with every admissible lag of ``window``.
 
-    Element ``l`` equals ``cross_correlate(s_c, window, l)``; the output has
-    ``len(window) - 511`` entries, complex128 for complex input and float64
-    otherwise.  Since s_c = [-Ga, -Gb, -Ga, +Gb], the profile is four shifted
-    outputs of one Ga/Gb correlator, computed by the 7-stage add/subtract
-    lattice of the generator (B. M. Popovic, "Efficient Golay correlator",
-    Electron. Lett. 35(17), 1999).  Integer-valued input gives exact output.
+    Element ``l`` equals sum_{k=0}^{511} s_c[k] conj(window[l + k]), with the
+    conjugate on the observation; the output has ``len(window) - 511``
+    entries, complex128 for complex input and float64 otherwise.  Since
+    s_c = [-Ga, -Gb, -Ga, +Gb], the profile is four shifted outputs of one
+    Ga/Gb correlator, computed by the 7-stage add/subtract lattice of the
+    generator (B. M. Popovic, "Efficient Golay correlator", Electron. Lett.
+    35(17), 1999).  Integer-valued input gives exact output.
 
     Raises
     ------

@@ -18,8 +18,7 @@ from adradar.harness import ExperimentConfig, sweep_cpi, sweep_framegap
 from adradar.phasedarray import measure_beamwidth
 from adradar.scene import (Scenario, build_scene, designed_beam, frame_truth,
                            scene_backscatter)
-from adradar.sequences import (build_preamble, correlation_segment,
-                               generate_golay_pair)
+from adradar.sequences import build_preamble, generate_golay_pair
 
 K = 13632
 K_PRE = 3328
@@ -72,17 +71,15 @@ def test_criterion_3_noiseless_recovery():
     t0 = time.time()
     scene = build_scene(Scenario())  # stock velocities, beta pinned to 1
     wf = scene.wf
-    pre = build_preamble()
     m_count = wf.frames_per_cpi(0.5e-3)
     m_d, m_i = m_count - 1, m_count - 7
     h = scene_backscatter(scene)
-    frames = {m: synthesize_frame(scene, frame_truth(scene, m, h),
-                                  pre.samples, None) for m in (0, m_i, m_d)}
+    frames = {m: synthesize_frame(scene, frame_truth(scene, m, h), None)
+              for m in (0, m_i, m_d)}
     cfg = PipelineConfig(m_d=m_d, m_i=m_i,
                          threshold=detection_threshold(scene.noise_clutter_var),
                          expected_targets=3)
-    res = run_pipeline(frames, pre, wf, scene.source_velocity,
-                       scene.tx_power, cfg)
+    res = run_pipeline(frames, wf, scene.source_velocity, scene.tx_power, cfg)
     true_v = np.array([t.velocity for t in scene.targets])
     worst = float(np.max(np.abs(res.velocities - true_v)))
     ok = worst < 0.02 and time.time() - t0 < 10.0
@@ -99,7 +96,6 @@ def test_criterion_4_wrap_compensation_sweep():
                     target_azimuths_rad=(0.0,), target_elevations_rad=(0.0,))
     scene0 = build_scene(base)
     wf = scene0.wf
-    pre = build_preamble()
     m_count = wf.frames_per_cpi(0.5e-3)
     m_d, m_i = m_count - 1, m_count - 7
     ell0 = int(frame_truth(scene0, 0).delay_samples[0])
@@ -122,12 +118,11 @@ def test_criterion_4_wrap_compensation_sweep():
                        target_elevations_rad=(0.0,))
         scene = build_scene(scn)
         h = scene_backscatter(scene)
-        frames = {m: synthesize_frame(scene, frame_truth(scene, m, h),
-                                      pre.samples, None)
+        frames = {m: synthesize_frame(scene, frame_truth(scene, m, h), None)
                   for m in (0, m_i, m_d)}
         cfg = PipelineConfig(m_d=m_d, m_i=m_i, threshold=1e-9,
                              expected_targets=1)
-        res = run_pipeline(frames, pre, wf, scene.source_velocity,
+        res = run_pipeline(frames, wf, scene.source_velocity,
                            scene.tx_power, cfg)
         rel = abs(res.doppler.nu_refined[0] - nu) / abs(nu)
         worst_rel = max(worst_rel, rel)
@@ -279,8 +274,6 @@ def test_criterion_7_beamwidths():
 
 def test_criterion_8_baseline_quantization_bound():
     t0 = time.time()
-    pre = build_preamble()
-    s_c = correlation_segment(pre)
     rng = np.random.default_rng(2024)
     base = Scenario(target_velocities_mps=(20.0,), target_ranges_m=(15.7,),
                     target_azimuths_rad=(0.0,), target_elevations_rad=(0.0,))
@@ -297,10 +290,9 @@ def test_criterion_8_baseline_quantization_bound():
         scene = build_scene(scn)
         h = scene_backscatter(scene)
         delay = int(frame_truth(scene, 0).delay_samples[0])
-        frames = [synthesize_frame(scene, frame_truth(scene, m, h),
-                                   pre.samples, None)
+        frames = [synthesize_frame(scene, frame_truth(scene, m, h), None)
                   for m in range(m_count)]
-        ddm = delay_doppler_map(frames, s_c, wf.frame_period,
+        ddm = delay_doppler_map(frames, wf.frame_period,
                                 lags=np.arange(delay - 16, delay + 17))
         v = baseline_velocities(ddm, scene.source_velocity, wf.wavelength,
                                 1, 1e-12)

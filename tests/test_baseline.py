@@ -16,15 +16,14 @@ def single_target_scene(velocity):
     return build_scene(scn)
 
 
-def synth_cpi(scene, cpi_s, preamble, noiseless=True, seed=5):
+def synth_cpi(scene, cpi_s, noiseless=True, seed=5):
     wf = scene.wf
     m_count = wf.frames_per_cpi(cpi_s)
     h = scene_backscatter(scene)
     frames = []
     for m in range(m_count):
         rng = None if noiseless else np.random.default_rng([seed, m])
-        frames.append(synthesize_frame(scene, frame_truth(scene, m, h),
-                                       preamble.samples, rng))
+        frames.append(synthesize_frame(scene, frame_truth(scene, m, h), rng))
     return frames
 
 
@@ -32,13 +31,13 @@ def velocity_for_doppler(scene, nu):
     return scene.source_velocity - nu * scene.wf.wavelength / 2.0
 
 
-def test_map_needs_two_frames(preamble, s_c, default_scene):
-    frames = synth_cpi(default_scene, 0.2e-3, preamble)
+def test_map_needs_two_frames(default_scene):
+    frames = synth_cpi(default_scene, 0.2e-3)
     with pytest.raises(ValueError):
-        delay_doppler_map(frames[:1], s_c, default_scene.wf.frame_period)
+        delay_doppler_map(frames[:1], default_scene.wf.frame_period)
 
 
-def test_single_target_on_bin_center(preamble, s_c):
+def test_single_target_on_bin_center():
     # Doppler exactly one bin (1/CPI): energy concentrates in that bin at
     # the true delay, and the velocity recovery is exact.
     scn0 = single_target_scene(20.0)
@@ -47,11 +46,11 @@ def test_single_target_on_bin_center(preamble, s_c):
     m_count = wf.frames_per_cpi(cpi)
     bin_hz = 1.0 / (m_count * wf.frame_period)
     scene = single_target_scene(velocity_for_doppler(scn0, bin_hz))
-    frames = synth_cpi(scene, cpi, preamble)
+    frames = synth_cpi(scene, cpi)
     truth = frame_truth(scene, 0)
     assert truth.doppler_hz[0] == pytest.approx(bin_hz, rel=1e-9)
 
-    ddm = delay_doppler_map(frames, s_c, wf.frame_period)
+    ddm = delay_doppler_map(frames, wf.frame_period)
     i, q = np.unravel_index(np.argmax(np.abs(ddm.values)), ddm.values.shape)
     assert ddm.lags[i] == truth.delay_samples[0]
     assert ddm.doppler_bins_hz[q] == pytest.approx(bin_hz, rel=1e-12)
@@ -59,15 +58,15 @@ def test_single_target_on_bin_center(preamble, s_c):
     assert v[0] == pytest.approx(scene.targets[0].velocity, rel=1e-9)
 
 
-def test_zero_doppler_peaks_in_zero_bin(preamble, s_c):
+def test_zero_doppler_peaks_in_zero_bin():
     scene = single_target_scene(25.271)
-    frames = synth_cpi(scene, 0.2e-3, preamble)
-    ddm = delay_doppler_map(frames, s_c, scene.wf.frame_period)
+    frames = synth_cpi(scene, 0.2e-3)
+    ddm = delay_doppler_map(frames, scene.wf.frame_period)
     _, q = np.unravel_index(np.argmax(np.abs(ddm.values)), ddm.values.shape)
     assert ddm.doppler_bins_hz[q] == 0.0
 
 
-def test_empty_cells_are_zero(preamble, s_c):
+def test_empty_cells_are_zero(preamble):
     # unit-gain zero-Doppler echo (exact +/-1 samples): lags after the peak
     # sit in the sidelobe-free window and every map cell there is exactly 0
     from adradar.echo import EchoFrame
@@ -76,15 +75,15 @@ def test_empty_cells_are_zero(preamble, s_c):
                         samples=preamble.samples.astype(complex))
               for m in range(25)]
     lags = delay + np.arange(1, 64)
-    ddm = delay_doppler_map(frames, s_c, 7.745454545e-6, lags=lags)
+    ddm = delay_doppler_map(frames, 7.745454545e-6, lags=lags)
     assert np.max(np.abs(ddm.values)) == 0.0
 
 
-def test_doppler_axis_convention(preamble, s_c):
+def test_doppler_axis_convention():
     scene = single_target_scene(20.0)  # positive Doppler (closing target)
-    frames = synth_cpi(scene, 0.2e-3, preamble)
+    frames = synth_cpi(scene, 0.2e-3)
     wf = scene.wf
-    ddm = delay_doppler_map(frames, s_c, wf.frame_period)
+    ddm = delay_doppler_map(frames, wf.frame_period)
     truth = frame_truth(scene, 0)
     _, q = np.unravel_index(np.argmax(np.abs(ddm.values)), ddm.values.shape)
     bw = ddm.doppler_bin_width_hz
@@ -96,14 +95,14 @@ def test_doppler_axis_convention(preamble, s_c):
     assert ddm.doppler_bins_hz.max() <= nyquist * (1 + 1e-12)
     assert ddm.doppler_bins_hz.min() > -nyquist
     # even frame count: the +Nyquist bin itself is present
-    frames64 = synth_cpi(scene, 0.5e-3, preamble)
-    ddm64 = delay_doppler_map(frames64, s_c, wf.frame_period,
+    frames64 = synth_cpi(scene, 0.5e-3)
+    ddm64 = delay_doppler_map(frames64, wf.frame_period,
                               lags=np.arange(340, 360))
     assert len(frames64) % 2 == 0
     assert ddm64.doppler_bins_hz.max() == pytest.approx(nyquist, rel=1e-12)
 
 
-def test_quantization_bound_midway(preamble, s_c):
+def test_quantization_bound_midway():
     # true Doppler midway between bins: velocity error ~ lambda/(4 CPI)
     scn0 = single_target_scene(20.0)
     wf = scn0.wf
@@ -112,8 +111,8 @@ def test_quantization_bound_midway(preamble, s_c):
     cpi_eff = m_count * wf.frame_period
     nu = (3 + 0.5) / cpi_eff  # halfway between bins 3 and 4
     scene = single_target_scene(velocity_for_doppler(scn0, nu))
-    frames = synth_cpi(scene, cpi, preamble)
-    ddm = delay_doppler_map(frames, s_c, wf.frame_period)
+    frames = synth_cpi(scene, cpi)
+    ddm = delay_doppler_map(frames, wf.frame_period)
     v = baseline_velocities(ddm, scene.source_velocity, wf.wavelength, 1, 1e-9)
     err = abs(v[0] - scene.targets[0].velocity)
     bound = wf.wavelength / (4 * cpi_eff)
@@ -121,32 +120,32 @@ def test_quantization_bound_midway(preamble, s_c):
     assert bound == pytest.approx(1.25, rel=0.05)
 
 
-def test_bin_width_halves_when_cpi_doubles(preamble, s_c, default_scene):
+def test_bin_width_halves_when_cpi_doubles(default_scene):
     wf = default_scene.wf
-    f1 = synth_cpi(default_scene, 0.2e-3, preamble)
-    f2 = synth_cpi(default_scene, 0.4e-3, preamble)
-    d1 = delay_doppler_map(f1, s_c, wf.frame_period,
+    f1 = synth_cpi(default_scene, 0.2e-3)
+    f2 = synth_cpi(default_scene, 0.4e-3)
+    d1 = delay_doppler_map(f1, wf.frame_period,
                            lags=np.arange(160, 220))
-    d2 = delay_doppler_map(f2, s_c, wf.frame_period,
+    d2 = delay_doppler_map(f2, wf.frame_period,
                            lags=np.arange(160, 220))
     ratio = d1.doppler_bin_width_hz / d2.doppler_bin_width_hz
     assert ratio == pytest.approx(len(f2) / len(f1), rel=1e-12)
 
 
-def test_shortfall_error(preamble, s_c, default_scene):
-    frames = synth_cpi(default_scene, 0.2e-3, preamble)
-    ddm = delay_doppler_map(frames, s_c, default_scene.wf.frame_period)
+def test_shortfall_error(default_scene):
+    frames = synth_cpi(default_scene, 0.2e-3)
+    ddm = delay_doppler_map(frames, default_scene.wf.frame_period)
     with pytest.raises(DetectionShortfallError):
         baseline_velocities(ddm, default_scene.source_velocity,
                             default_scene.wf.wavelength, 3, threshold=1e9)
 
 
-def test_three_target_association_by_delay(preamble, s_c, default_scene, true_velocities):
+def test_three_target_association_by_delay(default_scene, true_velocities):
     wf = default_scene.wf
     cpi = 1e-3
-    frames = synth_cpi(default_scene, cpi, preamble)
+    frames = synth_cpi(default_scene, cpi)
     m_count = len(frames)
-    ddm = delay_doppler_map(frames, s_c, wf.frame_period,
+    ddm = delay_doppler_map(frames, wf.frame_period,
                             lags=np.arange(130, 250))
     thr = detection_threshold(default_scene.noise_clutter_var)
     v = baseline_velocities(ddm, default_scene.source_velocity, wf.wavelength,
@@ -156,14 +155,14 @@ def test_three_target_association_by_delay(preamble, s_c, default_scene, true_ve
     assert np.all(np.abs(v - true_velocities) <= bound)
 
 
-def test_power_invariance_high_snr(preamble, s_c):
+def test_power_invariance_high_snr():
     # quantization dominates: estimates identical across TX powers
     results = []
     for p_dbm in (10.0, 20.0):
         scn = Scenario(p_tx_dbm=p_dbm)
         scene = build_scene(scn)
-        frames = synth_cpi(scene, 0.4e-3, preamble, noiseless=False, seed=3)
-        ddm = delay_doppler_map(frames, s_c, scene.wf.frame_period,
+        frames = synth_cpi(scene, 0.4e-3, noiseless=False, seed=3)
+        ddm = delay_doppler_map(frames, scene.wf.frame_period,
                                 lags=np.arange(130, 250))
         thr = detection_threshold(scene.noise_clutter_var)
         results.append(baseline_velocities(ddm, scene.source_velocity,

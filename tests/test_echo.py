@@ -3,10 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adradar.echo import (doppler_phasors, read_frame_dump, synthesize_frame,
-                          write_frame_dump)
+from adradar.echo import doppler_phasors, synthesize_frame
 from adradar.errors import ScenarioError
-from adradar.estimator import detection_threshold, estimate_delays
 from adradar.scene import Scenario, build_scene, frame_truth
 
 
@@ -20,7 +18,7 @@ def single_target_scene(p_tx_dbm=0.0, velocity=20.279):
 def test_pure_shift_no_doppler(preamble):
     scene = single_target_scene(velocity=25.271)  # zero Doppler
     truth = frame_truth(scene, 0)
-    frame = synthesize_frame(scene, truth, preamble.samples, rng=None)
+    frame = synthesize_frame(scene, truth, rng=None)
     h = truth.backscatter[0]
     amp = np.sqrt(scene.tx_power)
     expected = amp * h * preamble.samples
@@ -33,7 +31,7 @@ def test_pure_shift_no_doppler(preamble):
 def test_phase_advances_per_sample(preamble):
     scene = single_target_scene()
     truth = frame_truth(scene, 0)
-    frame = synthesize_frame(scene, truth, preamble.samples, rng=None)
+    frame = synthesize_frame(scene, truth, rng=None)
     nu = truth.doppler_hz[0]
     ts = scene.wf.sample_period
     # strip the preamble sign, leaving the Doppler rotation
@@ -46,20 +44,20 @@ def test_phase_advances_per_sample(preamble):
                                np.abs(frame.samples[0]), rtol=1e-12)
 
 
-def test_two_target_superposition(preamble):
+def test_two_target_superposition():
     scn = Scenario(target_velocities_mps=(20.0, 22.0),
                    target_ranges_m=(50.0, 52.0),
                    target_azimuths_rad=(0.0, 0.05),
                    target_elevations_rad=(0.0, 0.0))
     scene = build_scene(scn)
     truth = frame_truth(scene, 0)
-    both = synthesize_frame(scene, truth, preamble.samples, None)
+    both = synthesize_frame(scene, truth, None)
 
     parts = []
     for keep in range(2):
         sub = replace(scene, targets=(scene.targets[keep],))
         sub_truth = frame_truth(sub, 0)
-        f = synthesize_frame(sub, sub_truth, preamble.samples, None)
+        f = synthesize_frame(sub, sub_truth, None)
         padded = np.zeros_like(both.samples)
         off = f.k_start - both.k_start
         padded[off:off + len(f.samples)] = f.samples
@@ -67,11 +65,11 @@ def test_two_target_superposition(preamble):
     np.testing.assert_allclose(both.samples, parts[0] + parts[1], rtol=1e-12, atol=1e-18)
 
 
-def test_window_length_extended_vs_first_delay(preamble, default_scene):
+def test_window_length_extended_vs_first_delay(default_scene):
     truth = frame_truth(default_scene, 0)
     spread = int(truth.delay_samples[-1] - truth.delay_samples[0])
-    ext = synthesize_frame(default_scene, truth, preamble.samples, None)
-    exact = synthesize_frame(default_scene, truth, preamble.samples, None,
+    ext = synthesize_frame(default_scene, truth, None)
+    exact = synthesize_frame(default_scene, truth, None,
                              first_delay_window=True)
     assert len(ext.samples) == 3328 + spread
     assert len(exact.samples) == 3328
@@ -111,7 +109,7 @@ def test_synthesis_matches_the_per_sample_formula(preamble, default_scene,
     for scene in (default_scene, moving):
         for m in frames:
             truth = frame_truth(scene, m)
-            frame = synthesize_frame(scene, truth, preamble.samples, None,
+            frame = synthesize_frame(scene, truth, None,
                                      first_delay_window)
             k_start, expected = per_sample_echo(scene, truth, preamble.samples,
                                                 first_delay_window)
@@ -122,8 +120,8 @@ def test_synthesis_matches_the_per_sample_formula(preamble, default_scene,
 def test_doppler_phasors_are_cached_read_only(preamble, default_scene):
     truth = frame_truth(default_scene, 9)
     doppler_phasors.cache_clear()
-    first = synthesize_frame(default_scene, truth, preamble.samples, None)
-    again = synthesize_frame(default_scene, truth, preamble.samples, None)
+    first = synthesize_frame(default_scene, truth, None)
+    again = synthesize_frame(default_scene, truth, None)
     assert doppler_phasors.cache_info().hits >= 1
     assert np.array_equal(first.samples, again.samples)
     phasors = doppler_phasors(tuple(truth.doppler_hz),
@@ -133,24 +131,24 @@ def test_doppler_phasors_are_cached_read_only(preamble, default_scene):
         phasors[0, 0] = 0
 
 
-def test_delay_outside_the_window_is_a_scenario_error(preamble, default_scene):
+def test_delay_outside_the_window_is_a_scenario_error(default_scene):
     truth = frame_truth(default_scene, 0)
     beyond = replace(truth, delay_samples=truth.delay_samples + [0, 0, 4000])
     unsorted = replace(truth, delay_samples=truth.delay_samples[::-1])
     for bad, first_delay_window in ((beyond, True), (unsorted, False)):
         with pytest.raises(ScenarioError, match="outside representable window"):
-            synthesize_frame(default_scene, bad, preamble.samples, None,
+            synthesize_frame(default_scene, bad, None,
                              first_delay_window)
 
 
-def test_zero_noise_reproducible(preamble, default_scene):
+def test_zero_noise_reproducible(default_scene):
     truth = frame_truth(default_scene, 5)
-    a = synthesize_frame(default_scene, truth, preamble.samples, None)
-    b = synthesize_frame(default_scene, truth, preamble.samples, None)
+    a = synthesize_frame(default_scene, truth, None)
+    b = synthesize_frame(default_scene, truth, None)
     assert np.array_equal(a.samples, b.samples)
 
 
-def test_noise_statistics(preamble):
+def test_noise_statistics():
     # z-only frames: sample variance converges to sigma_cn^2 within 3/sqrt(N).
     scn = Scenario(target_velocities_mps=(25.271,), target_ranges_m=(30.0,),
                    target_azimuths_rad=(0.0,), target_elevations_rad=(0.0,),
@@ -159,80 +157,24 @@ def test_noise_statistics(preamble):
     samples = []
     for m in range(12):
         rng = np.random.default_rng([99, 0, m])
-        samples.append(synthesize_frame(scene, frame_truth(scene, m),
-                                        preamble.samples, rng).samples)
+        samples.append(synthesize_frame(scene, frame_truth(scene, m), rng).samples)
     z = np.concatenate(samples)
     var = np.mean(np.abs(z) ** 2)
     n = len(z)
     assert abs(var - scene.noise_clutter_var) / scene.noise_clutter_var < 3 / np.sqrt(n)
 
 
-def test_amplitude_linear_in_sqrt_power(preamble):
+def test_amplitude_linear_in_sqrt_power():
     s1 = single_target_scene(p_tx_dbm=0.0)
     s4 = single_target_scene(p_tx_dbm=10 * np.log10(4))
-    f1 = synthesize_frame(s1, frame_truth(s1, 0), preamble.samples, None)
-    f4 = synthesize_frame(s4, frame_truth(s4, 0), preamble.samples, None)
+    f1 = synthesize_frame(s1, frame_truth(s1, 0), None)
+    f4 = synthesize_frame(s4, frame_truth(s4, 0), None)
     np.testing.assert_allclose(f4.samples, 2.0 * f1.samples, rtol=1e-12)
 
 
-def test_same_seed_same_noise(preamble, default_scene):
+def test_same_seed_same_noise(default_scene):
     truth = frame_truth(default_scene, 3)
-    a = synthesize_frame(default_scene, truth, preamble.samples,
-                         np.random.default_rng([1, 2, 3]))
-    b = synthesize_frame(default_scene, truth, preamble.samples,
-                         np.random.default_rng([1, 2, 3]))
+    a = synthesize_frame(default_scene, truth, np.random.default_rng([1, 2, 3]))
+    b = synthesize_frame(default_scene, truth, np.random.default_rng([1, 2, 3]))
     assert np.array_equal(a.samples, b.samples)
 
-
-def test_frame_dump_roundtrip(tmp_path, preamble, default_scene):
-    truth = frame_truth(default_scene, 7)
-    frame = synthesize_frame(default_scene, truth, preamble.samples,
-                             np.random.default_rng(42))
-    path = tmp_path / "frame.bin"
-    write_frame_dump(path, frame)
-    loaded = read_frame_dump(path)
-    assert loaded.m == 7
-    assert loaded.k_start == frame.k_start
-    np.testing.assert_array_equal(loaded.samples, frame.samples)
-    # 32-byte header (magic, m, k_start, length) + interleaved float64 re/im
-    assert path.stat().st_size == 32 + 16 * len(frame.samples)
-
-
-def test_frame_dump_reload_gives_the_same_delays(tmp_path, preamble, s_c,
-                                                 default_scene):
-    truth = frame_truth(default_scene, 7)
-    frame = synthesize_frame(default_scene, truth, preamble.samples,
-                             np.random.default_rng(42))
-    path = tmp_path / "frame.bin"
-    write_frame_dump(path, frame)
-    threshold = detection_threshold(default_scene.noise_clutter_var)
-    before = estimate_delays(frame, s_c, threshold, expected_targets=3)
-    after = estimate_delays(read_frame_dump(path), s_c, threshold,
-                            expected_targets=3)
-    assert after.delays.tolist() == before.delays.tolist()
-    assert before.delays.tolist() == truth.delay_samples.tolist()
-
-
-def test_frame_dump_rejects_truncated_payload(tmp_path, preamble, default_scene):
-    frame = synthesize_frame(default_scene, frame_truth(default_scene, 0),
-                             preamble.samples, None)
-    path = tmp_path / "frame.bin"
-    write_frame_dump(path, frame)
-    path.write_bytes(path.read_bytes()[:32 + 16 * 1000])
-    with pytest.raises(ValueError, match="payload"):
-        read_frame_dump(path)
-
-
-def test_frame_dump_rejects_the_version_without_window_origin(tmp_path):
-    path = tmp_path / "old.bin"
-    path.write_bytes(b"ADRECHO\x00" + np.array([7, 1], dtype="<i8").tobytes()
-                     + np.zeros(2, dtype="<f8").tobytes())
-    with pytest.raises(ValueError, match="window origin"):
-        read_frame_dump(path)
-
-
-def test_frame_dump_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"not a frame dump at all")
-    with pytest.raises(ValueError):
-        read_frame_dump(path)

@@ -14,7 +14,6 @@ from adradar.estimator import (PipelineConfig, build_shift_matrix,
                                run_pipeline, velocity_from_doppler, wrap_count)
 from adradar.params import WaveformParams
 from adradar.scene import Scenario, build_scene, frame_truth
-from adradar.sequences import Preamble
 
 TS = 1 / 1.76e9
 K = 13632
@@ -35,19 +34,19 @@ def scene_with_delays(ranges, velocities=None, azimuths=None, p_tx_dbm=10.0):
     return build_scene(scn)
 
 
-def noiseless_frame(scene, m, preamble):
-    return synthesize_frame(scene, frame_truth(scene, m), preamble.samples, None)
+def noiseless_frame(scene, m):
+    return synthesize_frame(scene, frame_truth(scene, m), None)
 
 
 # ---------------------------------------------------------------------------
 # delay estimation
 # ---------------------------------------------------------------------------
 
-def test_single_target_delay_587(preamble, s_c):
+def test_single_target_delay_587(s_c):
     # range chosen so the rounded delay is exactly 587 samples
     scene = scene_with_delays([50.0], velocities=[25.271], azimuths=[0.0])
-    frame = noiseless_frame(scene, 0, preamble)
-    est = estimate_delays(frame, s_c, threshold=1e-9, expected_targets=1)
+    frame = noiseless_frame(scene, 0)
+    est = estimate_delays(frame, threshold=1e-9, expected_targets=1)
     assert est.delays.tolist() == [587]
     assert est.dominant_index == 0
 
@@ -60,7 +59,7 @@ def test_single_target_delay_587(preamble, s_c):
     assert lags[int(np.argmax(mags))] == 587
 
 
-def test_three_targets_recovered_exactly(preamble, s_c):
+def test_three_targets_recovered_exactly():
     # delays {587, 800, 1050} with comparable |h_p|: per-target RCS
     # compensates the r^-4 spread so all main peaks beat every sidelobe.
     from dataclasses import replace
@@ -70,15 +69,15 @@ def test_three_targets_recovered_exactly(preamble, s_c):
     targets = tuple(replace(t, rcs=t.rcs * (t.initial_range / ranges[0]) ** 4)
                     for t in scene.targets)
     scene = replace(scene, targets=targets)
-    frame = noiseless_frame(scene, 0, preamble)
-    est = estimate_delays(frame, s_c, threshold=1e-9, expected_targets=3)
+    frame = noiseless_frame(scene, 0)
+    est = estimate_delays(frame, threshold=1e-9, expected_targets=3)
     assert est.delays.tolist() == [587, 800, 1050]
 
 
-def test_default_scene_delays(preamble, s_c, default_scene):
-    frame = noiseless_frame(default_scene, 0, preamble)
+def test_default_scene_delays(default_scene):
+    frame = noiseless_frame(default_scene, 0)
     truth = frame_truth(default_scene, 0)
-    est = estimate_delays(frame, s_c,
+    est = estimate_delays(frame,
                           threshold=detection_threshold(default_scene.noise_clutter_var),
                           expected_targets=3)
     assert est.delays.tolist() == truth.delay_samples.tolist()
@@ -96,34 +95,34 @@ def test_threshold_is_cauchy_schwarz_bound(s_c):
     assert detection_threshold(sigma ** 2) == pytest.approx(512 * sigma, rel=1e-12)
 
 
-def test_no_target_error(preamble, s_c, default_scene):
-    frame = noiseless_frame(default_scene, 0, preamble)
+def test_no_target_error(default_scene):
+    frame = noiseless_frame(default_scene, 0)
     with pytest.raises(NoTargetError):
-        estimate_delays(frame, s_c, threshold=1e6, expected_targets=3)
+        estimate_delays(frame, threshold=1e6, expected_targets=3)
 
 
-def test_detection_shortfall(preamble, s_c, default_scene):
+def test_detection_shortfall(default_scene):
     # a threshold just under the dominant peak leaves one detection
-    frame = noiseless_frame(default_scene, 0, preamble)
-    dominant = estimate_delays(frame, s_c, threshold=1e-9, expected_targets=1)
+    frame = noiseless_frame(default_scene, 0)
+    dominant = estimate_delays(frame, threshold=1e-9, expected_targets=1)
     near_peak = 0.9 * float(dominant.correlation_peak[0])
     with pytest.raises(DetectionShortfallError):
-        estimate_delays(frame, s_c, threshold=near_peak, expected_targets=3)
+        estimate_delays(frame, threshold=near_peak, expected_targets=3)
 
 
-def test_threshold_must_be_positive(preamble, s_c, default_scene):
-    frame = noiseless_frame(default_scene, 0, preamble)
+def test_threshold_must_be_positive(default_scene):
+    frame = noiseless_frame(default_scene, 0)
     with pytest.raises(ValueError):
-        estimate_delays(frame, s_c, threshold=0.0, expected_targets=3)
+        estimate_delays(frame, threshold=0.0, expected_targets=3)
 
 
-def test_scale_invariance(preamble, s_c, default_scene):
+def test_scale_invariance(default_scene):
     from dataclasses import replace
-    frame = noiseless_frame(default_scene, 0, preamble)
-    base = estimate_delays(frame, s_c, threshold=1e-12, expected_targets=3)
+    frame = noiseless_frame(default_scene, 0)
+    base = estimate_delays(frame, threshold=1e-12, expected_targets=3)
     for alpha in (0.5, 3.0, 10.0):
         scaled = replace(frame, samples=alpha * frame.samples)
-        est = estimate_delays(scaled, s_c, threshold=1e-12, expected_targets=3)
+        est = estimate_delays(scaled, threshold=1e-12, expected_targets=3)
         assert est.delays.tolist() == base.delays.tolist()
         assert est.dominant_index == base.dominant_index
 
@@ -133,51 +132,51 @@ def test_scale_invariance(preamble, s_c, default_scene):
 # ---------------------------------------------------------------------------
 
 def test_shift_matrix_single_delay(preamble):
-    s = build_shift_matrix([587], preamble, rows=K_PRE)
+    s = build_shift_matrix([587], rows=K_PRE)
     np.testing.assert_array_equal(s[:, 0], preamble.samples)
     assert (s.T @ s)[0, 0] == K_PRE
 
 
-def test_shift_matrix_disjoint_support(preamble):
+def test_shift_matrix_disjoint_support():
     sep = K_PRE + 10
-    s = build_shift_matrix([0, sep], preamble, rows=K_PRE + sep)
+    s = build_shift_matrix([0, sep], rows=K_PRE + sep)
     assert s[:, 0] @ s[:, 1] == 0
 
 
 def test_shift_matrix_inner_product_is_autocorrelation(preamble):
-    s = build_shift_matrix([0, 64], preamble, rows=K_PRE + 64)
+    s = build_shift_matrix([0, 64], rows=K_PRE + 64)
     auto = np.correlate(preamble.samples.astype(float),
                         preamble.samples.astype(float), "full")
     assert s[:, 0] @ s[:, 1] == auto[len(preamble.samples) - 1 + 64]
 
 
-def test_shift_matrix_duplicate_delay(preamble):
+def test_shift_matrix_duplicate_delay():
     with pytest.raises(SingularDesignError):
-        build_shift_matrix([10, 10], preamble, rows=K_PRE)
+        build_shift_matrix([10, 10], rows=K_PRE)
 
 
-def test_lse_noiseless_recovery(preamble, s_c):
+def test_lse_noiseless_recovery():
     # zero relative velocity -> zero Doppler -> exact linear model
     scene = scene_with_delays([14.0, 15.7, 17.9], velocities=[25.271] * 3)
     truth = frame_truth(scene, 0)
-    frame = noiseless_frame(scene, 0, preamble)
+    frame = noiseless_frame(scene, 0)
     rows = len(frame.samples)
-    s = build_shift_matrix(truth.delay_samples, preamble, rows)
+    s = build_shift_matrix(truth.delay_samples, rows)
     h_hat = lse_coefficients(frame.samples, s, scene.tx_power)
     np.testing.assert_allclose(h_hat, truth.backscatter, rtol=1e-9)
 
 
-def test_lse_zero_observation(preamble):
-    s = build_shift_matrix([0, 40], preamble, rows=K_PRE + 40)
+def test_lse_zero_observation():
+    s = build_shift_matrix([0, 40], rows=K_PRE + 40)
     h = lse_coefficients(np.zeros(K_PRE + 40, dtype=complex), s, 0.01)
     np.testing.assert_array_equal(h, 0)
 
 
-def test_lse_power_scaling(preamble, s_c):
+def test_lse_power_scaling():
     scene = scene_with_delays([14.0], velocities=[25.271], azimuths=[0.0])
     truth = frame_truth(scene, 0)
-    frame = noiseless_frame(scene, 0, preamble)
-    s = build_shift_matrix(truth.delay_samples, preamble, len(frame.samples))
+    frame = noiseless_frame(scene, 0)
+    s = build_shift_matrix(truth.delay_samples, len(frame.samples))
     h1 = lse_coefficients(frame.samples, s, scene.tx_power)
     h4 = lse_coefficients(frame.samples, s, 4 * scene.tx_power)
     np.testing.assert_allclose(h4, h1 / 2, rtol=1e-12)
@@ -216,7 +215,7 @@ def test_raw_doppler_identity_and_scaling():
         raw_doppler(1.0, 0.0, 160.4)
 
 
-def test_raw_doppler_no_wrap_recovery(preamble):
+def test_raw_doppler_no_wrap_recovery():
     # true phase within [-pi, pi]: the raw estimate alone recovers nu
     nu = 300.0
     m_d, l0 = 20, 100
@@ -312,28 +311,28 @@ def test_velocity_from_doppler():
 # full pipeline
 # ---------------------------------------------------------------------------
 
-def run_noiseless_pipeline(scene, preamble, cpi_s=0.5e-3, gap=6):
+def run_noiseless_pipeline(scene, cpi_s=0.5e-3, gap=6):
     wf = scene.wf
     m_count = wf.frames_per_cpi(cpi_s)
     m_d, m_i = m_count - 1, m_count - 1 - gap
-    frames = {m: noiseless_frame(scene, m, preamble) for m in (0, m_i, m_d)}
+    frames = {m: noiseless_frame(scene, m) for m in (0, m_i, m_d)}
     cfg = PipelineConfig(m_d=m_d, m_i=m_i,
                          threshold=detection_threshold(scene.noise_clutter_var),
                          expected_targets=len(scene.targets))
-    return run_pipeline(frames, preamble, wf, scene.source_velocity,
+    return run_pipeline(frames, wf, scene.source_velocity,
                         scene.tx_power, cfg)
 
 
-def test_pipeline_noiseless_stock_scenario(preamble, default_scene, true_velocities):
-    res = run_noiseless_pipeline(default_scene, preamble)
+def test_pipeline_noiseless_stock_scenario(default_scene, true_velocities):
+    res = run_noiseless_pipeline(default_scene)
     np.testing.assert_allclose(res.velocities, true_velocities, atol=0.02)
     assert res.doppler.wrap_count.tolist() == [1, 0, 1]
 
 
-def test_pipeline_lse_phase_matches_midpoint_model(preamble, default_scene):
+def test_pipeline_lse_phase_matches_midpoint_model(default_scene):
     # Noiseless chain: each frame-m_d coefficient carries the mid-preamble
     # phase 2 pi nu (k_mid + m_d K) T_s, up to the frame-0 residual.
-    res = run_noiseless_pipeline(default_scene, preamble)
+    res = run_noiseless_pipeline(default_scene)
     truth = frame_truth(default_scene, 0)
     m_d = max(res.delays)
     k_mid = (2 * truth.delay_samples[0] + K_PRE - 1) / 2
@@ -344,24 +343,24 @@ def test_pipeline_lse_phase_matches_midpoint_model(preamble, default_scene):
         assert abs(resid) < 2.5e-2
 
 
-def test_pipeline_zero_doppler_exact_recovery(preamble):
+def test_pipeline_zero_doppler_exact_recovery():
     scene = scene_with_delays([14.0, 15.7, 17.9], velocities=[25.271] * 3)
-    res = run_noiseless_pipeline(scene, preamble)
+    res = run_noiseless_pipeline(scene)
     np.testing.assert_allclose(res.velocities, 25.271, rtol=1e-9)
     assert res.doppler.wrap_count.tolist() == [0, 0, 0]
 
 
-def test_pipeline_requires_distinct_frames(preamble, default_scene):
+def test_pipeline_requires_distinct_frames(default_scene):
     with pytest.raises(ValueError):
-        run_noiseless_pipeline(default_scene, preamble, gap=0)
+        run_noiseless_pipeline(default_scene, gap=0)
 
 
-def run_on_hand_built_frames(preamble, samples):
+def run_on_hand_built_frames(samples):
     # frames 0, 1 and 2 hold the same samples from k_start = 1000 on
     frames = {m: EchoFrame(m=m, k_start=1000, samples=samples.astype(complex))
               for m in range(3)}
     cfg = PipelineConfig(m_d=2, m_i=1, threshold=1e-9, expected_targets=1)
-    return run_pipeline(frames, preamble, WaveformParams(), 25.0, 1.0, cfg)
+    return run_pipeline(frames, WaveformParams(), 25.0, 1.0, cfg)
 
 
 def test_lse_window_starting_before_the_frame_raises(preamble):
@@ -370,7 +369,7 @@ def test_lse_window_starting_before_the_frame_raises(preamble):
     with pytest.raises(LseWindowError,
                        match=r"frame 0: LSE window \[900, 4228\) outside "
                              r"the frame's samples \[1000, 4228\)"):
-        run_on_hand_built_frames(preamble, preamble.samples[100:])
+        run_on_hand_built_frames(preamble.samples[100:])
 
 
 def test_lse_window_running_past_the_frame_end_raises(preamble):
@@ -378,23 +377,22 @@ def test_lse_window_running_past_the_frame_end_raises(preamble):
     with pytest.raises(LseWindowError,
                        match=r"frame 0: LSE window \[1000, 4328\) outside "
                              r"the frame's samples \[1000, 4228\)"):
-        run_on_hand_built_frames(preamble, preamble.samples[:-100])
+        run_on_hand_built_frames(preamble.samples[:-100])
 
 
-def test_pipeline_first_delay_window(preamble, default_scene, true_velocities):
+def test_pipeline_first_delay_window(default_scene, true_velocities):
     # Restricting frames to K_pre samples at the first delay truncates the
     # later targets' tails; the estimates degrade slightly but stay close.
     wf = default_scene.wf
     m_count = wf.frames_per_cpi(0.5e-3)
     m_d, m_i = m_count - 1, m_count - 7
     frames = {m: synthesize_frame(default_scene, frame_truth(default_scene, m),
-                                  preamble.samples, None,
-                                  first_delay_window=True)
+                                  None, first_delay_window=True)
               for m in (0, m_i, m_d)}
     cfg = PipelineConfig(m_d=m_d, m_i=m_i,
                          threshold=detection_threshold(default_scene.noise_clutter_var),
                          expected_targets=3, first_delay_window=True)
-    res = run_pipeline(frames, preamble, wf, default_scene.source_velocity,
+    res = run_pipeline(frames, wf, default_scene.source_velocity,
                        default_scene.tx_power, cfg)
     np.testing.assert_allclose(res.velocities, true_velocities, atol=0.05)
 
@@ -409,15 +407,15 @@ def test_pipeline_velocity_map_inverts_frame_truth(default_scene):
         assert v == pytest.approx(target.velocity, rel=1e-12)
 
 
-def test_pipeline_refined_doppler_within_half_percent(preamble, default_scene):
-    res = run_noiseless_pipeline(default_scene, preamble)
+def test_pipeline_refined_doppler_within_half_percent(default_scene):
+    res = run_noiseless_pipeline(default_scene)
     truth = frame_truth(default_scene, 0)
     np.testing.assert_allclose(res.doppler.nu_refined, truth.doppler_hz, rtol=5e-3)
 
 
-def test_pipeline_doppler_fields_self_consistent(preamble, default_scene):
+def test_pipeline_doppler_fields_self_consistent(default_scene):
     # stored raw/refined values obey their defining relations
-    res = run_noiseless_pipeline(default_scene, preamble)
+    res = run_noiseless_pipeline(default_scene)
     d = res.doppler
     for p in range(3):
         assert d.nu_raw[p] == pytest.approx(
@@ -478,7 +476,7 @@ def test_pipeline_coefficients_equal_the_uncached_solve(preamble, delays, seed):
         cfg = PipelineConfig(m_d=2, m_i=1, threshold=100.0,
                              expected_targets=len(delays),
                              first_delay_window=first_delay_window)
-        res = run_pipeline(frames, preamble, WaveformParams(), 25.0, tx_power, cfg)
+        res = run_pipeline(frames, WaveformParams(), 25.0, tx_power, cfg)
         coeffs = {0: res.doppler.h_hat, 1: res.doppler.h_hat_mi,
                   2: res.doppler.h_hat_md}
         rows = K_PRE if first_delay_window else len(frames[0].samples)
@@ -502,16 +500,3 @@ def test_duplicate_delays_raise_on_every_call():
         with pytest.raises(SingularDesignError):
             estimator._shift_design((0, 0), K_PRE)
 
-
-@pytest.mark.parametrize("index", [100, 2100, 3000], ids=["stf", "segment", "cef"])
-def test_pipeline_rejects_another_preamble(preamble, index):
-    frames = frames_with_delays(preamble, [3000, 3040], seed=3)
-    cfg = PipelineConfig(m_d=2, m_i=1, threshold=100.0, expected_targets=2)
-    args = (WaveformParams(), 25.0, 0.01, cfg)
-    samples = preamble.samples.copy()
-    same = run_pipeline(frames, Preamble(samples=samples.copy()), *args)
-    assert np.array_equal(same.doppler.h_hat,
-                          run_pipeline(frames, preamble, *args).doppler.h_hat)
-    samples[index] = -samples[index]
-    with pytest.raises(ValueError, match="802.11ad"):
-        run_pipeline(frames, Preamble(samples=samples), *args)

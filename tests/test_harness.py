@@ -12,6 +12,7 @@ from adradar.harness import (CSV_HEADER, ExperimentConfig, TrialRecord,
                              _worker_count, bootstrap_ci, format_csv, nmse,
                              run_experiment, sweep_cpi, sweep_framegap)
 from adradar.scene import Scenario, load_scenario, save_scenario
+from adradar.selftest import CHECKS
 
 
 def record(true_v, est_v, trial=0):
@@ -217,6 +218,18 @@ def test_cli_scenario_of_wrong_json_type_is_config_error(tmp_path, key, value):
                     "--trials", "2", "--output", str(tmp_path / "x.csv")]) == 1
 
 
+@pytest.mark.parametrize("key, value", [("frame_len", 1000), ("preamble_len", 3000),
+                                        ("carrier_hz", 0), ("carrier_hz", -60e9),
+                                        ("bandwidth_hz", 0)])
+def test_cli_scenario_with_bad_waveform_numbers_is_config_error(tmp_path, key, value):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({key: value}))
+    with pytest.raises(ScenarioError):
+        load_scenario(path)
+    assert run_cli(["simulate", "--scenario", str(path), "--cpi", "2e-4",
+                    "--trials", "2", "--output", str(tmp_path / "x.csv")]) == 1
+
+
 def test_load_scenario_widens_ints_and_rejects_bools(tmp_path):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps({"p_tx_dbm": 10, "target_ranges_m": [14, 15.7, 17.9]}))
@@ -268,3 +281,22 @@ def test_cli_beam_pattern(tmp_path):
     gains = np.array([float(l.split(",")[1]) for l in lines[1:]])
     assert angles.min() > -np.pi / 2 and angles.max() < np.pi / 2
     assert gains.max() == pytest.approx(10 * np.log10(9.086), abs=0.1)
+
+
+@pytest.mark.parametrize("resolution", ["0", "-1", "4"])
+def test_cli_beam_pattern_rejects_a_resolution_outside_0_pi(tmp_path, capsys,
+                                                            resolution):
+    out = tmp_path / "beam.csv"
+    assert run_cli(["beam-pattern", "--resolution", resolution,
+                    "--output", str(out)]) == 1
+    assert "config error: --resolution" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_selftest_passes_every_check_once(capsys):
+    assert run_cli(["selftest"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name, _ in CHECKS:
+        assert sum(line.startswith(f"[PASS] {name}:") for line in lines) == 1
+    assert len(lines) == len(CHECKS)
+    assert not any("rrc-nyquist" in line for line in lines)

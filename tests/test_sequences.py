@@ -5,8 +5,24 @@ from hypothesis import strategies as st
 
 from adradar.sequences import (CORR_SEGMENT_LEN, CORR_SEGMENT_OFFSET,
                                build_preamble, correlation_profile,
-                               correlation_segment, cross_correlate,
-                               generate_golay_pair)
+                               correlation_segment, generate_golay_pair)
+
+
+def cross_correlate(s_c, window, lag):
+    """Pointwise oracle for ``correlation_profile``.
+
+    Returns sum_{k=0}^{511} s_c[k] * conj(window[lag + k]).  The conjugate
+    sits on the observation, so the result is conjugate-linear in ``window``.
+
+    Raises
+    ------
+    ValueError
+        If ``lag`` puts any required index outside ``window``.
+    """
+    n = len(s_c)
+    if lag < 0 or lag + n > len(window):
+        raise ValueError(f"lag {lag} out of range for window of length {len(window)}")
+    return np.dot(s_c, np.conj(window[lag:lag + n]))
 
 
 def aperiodic_autocorr(x):
