@@ -1,7 +1,7 @@
 """802.11ad joint radar-communication simulation and velocity estimation."""
 
 from .baseline import DelayDopplerMap, baseline_velocities, delay_doppler_map
-from .echo import EchoFrame, synthesize_frame
+from .echo import EchoFrame, read_frame_dump, synthesize_frame, write_frame_dump
 from .estimator import (DelayEstimate, DopplerEstimate, PipelineConfig,
                         VelocityEstimate, build_shift_matrix, denominator_inverse,
                         detection_threshold, estimate_delays, lse_coefficients,

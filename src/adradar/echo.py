@@ -15,6 +15,7 @@ target's tail is available via ``first_delay_window``.
 """
 
 import functools
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,9 @@ import numpy as np
 from .errors import ScenarioError
 from .scene import FrameTruth, Scenario, Scene
 from .sequences import CORR_SEGMENT_OFFSET, build_preamble
+
+_DUMP_MAGIC = b"ADRECHO\x01"
+_DUMP_MAGIC_V0 = b"ADRECHO\x00"   # no window origin; rejected on read
 
 
 @dataclass(frozen=True)
@@ -100,3 +104,43 @@ def synthesize_frame(
         samples.imag += sigma * z[1]
     return EchoFrame(m=m, k_start=k_start, samples=samples)
 
+
+def write_frame_dump(path, frame: EchoFrame) -> None:
+    """Debug dump: 32-byte header (magic, m, k_start, length) then interleaved
+    f64 re/im, so a reloaded frame keeps its window origin."""
+    with open(path, "wb") as f:
+        f.write(_DUMP_MAGIC)
+        f.write(struct.pack("<qqq", frame.m, frame.k_start, len(frame.samples)))
+        inter = np.empty(2 * len(frame.samples), dtype="<f8")
+        inter[0::2] = frame.samples.real
+        inter[1::2] = frame.samples.imag
+        f.write(inter.tobytes())
+
+
+def read_frame_dump(path) -> EchoFrame:
+    """Load a ``write_frame_dump`` file.
+
+    Raises
+    ------
+    ValueError
+        If the file is not a current-version dump or its payload is not
+        exactly the header's sample count.
+    """
+    with open(path, "rb") as f:
+        magic = f.read(8)
+        if magic == _DUMP_MAGIC_V0:
+            raise ValueError("frame dump predates the window origin field; "
+                             "re-dump it")
+        if magic != _DUMP_MAGIC:
+            raise ValueError("not an echo frame dump")
+        header = f.read(24)
+        if len(header) != 24:
+            raise ValueError("frame dump header truncated")
+        m, k_start, n = struct.unpack("<qqq", header)
+        payload = f.read()
+    if n < 0 or len(payload) != 16 * n:
+        raise ValueError(f"frame dump holds {len(payload)} payload bytes, "
+                         f"header says {n} samples ({16 * n} bytes)")
+    inter = np.frombuffer(payload, dtype="<f8")
+    samples = inter[0::2] + 1j * inter[1::2]
+    return EchoFrame(m=int(m), k_start=int(k_start), samples=samples)

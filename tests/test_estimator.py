@@ -14,6 +14,7 @@ from adradar.estimator import (PipelineConfig, build_shift_matrix,
                                run_pipeline, velocity_from_doppler, wrap_count)
 from adradar.params import WaveformParams
 from adradar.scene import Scenario, build_scene, frame_truth
+from adradar.sequences import Preamble
 
 TS = 1 / 1.76e9
 K = 13632
@@ -499,4 +500,25 @@ def test_duplicate_delays_raise_on_every_call():
     for _ in range(2):
         with pytest.raises(SingularDesignError):
             estimator._shift_design((0, 0), K_PRE)
+
+
+@pytest.mark.parametrize("index", [100, 2100, 3000], ids=["stf", "segment", "cef"])
+def test_pipeline_rejects_another_preamble(preamble, index):
+    # run_pipeline takes no preamble: it reads the 802.11ad training field
+    # itself, so its coefficients are the solve against exactly that field,
+    # and a preamble differing in one STF, correlation-segment or CEF sample
+    # would have given others.
+    delays = [3000, 3040]
+    frames = frames_with_delays(preamble, delays, seed=3)
+    cfg = PipelineConfig(m_d=2, m_i=1, threshold=100.0, expected_targets=2)
+    tx_power = 0.01
+    res = run_pipeline(frames, WaveformParams(), 25.0, tx_power, cfg)
+    rows = len(frames[0].samples)
+    samples = preamble.samples.copy()
+    assert np.array_equal(res.doppler.h_hat, uncached_coefficients(
+        Preamble(samples=samples.copy()), frames[0], delays, rows, tx_power))
+    samples[index] = -samples[index]
+    other = uncached_coefficients(Preamble(samples=samples), frames[0], delays,
+                                  rows, tx_power)
+    assert not np.allclose(res.doppler.h_hat, other)
 
