@@ -14,7 +14,7 @@ from adradar import build_preamble, correlation_profile, correlation_segment, ge
 
 
 def main():
-    pair = generate_golay_pair(128)
+    pair = generate_golay_pair()
     total = (np.correlate(pair.a, pair.a, "full")
              + np.correlate(pair.b, pair.b, "full"))
     print("Golay pair length        :", len(pair))

@@ -22,8 +22,7 @@ def main():
     m_count = wf.frames_per_cpi(0.5e-3)
     m_d, m_i = m_count - 1, m_count - 7
     ell0 = int(frame_truth(scene0, 0).delay_samples[0])
-    d_md = denominator_inverse(ell0, m_d, wf.frame_len, wf.preamble_len,
-                               wf.sample_period)
+    d_md = denominator_inverse(ell0, m_d, wf.frame_len, wf.sample_period)
     print(f"M = {m_count}, one wrap period at m_d: {2 * np.pi * d_md:.1f} Hz")
 
     nus, raws, refined = [], [], []

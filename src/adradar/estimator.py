@@ -86,7 +86,10 @@ def detection_threshold(noise_clutter_var: float) -> float:
 def pick_peaks(score, lags, count: int, threshold: float, guard: int) -> list:
     """Indices of up to ``count`` peaks of ``score``, in pick order: take the
     largest remaining score above ``threshold`` (the first on ties), suppress
-    every entry whose lag is within ``guard`` of its lag, repeat."""
+    every entry whose lag is within ``guard`` of its lag, repeat.  A negative
+    ``guard``, which would not even suppress the pick itself, is a ValueError."""
+    if guard < 0:
+        raise ValueError(f"guard must be >= 0, got {guard}")
     score = np.asarray(score, dtype=float)
     idx = np.flatnonzero(score > threshold)  # nothing else can be picked
     remaining, cand_lags = score[idx], np.asarray(lags)[idx]
@@ -223,7 +226,7 @@ def _shift_design(offsets: tuple, rows: int):
     return s, gram
 
 
-def denominator_inverse(l_0: int, m: int, frame_len: int, preamble_len: int,
+def denominator_inverse(l_0: int, m: int, frame_len: int,
                         sample_period: float) -> float:
     """Scale factor D_m turning the frame-m ratio phase into a Doppler (Hz/rad).
 
@@ -232,7 +235,7 @@ def denominator_inverse(l_0: int, m: int, frame_len: int, preamble_len: int,
     """
     if m < 0:
         raise ValueError("frame index must be nonnegative")
-    k_mid = (2 * l_0 + preamble_len - 1) / 2.0
+    k_mid = (2 * l_0 + PREAMBLE_LEN - 1) / 2.0
     return 1.0 / (2.0 * np.pi * (k_mid + m * frame_len) * sample_period)
 
 
@@ -328,9 +331,9 @@ def run_pipeline(frames, wf: WaveformParams, v_source: float, tx_power: float,
         coeffs[m] = _solve(y, s, gram, tx_power)
 
     d_md = denominator_inverse(int(delay_est[cfg.m_d].delays[0]), cfg.m_d,
-                               wf.frame_len, wf.preamble_len, wf.sample_period)
+                               wf.frame_len, wf.sample_period)
     d_mi = denominator_inverse(int(delay_est[cfg.m_i].delays[0]), cfg.m_i,
-                               wf.frame_len, wf.preamble_len, wf.sample_period)
+                               wf.frame_len, wf.sample_period)
 
     n_targets = counts[0]
     nu_raw = np.empty(n_targets)

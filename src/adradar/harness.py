@@ -25,6 +25,9 @@ _STREAM_NOISE = 0
 _STREAM_BETA = 1
 _STREAM_BOOTSTRAP = 2
 
+_CI_RESAMPLES = 500   # bootstrap resamples behind each NMSE interval
+_CI_LEVEL = 0.95
+
 # ``ExperimentConfig.estimators`` choice -> estimator names it runs, in CSV
 # row order.
 ESTIMATORS = {"proposed": ("proposed",), "baseline": ("baseline",),
@@ -96,14 +99,13 @@ def nmse(records, estimator: str = "proposed") -> float:
     return float(np.mean(_relative_squared_errors(records, estimator), axis=0).mean())
 
 
-def bootstrap_ci(records, estimator: str, seed: int, resamples: int = 500,
-                 level: float = 0.95):
+def bootstrap_ci(records, estimator: str, seed: int):
     """Percentile bootstrap confidence interval of the NMSE over trials."""
     errors = _relative_squared_errors(records, estimator)
     rng = np.random.default_rng([seed, _STREAM_BOOTSTRAP])
-    idx = rng.integers(0, len(errors), size=(resamples, len(errors)))
+    idx = rng.integers(0, len(errors), size=(_CI_RESAMPLES, len(errors)))
     stats = errors[idx].mean(axis=(1, 2))
-    lo, hi = np.quantile(stats, [(1 - level) / 2, (1 + level) / 2])
+    lo, hi = np.quantile(stats, [(1 - _CI_LEVEL) / 2, (1 + _CI_LEVEL) / 2])
     return float(lo), float(hi)
 
 

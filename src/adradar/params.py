@@ -20,29 +20,22 @@ class WaveformParams:
         Symbol rate / occupied bandwidth (1.76 GHz).
     frame_len : int
         Samples per frame, preamble plus data fields (K = 13632).
-    preamble_len : int
-        Training samples per frame (K_pre = 3328, the 802.11ad training
-        field; no other length is accepted).
 
     Raises
     ------
     ScenarioError
-        If the preamble length is not 3328, the frame is shorter than the
-        preamble, or the carrier or bandwidth is not positive.
+        If the frame is shorter than the preamble, or the carrier or
+        bandwidth is not positive.
     """
 
     carrier_hz: float = 60e9
     bandwidth_hz: float = 1.76e9
     frame_len: int = 13632
-    preamble_len: int = PREAMBLE_LEN
 
     def __post_init__(self):
-        if self.preamble_len != PREAMBLE_LEN:
-            raise ScenarioError(f"preamble_len must be {PREAMBLE_LEN}, the "
-                                f"802.11ad training field, got {self.preamble_len}")
-        if self.frame_len < self.preamble_len:
+        if self.frame_len < PREAMBLE_LEN:
             raise ScenarioError(f"frame_len {self.frame_len} shorter than the "
-                                f"{self.preamble_len}-sample preamble")
+                                f"{PREAMBLE_LEN}-sample preamble")
         if not (self.carrier_hz > 0 and self.bandwidth_hz > 0):
             raise ScenarioError("carrier_hz and bandwidth_hz must be positive")
 

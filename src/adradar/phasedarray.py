@@ -4,9 +4,9 @@ The source vehicle carries co-located TX and RX UPAs.  A wide azimuth beam is
 formed on the TX array by a weighted sum of a few steering vectors on the
 x-axis, Kronecker multiplied with the single y-axis (elevation) steering
 vector, then normalized; the beam functions below all act on the TX array.
-The RX beam is the elementwise conjugate of the TX beam.  The steering
-functions take scalar angles or arrays of them (one vector per angle, along a
-new last axis).
+The RX beam is the elementwise conjugate of the TX beam.  Elements sit half a
+wavelength apart on both axes.  The steering functions take scalar angles or
+arrays of them (one vector per angle, along a new last axis).
 """
 
 from dataclasses import dataclass
@@ -15,23 +15,22 @@ import numpy as np
 
 from .errors import BeamMeasurementError, DegenerateBeamError
 
+_SCAN_STEP = 1e-3       # rad, angle grid of measure_beamwidth's pattern cut
+_BISECTION_TOL = 1e-5   # rad, design_wide_beam's final bracket on the beam spread
+
 
 @dataclass(frozen=True)
 class UpaGeometry:
-    """Antenna counts and element spacing (in wavelengths) of the two UPAs."""
+    """Antenna counts of the two half-wavelength-spaced UPAs."""
 
     nx_tx: int = 8
     ny_tx: int = 2
     nx_rx: int = 8
     ny_rx: int = 2
-    dx: float = 0.5
-    dy: float = 0.5
 
     def __post_init__(self):
         if min(self.nx_tx, self.ny_tx, self.nx_rx, self.ny_rx) < 1:
             raise ValueError("antenna counts must be >= 1")
-        if self.dx <= 0 or self.dy <= 0:
-            raise ValueError("element spacings must be positive")
 
     def counts(self, side: str):
         if side == "tx":
@@ -49,15 +48,15 @@ class BeamformerWeights:
     azimuths: tuple = ()
 
 
-def steering_x(azimuth, elevation, n: int, dx: float = 0.5) -> np.ndarray:
-    """x-axis steering vector: entry m = exp(j*m*psi_x), psi_x = 2*pi*dx*cos(el)*sin(az)."""
-    psi = 2.0 * np.pi * dx * np.cos(elevation) * np.sin(azimuth)
+def steering_x(azimuth, elevation, n: int) -> np.ndarray:
+    """x-axis steering vector: entry m = exp(j*m*psi_x), psi_x = pi*cos(el)*sin(az)."""
+    psi = np.pi * np.cos(elevation) * np.sin(azimuth)
     return np.exp(1j * np.multiply.outer(psi, np.arange(n)))
 
 
-def steering_y(elevation, n: int, dy: float = 0.5) -> np.ndarray:
-    """y-axis steering vector: entry m = exp(j*m*psi_y), psi_y = 2*pi*dy*sin(el)."""
-    psi = 2.0 * np.pi * dy * np.sin(elevation)
+def steering_y(elevation, n: int) -> np.ndarray:
+    """y-axis steering vector: entry m = exp(j*m*psi_y), psi_y = pi*sin(el)."""
+    psi = np.pi * np.sin(elevation)
     return np.exp(1j * np.multiply.outer(psi, np.arange(n)))
 
 
@@ -65,8 +64,8 @@ def steering_upa(azimuth, elevation, geometry: UpaGeometry,
                  side: str = "tx") -> np.ndarray:
     """Full UPA steering vector, the Kronecker product of the axis vectors."""
     nx, ny = geometry.counts(side)
-    ax = steering_x(azimuth, elevation, nx, geometry.dx)
-    ay = steering_y(elevation, ny, geometry.dy)
+    ax = steering_x(azimuth, elevation, nx)
+    ay = steering_y(elevation, ny)
     return (ax[..., :, None] * ay[..., None, :]).reshape(ax.shape[:-1] + (-1,))
 
 
@@ -88,8 +87,8 @@ def wide_beam(azimuths, weights, elevation: float,
     nx, ny = geometry.counts("tx")
     fx = np.zeros(nx, dtype=complex)
     for phi, gamma in zip(azimuths, weights):
-        fx += gamma * steering_x(phi, elevation, nx, geometry.dx)
-    fy = steering_y(elevation, ny, geometry.dy)
+        fx += gamma * steering_x(phi, elevation, nx)
+    fy = steering_y(elevation, ny)
     f = np.kron(fx, fy)
     norm = np.linalg.norm(f)
     if norm < 1e-12 * np.sqrt(nx * ny):
@@ -123,11 +122,11 @@ def gain_cut(f: BeamformerWeights, geometry: UpaGeometry, plane: str,
 
 
 def measure_beamwidth(f: BeamformerWeights, geometry: UpaGeometry,
-                      plane: str = "azimuth", elevation_center: float = 0.0,
-                      resolution: float = 1e-3) -> float:
+                      plane: str = "azimuth",
+                      elevation_center: float = 0.0) -> float:
     """Half-power width of the mainlobe in one principal plane.
 
-    Scans the pattern cut on a uniform grid (default 1 mrad), locates the
+    Scans the pattern cut on a uniform 1 mrad grid, locates the
     peak, and walks outward to the contiguous -3 dB crossings; each crossing
     is refined with a local parabolic fit through the three nearest samples.
 
@@ -137,7 +136,7 @@ def measure_beamwidth(f: BeamformerWeights, geometry: UpaGeometry,
         If the pattern is flat (no mainlobe) or the half-power level is never
         crossed inside the scanned interval.
     """
-    angles = np.arange(-np.pi / 2 + resolution, np.pi / 2, resolution)
+    angles = np.arange(-np.pi / 2 + _SCAN_STEP, np.pi / 2, _SCAN_STEP)
     gains = gain_cut(f, geometry, plane, elevation_center, angles)
     peak = int(np.argmax(gains))
     half = gains[peak] / 2.0
@@ -165,11 +164,11 @@ def measure_beamwidth(f: BeamformerWeights, geometry: UpaGeometry,
                 roots = [(-a1 + s * np.sqrt(disc)) / (2 * a2) for s in (1, -1)]
                 inside = [r for r in roots if 0.0 <= r <= 1.0]
                 if inside:
-                    return angles[k] + min(inside) * resolution
+                    return angles[k] + min(inside) * _SCAN_STEP
         # Fall back to linear interpolation between the straddling samples.
         gi, gj = gains[i], gains[j]
         frac = (gi - half) / (gi - gj)
-        return angles[i] + step * frac * resolution
+        return angles[i] + step * frac * _SCAN_STEP
 
     upper = crossing(peak, +1)
     lower = crossing(peak, -1)
@@ -177,8 +176,7 @@ def measure_beamwidth(f: BeamformerWeights, geometry: UpaGeometry,
 
 
 def design_wide_beam(target_width: float, n_beams: int, geometry: UpaGeometry,
-                     elevation_center: float = 0.0,
-                     tol: float = 1e-5) -> BeamformerWeights:
+                     elevation_center: float = 0.0) -> BeamformerWeights:
     """Pick component azimuths so the combined beam hits a 3 dB azimuth width.
 
     Uses ``n_beams`` equally weighted beams at azimuths symmetric about zero,
@@ -206,7 +204,7 @@ def design_wide_beam(target_width: float, n_beams: int, geometry: UpaGeometry,
         if hi > np.pi / 2:
             raise BeamMeasurementError(
                 f"cannot reach target width {target_width} rad with {n_beams} beams")
-    while hi - lo > tol:
+    while hi - lo > _BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if width(mid) < target_width:
             lo = mid

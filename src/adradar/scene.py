@@ -16,6 +16,7 @@ from .errors import ScenarioError
 from .params import SPEED_OF_LIGHT, WaveformParams
 from .phasedarray import (BeamformerWeights, UpaGeometry, design_wide_beam,
                           rx_beam, steering_upa)
+from .sequences import PREAMBLE_LEN
 
 
 @dataclass(frozen=True)
@@ -194,7 +195,7 @@ class Scenario:
     carrier_hz: float = 60e9
     bandwidth_hz: float = 1.76e9
     frame_len: int = 13632
-    preamble_len: int = 3328
+    preamble_len: int = PREAMBLE_LEN  # the only legal value; kept as a file key
     n_beams: int = 3
     azimuth_beamwidth_rad: float = 0.4084
     elevation_center_rad: float = 0.0
@@ -219,6 +220,13 @@ class Scenario:
                 raise ScenarioError(f"{name} must list one value per target")
         if self.beta_mode not in ("fixed", "rayleigh"):
             raise ScenarioError(f"unknown beta_mode {self.beta_mode!r}")
+        if self.preamble_len != PREAMBLE_LEN:
+            raise ScenarioError(f"preamble_len must be {PREAMBLE_LEN}, the "
+                                f"802.11ad training field, got {self.preamble_len}")
+        if self.guard < 0 or self.search_halfwidth < 0:
+            raise ScenarioError("guard and search_halfwidth must be >= 0")
+        if not self.threshold_scale > 0:
+            raise ScenarioError("threshold_scale must be positive")
         self.waveform()  # raises ScenarioError on bad waveform numbers
 
     @property
@@ -228,8 +236,7 @@ class Scenario:
     def waveform(self) -> WaveformParams:
         return WaveformParams(carrier_hz=self.carrier_hz,
                               bandwidth_hz=self.bandwidth_hz,
-                              frame_len=self.frame_len,
-                              preamble_len=self.preamble_len)
+                              frame_len=self.frame_len)
 
     def geometry(self) -> UpaGeometry:
         return UpaGeometry(nx_tx=self.nx_tx, ny_tx=self.ny_tx,

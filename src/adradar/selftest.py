@@ -11,7 +11,7 @@ from .sequences import build_preamble, correlation_segment, generate_golay_pair
 
 
 def _check_golay():
-    pair = generate_golay_pair(128)
+    pair = generate_golay_pair()
     total = (np.correlate(pair.a, pair.a, "full")
              + np.correlate(pair.b, pair.b, "full"))
     expected = np.zeros(255, dtype=np.int64)
@@ -21,7 +21,7 @@ def _check_golay():
 
 
 def _check_preamble():
-    pair = generate_golay_pair(128)
+    pair = generate_golay_pair()
     pre = build_preamble()
     window = np.concatenate([-pair.a, -pair.b, -pair.a, pair.b])
     ok = (len(pre.samples) == 3328

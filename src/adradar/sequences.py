@@ -17,14 +17,14 @@ PREAMBLE_LEN = 3328
 CORR_SEGMENT_OFFSET = 2048
 CORR_SEGMENT_LEN = 512
 
-# Delay and seed-weight vectors of the standard length-128 generator.
+# Delay and seed-weight vectors of the 802.11ad length-128 generator.
 _AD_DELAYS = (1, 8, 2, 4, 16, 32, 64)
 _AD_WEIGHTS = (-1, -1, -1, -1, 1, -1, -1)
 
 
 @dataclass(frozen=True)
 class GolayPair:
-    """A complementary pair of +/-1 sequences of equal power-of-two length."""
+    """A complementary pair of +/-1 sequences of equal length."""
 
     a: np.ndarray
     b: np.ndarray
@@ -47,42 +47,17 @@ class Preamble:
         return self.samples.shape[0]
 
 
-def generate_golay_pair(length: int) -> GolayPair:
-    """Generate a binary Golay complementary pair of the given length.
+def generate_golay_pair() -> GolayPair:
+    """The 802.11ad complementary pair Ga128/Gb128.
 
-    Uses the recursive delay/weight construction.  For length 128 the delay
-    and weight vectors of the 802.11ad generator are used, so the pair is the
-    standard Ga128/Gb128 (validated through the complementarity and preamble
-    window invariants).  Shorter lengths use the natural delay ordering with
-    unit weights.
-
-    Parameters
-    ----------
-    length : int
-        Sequence length; must be a power of two in [2, 128].
-
-    Returns
-    -------
-    GolayPair
-        Integer-valued pair whose aperiodic autocorrelations satisfy
-        R_a[l] + R_b[l] = 2*length * delta[l].
+    Built by the recursive delay/weight construction with the delay and
+    weight vectors of the 802.11ad generator; the aperiodic autocorrelations
+    satisfy R_a[l] + R_b[l] = 256 delta[l].
     """
-    if length < 2 or length > 128 or (length & (length - 1)) != 0:
-        raise ValueError(f"length must be a power of two in [2, 128], got {length}")
-    stages = length.bit_length() - 1
-    if length == 128:
-        delays, weights = _AD_DELAYS, _AD_WEIGHTS
-    else:
-        delays = tuple(2 ** k for k in range(stages))
-        weights = (1,) * stages
-
-    a = np.zeros(length, dtype=np.int64)
-    b = np.zeros(length, dtype=np.int64)
-    a[0] = 1
-    b[0] = 1
-    for d, w in zip(delays, weights):
-        shifted = np.zeros(length, dtype=np.int64)
-        shifted[d:] = b[:length - d]
+    a = b = (np.arange(128) == 0).astype(np.int64)  # both start as a unit impulse
+    for d, w in zip(_AD_DELAYS, _AD_WEIGHTS):
+        shifted = np.zeros(128, dtype=np.int64)
+        shifted[d:] = b[:128 - d]
         a, b = w * a + shifted, w * a - shifted
     return GolayPair(a=a, b=b)
 
@@ -97,7 +72,7 @@ def build_preamble() -> Preamble:
     [-Ga, -Gb, -Ga, +Gb], the correlation segment.  Every call returns the
     same ``Preamble``; its samples are read-only.
     """
-    pair = generate_golay_pair(128)
+    pair = generate_golay_pair()
     ga, gb = pair.a, pair.b
     stf = np.concatenate([np.tile(ga, 16), -ga])
     gu512 = np.concatenate([-gb, -ga, gb, -ga])

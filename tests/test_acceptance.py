@@ -21,7 +21,6 @@ from adradar.scene import (Scenario, build_scene, designed_beam, frame_truth,
 from adradar.sequences import build_preamble, generate_golay_pair
 
 K = 13632
-K_PRE = 3328
 TS = 1 / 1.76e9
 
 
@@ -38,7 +37,7 @@ def report(criterion, ok, detail, started):
 
 def test_criterion_1_golay_complementarity():
     t0 = time.time()
-    pair = generate_golay_pair(128)
+    pair = generate_golay_pair()
     total = (np.correlate(pair.a, pair.a, "full")
              + np.correlate(pair.b, pair.b, "full"))
     expected = np.zeros(255, dtype=np.int64)
@@ -54,7 +53,7 @@ def test_criterion_1_golay_complementarity():
 
 def test_criterion_2_preamble_window():
     t0 = time.time()
-    pair = generate_golay_pair(128)
+    pair = generate_golay_pair()
     pre = build_preamble()
     window = np.concatenate([-pair.a, -pair.b, -pair.a, pair.b])
     ok = (len(pre.samples) == 3328
@@ -99,7 +98,7 @@ def test_criterion_4_wrap_compensation_sweep():
     m_count = wf.frames_per_cpi(0.5e-3)
     m_d, m_i = m_count - 1, m_count - 7
     ell0 = int(frame_truth(scene0, 0).delay_samples[0])
-    d_md = denominator_inverse(ell0, m_d, K, K_PRE, TS)
+    d_md = denominator_inverse(ell0, m_d, K, TS)
     nu_max = 3.2 * 2 * np.pi * d_md  # spans beyond +/-3 wraps at m_d
 
     checked = skipped = 0

@@ -3,10 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adradar.echo import (doppler_phasors, read_frame_dump, synthesize_frame,
-                          write_frame_dump)
+from adradar.echo import doppler_phasors, synthesize_frame
 from adradar.errors import ScenarioError
-from adradar.estimator import detection_threshold, estimate_delays
 from adradar.scene import Scenario, build_scene, frame_truth
 
 
@@ -127,7 +125,7 @@ def test_doppler_phasors_are_cached_read_only(preamble, default_scene):
     assert doppler_phasors.cache_info().hits >= 1
     assert np.array_equal(first.samples, again.samples)
     phasors = doppler_phasors(tuple(truth.doppler_hz),
-                              default_scene.wf.sample_period, len(preamble))
+                              default_scene.wf.sample_period)
     assert phasors.shape == (3, len(preamble))
     with pytest.raises(ValueError):
         phasors[0, 0] = 0
@@ -180,51 +178,3 @@ def test_same_seed_same_noise(default_scene):
     b = synthesize_frame(default_scene, truth, np.random.default_rng([1, 2, 3]))
     assert np.array_equal(a.samples, b.samples)
 
-
-def test_frame_dump_roundtrip(tmp_path, default_scene):
-    truth = frame_truth(default_scene, 7)
-    frame = synthesize_frame(default_scene, truth, np.random.default_rng(42))
-    path = tmp_path / "frame.bin"
-    write_frame_dump(path, frame)
-    loaded = read_frame_dump(path)
-    assert loaded.m == 7
-    assert loaded.k_start == frame.k_start
-    np.testing.assert_array_equal(loaded.samples, frame.samples)
-    # 32-byte header (magic, m, k_start, length) + interleaved float64 re/im
-    assert path.stat().st_size == 32 + 16 * len(frame.samples)
-
-
-def test_frame_dump_reload_gives_the_same_delays(tmp_path, default_scene):
-    truth = frame_truth(default_scene, 7)
-    frame = synthesize_frame(default_scene, truth, np.random.default_rng(42))
-    path = tmp_path / "frame.bin"
-    write_frame_dump(path, frame)
-    threshold = detection_threshold(default_scene.noise_clutter_var)
-    before = estimate_delays(frame, threshold, expected_targets=3)
-    after = estimate_delays(read_frame_dump(path), threshold, expected_targets=3)
-    assert after.delays.tolist() == before.delays.tolist()
-    assert before.delays.tolist() == truth.delay_samples.tolist()
-
-
-def test_frame_dump_rejects_truncated_payload(tmp_path, default_scene):
-    frame = synthesize_frame(default_scene, frame_truth(default_scene, 0), None)
-    path = tmp_path / "frame.bin"
-    write_frame_dump(path, frame)
-    path.write_bytes(path.read_bytes()[:32 + 16 * 1000])
-    with pytest.raises(ValueError, match="payload"):
-        read_frame_dump(path)
-
-
-def test_frame_dump_rejects_the_version_without_window_origin(tmp_path):
-    path = tmp_path / "old.bin"
-    path.write_bytes(b"ADRECHO\x00" + np.array([7, 1], dtype="<i8").tobytes()
-                     + np.zeros(2, dtype="<f8").tobytes())
-    with pytest.raises(ValueError, match="window origin"):
-        read_frame_dump(path)
-
-
-def test_frame_dump_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"not a frame dump at all")
-    with pytest.raises(ValueError):
-        read_frame_dump(path)

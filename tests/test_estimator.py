@@ -9,8 +9,8 @@ from adradar.errors import (DetectionShortfallError, LseWindowError,
                             NoTargetError, SingularDesignError)
 from adradar.estimator import (PipelineConfig, build_shift_matrix,
                                denominator_inverse, detection_threshold,
-                               estimate_delays,
-                               lse_coefficients, raw_doppler, refine_doppler,
+                               estimate_delays, lse_coefficients, pick_peaks,
+                               raw_doppler, refine_doppler,
                                run_pipeline, velocity_from_doppler, wrap_count)
 from adradar.params import WaveformParams
 from adradar.scene import Scenario, build_scene, frame_truth
@@ -117,6 +117,14 @@ def test_threshold_must_be_positive(default_scene):
         estimate_delays(frame, threshold=0.0, expected_targets=3)
 
 
+def test_pick_peaks_rejects_a_negative_guard():
+    # A negative guard suppresses nothing, not even the pick itself, so the
+    # same entry would come back every time.
+    assert pick_peaks([1, 5, 2, 4], range(4), 3, 0.5, 0) == [1, 3, 2]
+    with pytest.raises(ValueError, match="guard"):
+        pick_peaks([1, 5, 2, 4], range(4), 3, 0.5, -5)
+
+
 def test_scale_invariance(default_scene):
     from dataclasses import replace
     frame = noiseless_frame(default_scene, 0)
@@ -195,16 +203,16 @@ def test_lse_ill_conditioned(preamble):
 # ---------------------------------------------------------------------------
 
 def test_denominator_inverse_values():
-    d0 = denominator_inverse(0, 0, K, K_PRE, TS)
+    d0 = denominator_inverse(0, 0, K, TS)
     assert d0 == pytest.approx(1.76e9 / (2 * np.pi * 1663.5), rel=1e-12)
     assert d0 == pytest.approx(1.684e5, rel=1e-3)
-    d128 = denominator_inverse(0, 128, K, K_PRE, TS)
+    d128 = denominator_inverse(0, 128, K, TS)
     assert d128 == pytest.approx(1.76e9 / (2 * np.pi * (1663.5 + 128 * K)), rel=1e-12)
     assert d128 == pytest.approx(160.4, rel=1e-3)
 
 
 def test_denominator_inverse_monotone():
-    values = [denominator_inverse(100, m, K, K_PRE, TS) for m in range(0, 130, 10)]
+    values = [denominator_inverse(100, m, K, TS) for m in range(0, 130, 10)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -220,7 +228,7 @@ def test_raw_doppler_no_wrap_recovery():
     # true phase within [-pi, pi]: the raw estimate alone recovers nu
     nu = 300.0
     m_d, l0 = 20, 100
-    d_md = denominator_inverse(l0, m_d, K, K_PRE, TS)
+    d_md = denominator_inverse(l0, m_d, K, TS)
     assert abs(nu / d_md) < np.pi
     h0 = 1.0 + 0.5j
     h_md = h0 * np.exp(1j * nu / d_md)
@@ -228,8 +236,8 @@ def test_raw_doppler_no_wrap_recovery():
 
 
 def test_wrap_count_zero_when_unwrapped():
-    d_md = denominator_inverse(0, 70, K, K_PRE, TS)
-    d_mi = denominator_inverse(0, 65, K, K_PRE, TS)
+    d_md = denominator_inverse(0, 70, K, TS)
+    d_mi = denominator_inverse(0, 65, K, TS)
     nu = 100.0  # well below one wrap at both frames
     assert wrap_count(nu, nu, d_md, d_mi, +1.0) == 0
 
@@ -238,8 +246,8 @@ def test_wrap_count_constructed_single_wrap():
     # nu = 1998.2 Hz wraps once at m_d = 70 with positive residual phase at
     # both frames; forward-compute the wrapped estimates and round-trip.
     nu = 1998.2
-    d_md = denominator_inverse(0, 70, K, K_PRE, TS)
-    d_mi = denominator_inverse(0, 65, K, K_PRE, TS)
+    d_md = denominator_inverse(0, 70, K, TS)
+    d_mi = denominator_inverse(0, 65, K, TS)
     zeta_md, zeta_mi = nu / d_md, nu / d_mi
     assert 2 * np.pi < zeta_md < 2.5 * np.pi
     assert 2 * np.pi < zeta_mi < 2.5 * np.pi
@@ -252,8 +260,8 @@ def test_wrap_count_constructed_single_wrap():
 
 def test_wrap_count_sign_mirror():
     nu = 1998.2
-    d_md = denominator_inverse(0, 70, K, K_PRE, TS)
-    d_mi = denominator_inverse(0, 65, K, K_PRE, TS)
+    d_md = denominator_inverse(0, 70, K, TS)
+    d_mi = denominator_inverse(0, 65, K, TS)
     nu_md = (nu / d_md - 2 * np.pi) * d_md
     nu_mi = (nu / d_mi - 2 * np.pi) * d_mi
     # a target faster than the source mirrors every sign
@@ -263,7 +271,7 @@ def test_wrap_count_sign_mirror():
 
 
 def test_wrap_count_degenerate_pair():
-    d = denominator_inverse(0, 70, K, K_PRE, TS)
+    d = denominator_inverse(0, 70, K, TS)
     with pytest.raises(ValueError):
         wrap_count(100.0, 100.0, d, d, +1.0)
 
@@ -272,8 +280,8 @@ def test_wrap_property_phase_arithmetic_sweep():
     # Wherever both frames share the wrap count and residual sign, the
     # rounded wrap estimate is exact and refinement inverts the wrapping.
     m_d, gap, l0 = 63, 6, 164
-    d_md = denominator_inverse(l0, m_d, K, K_PRE, TS)
-    d_mi = denominator_inverse(l0, m_d - gap, K, K_PRE, TS)
+    d_md = denominator_inverse(l0, m_d, K, TS)
+    d_mi = denominator_inverse(l0, m_d - gap, K, TS)
     max_nu = 3.2 * 2 * np.pi * d_md
     checked = 0
     for nu in np.linspace(-max_nu, max_nu, 101):

@@ -220,7 +220,9 @@ def test_cli_scenario_of_wrong_json_type_is_config_error(tmp_path, key, value):
 
 @pytest.mark.parametrize("key, value", [("frame_len", 1000), ("preamble_len", 3000),
                                         ("carrier_hz", 0), ("carrier_hz", -60e9),
-                                        ("bandwidth_hz", 0)])
+                                        ("bandwidth_hz", 0), ("guard", -5),
+                                        ("search_halfwidth", -1),
+                                        ("threshold_scale", 0)])
 def test_cli_scenario_with_bad_waveform_numbers_is_config_error(tmp_path, key, value):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps({key: value}))

@@ -14,19 +14,19 @@ def test_steering_x_broadside_is_all_ones():
 
 
 def test_steering_x_endfire_alternates():
-    v = steering_x(np.pi / 2, 0.0, 4, dx=0.5)
+    v = steering_x(np.pi / 2, 0.0, 4)
     np.testing.assert_allclose(v, [1, -1, 1, -1], atol=1e-12)
 
 
 def test_steering_x_30deg_second_entry_is_j():
-    v = steering_x(np.pi / 6, 0.0, 4, dx=0.5)
+    v = steering_x(np.pi / 6, 0.0, 4)
     assert v[1] == pytest.approx(1j, abs=1e-12)
 
 
 def test_steering_y_examples():
     np.testing.assert_allclose(steering_y(0.0, 2), [1, 1])
-    np.testing.assert_allclose(steering_y(np.pi / 2, 2, dy=0.5), [1, -1], atol=1e-12)
-    v = steering_y(np.pi / 6, 2, dy=0.5)
+    np.testing.assert_allclose(steering_y(np.pi / 2, 2), [1, -1], atol=1e-12)
+    v = steering_y(np.pi / 6, 2)
     assert v[1] == pytest.approx(1j, abs=1e-12)
 
 
@@ -77,8 +77,8 @@ def test_steering_upa_elementwise_closed_form():
     for _ in range(10):
         az, el = rng.uniform(-1.2, 1.2, 2)
         v = steering_upa(az, el, GEO, "tx")
-        psi_x = 2 * np.pi * GEO.dx * np.cos(el) * np.sin(az)
-        psi_y = 2 * np.pi * GEO.dy * np.sin(el)
+        psi_x = 2 * np.pi * 0.5 * np.cos(el) * np.sin(az)  # half-wavelength spacing
+        psi_y = 2 * np.pi * 0.5 * np.sin(el)
         mx, my = np.divmod(np.arange(16), 2)
         expected = np.exp(1j * (mx * psi_x + my * psi_y))
         np.testing.assert_allclose(v, expected, atol=1e-12)

@@ -30,9 +30,9 @@ def aperiodic_autocorr(x):
     return np.correlate(x, x, "full")
 
 
-@pytest.mark.parametrize("length", [2, 4, 8, 16, 32, 64, 128])
+@pytest.mark.parametrize("length", [128])
 def test_complementarity_all_lengths(length):
-    pair = generate_golay_pair(length)
+    pair = generate_golay_pair()
     total = aperiodic_autocorr(pair.a) + aperiodic_autocorr(pair.b)
     expected = np.zeros(2 * length - 1, dtype=np.int64)
     expected[length - 1] = 2 * length
@@ -41,22 +41,10 @@ def test_complementarity_all_lengths(length):
 
 
 def test_pair_alphabet_and_length():
-    pair = generate_golay_pair(128)
+    pair = generate_golay_pair()
     for seq in (pair.a, pair.b):
         assert seq.shape == (128,)
         assert set(np.unique(seq)).issubset({-1, 1})
-
-
-def test_smallest_pair_values():
-    pair = generate_golay_pair(2)
-    assert pair.a.tolist() == [1, 1]
-    assert pair.b.tolist() == [1, -1]
-
-
-@pytest.mark.parametrize("bad", [0, 1, 3, 96, 256, -4])
-def test_invalid_length_rejected(bad):
-    with pytest.raises(ValueError):
-        generate_golay_pair(bad)
 
 
 def test_preamble_length_and_alphabet(preamble):
@@ -74,7 +62,7 @@ def test_preamble_is_built_once_and_read_only(preamble):
 
 
 def test_preamble_window_identity(preamble):
-    pair = generate_golay_pair(128)
+    pair = generate_golay_pair()
     window = np.concatenate([-pair.a, -pair.b, -pair.a, pair.b])
     lo, hi = CORR_SEGMENT_OFFSET, CORR_SEGMENT_OFFSET + CORR_SEGMENT_LEN
     assert np.array_equal(preamble.samples[lo:hi], window)

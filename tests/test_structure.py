@@ -1,6 +1,7 @@
 """Module boundaries of the package: no module reaches into a sibling's privates,
-importing the package does not load scipy (a test-only dependency), and every
-function the benchmark's tracer wraps is still where the tracer looks it up.
+importing the package does not load scipy (a test-only dependency), every
+function the benchmark's tracer wraps is still where the tracer looks it up,
+and no module of the package or the tests imports a name it never uses.
 
 A ``_``-prefixed name is private to the module that defines it.  The scan
 flags ``from .sibling import _name`` (relative or absolute) and
@@ -19,6 +20,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "adradar"
 TRACER = PACKAGE.parent.parent / "perfbench" / "tracer.py"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _is_private(name: str) -> bool:
@@ -100,3 +102,35 @@ def test_every_tracer_target_resolves_to_a_callable():
     missing = [f"{module}.{attr}" for module, attr in targets
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
+
+
+def unused_imports(source: str):
+    """(line, name) of every name ``source`` imports but never reads as a ``Name``."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.setdefault((alias.asname or alias.name).split(".")[0],
+                                    node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read)
+
+
+def test_the_unused_import_scan_flags_each_form():
+    source = ("import os\n"
+              "import numpy as np\n"
+              "import os.path\n"
+              "from .scene import Scenario, build_scene as build\n"
+              "np.zeros(1)\n"
+              "Scenario()\n")
+    assert unused_imports(source) == [(1, "os"), (4, "build")]
+
+
+# The package's __init__ imports only to re-export.
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"] + TEST_MODULES,
+    ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_module_has_an_unused_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
