@@ -14,10 +14,9 @@ from adradar import build_preamble, correlation_profile, correlation_segment, ge
 
 
 def main():
-    pair = generate_golay_pair()
-    total = (np.correlate(pair.a, pair.a, "full")
-             + np.correlate(pair.b, pair.b, "full"))
-    print("Golay pair length        :", len(pair))
+    a, b = generate_golay_pair()
+    total = np.correlate(a, a, "full") + np.correlate(b, b, "full")
+    print("Golay pair length        :", len(a))
     print("autocorr sum at lag 0    :", total[127])
     print("worst off-peak |R_a+R_b| :", np.abs(np.delete(total, 127)).max())
 
@@ -26,7 +25,7 @@ def main():
     print("\npreamble length          :", len(pre))
     print("correlation segment      : samples [2048, 2560) = [-a, -b, -a, +b]")
 
-    profile = correlation_profile(s_c, pre.samples.astype(float))
+    profile = correlation_profile(s_c, pre.astype(float))
     mag = np.abs(profile)
     peak = int(np.argmax(mag))
     print("correlation peak         :", mag[peak], "at preamble offset", peak)

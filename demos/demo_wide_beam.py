@@ -14,11 +14,9 @@ from adradar import UpaGeometry, beam_gain, design_wide_beam, measure_beamwidth,
 
 def main():
     geo = UpaGeometry()
-    single = wide_beam([0.0], [1.0], 0.0, geo)
+    single = wide_beam([0.0], 0.0, geo)
     wide = design_wide_beam(0.4084, 3, geo)
 
-    print("component azimuths (rad) :",
-          ", ".join(f"{a:+.4f}" for a in wide.azimuths))
     for name, beam in (("single beam", single), ("3-beam wide", wide)):
         az = measure_beamwidth(beam, geo, "azimuth", 0.0)
         el = measure_beamwidth(beam, geo, "elevation", 0.0)

@@ -66,7 +66,7 @@ def synthesize_frame(
         truncating later targets' tails.
     """
     m = truth.frame
-    preamble = build_preamble().samples
+    preamble = build_preamble()
     k_pre = len(preamble)
     delays = truth.delay_samples
     k_start = int(delays[0])

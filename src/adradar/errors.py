@@ -5,12 +5,9 @@ class ScenarioError(ValueError):
     """Scene configuration produces an unusable geometry (negative or colliding delays)."""
 
 
-class DegenerateBeamError(ValueError):
-    """Beam combination collapses to the zero vector."""
-
-
-class BeamMeasurementError(RuntimeError):
-    """Beam pattern has no usable mainlobe for a width measurement."""
+class BeamMeasurementError(ValueError):
+    """Beam pattern has no usable mainlobe for a width measurement, or the
+    design cannot reach the requested width: a configuration error."""
 
 
 class EstimationError(RuntimeError):
@@ -35,10 +32,6 @@ class LseWindowError(EstimationError):
 
 class ZeroCoefficientError(EstimationError, ZeroDivisionError):
     """A frame-0 LSE coefficient is exactly zero, so no Doppler ratio exists."""
-
-
-class AssociationError(EstimationError):
-    """Detected target counts differ across frames; rank-order association impossible."""
 
 
 class AggregationError(RuntimeError):

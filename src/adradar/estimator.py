@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .echo import EchoFrame
-from .errors import (AssociationError, DetectionShortfallError,
-                     LseWindowError, NoTargetError, SingularDesignError,
-                     ZeroCoefficientError)
+from .errors import (DetectionShortfallError, LseWindowError, NoTargetError,
+                     SingularDesignError, ZeroCoefficientError)
 from .params import WaveformParams
 from .scene import Scenario
 from .sequences import (CORR_SEGMENT_LEN, PREAMBLE_LEN, build_preamble,
@@ -166,7 +165,7 @@ def build_shift_matrix(delays, rows: int) -> np.ndarray:
         raise SingularDesignError(f"duplicate delays {delays}")
     if np.any(np.diff(delays) < 0):
         raise ValueError("delays must be sorted ascending")
-    preamble = build_preamble().samples
+    preamble = build_preamble()
     s = np.zeros((rows, len(delays)))
     x = np.arange(rows)
     for p, ell in enumerate(delays):
@@ -239,16 +238,17 @@ def denominator_inverse(l_0: int, m: int, frame_len: int,
     return 1.0 / (2.0 * np.pi * (k_mid + m * frame_len) * sample_period)
 
 
-def raw_doppler(h_md_p: complex, h_p: complex, d_md: float) -> float:
-    """Wrapped Doppler estimate: angle(h_md[p]/h[p]) * D_md, angle in [-pi, pi]."""
-    if h_p == 0:
+def raw_doppler(h_md, h, d_md: float):
+    """Wrapped Doppler estimates (scalar or array): angle(h_md / h) * D_md,
+    angle in [-pi, pi]."""
+    if np.any(h == 0):
         raise ZeroCoefficientError("frame-0 coefficient is zero")
-    return float(np.angle(h_md_p / h_p) * d_md)
+    return np.angle(h_md / h) * d_md
 
 
-def wrap_count(nu_md: float, nu_mi: float, d_md: float, d_mi: float,
-               wrapped_phase_sign: float) -> int:
-    """Integer number of full phase turns shared by frames m_d and m_i.
+def wrap_count(nu_md, nu_mi, d_md: float, d_mi: float, wrapped_phase_sign):
+    """Integer number of full phase turns shared by frames m_d and m_i
+    (scalar or array, as int64).
 
     Uses the magnitude difference of the two wrapped estimates,
     c = |nu_md| - |nu_mi|, scaled by the difference of the frame scale
@@ -258,15 +258,15 @@ def wrap_count(nu_md: float, nu_mi: float, d_md: float, d_mi: float,
     """
     if d_mi <= d_md:
         raise ValueError("need d_mi > d_md (i.e. m_i < m_d)")
-    c_hat = abs(nu_md) - abs(nu_mi)
+    c_hat = np.abs(nu_md) - np.abs(nu_mi)
     scale = 2.0 * np.pi * (d_mi - d_md)
-    value = c_hat / scale if wrapped_phase_sign >= 0 else -c_hat / scale
-    return int(np.rint(value))
+    value = np.where(wrapped_phase_sign >= 0, c_hat / scale, -c_hat / scale)
+    return np.rint(value).astype(np.int64)
 
 
-def refine_doppler(nu_md: float, n_wraps: int, d_md: float) -> float:
-    """Unwrapped Doppler: nu_md + 2 pi N D_md."""
-    return float(nu_md + 2.0 * np.pi * n_wraps * d_md)
+def refine_doppler(nu_md, n_wraps, d_md: float):
+    """Unwrapped Doppler (scalar or array): nu_md + 2 pi N D_md."""
+    return nu_md + 2.0 * np.pi * n_wraps * d_md
 
 
 def velocity_from_doppler(nu_hz, v_source: float, wavelength: float):
@@ -301,10 +301,10 @@ def run_pipeline(frames, wf: WaveformParams, v_source: float, tx_power: float,
 
     Notes
     -----
-    Targets are associated across frames by delay rank order; detected counts
-    are forced equal by the perfect-detection assumption, and a mismatch
-    raises AssociationError.  The frame-m_d scale factor uses that frame's
-    own first delay.
+    Targets are associated across frames by delay rank order; every frame
+    yields exactly ``cfg.expected_targets`` delays (perfect-detection
+    assumption, enforced by ``estimate_delays``).  The frame-m_d scale factor
+    uses that frame's own first delay.
     """
     if not 0 <= cfg.m_i < cfg.m_d:
         raise ValueError(f"need 0 <= m_i < m_d, got m_i={cfg.m_i} m_d={cfg.m_d}")
@@ -319,9 +319,6 @@ def run_pipeline(frames, wf: WaveformParams, v_source: float, tx_power: float,
         delay_est[m] = estimate_delays(frames[m], cfg.threshold,
                                        cfg.expected_targets,
                                        cfg.search_halfwidth, cfg.guard)
-    counts = {m: len(delay_est[m].delays) for m in needed}
-    if len(set(counts.values())) != 1:
-        raise AssociationError(f"detection counts differ across frames: {counts}")
 
     coeffs = {}
     for m in needed:
@@ -335,22 +332,15 @@ def run_pipeline(frames, wf: WaveformParams, v_source: float, tx_power: float,
     d_mi = denominator_inverse(int(delay_est[cfg.m_i].delays[0]), cfg.m_i,
                                wf.frame_len, wf.sample_period)
 
-    n_targets = counts[0]
-    nu_raw = np.empty(n_targets)
-    nu_mi = np.empty(n_targets)
-    wraps = np.empty(n_targets, dtype=np.int64)
-    nu_refined = np.empty(n_targets)
-    for p in range(n_targets):
-        nu_raw[p] = raw_doppler(coeffs[cfg.m_d][p], coeffs[0][p], d_md)
-        nu_mi[p] = raw_doppler(coeffs[cfg.m_i][p], coeffs[0][p], d_mi)
-        sign = np.angle(coeffs[cfg.m_d][p] / coeffs[0][p])
-        wraps[p] = wrap_count(nu_raw[p], nu_mi[p], d_md, d_mi, sign)
-        nu_refined[p] = refine_doppler(nu_raw[p], wraps[p], d_md)
+    h, h_md, h_mi = coeffs[0], coeffs[cfg.m_d], coeffs[cfg.m_i]
+    nu_raw = raw_doppler(h_md, h, d_md)
+    nu_mi = raw_doppler(h_mi, h, d_mi)
+    wraps = wrap_count(nu_raw, nu_mi, d_md, d_mi, np.angle(h_md / h))
+    nu_refined = refine_doppler(nu_raw, wraps, d_md)
 
-    doppler = DopplerEstimate(h_hat=coeffs[0], h_hat_md=coeffs[cfg.m_d],
-                              h_hat_mi=coeffs[cfg.m_i], nu_raw=nu_raw,
-                              wrap_count=wraps, nu_refined=nu_refined,
-                              d_md=d_md, d_mi=d_mi)
+    doppler = DopplerEstimate(h_hat=h, h_hat_md=h_md, h_hat_mi=h_mi,
+                              nu_raw=nu_raw, wrap_count=wraps,
+                              nu_refined=nu_refined, d_md=d_md, d_mi=d_mi)
     return VelocityEstimate(
         velocities=velocity_from_doppler(nu_refined, v_source, wf.wavelength),
         doppler=doppler, delays=delay_est)

@@ -50,6 +50,10 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.estimators not in ESTIMATORS:
             raise ValueError(f"unknown estimator selection {self.estimators!r}")
+        for name in ("cpi_s", "p_tx_dbm"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
     def resolve(self, scenario: Scenario) -> "ExperimentConfig":
         """This experiment with every unset field taken from ``scenario``."""

@@ -1,10 +1,11 @@
 """Uniform planar array steering, wide-beam synthesis, and pattern measurement.
 
 The source vehicle carries co-located TX and RX UPAs.  A wide azimuth beam is
-formed on the TX array by a weighted sum of a few steering vectors on the
-x-axis, Kronecker multiplied with the single y-axis (elevation) steering
+formed on the TX array by an equally weighted sum of a few steering vectors on
+the x-axis, Kronecker multiplied with the single y-axis (elevation) steering
 vector, then normalized; the beam functions below all act on the TX array.
-The RX beam is the elementwise conjugate of the TX beam.  Elements sit half a
+A beam is its unit-norm complex weight vector.  The RX beam is the
+elementwise conjugate of the TX beam.  Elements sit half a
 wavelength apart on both axes.  The steering functions take scalar angles or
 arrays of them (one vector per angle, along a new last axis).
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BeamMeasurementError, DegenerateBeamError
+from .errors import BeamMeasurementError
 
 _SCAN_STEP = 1e-3       # rad, angle grid of measure_beamwidth's pattern cut
 _BISECTION_TOL = 1e-5   # rad, design_wide_beam's final bracket on the beam spread
@@ -40,14 +41,6 @@ class UpaGeometry:
         raise ValueError(f"side must be 'tx' or 'rx', got {side!r}")
 
 
-@dataclass(frozen=True)
-class BeamformerWeights:
-    """Unit-norm beamforming vector and the component azimuths it combines."""
-
-    entries: np.ndarray
-    azimuths: tuple = ()
-
-
 def steering_x(azimuth, elevation, n: int) -> np.ndarray:
     """x-axis steering vector: entry m = exp(j*m*psi_x), psi_x = pi*cos(el)*sin(az)."""
     psi = np.pi * np.cos(elevation) * np.sin(azimuth)
@@ -69,46 +62,38 @@ def steering_upa(azimuth, elevation, geometry: UpaGeometry,
     return (ax[..., :, None] * ay[..., None, :]).reshape(ax.shape[:-1] + (-1,))
 
 
-def wide_beam(azimuths, weights, elevation: float,
-              geometry: UpaGeometry) -> BeamformerWeights:
-    """Combine beams on the x-axis into one unit-norm wide-beam vector.
+def wide_beam(azimuths, elevation: float, geometry: UpaGeometry) -> np.ndarray:
+    """Combine equally weighted beams on the x-axis into one read-only
+    unit-norm wide-beam vector.
 
-    f_x = sum_i gamma_i * a_x(phi_i, elevation); f = (f_x kron f_y) / ||.||.
-
-    Raises
-    ------
-    DegenerateBeamError
-        If the weighted combination is (numerically) the zero vector.
+    f_x = sum_i a_x(phi_i, elevation); f = (f_x kron f_y) / ||.||.  Entry 0
+    of f_x kron f_y is the number of beams, so the norm is never zero.
     """
-    azimuths = tuple(float(a) for a in azimuths)
-    weights = tuple(complex(w) for w in weights)
-    if not azimuths or len(azimuths) != len(weights):
-        raise ValueError("azimuths and weights must be non-empty and equal length")
+    if len(azimuths) == 0:
+        raise ValueError("wide_beam needs at least one azimuth")
     nx, ny = geometry.counts("tx")
     fx = np.zeros(nx, dtype=complex)
-    for phi, gamma in zip(azimuths, weights):
-        fx += gamma * steering_x(phi, elevation, nx)
-    fy = steering_y(elevation, ny)
-    f = np.kron(fx, fy)
-    norm = np.linalg.norm(f)
-    if norm < 1e-12 * np.sqrt(nx * ny):
-        raise DegenerateBeamError("beam combination is numerically zero")
-    return BeamformerWeights(entries=f / norm, azimuths=azimuths)
+    for phi in azimuths:
+        fx += steering_x(phi, elevation, nx)
+    f = np.kron(fx, steering_y(elevation, ny))
+    f /= np.linalg.norm(f)
+    f.flags.writeable = False
+    return f
 
 
-def rx_beam(f_tx: BeamformerWeights) -> BeamformerWeights:
+def rx_beam(f_tx: np.ndarray) -> np.ndarray:
     """Reciprocal receive beam: the elementwise conjugate of the TX beam."""
-    return BeamformerWeights(entries=np.conj(f_tx.entries), azimuths=f_tx.azimuths)
+    return np.conj(f_tx)
 
 
-def beam_gain(f: BeamformerWeights, azimuth: float, elevation: float,
+def beam_gain(f: np.ndarray, azimuth: float, elevation: float,
               geometry: UpaGeometry) -> float:
     """Power pattern |a(az, el)^H f|^2 of a beamforming vector."""
     a = steering_upa(azimuth, elevation, geometry)
-    return float(np.abs(np.vdot(a, f.entries)) ** 2)
+    return float(np.abs(np.vdot(a, f)) ** 2)
 
 
-def gain_cut(f: BeamformerWeights, geometry: UpaGeometry, plane: str,
+def gain_cut(f: np.ndarray, geometry: UpaGeometry, plane: str,
              elevation_center: float, angles: np.ndarray) -> np.ndarray:
     """Power pattern |a^H f|^2 at ``angles`` along the azimuth cut (elevation
     ``elevation_center``) or the elevation cut (azimuth zero)."""
@@ -118,10 +103,10 @@ def gain_cut(f: BeamformerWeights, geometry: UpaGeometry, plane: str,
         a = steering_upa(0.0, angles, geometry)
     else:
         raise ValueError(f"plane must be 'azimuth' or 'elevation', got {plane!r}")
-    return np.abs(a.conj() @ f.entries) ** 2
+    return np.abs(a.conj() @ f) ** 2
 
 
-def measure_beamwidth(f: BeamformerWeights, geometry: UpaGeometry,
+def measure_beamwidth(f: np.ndarray, geometry: UpaGeometry,
                       plane: str = "azimuth",
                       elevation_center: float = 0.0) -> float:
     """Half-power width of the mainlobe in one principal plane.
@@ -176,7 +161,7 @@ def measure_beamwidth(f: BeamformerWeights, geometry: UpaGeometry,
 
 
 def design_wide_beam(target_width: float, n_beams: int, geometry: UpaGeometry,
-                     elevation_center: float = 0.0) -> BeamformerWeights:
+                     elevation_center: float = 0.0) -> np.ndarray:
     """Pick component azimuths so the combined beam hits a 3 dB azimuth width.
 
     Uses ``n_beams`` equally weighted beams at azimuths symmetric about zero,
@@ -187,8 +172,8 @@ def design_wide_beam(target_width: float, n_beams: int, geometry: UpaGeometry,
         raise ValueError("n_beams must be >= 1")
 
     def beam(delta):
-        az = tuple(np.linspace(-delta, delta, n_beams)) if n_beams > 1 else (0.0,)
-        return wide_beam(az, (1.0,) * n_beams, elevation_center, geometry)
+        az = np.linspace(-delta, delta, n_beams) if n_beams > 1 else (0.0,)
+        return wide_beam(az, elevation_center, geometry)
 
     def width(delta):
         return measure_beamwidth(beam(delta), geometry, "azimuth",

@@ -8,14 +8,13 @@ backscatter coefficient) is derived under a constant-velocity model.
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ScenarioError
 from .params import SPEED_OF_LIGHT, WaveformParams
-from .phasedarray import (BeamformerWeights, UpaGeometry, design_wide_beam,
-                          rx_beam, steering_upa)
+from .phasedarray import UpaGeometry, design_wide_beam, rx_beam, steering_upa
 from .sequences import PREAMBLE_LEN
 
 
@@ -46,8 +45,8 @@ class Scene:
     tx_power: float              # W
     noise_clutter_var: float     # W, sigma_cn^2
     geometry: UpaGeometry
-    f_tx: BeamformerWeights
-    f_rx: BeamformerWeights
+    f_tx: np.ndarray             # unit-norm TX beam
+    f_rx: np.ndarray             # unit-norm RX beam
     wf: WaveformParams = field(default_factory=WaveformParams)
 
     def __post_init__(self):
@@ -92,8 +91,8 @@ def large_scale_gain(range_m: float, rcs_m2: float, wavelength_m: float) -> floa
     return wavelength_m ** 2 * rcs_m2 / ((4.0 * np.pi) ** 3 * range_m ** 4)
 
 
-def backscatter_coefficient(target: Target, f_tx: BeamformerWeights,
-                            f_rx: BeamformerWeights, gain: float,
+def backscatter_coefficient(target: Target, f_tx: np.ndarray,
+                            f_rx: np.ndarray, gain: float,
                             geometry: UpaGeometry) -> complex:
     """Effective radar channel coefficient after TX and RX beamforming.
 
@@ -101,15 +100,11 @@ def backscatter_coefficient(target: Target, f_tx: BeamformerWeights,
     held constant over one CPI.  The two beam factors are cached by value
     (see ``_beam_factors``), so a scene's trials compute them once.
     """
-    rx_factor, tx_factor = _beam_factors(target.azimuth, target.elevation,
-                                         geometry, _entries_key(f_tx),
-                                         _entries_key(f_rx))
-    return complex(np.sqrt(gain) * target.beta * rx_factor * tx_factor)
-
-
-def _entries_key(f: BeamformerWeights) -> tuple:
     # Python scalars round-trip the entries exactly and hash by value.
-    return tuple(f.entries.ravel().tolist())
+    rx_factor, tx_factor = _beam_factors(target.azimuth, target.elevation,
+                                         geometry, tuple(f_tx.tolist()),
+                                         tuple(f_rx.tolist()))
+    return complex(np.sqrt(gain) * target.beta * rx_factor * tx_factor)
 
 
 @functools.lru_cache(maxsize=64)
@@ -214,6 +209,12 @@ class Scenario:
     seed: int = 1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in (float, tuple) and not np.all(np.isfinite(value)):
+                raise ScenarioError(f"{f.name} must be finite, got {value!r}")
+        if not self.azimuth_beamwidth_rad > 0:
+            raise ScenarioError("azimuth_beamwidth_rad must be positive")
         n = len(self.target_velocities_mps)
         for name in ("target_ranges_m", "target_azimuths_rad", "target_elevations_rad"):
             if len(getattr(self, name)) != n:
@@ -289,8 +290,9 @@ def draw_betas(scn: Scenario, rng: np.random.Generator) -> np.ndarray:
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-def designed_beam(scn: Scenario) -> BeamformerWeights:
-    """The scenario's wide TX beam; the deterministic bisection runs once per design."""
+def designed_beam(scn: Scenario) -> np.ndarray:
+    """The scenario's read-only wide TX beam; the deterministic bisection runs
+    once per design."""
     return _design_wide_beam_once(scn.geometry(), scn.n_beams,
                                   scn.azimuth_beamwidth_rad,
                                   scn.elevation_center_rad)

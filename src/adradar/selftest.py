@@ -11,9 +11,8 @@ from .sequences import build_preamble, correlation_segment, generate_golay_pair
 
 
 def _check_golay():
-    pair = generate_golay_pair()
-    total = (np.correlate(pair.a, pair.a, "full")
-             + np.correlate(pair.b, pair.b, "full"))
+    a, b = generate_golay_pair()
+    total = np.correlate(a, a, "full") + np.correlate(b, b, "full")
     expected = np.zeros(255, dtype=np.int64)
     expected[127] = 256
     ok = np.array_equal(total, expected)
@@ -21,13 +20,13 @@ def _check_golay():
 
 
 def _check_preamble():
-    pair = generate_golay_pair()
+    a, b = generate_golay_pair()
     pre = build_preamble()
-    window = np.concatenate([-pair.a, -pair.b, -pair.a, pair.b])
-    ok = (len(pre.samples) == 3328
-          and np.array_equal(pre.samples[2048:2560], window)
+    window = np.concatenate([-a, -b, -a, b])
+    ok = (len(pre) == 3328
+          and np.array_equal(pre[2048:2560], window)
           and np.array_equal(correlation_segment(pre), window)
-          and bool(np.all(np.abs(pre.samples) == 1)))
+          and bool(np.all(np.abs(pre) == 1)))
     return ok, "3328 +/-1 samples; [2048, 2560) = [-a, -b, -a, +b]"
 
 

@@ -9,7 +9,6 @@ every estimator in this package leans on.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,33 +21,8 @@ _AD_DELAYS = (1, 8, 2, 4, 16, 32, 64)
 _AD_WEIGHTS = (-1, -1, -1, -1, 1, -1, -1)
 
 
-@dataclass(frozen=True)
-class GolayPair:
-    """A complementary pair of +/-1 sequences of equal length."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        if self.a.shape != self.b.shape or self.a.ndim != 1:
-            raise ValueError("pair members must be 1-D and equal length")
-
-    def __len__(self) -> int:
-        return self.a.shape[0]
-
-
-@dataclass(frozen=True)
-class Preamble:
-    """3328-sample +/-1 training field (STF followed by CEF)."""
-
-    samples: np.ndarray
-
-    def __len__(self) -> int:
-        return self.samples.shape[0]
-
-
-def generate_golay_pair() -> GolayPair:
-    """The 802.11ad complementary pair Ga128/Gb128.
+def generate_golay_pair() -> tuple:
+    """The 802.11ad complementary pair (Ga128, Gb128) as two int64 arrays.
 
     Built by the recursive delay/weight construction with the delay and
     weight vectors of the 802.11ad generator; the aperiodic autocorrelations
@@ -59,21 +33,20 @@ def generate_golay_pair() -> GolayPair:
         shifted = np.zeros(128, dtype=np.int64)
         shifted[d:] = b[:128 - d]
         a, b = w * a + shifted, w * a - shifted
-    return GolayPair(a=a, b=b)
+    return a, b
 
 
 @functools.cache
-def build_preamble() -> Preamble:
+def build_preamble() -> np.ndarray:
     """The 3328-sample training field, assembled once per process.
 
     Layout: STF = 16 x Ga followed by -Ga (2176 samples); CEF = Gu512, Gv512
     and a trailing -Gb (1152 samples), with Gu512 = [-Gb, -Ga, +Gb, -Ga] and
     Gv512 = [-Gb, +Ga, -Gb, -Ga].  Samples [2048, 2560) then read
     [-Ga, -Gb, -Ga, +Gb], the correlation segment.  Every call returns the
-    same ``Preamble``; its samples are read-only.
+    same read-only int64 array.
     """
-    pair = generate_golay_pair()
-    ga, gb = pair.a, pair.b
+    ga, gb = generate_golay_pair()
     stf = np.concatenate([np.tile(ga, 16), -ga])
     gu512 = np.concatenate([-gb, -ga, gb, -ga])
     gv512 = np.concatenate([-gb, ga, -gb, -ga])
@@ -81,12 +54,12 @@ def build_preamble() -> Preamble:
     samples = np.concatenate([stf, cef])
     assert samples.shape[0] == PREAMBLE_LEN
     samples.flags.writeable = False
-    return Preamble(samples=samples)
+    return samples
 
 
-def correlation_segment(p: Preamble) -> np.ndarray:
+def correlation_segment(preamble: np.ndarray) -> np.ndarray:
     """Return the 512-sample correlation window s_c at offset 2048."""
-    return p.samples[CORR_SEGMENT_OFFSET:CORR_SEGMENT_OFFSET + CORR_SEGMENT_LEN]
+    return preamble[CORR_SEGMENT_OFFSET:CORR_SEGMENT_OFFSET + CORR_SEGMENT_LEN]
 
 
 # The only segment the lattice in correlation_profile computes.

@@ -37,9 +37,8 @@ def report(criterion, ok, detail, started):
 
 def test_criterion_1_golay_complementarity():
     t0 = time.time()
-    pair = generate_golay_pair()
-    total = (np.correlate(pair.a, pair.a, "full")
-             + np.correlate(pair.b, pair.b, "full"))
+    a, b = generate_golay_pair()
+    total = np.correlate(a, a, "full") + np.correlate(b, b, "full")
     expected = np.zeros(255, dtype=np.int64)
     expected[127] = 256
     ok = total.dtype.kind == "i" and np.array_equal(total, expected)
@@ -53,11 +52,11 @@ def test_criterion_1_golay_complementarity():
 
 def test_criterion_2_preamble_window():
     t0 = time.time()
-    pair = generate_golay_pair()
+    a, b = generate_golay_pair()
     pre = build_preamble()
-    window = np.concatenate([-pair.a, -pair.b, -pair.a, pair.b])
-    ok = (len(pre.samples) == 3328
-          and np.array_equal(pre.samples[2048:2560], window))
+    window = np.concatenate([-a, -b, -a, b])
+    ok = (len(pre) == 3328
+          and np.array_equal(pre[2048:2560], window))
     report(2, ok and time.time() - t0 < 1.0,
            "samples[2048, 2560) = [-a, -b, -a, +b] exactly", t0)
 

@@ -72,7 +72,7 @@ def test_empty_cells_are_zero(preamble):
     from adradar.echo import EchoFrame
     delay = 352
     frames = [EchoFrame(m=m, k_start=delay,
-                        samples=preamble.samples.astype(complex))
+                        samples=preamble.astype(complex))
               for m in range(25)]
     lags = delay + np.arange(1, 64)
     ddm = delay_doppler_map(frames, 7.745454545e-6, lags=lags)

@@ -21,7 +21,7 @@ def test_pure_shift_no_doppler(preamble):
     frame = synthesize_frame(scene, truth, rng=None)
     h = truth.backscatter[0]
     amp = np.sqrt(scene.tx_power)
-    expected = amp * h * preamble.samples
+    expected = amp * h * preamble
     assert frame.k_start == truth.delay_samples[0]
     np.testing.assert_allclose(frame.samples, expected, rtol=1e-12)
     # occupied region is exactly a scaled +/-1 sequence
@@ -35,7 +35,7 @@ def test_phase_advances_per_sample(preamble):
     nu = truth.doppler_hz[0]
     ts = scene.wf.sample_period
     # strip the preamble sign, leaving the Doppler rotation
-    rotation = frame.samples * preamble.samples
+    rotation = frame.samples * preamble
     step = rotation[1:] / rotation[:-1]
     expected = np.exp(1j * 2 * np.pi * nu * ts)
     np.testing.assert_allclose(step, expected, rtol=1e-9)
@@ -111,7 +111,7 @@ def test_synthesis_matches_the_per_sample_formula(preamble, default_scene,
             truth = frame_truth(scene, m)
             frame = synthesize_frame(scene, truth, None,
                                      first_delay_window)
-            k_start, expected = per_sample_echo(scene, truth, preamble.samples,
+            k_start, expected = per_sample_echo(scene, truth, preamble,
                                                 first_delay_window)
             assert frame.k_start == k_start
             np.testing.assert_allclose(frame.samples, expected, rtol=1e-12)

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from adradar import estimator
 from adradar.echo import EchoFrame, synthesize_frame
 from adradar.errors import (DetectionShortfallError, LseWindowError,
-                            NoTargetError, SingularDesignError)
+                            NoTargetError, SingularDesignError,
+                            ZeroCoefficientError)
 from adradar.estimator import (PipelineConfig, build_shift_matrix,
                                denominator_inverse, detection_threshold,
                                estimate_delays, lse_coefficients, pick_peaks,
@@ -14,7 +15,6 @@ from adradar.estimator import (PipelineConfig, build_shift_matrix,
                                run_pipeline, velocity_from_doppler, wrap_count)
 from adradar.params import WaveformParams
 from adradar.scene import Scenario, build_scene, frame_truth
-from adradar.sequences import Preamble
 
 TS = 1 / 1.76e9
 K = 13632
@@ -142,7 +142,7 @@ def test_scale_invariance(default_scene):
 
 def test_shift_matrix_single_delay(preamble):
     s = build_shift_matrix([587], rows=K_PRE)
-    np.testing.assert_array_equal(s[:, 0], preamble.samples)
+    np.testing.assert_array_equal(s[:, 0], preamble)
     assert (s.T @ s)[0, 0] == K_PRE
 
 
@@ -154,9 +154,9 @@ def test_shift_matrix_disjoint_support():
 
 def test_shift_matrix_inner_product_is_autocorrelation(preamble):
     s = build_shift_matrix([0, 64], rows=K_PRE + 64)
-    auto = np.correlate(preamble.samples.astype(float),
-                        preamble.samples.astype(float), "full")
-    assert s[:, 0] @ s[:, 1] == auto[len(preamble.samples) - 1 + 64]
+    auto = np.correlate(preamble.astype(float),
+                        preamble.astype(float), "full")
+    assert s[:, 0] @ s[:, 1] == auto[len(preamble) - 1 + 64]
 
 
 def test_shift_matrix_duplicate_delay():
@@ -192,7 +192,7 @@ def test_lse_power_scaling():
 
 
 def test_lse_ill_conditioned(preamble):
-    col = preamble.samples.astype(float)
+    col = preamble.astype(float)
     s = np.column_stack([col, col * (1 + 1e-15)])
     with pytest.raises(SingularDesignError, match="columns 0 and 1"):
         lse_coefficients(np.zeros(len(col), dtype=complex), s, 1.0)
@@ -308,6 +308,35 @@ def test_refine_doppler_values():
     assert 2 * np.pi * 160.4 == pytest.approx(1007.8, rel=1e-3)
 
 
+def test_doppler_chain_on_arrays_equals_the_scalar_calls():
+    # Dopplers up to three turns either way at m_d, so the wrapped phases
+    # take both signs and the wrap counts several values.
+    rng = np.random.default_rng(23)
+    d_md = denominator_inverse(164, 63, K, TS)
+    d_mi = denominator_inverse(164, 57, K, TS)
+    nu = rng.uniform(-3, 3, 12) * 2 * np.pi * d_md
+    h = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    h_md, h_mi = h * np.exp(1j * nu / d_md), h * np.exp(1j * nu / d_mi)
+    sign = np.angle(h_md / h)
+    assert np.any(sign > 0) and np.any(sign < 0)
+
+    nu_md = raw_doppler(h_md, h, d_md)
+    nu_mi = raw_doppler(h_mi, h, d_mi)
+    wraps = wrap_count(nu_md, nu_mi, d_md, d_mi, sign)
+    refined = refine_doppler(nu_md, wraps, d_md)
+    assert wraps.dtype == np.int64 and len(set(wraps.tolist())) > 2
+    for p in range(len(h)):
+        assert nu_md[p] == raw_doppler(h_md[p], h[p], d_md)
+        assert nu_mi[p] == raw_doppler(h_mi[p], h[p], d_mi)
+        assert wraps[p] == wrap_count(nu_md[p], nu_mi[p], d_md, d_mi, sign[p])
+        assert refined[p] == refine_doppler(nu_md[p], wraps[p], d_md)
+    for p in (0, 5, 11):
+        zeroed = h.copy()
+        zeroed[p] = 0
+        with pytest.raises(ZeroCoefficientError):
+            raw_doppler(h_md, zeroed, d_md)
+
+
 def test_velocity_from_doppler():
     lam = 299792458.0 / 60e9
     assert velocity_from_doppler(0.0, 25.271, lam) == 25.271
@@ -378,7 +407,7 @@ def test_lse_window_starting_before_the_frame_raises(preamble):
     with pytest.raises(LseWindowError,
                        match=r"frame 0: LSE window \[900, 4228\) outside "
                              r"the frame's samples \[1000, 4228\)"):
-        run_on_hand_built_frames(preamble.samples[100:])
+        run_on_hand_built_frames(preamble[100:])
 
 
 def test_lse_window_running_past_the_frame_end_raises(preamble):
@@ -386,7 +415,7 @@ def test_lse_window_running_past_the_frame_end_raises(preamble):
     with pytest.raises(LseWindowError,
                        match=r"frame 0: LSE window \[1000, 4328\) outside "
                              r"the frame's samples \[1000, 4228\)"):
-        run_on_hand_built_frames(preamble.samples[:-100])
+        run_on_hand_built_frames(preamble[:-100])
 
 
 def test_pipeline_first_delay_window(default_scene, true_velocities):
@@ -444,7 +473,7 @@ def uncached_coefficients(preamble, frame, delays, rows, tx_power):
     for p, ell in enumerate(delays):
         lo = ell - delays[0]
         n = min(K_PRE, rows - lo)
-        s[lo:lo + n, p] = preamble.samples[:n]
+        s[lo:lo + n, p] = preamble[:n]
     start = delays[0] - frame.k_start
     y = frame.samples[start:start + rows]
     return np.linalg.solve(s.T @ s, s.T @ y) / np.sqrt(tx_power)
@@ -459,7 +488,7 @@ def frames_with_delays(preamble, delays, seed):
         y = np.zeros(K_PRE + delays[-1] - delays[0], dtype=complex)
         for ell in delays:
             lo = ell - delays[0]
-            y[lo:lo + K_PRE] += np.exp(2j * np.pi * rng.random()) * preamble.samples
+            y[lo:lo + K_PRE] += np.exp(2j * np.pi * rng.random()) * preamble
         y += 0.01 * (rng.standard_normal(len(y)) + 1j * rng.standard_normal(len(y)))
         frames[m] = EchoFrame(m=m, k_start=delays[0], samples=y)
     return frames
@@ -522,11 +551,11 @@ def test_pipeline_rejects_another_preamble(preamble, index):
     tx_power = 0.01
     res = run_pipeline(frames, WaveformParams(), 25.0, tx_power, cfg)
     rows = len(frames[0].samples)
-    samples = preamble.samples.copy()
     assert np.array_equal(res.doppler.h_hat, uncached_coefficients(
-        Preamble(samples=samples.copy()), frames[0], delays, rows, tx_power))
-    samples[index] = -samples[index]
-    other = uncached_coefficients(Preamble(samples=samples), frames[0], delays,
+        preamble, frames[0], delays, rows, tx_power))
+    other_preamble = preamble.copy()
+    other_preamble[index] = -other_preamble[index]
+    other = uncached_coefficients(other_preamble, frames[0], delays,
                                   rows, tx_power)
     assert not np.allclose(res.doppler.h_hat, other)
 

@@ -1,14 +1,18 @@
-"""The CLI's result CSVs for fixed seeds match the committed golden files.
+"""The CLI's outputs for fixed seeds match the committed golden files.
 
-Text and integer columns must match exactly; ``nmse``, ``ci_lo`` and
-``ci_hi`` may differ by 1e-9 relative, the tolerance perfbench's output
-check uses.  A change that is meant to alter these numbers regenerates the
-files with the commands below and says why in CHANGES.md.
+For the result CSVs, text and integer columns must match exactly; ``nmse``,
+``ci_lo`` and ``ci_hi`` may differ by 1e-9 relative, the tolerance
+perfbench's output check uses.  The beam-pattern CSV must give the same
+angles and each ``gain_db`` within 1e-6 dB, one unit of its last printed
+digit; the selftest report must match exactly.  A change that is meant to
+alter these outputs regenerates the files with the commands below and says
+why in CHANGES.md.
 """
 
 import csv
 import io
 import math
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -18,13 +22,18 @@ from adradar.cli import run_cli
 DATA = Path(__file__).resolve().parent / "data"
 FLOAT_COLUMNS = ("nmse", "ci_lo", "ci_hi")
 REL_TOL = 1e-9
+GAIN_DB_TOL = Decimal("1e-6")
 
 GOLDEN = {
     "simulate.csv": ["simulate", "--cpi", "2e-4", "--trials", "6", "--seed", "7",
                      "--estimator", "both"],
     "sweep_framegap.csv": ["sweep-framegap", "--cpi", "6e-4", "--p-tx-dbm", "10",
                            "--trials", "4", "--gaps", "1", "2", "3"],
+    "sweep_cpi.csv": ["sweep-cpi", "--trials", "2", "--cpis", "2e-4", "1e-3",
+                      "--p-tx-grid", "20"],
 }
+BEAM_PATTERN = ["beam-pattern", "--resolution", "0.01"]  # beam_pattern.csv
+SELFTEST = ["selftest"]                                   # stdout: selftest.txt
 
 
 def rows(text):
@@ -47,3 +56,23 @@ def test_cli_csv_matches_the_golden_file(name, tmp_path):
                                     rel_tol=REL_TOL, abs_tol=0.0), (i, key)
             else:
                 assert g[key] == w[key], (i, key)
+
+
+def test_beam_pattern_matches_the_golden_file(tmp_path):
+    out = tmp_path / "beam_pattern.csv"
+    assert run_cli(BEAM_PATTERN + ["--output", str(out)]) == 0
+    got = out.read_text(encoding="utf-8").splitlines()
+    want = (DATA / "beam_pattern.csv").read_text(encoding="utf-8").splitlines()
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got[1:], want[1:])):
+        g_angle, g_db = g.split(",")
+        w_angle, w_db = w.split(",")
+        assert g_angle == w_angle, i
+        assert abs(Decimal(g_db) - Decimal(w_db)) <= GAIN_DB_TOL, i
+
+
+def test_selftest_report_matches_the_golden_file(capsys):
+    assert run_cli(SELFTEST) == 0
+    want = (DATA / "selftest.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want

@@ -222,7 +222,13 @@ def test_cli_scenario_of_wrong_json_type_is_config_error(tmp_path, key, value):
                                         ("carrier_hz", 0), ("carrier_hz", -60e9),
                                         ("bandwidth_hz", 0), ("guard", -5),
                                         ("search_halfwidth", -1),
-                                        ("threshold_scale", 0)])
+                                        ("threshold_scale", 0),
+                                        ("p_tx_dbm", float("nan")),
+                                        ("rcs_dbsm", float("inf")),
+                                        ("noise_density_dbm_hz", float("inf")),
+                                        ("azimuth_beamwidth_rad", float("nan")),
+                                        ("azimuth_beamwidth_rad", 0.0),
+                                        ("target_ranges_m", [14, float("inf"), 20])])
 def test_cli_scenario_with_bad_waveform_numbers_is_config_error(tmp_path, key, value):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps({key: value}))
@@ -230,6 +236,31 @@ def test_cli_scenario_with_bad_waveform_numbers_is_config_error(tmp_path, key, v
         load_scenario(path)
     assert run_cli(["simulate", "--scenario", str(path), "--cpi", "2e-4",
                     "--trials", "2", "--output", str(tmp_path / "x.csv")]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--cpi", "inf"],
+    ["simulate", "--cpi", "2e-4", "--p-tx-dbm", "nan"],
+    ["sweep-cpi", "--cpis", "inf", "--p-tx-grid", "20"],
+    ["sweep-cpi", "--cpis", "2e-4", "--p-tx-grid", "nan"],
+], ids=["cpi", "p-tx-dbm", "cpis", "p-tx-grid"])
+def test_cli_non_finite_flag_is_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert run_cli(argv + ["--trials", "2", "--output", str(out)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["simulate", "--cpi", "2e-4", "--trials", "2"],
+                                     ["beam-pattern"]], ids=lambda c: c[0])
+def test_cli_unreachable_beamwidth_is_config_error(tmp_path, capsys, command):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"azimuth_beamwidth_rad": 10}))
+    out = tmp_path / "x.csv"
+    assert run_cli(command + ["--scenario", str(path), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: cannot reach target width" in err
+    assert "Traceback" not in err
 
 
 def test_load_scenario_widens_ints_and_rejects_bools(tmp_path):

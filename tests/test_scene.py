@@ -38,7 +38,7 @@ def test_large_scale_gain_rejects_bad_range():
 
 def test_backscatter_zero_beta():
     t = Target(velocity=20.0, initial_range=30.0, beta=0.0)
-    f = wide_beam([0.0], [1.0], 0.0, GEO)
+    f = wide_beam([0.0], 0.0, GEO)
     assert backscatter_coefficient(t, f, rx_beam(f), 1.0, GEO) == 0
 
 
@@ -47,22 +47,22 @@ def test_backscatter_matched_beam_term_by_term():
     # unoptimized evaluation of sqrt(G) beta (f_RX^H a_RX*) (a_TX^H f_TX).
     az, el = 0.2, 0.0
     t = Target(velocity=20.0, initial_range=30.0, azimuth=az, elevation=el, beta=1.0)
-    f_tx = wide_beam([az], [1.0], el, GEO)
+    f_tx = wide_beam([az], el, GEO)
     f_rx = rx_beam(f_tx)
     gain = 2.5e-13
     h = backscatter_coefficient(t, f_tx, f_rx, gain, GEO)
     a_rx = steering_upa(az, el, GEO, "rx")
     a_tx = steering_upa(az, el, GEO, "tx")
     expected = (np.sqrt(gain)
-                * np.sum(np.conj(f_rx.entries) * np.conj(a_rx))
-                * np.sum(np.conj(a_tx) * f_tx.entries))
+                * np.sum(np.conj(f_rx) * np.conj(a_rx))
+                * np.sum(np.conj(a_tx) * f_tx))
     assert h == pytest.approx(expected, rel=1e-12)
     # matched beams: both factors reach sqrt(N) -> |h| = sqrt(G) * N
     assert abs(h) == pytest.approx(np.sqrt(gain) * 16.0, rel=1e-12)
 
 
 def test_backscatter_modulus_invariant_under_beta_phase():
-    f = wide_beam([0.0], [1.0], 0.0, GEO)
+    f = wide_beam([0.0], 0.0, GEO)
     t1 = Target(velocity=20.0, initial_range=30.0, beta=1.0)
     t2 = Target(velocity=20.0, initial_range=30.0, beta=np.exp(1j * 1.1))
     h1 = backscatter_coefficient(t1, f, rx_beam(f), 1e-12, GEO)
@@ -197,18 +197,19 @@ def test_frame_truth_names_the_frame_of_a_later_collision():
 
 def test_beam_factors_are_cached_by_value():
     t = Target(velocity=20.0, initial_range=30.0, azimuth=0.1, beta=1.0)
-    f = wide_beam([0.0, 0.2], [1.0, 1.0], 0.0, GEO)
+    f = wide_beam([0.0, 0.2], 0.0, GEO)
     h = backscatter_coefficient(t, f, rx_beam(f), 1e-12, GEO)
     # Equal entries in a new object hit the cache; changed entries miss it.
-    twin = wide_beam([0.0, 0.2], [1.0, 1.0], 0.0, GEO)
+    twin = wide_beam([0.0, 0.2], 0.0, GEO)
     hits = _beam_factors.cache_info().hits
     assert backscatter_coefficient(t, twin, rx_beam(twin), 1e-12, GEO) == h
     assert _beam_factors.cache_info().hits == hits + 1
-    f.entries[0] = -f.entries[0]
+    f = f.copy()
+    f[0] = -f[0]
     a_rx = steering_upa(0.1, 0.0, GEO, "rx")
     a_tx = steering_upa(0.1, 0.0, GEO, "tx")
-    expected = (np.sqrt(1e-12) * np.vdot(rx_beam(f).entries, np.conj(a_rx))
-                * np.vdot(a_tx, f.entries))
+    expected = (np.sqrt(1e-12) * np.vdot(rx_beam(f), np.conj(a_rx))
+                * np.vdot(a_tx, f))
     assert backscatter_coefficient(t, f, rx_beam(f), 1e-12, GEO) == expected
     assert expected != h
 

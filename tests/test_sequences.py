@@ -32,8 +32,8 @@ def aperiodic_autocorr(x):
 
 @pytest.mark.parametrize("length", [128])
 def test_complementarity_all_lengths(length):
-    pair = generate_golay_pair()
-    total = aperiodic_autocorr(pair.a) + aperiodic_autocorr(pair.b)
+    a, b = generate_golay_pair()
+    total = aperiodic_autocorr(a) + aperiodic_autocorr(b)
     expected = np.zeros(2 * length - 1, dtype=np.int64)
     expected[length - 1] = 2 * length
     assert total.dtype.kind == "i"
@@ -41,37 +41,38 @@ def test_complementarity_all_lengths(length):
 
 
 def test_pair_alphabet_and_length():
-    pair = generate_golay_pair()
-    for seq in (pair.a, pair.b):
+    a, b = generate_golay_pair()
+    for seq in (a, b):
         assert seq.shape == (128,)
         assert set(np.unique(seq)).issubset({-1, 1})
 
 
 def test_preamble_length_and_alphabet(preamble):
-    assert len(preamble) == 3328
-    assert np.all(np.abs(preamble.samples) == 1)
+    assert preamble.shape == (3328,)
+    assert preamble.dtype == np.int64
+    assert np.all(np.abs(preamble) == 1)
 
 
 def test_preamble_is_built_once_and_read_only(preamble):
     assert build_preamble() is preamble
-    assert not preamble.samples.flags.writeable
+    assert not preamble.flags.writeable
     with pytest.raises(ValueError):
-        preamble.samples[0] = 0
+        preamble[0] = 0
     with pytest.raises(ValueError):
         correlation_segment(preamble)[0] = 0
 
 
 def test_preamble_window_identity(preamble):
-    pair = generate_golay_pair()
-    window = np.concatenate([-pair.a, -pair.b, -pair.a, pair.b])
+    a, b = generate_golay_pair()
+    window = np.concatenate([-a, -b, -a, b])
     lo, hi = CORR_SEGMENT_OFFSET, CORR_SEGMENT_OFFSET + CORR_SEGMENT_LEN
-    assert np.array_equal(preamble.samples[lo:hi], window)
+    assert np.array_equal(preamble[lo:hi], window)
 
 
 def test_correlation_segment_matches_slice(preamble):
     seg = correlation_segment(preamble)
     assert seg.shape == (512,)
-    assert np.array_equal(seg, preamble.samples[2048:2560])
+    assert np.array_equal(seg, preamble[2048:2560])
     assert int(np.sum(seg.astype(np.int64) ** 2)) == 512
 
 
@@ -97,7 +98,7 @@ def test_cross_correlate_echo_peak_at_delay(preamble, s_c):
     # lag aligning s_c with its echo copy.  Scan all lags by brute force.
     delay = 37
     echo = np.zeros(len(preamble) + delay, dtype=complex)
-    echo[delay:] = preamble.samples
+    echo[delay:] = preamble
     best = max(range(len(echo) - 511),
                key=lambda lag: abs(cross_correlate(s_c, echo, lag)))
     assert best == CORR_SEGMENT_OFFSET + delay
@@ -126,7 +127,7 @@ def test_correlation_profile_matches_pointwise(preamble, s_c):
 def test_sidelobe_free_window_after_peak(preamble, s_c):
     # Correlating s_c against the whole preamble: exact zeros for the 127
     # lags after the peak, the property the delay estimator relies on.
-    profile = correlation_profile(s_c, preamble.samples.astype(float))
+    profile = correlation_profile(s_c, preamble.astype(float))
     peak = int(np.argmax(np.abs(profile)))
     assert peak == CORR_SEGMENT_OFFSET
     assert np.all(profile[peak + 1:peak + 128] == 0)
@@ -135,8 +136,8 @@ def test_sidelobe_free_window_after_peak(preamble, s_c):
 def test_correlation_profile_rejects_another_segment(preamble, s_c):
     # The lattice hard-wires the 802.11ad segment; any other s_c would be
     # silently ignored if it were accepted.
-    window = preamble.samples.astype(float)
-    for bad in (-s_c, s_c[:256], preamble.samples[:512],
+    window = preamble.astype(float)
+    for bad in (-s_c, s_c[:256], preamble[:512],
                 np.concatenate([s_c[1:], s_c[:1]])):
         with pytest.raises(ValueError, match="correlation segment"):
             correlation_profile(bad, window)
