@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Golay preamble anatomy and the sidelobe-free correlation window.
+"""Golay preamble anatomy and the 127 zero lags after the correlation peak.
 
 Builds the 3328-sample training field, verifies the complementarity of the
 length-128 Golay pair, and plots the magnitude of the cross-correlation

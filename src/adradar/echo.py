@@ -8,10 +8,9 @@ with s the preamble on [0, K_pre) and zero elsewhere, and z i.i.d. complex
 Gaussian clutter-plus-noise.  The Doppler phase references the absolute sample
 index k + m K; the whole unwrapping chain depends on that accumulated phase.
 
-By default the synthesized window runs from the first target's delay through
-the last target's preamble tail, so the least-squares shift matrices have
-complete rows for every target; the narrower window that stops at the first
-target's tail is available via ``first_delay_window``.
+The synthesized window runs from the first target's delay through the last
+target's preamble tail, so the least-squares shift matrices have complete
+rows for every target.
 """
 
 import functools
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScenarioError
-from .scene import FrameTruth, Scenario, Scene
+from .scene import FrameTruth, Scene
 from .sequences import CORR_SEGMENT_OFFSET, PREAMBLE_LEN, build_preamble
 
 
@@ -51,9 +50,8 @@ def doppler_phasors(doppler_hz: tuple, sample_period: float) -> np.ndarray:
     return phasors
 
 
-def synthesize_frame(
-        scene: Scene, truth: FrameTruth, rng: np.random.Generator,
-        first_delay_window: bool = Scenario.first_delay_window) -> EchoFrame:
+def synthesize_frame(scene: Scene, truth: FrameTruth,
+                     rng: np.random.Generator) -> EchoFrame:
     """Generate the echo of frame ``truth.frame``: a delayed, Doppler-rotated
     copy of the 802.11ad preamble per target, plus noise.
 
@@ -61,19 +59,13 @@ def synthesize_frame(
     ----------
     rng : numpy Generator
         Noise substream for this frame; pass None for a noiseless frame.
-    first_delay_window : bool
-        Restrict the window to K_pre samples starting at the first delay,
-        truncating later targets' tails.
     """
     m = truth.frame
     preamble = build_preamble()
     k_pre = len(preamble)
     delays = truth.delay_samples
     k_start = int(delays[0])
-    if first_delay_window:
-        n = k_pre
-    else:
-        n = k_pre + int(delays[-1] - delays[0])
+    n = k_pre + int(delays[-1] - delays[0])
     amp = np.sqrt(scene.tx_power)
     ts = scene.wf.sample_period
     big_k = scene.wf.frame_len
@@ -85,12 +77,10 @@ def synthesize_frame(
         # echo's first sample and the CPI-constant phasor over i.
         ell = int(ell)
         lo = ell - k_start
-        if not 0 <= lo < n:
+        if not 0 <= lo <= n - k_pre:
             raise ScenarioError(f"delay outside representable window at frame {m}")
-        stop = min(lo + k_pre, n)
         phase = 2.0 * np.pi * nu * (ell + m * big_k) * ts
-        rotated = phasor[:stop - lo] * preamble[:stop - lo]
-        samples[lo:stop] += amp * h * np.exp(1j * phase) * rotated
+        samples[lo:lo + k_pre] += amp * h * np.exp(1j * phase) * (phasor * preamble)
     if rng is not None and scene.noise_clutter_var > 0:
         sigma = np.sqrt(scene.noise_clutter_var / 2.0)
         # One draw of 2n normals is the real parts, then the imaginary parts.

@@ -73,7 +73,6 @@ class PipelineConfig:
     expected_targets: int
     search_halfwidth: int = Scenario.search_halfwidth
     guard: int = Scenario.guard
-    first_delay_window: bool = Scenario.first_delay_window
 
 
 def detection_threshold(noise_clutter_var: float) -> float:
@@ -275,12 +274,11 @@ def velocity_from_doppler(nu_hz, v_source: float, wavelength: float):
     return v_source - nu_hz * wavelength / 2.0
 
 
-def _lse_window(frame: EchoFrame, delays: np.ndarray, first_delay_window: bool):
-    """Slice the frame to the LSE window starting at the estimated l_0;
-    LseWindowError if the window reaches outside the frame's samples."""
-    rows = PREAMBLE_LEN
-    if not first_delay_window:
-        rows += int(delays[-1] - delays[0])
+def _lse_window(frame: EchoFrame, delays: np.ndarray):
+    """Slice the frame to the LSE window from the estimated l_0 through the
+    last estimated delay's preamble tail; LseWindowError if the window
+    reaches outside the frame's samples."""
+    rows = PREAMBLE_LEN + int(delays[-1] - delays[0])
     start = int(delays[0]) - frame.k_start
     if start < 0 or start + rows > len(frame.samples):
         raise LseWindowError(
@@ -323,7 +321,7 @@ def run_pipeline(frames, wf: WaveformParams, v_source: float, tx_power: float,
     coeffs = {}
     for m in needed:
         est = delay_est[m]
-        y, rows = _lse_window(frames[m], est.delays, cfg.first_delay_window)
+        y, rows = _lse_window(frames[m], est.delays)
         s, gram = _shift_design(tuple((est.delays - est.delays[0]).tolist()), rows)
         coeffs[m] = _solve(y, s, gram, tx_power)
 

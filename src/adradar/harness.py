@@ -113,6 +113,18 @@ def bootstrap_ci(records, estimator: str, seed: int):
     return float(lo), float(hi)
 
 
+def _frame_indices(wf, exp: ExperimentConfig):
+    """(M, m_d, m_i) of a resolved experiment: m_d = M - 1 and
+    m_i = m_d - m_i_offset.  ValueError if the CPI holds fewer than two frames
+    or the offset is not in [1, M - 1]."""
+    m_count = wf.frames_per_cpi(exp.cpi_s)
+    m_d = m_count - 1
+    m_i = m_d - exp.m_i_offset
+    if not 0 <= m_i < m_d:
+        raise ValueError(f"m_i offset {exp.m_i_offset} not in [1, M-1] for M={m_count}")
+    return m_count, m_d, m_i
+
+
 def _run_one_trial(scenario: Scenario, exp: ExperimentConfig, trial: int) -> TrialRecord:
     """One trial of a resolved experiment (see ``ExperimentConfig.resolve``)."""
     beta_rng = np.random.default_rng([exp.seed, trial, _STREAM_BETA])
@@ -122,11 +134,7 @@ def _run_one_trial(scenario: Scenario, exp: ExperimentConfig, trial: int) -> Tri
     s_c = correlation_segment(build_preamble())  # for the baseline's frame-0 profile
     threshold = detection_threshold(scene.noise_clutter_var) * scenario.threshold_scale
 
-    m_count = wf.frames_per_cpi(exp.cpi_s)
-    m_d = m_count - 1
-    m_i = m_d - exp.m_i_offset
-    if not 0 <= m_i < m_d:
-        raise ValueError(f"m_i offset {exp.m_i_offset} invalid for M={m_count}")
+    m_count, m_d, m_i = _frame_indices(wf, exp)
 
     names = ESTIMATORS[exp.estimators]
     needed = range(m_count) if "baseline" in names else sorted({0, m_i, m_d})
@@ -134,8 +142,7 @@ def _run_one_trial(scenario: Scenario, exp: ExperimentConfig, trial: int) -> Tri
     frames = {}
     for m in needed:
         rng = np.random.default_rng([exp.seed, trial, _STREAM_NOISE, m])
-        frames[m] = synthesize_frame(scene, frame_truth(scene, m, h), rng,
-                                     scenario.first_delay_window)
+        frames[m] = synthesize_frame(scene, frame_truth(scene, m, h), rng)
 
     true_v = tuple(t.velocity for t in scene.targets)
     estimates, failures = {}, {}
@@ -146,8 +153,7 @@ def _run_one_trial(scenario: Scenario, exp: ExperimentConfig, trial: int) -> Tri
                 cfg = PipelineConfig(m_d=m_d, m_i=m_i, threshold=threshold,
                                      expected_targets=scenario.num_targets,
                                      search_halfwidth=scenario.search_halfwidth,
-                                     guard=scenario.guard,
-                                     first_delay_window=scenario.first_delay_window)
+                                     guard=scenario.guard)
                 res = run_pipeline(frames, wf, scene.source_velocity,
                                    scene.tx_power, cfg)
                 velocities = res.velocities
@@ -209,33 +215,33 @@ def _point_rows(scenario, exp, x_value):
     return rows
 
 
+def _sweep_rows(scenario, points):
+    """CSV rows of every (resolved experiment, x value) point, in order.
+    Every point's frame indices are checked before the first point runs."""
+    for exp, _ in points:
+        _frame_indices(scenario.waveform(), exp)
+    return [row for exp, x_value in points
+            for row in _point_rows(scenario, exp, x_value)]
+
+
 def sweep_framegap(scenario: Scenario, exp: ExperimentConfig, gaps):
     """NMSE of the proposed estimator versus the frame gap m_d - m_i.
 
     m_d is pinned to M-1; all gaps share trial seeds (common random numbers).
     """
     exp = exp.resolve(scenario)
-    m_count = scenario.waveform().frames_per_cpi(exp.cpi_s)
-    for gap in gaps:
-        if not 1 <= gap < m_count:
-            raise ValueError(f"gap {gap} not in [1, M-1] for M={m_count}")
-    rows = []
-    for gap in gaps:
-        point = replace(exp, m_i_offset=int(gap), estimators="proposed")
-        rows.extend(_point_rows(scenario, point, x_value=int(gap)))
-    return rows
+    return _sweep_rows(scenario, [
+        (replace(exp, m_i_offset=int(gap), estimators="proposed"), int(gap))
+        for gap in gaps])
 
 
 def sweep_cpi(scenario: Scenario, exp: ExperimentConfig, cpis, p_tx_dbm_grid=None):
     """NMSE of both estimators versus CPI duration, optionally over TX powers."""
     exp = exp.resolve(scenario)
     powers = [exp.p_tx_dbm] if p_tx_dbm_grid is None else list(p_tx_dbm_grid)
-    rows = []
-    for p_tx in powers:
-        for cpi in cpis:
-            point = replace(exp, cpi_s=float(cpi), p_tx_dbm=float(p_tx))
-            rows.extend(_point_rows(scenario, point, x_value=float(cpi)))
-    return rows
+    return _sweep_rows(scenario, [
+        (replace(exp, cpi_s=float(cpi), p_tx_dbm=float(p_tx)), float(cpi))
+        for p_tx in powers for cpi in cpis])
 
 
 CSV_HEADER = ("x", "estimator", "p_tx_dbm", "nmse", "ci_lo", "ci_hi",

@@ -1,13 +1,12 @@
 """Uniform planar array steering, wide-beam synthesis, and pattern measurement.
 
-The source vehicle carries co-located TX and RX UPAs.  A wide azimuth beam is
-formed on the TX array by an equally weighted sum of a few steering vectors on
-the x-axis, Kronecker multiplied with the single y-axis (elevation) steering
-vector, then normalized; the beam functions below all act on the TX array.
-A beam is its unit-norm complex weight vector.  The RX beam is the
-elementwise conjugate of the TX beam.  Elements sit half a
-wavelength apart on both axes.  The steering functions take scalar angles or
-arrays of them (one vector per angle, along a new last axis).
+The source vehicle transmits and receives on one UPA.  A wide azimuth beam is
+formed by an equally weighted sum of a few steering vectors on the x-axis,
+Kronecker multiplied with the single y-axis (elevation) steering vector, then
+normalized.  A beam is its unit-norm complex weight vector; the array receives
+on its elementwise conjugate.  Elements sit half a wavelength apart on both
+axes.  The steering functions take scalar angles or arrays of them (one
+vector per angle, along a new last axis).
 """
 
 from dataclasses import dataclass
@@ -22,23 +21,14 @@ _BISECTION_TOL = 1e-5   # rad, design_wide_beam's final bracket on the beam spre
 
 @dataclass(frozen=True)
 class UpaGeometry:
-    """Antenna counts of the two half-wavelength-spaced UPAs."""
+    """Antenna counts of the half-wavelength-spaced UPA."""
 
-    nx_tx: int = 8
-    ny_tx: int = 2
-    nx_rx: int = 8
-    ny_rx: int = 2
+    nx: int = 8
+    ny: int = 2
 
     def __post_init__(self):
-        if min(self.nx_tx, self.ny_tx, self.nx_rx, self.ny_rx) < 1:
+        if min(self.nx, self.ny) < 1:
             raise ValueError("antenna counts must be >= 1")
-
-    def counts(self, side: str):
-        if side == "tx":
-            return self.nx_tx, self.ny_tx
-        if side == "rx":
-            return self.nx_rx, self.ny_rx
-        raise ValueError(f"side must be 'tx' or 'rx', got {side!r}")
 
 
 def steering_x(azimuth, elevation, n: int) -> np.ndarray:
@@ -53,12 +43,10 @@ def steering_y(elevation, n: int) -> np.ndarray:
     return np.exp(1j * np.multiply.outer(psi, np.arange(n)))
 
 
-def steering_upa(azimuth, elevation, geometry: UpaGeometry,
-                 side: str = "tx") -> np.ndarray:
+def steering_upa(azimuth, elevation, geometry: UpaGeometry) -> np.ndarray:
     """Full UPA steering vector, the Kronecker product of the axis vectors."""
-    nx, ny = geometry.counts(side)
-    ax = steering_x(azimuth, elevation, nx)
-    ay = steering_y(elevation, ny)
+    ax = steering_x(azimuth, elevation, geometry.nx)
+    ay = steering_y(elevation, geometry.ny)
     return (ax[..., :, None] * ay[..., None, :]).reshape(ax.shape[:-1] + (-1,))
 
 
@@ -71,19 +59,13 @@ def wide_beam(azimuths, elevation: float, geometry: UpaGeometry) -> np.ndarray:
     """
     if len(azimuths) == 0:
         raise ValueError("wide_beam needs at least one azimuth")
-    nx, ny = geometry.counts("tx")
-    fx = np.zeros(nx, dtype=complex)
+    fx = np.zeros(geometry.nx, dtype=complex)
     for phi in azimuths:
-        fx += steering_x(phi, elevation, nx)
-    f = np.kron(fx, steering_y(elevation, ny))
+        fx += steering_x(phi, elevation, geometry.nx)
+    f = np.kron(fx, steering_y(elevation, geometry.ny))
     f /= np.linalg.norm(f)
     f.flags.writeable = False
     return f
-
-
-def rx_beam(f_tx: np.ndarray) -> np.ndarray:
-    """Reciprocal receive beam: the elementwise conjugate of the TX beam."""
-    return np.conj(f_tx)
 
 
 def beam_gain(f: np.ndarray, azimuth: float, elevation: float,
@@ -166,7 +148,9 @@ def design_wide_beam(target_width: float, n_beams: int, geometry: UpaGeometry,
 
     Uses ``n_beams`` equally weighted beams at azimuths symmetric about zero,
     {-delta, ..., 0, ..., +delta}; delta is found by bisection on the measured
-    width.  Deterministic for a given geometry and target.
+    width.  Deterministic for a given geometry and target.  A target no wider
+    than the delta = 0 beam, or any target for a single beam, is out of reach
+    and raises BeamMeasurementError.
     """
     if n_beams < 1:
         raise ValueError("n_beams must be >= 1")
@@ -181,8 +165,11 @@ def design_wide_beam(target_width: float, n_beams: int, geometry: UpaGeometry,
 
     lo = 0.0
     w_lo = width(lo)
-    if w_lo >= target_width or n_beams == 1:
-        return beam(lo)
+    if n_beams == 1 or w_lo >= target_width:
+        reach = "only" if n_beams == 1 else "at least"
+        raise BeamMeasurementError(
+            f"cannot reach target width {target_width} rad with {n_beams} "
+            f"beams: they give {reach} {w_lo:.4f} rad")
     hi = 0.05
     while width(hi) < target_width:
         hi *= 2.0

@@ -1,7 +1,7 @@
 """Ground-truth V2V scenario: kinematics, channel gains, and noise statistics.
 
 A scene fixes the source vehicle, an ordered list of target vehicles (sorted
-by round-trip delay), the waveform, the designed TX/RX beams, and the
+by round-trip delay), the waveform, the designed beam, and the
 clutter-plus-noise variance.  Per-frame truth (Doppler, integer delay,
 backscatter coefficient) is derived under a constant-velocity model.
 """
@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ScenarioError
 from .params import SPEED_OF_LIGHT, WaveformParams
-from .phasedarray import UpaGeometry, design_wide_beam, rx_beam, steering_upa
+from .phasedarray import UpaGeometry, design_wide_beam, steering_upa
 from .sequences import PREAMBLE_LEN
 
 
@@ -45,8 +45,7 @@ class Scene:
     tx_power: float              # W
     noise_clutter_var: float     # W, sigma_cn^2
     geometry: UpaGeometry
-    f_tx: np.ndarray             # unit-norm TX beam
-    f_rx: np.ndarray             # unit-norm RX beam
+    beam: np.ndarray             # unit-norm TX beam; RX uses its conjugate
     wf: WaveformParams = field(default_factory=WaveformParams)
 
     def __post_init__(self):
@@ -91,29 +90,27 @@ def large_scale_gain(range_m: float, rcs_m2: float, wavelength_m: float) -> floa
     return wavelength_m ** 2 * rcs_m2 / ((4.0 * np.pi) ** 3 * range_m ** 4)
 
 
-def backscatter_coefficient(target: Target, f_tx: np.ndarray,
-                            f_rx: np.ndarray, gain: float,
+def backscatter_coefficient(target: Target, beam: np.ndarray, gain: float,
                             geometry: UpaGeometry) -> complex:
     """Effective radar channel coefficient after TX and RX beamforming.
 
-    h_p = sqrt(G_p) * beta_p * (f_RX^H a_RX*(phi, theta)) * (a_TX^H(phi, theta) f_TX),
-    held constant over one CPI.  The two beam factors are cached by value
-    (see ``_beam_factors``), so a scene's trials compute them once.
+    h_p = sqrt(G_p) * beta_p * (f_RX^H a*(phi, theta)) * (a^H(phi, theta) f),
+    held constant over one CPI.  The array receives on f_RX = conj(f), whose
+    factor f_RX^H a* equals a^H f, so h_p = sqrt(G_p) * beta_p * (a^H f)^2.
+    The factor is cached by value (see ``_beam_factor``), so a scene's trials
+    compute it once.
     """
     # Python scalars round-trip the entries exactly and hash by value.
-    rx_factor, tx_factor = _beam_factors(target.azimuth, target.elevation,
-                                         geometry, tuple(f_tx.tolist()),
-                                         tuple(f_rx.tolist()))
-    return complex(np.sqrt(gain) * target.beta * rx_factor * tx_factor)
+    factor = _beam_factor(target.azimuth, target.elevation, geometry,
+                          tuple(beam.tolist()))
+    return complex(np.sqrt(gain) * target.beta * factor * factor)
 
 
 @functools.lru_cache(maxsize=64)
-def _beam_factors(azimuth, elevation, geometry, f_tx: tuple, f_rx: tuple):
-    """(f_RX^H a_RX*, a_TX^H f_TX) toward one direction, for beams given by
-    their entries; the key holds every value the factors depend on."""
-    a_rx = steering_upa(azimuth, elevation, geometry, "rx")
-    a_tx = steering_upa(azimuth, elevation, geometry, "tx")
-    return np.vdot(np.array(f_rx), np.conj(a_rx)), np.vdot(a_tx, np.array(f_tx))
+def _beam_factor(azimuth, elevation, geometry, beam: tuple):
+    """a^H f toward one direction, for a beam given by its entries; the key
+    holds every value the factor depends on."""
+    return np.vdot(steering_upa(azimuth, elevation, geometry), np.array(beam))
 
 
 def noise_clutter_variance(noise_density_w_hz: float, bandwidth_hz: float,
@@ -128,9 +125,8 @@ def scene_backscatter(scene: Scene) -> np.ndarray:
     """Backscatter coefficients h_p at the CPI start, constant over the CPI."""
     wf = scene.wf
     return np.array([backscatter_coefficient(
-        tg, scene.f_tx, scene.f_rx,
-        large_scale_gain(tg.initial_range, tg.rcs, wf.wavelength), scene.geometry)
-        for tg in scene.targets])
+        tg, scene.beam, large_scale_gain(tg.initial_range, tg.rcs, wf.wavelength),
+        scene.geometry) for tg in scene.targets])
 
 
 def frame_truth(scene: Scene, m: int, backscatter: np.ndarray = None) -> FrameTruth:
@@ -190,19 +186,15 @@ class Scenario:
     carrier_hz: float = 60e9
     bandwidth_hz: float = 1.76e9
     frame_len: int = 13632
-    preamble_len: int = PREAMBLE_LEN  # the only legal value; kept as a file key
     n_beams: int = 3
     azimuth_beamwidth_rad: float = 0.4084
     elevation_center_rad: float = 0.0
     nx_tx: int = 8
     ny_tx: int = 2
-    nx_rx: int = 8
-    ny_rx: int = 2
     beta_mode: str = "fixed"          # "fixed" (beta = 1) or "rayleigh" (CN(0,1))
     threshold_scale: float = 1.0      # multiplies the 512*sigma_cn detection threshold
     search_halfwidth: int = 1024
     guard: int = 8
-    first_delay_window: bool = False
     cpi_s: float = 0.5e-3
     m_i_offset: int = 6
     trials: int = 200
@@ -221,9 +213,6 @@ class Scenario:
                 raise ScenarioError(f"{name} must list one value per target")
         if self.beta_mode not in ("fixed", "rayleigh"):
             raise ScenarioError(f"unknown beta_mode {self.beta_mode!r}")
-        if self.preamble_len != PREAMBLE_LEN:
-            raise ScenarioError(f"preamble_len must be {PREAMBLE_LEN}, the "
-                                f"802.11ad training field, got {self.preamble_len}")
         if self.guard < 0 or self.search_halfwidth < 0:
             raise ScenarioError("guard and search_halfwidth must be >= 0")
         if not self.threshold_scale > 0:
@@ -240,8 +229,7 @@ class Scenario:
                               frame_len=self.frame_len)
 
     def geometry(self) -> UpaGeometry:
-        return UpaGeometry(nx_tx=self.nx_tx, ny_tx=self.ny_tx,
-                           nx_rx=self.nx_rx, ny_rx=self.ny_rx)
+        return UpaGeometry(nx=self.nx_tx, ny=self.ny_tx)
 
 
 def save_scenario(scn: Scenario, path) -> None:
@@ -252,17 +240,33 @@ def save_scenario(scn: Scenario, path) -> None:
         f.write("\n")
 
 
+# Keys that older scenario files carry but the simulator no longer reads,
+# each with the one value it could run: one preamble, one window, and one
+# array for both TX and RX.
+_RETIRED_KEYS = {"preamble_len": lambda scn: PREAMBLE_LEN,
+                 "first_delay_window": lambda scn: False,
+                 "nx_rx": lambda scn: scn.nx_tx,
+                 "ny_rx": lambda scn: scn.ny_tx}
+
+
 def load_scenario(path) -> Scenario:
     with open(path, encoding="utf-8") as f:
         data = json.load(f)
     if not isinstance(data, dict):
         raise ScenarioError("scenario file must hold a JSON object")
+    retired = {key: data.pop(key) for key in _RETIRED_KEYS if key in data}
     types = {f.name: f.type for f in Scenario.__dataclass_fields__.values()}
     unknown = set(data) - set(types)
     if unknown:
         raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
-    return Scenario(**{key: _checked(key, types[key], val)
-                       for key, val in data.items()})
+    scn = Scenario(**{key: _checked(key, types[key], val)
+                      for key, val in data.items()})
+    for key, val in retired.items():
+        want = _RETIRED_KEYS[key](scn)
+        if type(val) is not type(want) or val != want:
+            raise ScenarioError(f"scenario key {key!r} is retired and accepts "
+                                f"only {json.dumps(want)}, got {json.dumps(val)}")
+    return scn
 
 
 def _is_number(val) -> bool:
@@ -275,7 +279,7 @@ def _checked(key: str, kind: type, val):
         return float(val)
     if kind is tuple and isinstance(val, list) and all(map(_is_number, val)):
         return tuple(val)
-    if kind in (int, str, bool) and type(val) is kind:
+    if kind in (int, str) and type(val) is kind:
         return val
     expected = "a list of numbers" if kind is tuple else kind.__name__
     raise ScenarioError(f"scenario key {key!r} must be {expected}, got {val!r}")
@@ -311,8 +315,6 @@ def build_scene(scn: Scenario, betas=None, p_tx_dbm=None) -> Scene:
     ``p_tx_dbm`` overrides the scenario TX power, which the sweeps use.
     """
     wf = scn.waveform()
-    f_tx = designed_beam(scn)
-    f_rx = rx_beam(f_tx)
     if betas is None:
         betas = np.ones(scn.num_targets, dtype=complex)
     rcs = 10.0 ** (scn.rcs_dbsm / 10.0)
@@ -327,4 +329,4 @@ def build_scene(scn: Scenario, betas=None, p_tx_dbm=None) -> Scene:
     sigma2 = noise_clutter_variance(n0, wf.bandwidth_hz, p_tx, scn.clutter_ratio)
     return Scene(source_velocity=scn.source_velocity_mps, targets=targets,
                  tx_power=p_tx, noise_clutter_var=sigma2, geometry=scn.geometry(),
-                 f_tx=f_tx, f_rx=f_rx, wf=wf)
+                 beam=designed_beam(scn), wf=wf)

@@ -3,9 +3,12 @@
 The preamble is built from the length-128 complementary pair Ga/Gb: a short
 training field of 16 repetitions of Ga followed by -Ga, then the channel
 estimation field assembled from +/-Ga and +/-Gb blocks.  The 512-sample window
-starting at sample 2048 equals [-Ga, -Gb, -Ga, +Gb]; correlating the echo
-against that window gives a sidelobe-free delay peak, which is the property
-every estimator in this package leans on.
+starting at sample 2048 equals [-Ga, -Gb, -Ga, +Gb].  Correlated against the
+whole preamble, with lags relative to the delay peak, it gives 512 at lag 0
+and exact zeros at +1 to +127, which every estimator in this package leans
+on.  The peak is not free of sidelobes: |256| at each multiple of 128 from
+-384 to -2048 and at +1024, |128| at -128, -256, -2176 and -2304 (the STF's
+repeats of Ga), and at most 86 elsewhere.
 """
 
 import functools

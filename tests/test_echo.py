@@ -66,24 +66,24 @@ def test_two_target_superposition():
 
 
 def test_window_length_extended_vs_first_delay(default_scene):
+    # The window runs past the first target's K_pre samples to the last
+    # target's tail, and every sample of that extension is occupied.
     truth = frame_truth(default_scene, 0)
     spread = int(truth.delay_samples[-1] - truth.delay_samples[0])
-    ext = synthesize_frame(default_scene, truth, None)
-    exact = synthesize_frame(default_scene, truth, None,
-                             first_delay_window=True)
-    assert len(ext.samples) == 3328 + spread
-    assert len(exact.samples) == 3328
-    np.testing.assert_allclose(exact.samples, ext.samples[:3328], rtol=1e-12)
+    frame = synthesize_frame(default_scene, truth, None)
+    assert frame.k_start == truth.delay_samples[0]
+    assert len(frame.samples) == 3328 + spread
+    assert np.all(frame.samples[3328:] != 0)
 
 
-def per_sample_echo(scene, truth, preamble_samples, first_delay_window):
+def per_sample_echo(scene, truth, preamble_samples):
     # Reference: the echo formula evaluated sample by sample, with the
     # Doppler phase at the absolute index k + m K of every occupied sample.
     m = truth.frame
     k_pre = len(preamble_samples)
     delays = truth.delay_samples
     k_start = int(delays[0])
-    n = k_pre if first_delay_window else k_pre + int(delays[-1] - delays[0])
+    n = k_pre + int(delays[-1] - delays[0])
     k = k_start + np.arange(n)
     ts = scene.wf.sample_period
     samples = np.zeros(n, dtype=complex)
@@ -96,9 +96,7 @@ def per_sample_echo(scene, truth, preamble_samples, first_delay_window):
     return k_start, samples
 
 
-@pytest.mark.parametrize("first_delay_window", [False, True])
-def test_synthesis_matches_the_per_sample_formula(preamble, default_scene,
-                                                  first_delay_window):
+def test_synthesis_matches_the_per_sample_formula(preamble, default_scene):
     # A second scene whose targets close and open at 30 m/s, so their delays
     # move between the frames checked.
     vs = 25.271
@@ -109,10 +107,8 @@ def test_synthesis_matches_the_per_sample_formula(preamble, default_scene,
     for scene in (default_scene, moving):
         for m in frames:
             truth = frame_truth(scene, m)
-            frame = synthesize_frame(scene, truth, None,
-                                     first_delay_window)
-            k_start, expected = per_sample_echo(scene, truth, preamble,
-                                                first_delay_window)
+            frame = synthesize_frame(scene, truth, None)
+            k_start, expected = per_sample_echo(scene, truth, preamble)
             assert frame.k_start == k_start
             np.testing.assert_allclose(frame.samples, expected, rtol=1e-12)
 
@@ -132,13 +128,14 @@ def test_doppler_phasors_are_cached_read_only(preamble, default_scene):
 
 
 def test_delay_outside_the_window_is_a_scenario_error(default_scene):
+    # The window runs from the first delay to the last one's preamble tail;
+    # a middle target delayed past the last would lose its tail.
     truth = frame_truth(default_scene, 0)
-    beyond = replace(truth, delay_samples=truth.delay_samples + [0, 0, 4000])
+    tail_cut = replace(truth, delay_samples=truth.delay_samples + [0, 100, 0])
     unsorted = replace(truth, delay_samples=truth.delay_samples[::-1])
-    for bad, first_delay_window in ((beyond, True), (unsorted, False)):
+    for bad in (tail_cut, unsorted):
         with pytest.raises(ScenarioError, match="outside representable window"):
-            synthesize_frame(default_scene, bad, None,
-                             first_delay_window)
+            synthesize_frame(default_scene, bad, None)
 
 
 def test_zero_noise_reproducible(default_scene):

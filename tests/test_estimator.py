@@ -418,23 +418,6 @@ def test_lse_window_running_past_the_frame_end_raises(preamble):
         run_on_hand_built_frames(preamble[:-100])
 
 
-def test_pipeline_first_delay_window(default_scene, true_velocities):
-    # Restricting frames to K_pre samples at the first delay truncates the
-    # later targets' tails; the estimates degrade slightly but stay close.
-    wf = default_scene.wf
-    m_count = wf.frames_per_cpi(0.5e-3)
-    m_d, m_i = m_count - 1, m_count - 7
-    frames = {m: synthesize_frame(default_scene, frame_truth(default_scene, m),
-                                  None, first_delay_window=True)
-              for m in (0, m_i, m_d)}
-    cfg = PipelineConfig(m_d=m_d, m_i=m_i,
-                         threshold=detection_threshold(default_scene.noise_clutter_var),
-                         expected_targets=3, first_delay_window=True)
-    res = run_pipeline(frames, wf, default_scene.source_velocity,
-                       default_scene.tx_power, cfg)
-    np.testing.assert_allclose(res.velocities, true_velocities, atol=0.05)
-
-
 def test_pipeline_velocity_map_inverts_frame_truth(default_scene):
     # velocity mapping is affine and inverts the scene Doppler map exactly
     truth = frame_truth(default_scene, 0)
@@ -508,16 +491,14 @@ delay_sets = st.builds(
 def test_pipeline_coefficients_equal_the_uncached_solve(preamble, delays, seed):
     frames = frames_with_delays(preamble, delays, seed)
     tx_power = 0.01
-    # Both windows share the delay offsets but not the row count; each
-    # second run is served from the cache.
-    for first_delay_window in (False, True, False, True):
-        cfg = PipelineConfig(m_d=2, m_i=1, threshold=100.0,
-                             expected_targets=len(delays),
-                             first_delay_window=first_delay_window)
+    # The second run is served from the cache.
+    cfg = PipelineConfig(m_d=2, m_i=1, threshold=100.0,
+                         expected_targets=len(delays))
+    rows = len(frames[0].samples)
+    for _ in range(2):
         res = run_pipeline(frames, WaveformParams(), 25.0, tx_power, cfg)
         coeffs = {0: res.doppler.h_hat, 1: res.doppler.h_hat_mi,
                   2: res.doppler.h_hat_md}
-        rows = K_PRE if first_delay_window else len(frames[0].samples)
         for m, frame in frames.items():
             assert res.delays[m].delays.tolist() == delays
             assert np.array_equal(coeffs[m], uncached_coefficients(

@@ -11,7 +11,7 @@ from adradar.estimator import raw_doppler
 from adradar.harness import (CSV_HEADER, ExperimentConfig, TrialRecord,
                              _worker_count, bootstrap_ci, format_csv, nmse,
                              run_experiment, sweep_cpi, sweep_framegap)
-from adradar.scene import Scenario, load_scenario, save_scenario
+from adradar.scene import Scenario, draw_betas, load_scenario, save_scenario
 from adradar.selftest import CHECKS
 
 
@@ -147,6 +147,58 @@ def test_sweep_framegap_shape_and_crn():
         sweep_framegap(scn, exp, gaps=(500,))
 
 
+def test_sweep_cpi_checks_every_point_before_running_any(monkeypatch):
+    calls = []
+    monkeypatch.setattr(adradar.harness, "run_experiment",
+                        lambda *args: calls.append(args))
+    exp = ExperimentConfig(cpi_s=2e-4, trials=2, m_i_offset=6)
+    # a CPI shorter than two frames, then one of M = 5 frames, where the
+    # m_i offset 6 leaves no frame m_i
+    with pytest.raises(ValueError, match="shorter than two frames"):
+        sweep_cpi(Scenario(), exp, cpis=(2e-4, 1e-3, 1e-6), p_tx_dbm_grid=(20.0,))
+    with pytest.raises(ValueError, match=r"m_i offset 6 not in \[1, M-1\] for M=5"):
+        sweep_cpi(Scenario(), exp, cpis=(2e-4, 4e-5), p_tx_dbm_grid=(20.0,))
+    assert calls == []
+
+
+@pytest.mark.parametrize("overrides", [{"beta_mode": "rayleigh"},
+                                       {"clutter_ratio": 1e-10}],
+                         ids=["rayleigh", "clutter"])
+def test_random_gains_and_clutter_run_alike_on_any_worker_count(monkeypatch,
+                                                                overrides):
+    # Failed trials are counted, not asserted away: with Rayleigh gains a
+    # faded target can lose to a stronger one's preamble sidelobe.
+    scn = Scenario(**overrides)
+    exp = ExperimentConfig(cpi_s=2e-4, trials=12, estimators="both")
+    csvs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("ADRADAR_WORKERS", workers)
+        rows = sweep_cpi(scn, exp, [exp.cpi_s])
+        assert [row["trials"] + row["failures"] for row in rows] == [12, 12]
+        csvs.append(format_csv(rows))
+    assert csvs[0] == csvs[1]
+
+
+def test_rayleigh_gains_repeat_per_seed_and_trial(monkeypatch):
+    drawn = []
+
+    def recording_draw_betas(scn, rng):
+        drawn.append(draw_betas(scn, rng))
+        return drawn[-1]
+
+    monkeypatch.setenv("ADRADAR_WORKERS", "1")
+    monkeypatch.setattr(adradar.harness, "draw_betas", recording_draw_betas)
+    scn = Scenario(beta_mode="rayleigh")
+    for trials, seed in ((3, 1), (2, 1), (1, 2)):
+        run_experiment(scn, ExperimentConfig(cpi_s=2e-4, trials=trials, seed=seed))
+    first, again, other_seed = drawn[:3], drawn[3:5], drawn[5]
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    pairs = [(first[0], first[1]), (first[0], first[2]), (first[1], first[2]),
+             (first[0], other_seed)]
+    assert not any(np.any(a == b) for a, b in pairs)
+    assert all(np.all(b != 1) for b in drawn)
+
+
 def test_sweep_cpi_shape():
     scn = Scenario()
     exp = ExperimentConfig(cpi_s=2e-4, trials=2, estimators="both")
@@ -254,13 +306,34 @@ def test_cli_non_finite_flag_is_config_error(tmp_path, capsys, argv):
 @pytest.mark.parametrize("command", [["simulate", "--cpi", "2e-4", "--trials", "2"],
                                      ["beam-pattern"]], ids=lambda c: c[0])
 def test_cli_unreachable_beamwidth_is_config_error(tmp_path, capsys, command):
+    # too wide for the search, narrower than the broadside beam, and any
+    # width for a single beam
     path = tmp_path / "scn.json"
-    path.write_text(json.dumps({"azimuth_beamwidth_rad": 10}))
     out = tmp_path / "x.csv"
-    assert run_cli(command + ["--scenario", str(path), "--output", str(out)]) == 1
+    for scenario in ({"azimuth_beamwidth_rad": 10}, {"azimuth_beamwidth_rad": 0.1},
+                     {"n_beams": 1}):
+        path.write_text(json.dumps(scenario))
+        assert run_cli(command + ["--scenario", str(path), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: cannot reach target width" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("retired", [{"nx_rx": 4}, {"nx_rx": 2, "ny_rx": 8},
+                                     {"first_delay_window": True},
+                                     {"preamble_len": 3000}],
+                         ids=lambda r: "-".join(f"{k}={v}" for k, v in r.items()))
+def test_cli_retired_scenario_key_off_its_value_is_config_error(tmp_path, capsys,
+                                                                retired):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(retired))
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", "--scenario", str(path), "--cpi", "2e-4",
+                    "--trials", "2", "--output", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "config error: cannot reach target width" in err
-    assert "Traceback" not in err
+    assert f"config error: scenario key {next(iter(retired))!r} is retired" in err
+    assert not out.exists()
 
 
 def test_load_scenario_widens_ints_and_rejects_bools(tmp_path):

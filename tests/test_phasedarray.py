@@ -3,8 +3,8 @@ import pytest
 
 from adradar.errors import BeamMeasurementError
 from adradar.phasedarray import (UpaGeometry, beam_gain, design_wide_beam,
-                                 gain_cut, measure_beamwidth, rx_beam,
-                                 steering_upa, steering_x, steering_y, wide_beam)
+                                 gain_cut, measure_beamwidth, steering_upa,
+                                 steering_x, steering_y, wide_beam)
 
 GEO = UpaGeometry()
 
@@ -34,7 +34,7 @@ def test_steering_vectors_unit_modulus():
     rng = np.random.default_rng(3)
     for _ in range(20):
         az, el = rng.uniform(-np.pi / 2, np.pi / 2, 2)
-        v = steering_upa(az, el, GEO, "tx")
+        v = steering_upa(az, el, GEO)
         np.testing.assert_allclose(np.abs(v), 1.0, atol=1e-12)
         assert v[0] == pytest.approx(1.0)
 
@@ -42,7 +42,7 @@ def test_steering_vectors_unit_modulus():
 def test_steering_vectors_accept_arrays_of_angles():
     rng = np.random.default_rng(5)
     az, el = rng.uniform(-np.pi / 2, np.pi / 2, (2, 7))
-    geo = UpaGeometry(nx_tx=5, ny_tx=3)
+    geo = UpaGeometry(nx=5, ny=3)
     for batch, single in ((steering_x(az, el, 8), lambda a, e: steering_x(a, e, 8)),
                           (steering_y(el, 3), lambda a, e: steering_y(e, 3)),
                           (steering_upa(az, el, geo), lambda a, e: steering_upa(a, e, geo))):
@@ -67,7 +67,7 @@ def test_gain_cut_matches_beam_gain_in_both_planes():
 
 
 def test_steering_upa_broadside_and_kron():
-    np.testing.assert_allclose(steering_upa(0.0, 0.0, GEO, "tx"), np.ones(16))
+    np.testing.assert_allclose(steering_upa(0.0, 0.0, GEO), np.ones(16))
     np.testing.assert_allclose(np.kron([1, -1], [1, 1]), [1, 1, -1, -1])
 
 
@@ -76,7 +76,7 @@ def test_steering_upa_elementwise_closed_form():
     rng = np.random.default_rng(5)
     for _ in range(10):
         az, el = rng.uniform(-1.2, 1.2, 2)
-        v = steering_upa(az, el, GEO, "tx")
+        v = steering_upa(az, el, GEO)
         psi_x = 2 * np.pi * 0.5 * np.cos(el) * np.sin(az)  # half-wavelength spacing
         psi_y = 2 * np.pi * 0.5 * np.sin(el)
         mx, my = np.divmod(np.arange(16), 2)
@@ -92,7 +92,7 @@ def random_unit_beam(rng, n=16):
 
 def test_wide_beam_single_reduces_to_steering_vector():
     f = wide_beam([0.3], 0.0, GEO)
-    a = steering_upa(0.3, 0.0, GEO, "tx")
+    a = steering_upa(0.3, 0.0, GEO)
     np.testing.assert_allclose(f, a / np.linalg.norm(a), atol=1e-12)
 
 
@@ -113,27 +113,19 @@ def test_wide_beam_argument_validation():
         wide_beam([], 0.0, GEO)
 
 
-def test_rx_beam_conjugate_and_involution():
-    f = wide_beam([0.1, -0.1], 0.0, GEO)
-    g = rx_beam(f)
-    np.testing.assert_allclose(g, np.conj(f))
-    np.testing.assert_allclose(rx_beam(g), f)
-    # real-valued beam is its own conjugate
-    f_real = wide_beam([0.0], 0.0, GEO)
-    np.testing.assert_allclose(rx_beam(f_real), f_real, atol=1e-15)
-
-
 def test_rx_beam_consistency_identity():
-    # f_RX^H a* = (f_TX^T a*)* = conj(a^H f_TX) when f_RX = f_TX*
+    # The array receives on f_RX = conj(f): its factor f_RX^H a* sums the
+    # same products f_i conj(a_i) as the TX factor a^H f, so the two-factor
+    # product of the channel is the square of one factor, bit for bit.
     rng = np.random.default_rng(13)
-    f = random_unit_beam(rng)
-    g = rx_beam(f)
-    for _ in range(5):
-        az, el = rng.uniform(-1.0, 1.0, 2)
-        a = steering_upa(az, el, GEO, "rx")
-        lhs = np.vdot(g, np.conj(a))
-        rhs = np.conj(np.vdot(np.conj(a), np.conj(f)))
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+    beams = [random_unit_beam(rng), wide_beam([-0.2, 0.0, 0.2], 0.0, GEO)]
+    for f in beams:
+        for az, el in rng.uniform(-1.0, 1.0, (50, 2)):
+            a = steering_upa(az, el, GEO)
+            rx_factor = np.vdot(np.conj(f), np.conj(a))
+            tx_factor = np.vdot(a, f)
+            assert rx_factor == tx_factor
+            assert rx_factor * tx_factor == tx_factor * tx_factor
 
 
 def test_beam_gain_broadside_coherent_sum():
@@ -179,14 +171,14 @@ def test_measure_beamwidth_elevation_two_element():
 
 
 def test_beamwidth_halves_when_elements_double():
-    geo4 = UpaGeometry(nx_tx=4, ny_tx=2, nx_rx=4, ny_rx=2)
+    geo4 = UpaGeometry(nx=4, ny=2)
     w4 = measure_beamwidth(wide_beam([0.0], 0.0, geo4), geo4, "azimuth", 0.0)
     w8 = measure_beamwidth(wide_beam([0.0], 0.0, GEO), GEO, "azimuth", 0.0)
     assert w4 / w8 == pytest.approx(2.0, rel=0.08)
 
 
 def test_measure_beamwidth_flat_pattern_raises():
-    geo1 = UpaGeometry(nx_tx=1, ny_tx=1, nx_rx=1, ny_rx=1)
+    geo1 = UpaGeometry(nx=1, ny=1)
     f = wide_beam([0.0], 0.0, geo1)
     with pytest.raises(BeamMeasurementError):
         measure_beamwidth(f, geo1, "azimuth", 0.0)
@@ -196,3 +188,12 @@ def test_design_wide_beam_hits_target_width():
     f = design_wide_beam(0.4084, 3, GEO)
     width = measure_beamwidth(f, GEO, "azimuth", 0.0)
     assert width == pytest.approx(0.4084, rel=0.05)
+
+
+@pytest.mark.parametrize("width, n_beams, reach", [(0.1, 3, "at least 0.2234"),
+                                                   (0.4084, 1, "only 0.2234")])
+def test_design_wide_beam_rejects_a_width_below_reach(width, n_beams, reach):
+    # With every component at broadside the beam is 0.2234 rad wide; the
+    # design neither narrows it nor widens a single beam.
+    with pytest.raises(BeamMeasurementError, match=f"they give {reach} rad"):
+        design_wide_beam(width, n_beams, GEO)

@@ -1,11 +1,14 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.constants import c as C0
 
 from adradar.errors import ScenarioError
 from adradar.params import SPEED_OF_LIGHT
-from adradar.phasedarray import UpaGeometry, rx_beam, steering_upa, wide_beam
-from adradar.scene import (Scenario, Target, _beam_factors, backscatter_coefficient,
+from adradar.phasedarray import UpaGeometry, steering_upa, wide_beam
+from adradar.scene import (Scenario, Target, _beam_factor, backscatter_coefficient,
                            build_scene, dbm_to_watts, frame_truth,
                            large_scale_gain, load_scenario, noise_clutter_variance,
                            save_scenario, scene_backscatter)
@@ -39,23 +42,23 @@ def test_large_scale_gain_rejects_bad_range():
 def test_backscatter_zero_beta():
     t = Target(velocity=20.0, initial_range=30.0, beta=0.0)
     f = wide_beam([0.0], 0.0, GEO)
-    assert backscatter_coefficient(t, f, rx_beam(f), 1.0, GEO) == 0
+    assert backscatter_coefficient(t, f, 1.0, GEO) == 0
 
 
 def test_backscatter_matched_beam_term_by_term():
     # Single beam matched to the target: compare against an explicit
-    # unoptimized evaluation of sqrt(G) beta (f_RX^H a_RX*) (a_TX^H f_TX).
+    # unoptimized evaluation of sqrt(G) beta (f_RX^H a*) (a^H f) with the
+    # conjugate receive beam f_RX = conj(f).
     az, el = 0.2, 0.0
     t = Target(velocity=20.0, initial_range=30.0, azimuth=az, elevation=el, beta=1.0)
     f_tx = wide_beam([az], el, GEO)
-    f_rx = rx_beam(f_tx)
+    f_rx = np.conj(f_tx)
     gain = 2.5e-13
-    h = backscatter_coefficient(t, f_tx, f_rx, gain, GEO)
-    a_rx = steering_upa(az, el, GEO, "rx")
-    a_tx = steering_upa(az, el, GEO, "tx")
+    h = backscatter_coefficient(t, f_tx, gain, GEO)
+    a = steering_upa(az, el, GEO)
     expected = (np.sqrt(gain)
-                * np.sum(np.conj(f_rx) * np.conj(a_rx))
-                * np.sum(np.conj(a_tx) * f_tx))
+                * np.sum(np.conj(f_rx) * np.conj(a))
+                * np.sum(np.conj(a) * f_tx))
     assert h == pytest.approx(expected, rel=1e-12)
     # matched beams: both factors reach sqrt(N) -> |h| = sqrt(G) * N
     assert abs(h) == pytest.approx(np.sqrt(gain) * 16.0, rel=1e-12)
@@ -65,8 +68,8 @@ def test_backscatter_modulus_invariant_under_beta_phase():
     f = wide_beam([0.0], 0.0, GEO)
     t1 = Target(velocity=20.0, initial_range=30.0, beta=1.0)
     t2 = Target(velocity=20.0, initial_range=30.0, beta=np.exp(1j * 1.1))
-    h1 = backscatter_coefficient(t1, f, rx_beam(f), 1e-12, GEO)
-    h2 = backscatter_coefficient(t2, f, rx_beam(f), 1e-12, GEO)
+    h1 = backscatter_coefficient(t1, f, 1e-12, GEO)
+    h2 = backscatter_coefficient(t2, f, 1e-12, GEO)
     assert abs(h1) == pytest.approx(abs(h2), rel=1e-12)
     assert h1 != h2
 
@@ -198,19 +201,19 @@ def test_frame_truth_names_the_frame_of_a_later_collision():
 def test_beam_factors_are_cached_by_value():
     t = Target(velocity=20.0, initial_range=30.0, azimuth=0.1, beta=1.0)
     f = wide_beam([0.0, 0.2], 0.0, GEO)
-    h = backscatter_coefficient(t, f, rx_beam(f), 1e-12, GEO)
+    h = backscatter_coefficient(t, f, 1e-12, GEO)
     # Equal entries in a new object hit the cache; changed entries miss it.
     twin = wide_beam([0.0, 0.2], 0.0, GEO)
-    hits = _beam_factors.cache_info().hits
-    assert backscatter_coefficient(t, twin, rx_beam(twin), 1e-12, GEO) == h
-    assert _beam_factors.cache_info().hits == hits + 1
+    hits = _beam_factor.cache_info().hits
+    assert backscatter_coefficient(t, twin, 1e-12, GEO) == h
+    assert _beam_factor.cache_info().hits == hits + 1
     f = f.copy()
     f[0] = -f[0]
-    a_rx = steering_upa(0.1, 0.0, GEO, "rx")
-    a_tx = steering_upa(0.1, 0.0, GEO, "tx")
-    expected = (np.sqrt(1e-12) * np.vdot(rx_beam(f), np.conj(a_rx))
-                * np.vdot(a_tx, f))
-    assert backscatter_coefficient(t, f, rx_beam(f), 1e-12, GEO) == expected
+    # The two-factor product with the conjugate receive beam, bit for bit.
+    a = steering_upa(0.1, 0.0, GEO)
+    expected = (np.sqrt(1e-12) * np.vdot(np.conj(f), np.conj(a))
+                * np.vdot(a, f))
+    assert backscatter_coefficient(t, f, 1e-12, GEO) == expected
     assert expected != h
 
 
@@ -232,6 +235,15 @@ def test_scenario_roundtrip(tmp_path):
     save_scenario(scn, path)
     loaded = load_scenario(path)
     assert loaded == scn
+
+
+def test_scenario_file_of_the_two_array_version_loads():
+    # Written by save_scenario(Scenario()) before the RX array size, the
+    # first-delay window and preamble_len were retired.
+    parent = Path(__file__).resolve().parent / "data" / "scenario_parent.json"
+    assert {"nx_rx", "ny_rx", "first_delay_window", "preamble_len"} <= set(
+        json.loads(parent.read_text()))
+    assert load_scenario(parent) == Scenario()
 
 
 def test_scenario_rejects_unknown_keys(tmp_path):
