@@ -38,16 +38,16 @@ class EchoFrame:
 
 
 @functools.lru_cache(maxsize=16)
-def doppler_phasors(doppler_hz: tuple, sample_period: float) -> np.ndarray:
-    """Read-only (P, K_pre) array exp(j 2 pi nu_p i T_s) for i in [0, K_pre).
+def rotated_preamble(doppler_hz: tuple, sample_period: float) -> np.ndarray:
+    """Read-only (P, K_pre) array exp(j 2 pi nu_p i T_s) s[i] for i in [0, K_pre).
 
-    A target's Doppler is fixed over a CPI, so every frame of it reuses the
-    same fast-time rotation; the frame and delay enter as one scalar phase.
+    A target's Doppler is fixed over a CPI, so every frame of it reuses its
+    rotated preamble; the frame and delay enter as one scalar phase.
     """
     phase = 2.0 * np.pi * np.outer(doppler_hz, np.arange(PREAMBLE_LEN)) * sample_period
-    phasors = np.exp(1j * phase)
-    phasors.flags.writeable = False
-    return phasors
+    rotated = np.exp(1j * phase) * build_preamble()
+    rotated.flags.writeable = False
+    return rotated
 
 
 def synthesize_frame(scene: Scene, truth: FrameTruth,
@@ -61,26 +61,24 @@ def synthesize_frame(scene: Scene, truth: FrameTruth,
         Noise substream for this frame; pass None for a noiseless frame.
     """
     m = truth.frame
-    preamble = build_preamble()
-    k_pre = len(preamble)
+    k_pre = PREAMBLE_LEN
     delays = truth.delay_samples
     k_start = int(delays[0])
     n = k_pre + int(delays[-1] - delays[0])
     amp = np.sqrt(scene.tx_power)
     ts = scene.wf.sample_period
     big_k = scene.wf.frame_len
-    phasors = doppler_phasors(tuple(truth.doppler_hz), ts)
+    rotated = rotated_preamble(tuple(truth.doppler_hz), ts)
     samples = np.zeros(n, dtype=complex)
-    for h, nu, ell, phasor in zip(truth.backscatter, truth.doppler_hz, delays,
-                                  phasors):
+    for h, nu, ell, row in zip(truth.backscatter, truth.doppler_hz, delays, rotated):
         # Phase at sample k = ell + i splits into a per-frame scalar at the
-        # echo's first sample and the CPI-constant phasor over i.
+        # echo's first sample and the CPI-constant rotation over i.
         ell = int(ell)
         lo = ell - k_start
         if not 0 <= lo <= n - k_pre:
             raise ScenarioError(f"delay outside representable window at frame {m}")
         phase = 2.0 * np.pi * nu * (ell + m * big_k) * ts
-        samples[lo:lo + k_pre] += amp * h * np.exp(1j * phase) * (phasor * preamble)
+        samples[lo:lo + k_pre] += amp * h * np.exp(1j * phase) * row
     if rng is not None and scene.noise_clutter_var > 0:
         sigma = np.sqrt(scene.noise_clutter_var / 2.0)
         # One draw of 2n normals is the real parts, then the imaginary parts.

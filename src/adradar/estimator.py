@@ -132,19 +132,24 @@ def estimate_delays(frame: EchoFrame, threshold: float, expected_targets: int,
             f"no correlation peak above threshold {threshold:.3e} "
             f"(max {mag[dom]:.3e}) in frame {frame.m}")
 
-    lags = frame.first_lag + np.arange(len(mag))
-    interior = np.zeros(len(mag), dtype=bool)
-    interior[1:-1] = (mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:])
-    candidate = (interior & (mag > threshold)
-                 & (np.abs(lags - lags[dom]) <= search_halfwidth))
-    candidate[dom] = True
-    accepted = sorted(pick_peaks(np.where(candidate, mag, 0.0), lags,
-                                 expected_targets, threshold, guard))
+    # Candidates: the dominant, then the interior local maxima above threshold
+    # within search_halfwidth of it, tested on those lags only.  pick_peaks
+    # takes the dominant first wherever it stands, as the first maximum.
+    above = np.flatnonzero(mag > threshold)
+    lo = max(dom - search_halfwidth, 1)
+    hi = min(dom + search_halfwidth, len(mag) - 2)
+    inner = above[np.searchsorted(above, lo):np.searchsorted(above, hi, "right")]
+    peak = mag[inner]
+    inner = inner[(peak >= mag[inner - 1]) & (peak >= mag[inner + 1]) & (inner != dom)]
+    cand = np.concatenate(([dom], inner))
+    accepted = sorted(cand[pick_peaks(mag[cand], cand, expected_targets,
+                                      threshold, guard)].tolist())
     if len(accepted) != expected_targets:
         raise DetectionShortfallError(
             f"frame {frame.m}: detected {len(accepted)} of "
             f"{expected_targets} targets above threshold {threshold:.3e}")
-    return DelayEstimate(delays=lags[accepted], dominant_index=accepted.index(dom),
+    return DelayEstimate(delays=frame.first_lag + np.array(accepted),
+                         dominant_index=accepted.index(dom),
                          correlation_peak=mag[accepted])
 
 

@@ -48,6 +48,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials is not None and self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.estimators not in ESTIMATORS:
             raise ValueError(f"unknown estimator selection {self.estimators!r}")
         for name in ("cpi_s", "p_tx_dbm"):
@@ -125,11 +127,21 @@ def _frame_indices(wf, exp: ExperimentConfig):
     return m_count, m_d, m_i
 
 
-def _run_one_trial(scenario: Scenario, exp: ExperimentConfig, trial: int) -> TrialRecord:
-    """One trial of a resolved experiment (see ``ExperimentConfig.resolve``)."""
-    beta_rng = np.random.default_rng([exp.seed, trial, _STREAM_BETA])
-    betas = draw_betas(scenario, beta_rng)
+def _trial_scene(scenario: Scenario, exp: ExperimentConfig, trial=None):
+    """A trial's scene and its backscatter coefficients.  ``trial=None`` gives
+    the pinned-gain scene, which every fixed-gain trial shares since it
+    draws nothing."""
+    betas = None if trial is None else draw_betas(
+        scenario, np.random.default_rng([exp.seed, trial, _STREAM_BETA]))
     scene = build_scene(scenario, betas=betas, p_tx_dbm=exp.p_tx_dbm)
+    return scene, scene_backscatter(scene)
+
+
+def _run_one_trial(scenario: Scenario, exp: ExperimentConfig, trial: int,
+                   shared) -> TrialRecord:
+    """One trial of a resolved experiment (see ``ExperimentConfig.resolve``);
+    ``shared`` is the experiment's fixed-gain ``_trial_scene``, or None."""
+    scene, h = shared or _trial_scene(scenario, exp, trial)
     wf = scene.wf
     s_c = correlation_segment(build_preamble())  # for the baseline's frame-0 profile
     threshold = detection_threshold(scene.noise_clutter_var) * scenario.threshold_scale
@@ -138,7 +150,6 @@ def _run_one_trial(scenario: Scenario, exp: ExperimentConfig, trial: int) -> Tri
 
     names = ESTIMATORS[exp.estimators]
     needed = range(m_count) if "baseline" in names else sorted({0, m_i, m_d})
-    h = scene_backscatter(scene)
     frames = {}
     for m in needed:
         rng = np.random.default_rng([exp.seed, trial, _STREAM_NOISE, m])
@@ -191,11 +202,13 @@ def run_experiment(scenario: Scenario, exp: ExperimentConfig):
     exp = exp.resolve(scenario)
     workers = _worker_count()
     trials = range(exp.trials)
+    shared = _trial_scene(scenario, exp) if scenario.beta_mode == "fixed" else None
     if workers == 1:
-        return [_run_one_trial(scenario, exp, t) for t in trials]
+        return [_run_one_trial(scenario, exp, t, shared) for t in trials]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_one_trial, [scenario] * exp.trials,
-                             [exp] * exp.trials, trials, chunksize=8))
+                             [exp] * exp.trials, trials, [shared] * exp.trials,
+                             chunksize=8))
 
 
 def _point_rows(scenario, exp, x_value):

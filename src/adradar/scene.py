@@ -217,6 +217,8 @@ class Scenario:
             raise ScenarioError("guard and search_halfwidth must be >= 0")
         if not self.threshold_scale > 0:
             raise ScenarioError("threshold_scale must be positive")
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
         self.waveform()  # raises ScenarioError on bad waveform numbers
 
     @property

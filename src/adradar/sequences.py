@@ -90,16 +90,21 @@ def correlation_profile(s_c: np.ndarray, window: np.ndarray) -> np.ndarray:
         raise ValueError("s_c is not the 802.11ad correlation segment")
     if len(window) < CORR_SEGMENT_LEN:
         raise ValueError("window shorter than the correlation segment")
-    # s_c is real, so conjugation commutes out of the sum.
-    x = np.conj(np.asarray(window, dtype=np.result_type(window, np.float64)))
+    x = np.ascontiguousarray(window, dtype=np.result_type(window, np.float64))
+    # Complex add and subtract act on the real and imaginary parts apart, so
+    # the lattice runs on the interleaved float view with every shift doubled.
     # a[l] = sum_j Ga[j] x[l + j] and b[l] = sum_j Gb[j] x[l + j], built one
     # stage of the generator's recursion a, b = w a + b', w a - b' at a time.
     # For w = -1 that pair is -(a - b'), -(a + b'): the sum and difference
     # swap and both change sign, which the six such stages cancel.
-    a = b = x
+    step = 2 if np.iscomplexobj(x) else 1
+    a = b = x.view(np.float64)
     for d, w in zip(_AD_DELAYS, _AD_WEIGHTS):
-        head, tail = a[:len(a) - d], b[d:]
+        head, tail = a[:len(a) - step * d], b[step * d:]
         a, b = (head + tail, head - tail) if w > 0 else (head - tail, head + tail)
-    n = len(x) - CORR_SEGMENT_LEN + 1
-    return (b[384:384 + n] - b[128:128 + n]) - (a[:n] + a[256:256 + n])
-
+    n, o = step * (len(x) - CORR_SEGMENT_LEN + 1), step * 128
+    out = (b[3 * o:3 * o + n] - b[o:o + n]) - (a[:n] + a[2 * o:2 * o + n])
+    if step == 2:  # s_c is real, so the window's conjugate moves onto the sums
+        out = out.view(np.complex128)
+        np.conjugate(out, out=out)
+    return out

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adradar.echo import doppler_phasors, synthesize_frame
+from adradar.echo import rotated_preamble, synthesize_frame
 from adradar.errors import ScenarioError
 from adradar.scene import Scenario, build_scene, frame_truth
 
@@ -113,18 +113,23 @@ def test_synthesis_matches_the_per_sample_formula(preamble, default_scene):
             np.testing.assert_allclose(frame.samples, expected, rtol=1e-12)
 
 
-def test_doppler_phasors_are_cached_read_only(preamble, default_scene):
+def test_rotated_preamble_is_cached_read_only(preamble, default_scene):
     truth = frame_truth(default_scene, 9)
-    doppler_phasors.cache_clear()
+    rotated_preamble.cache_clear()
     first = synthesize_frame(default_scene, truth, None)
     again = synthesize_frame(default_scene, truth, None)
-    assert doppler_phasors.cache_info().hits >= 1
+    assert rotated_preamble.cache_info().hits >= 1
     assert np.array_equal(first.samples, again.samples)
-    phasors = doppler_phasors(tuple(truth.doppler_hz),
-                              default_scene.wf.sample_period)
-    assert phasors.shape == (3, len(preamble))
+    rotated = rotated_preamble(tuple(truth.doppler_hz),
+                               default_scene.wf.sample_period)
+    assert rotated.shape == (3, len(preamble))
+    # Row p is the preamble under target p's fast-time Doppler rotation.
+    i = np.arange(len(preamble))
+    for row, nu in zip(rotated, truth.doppler_hz):
+        phasor = np.exp(1j * (2.0 * np.pi * nu * i * default_scene.wf.sample_period))
+        np.testing.assert_allclose(row, phasor * preamble, rtol=1e-12)
     with pytest.raises(ValueError):
-        phasors[0, 0] = 0
+        rotated[0, 0] = 0
 
 
 def test_delay_outside_the_window_is_a_scenario_error(default_scene):

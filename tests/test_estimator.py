@@ -125,6 +125,82 @@ def test_pick_peaks_rejects_a_negative_guard():
         pick_peaks([1, 5, 2, 4], range(4), 3, 0.5, -5)
 
 
+def dense_delay_picks(mag, first_lag, threshold, count, search_halfwidth, guard):
+    """Reference for estimate_delays' candidate rule, with full-length masks:
+    interior local maxima of |R| above threshold within search_halfwidth of
+    the dominant, plus the dominant.  Returns (delays, dominant_index,
+    correlation_peak), or the number of picks when it is short of ``count``."""
+    lags = first_lag + np.arange(len(mag))
+    dom = int(np.argmax(mag))
+    interior = np.zeros(len(mag), dtype=bool)
+    interior[1:-1] = (mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:])
+    candidate = (interior & (mag > threshold)
+                 & (np.abs(lags - lags[dom]) <= search_halfwidth))
+    candidate[dom] = True
+    accepted = sorted(pick_peaks(np.where(candidate, mag, 0.0), lags, count,
+                                 threshold, guard))
+    if len(accepted) != count:
+        return len(accepted)
+    return lags[accepted], accepted.index(dom), mag[accepted]
+
+
+def assert_picks_match_the_dense_rule(frame, mag, threshold, count,
+                                      search_halfwidth, guard):
+    want = dense_delay_picks(mag, frame.first_lag, threshold, count,
+                             search_halfwidth, guard)
+    if isinstance(want, int):
+        with pytest.raises(DetectionShortfallError, match=f"detected {want} of"):
+            estimate_delays(frame, threshold, count, search_halfwidth, guard)
+        return
+    got = estimate_delays(frame, threshold, count, search_halfwidth, guard)
+    assert got.delays.dtype == np.int64
+    assert np.array_equal(got.delays, want[0])
+    assert got.dominant_index == want[1]
+    assert got.correlation_peak.tobytes() == want[2].tobytes()
+
+
+@st.composite
+def magnitude_profiles(draw):
+    """|R| profiles of few levels (so ties abound) with, on request, the
+    maximum moved or tied to the first or last lag."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.integers(1, 12))
+    mag = rng.integers(0, levels + 1, size=draw(st.integers(1, 1500))).astype(float)
+    edge = draw(st.sampled_from([None, 0, -1]))
+    if edge is not None:
+        mag[edge] = mag.max() + draw(st.sampled_from([0.0, 1.0]))
+    return mag
+
+
+@settings(max_examples=200, deadline=None)
+@given(mag=magnitude_profiles(), threshold=st.sampled_from([0.5, 1.0, 2.5, 6.0]),
+       count=st.integers(1, 6), search_halfwidth=st.sampled_from([0, 1, 3, 40, 1024]),
+       guard=st.sampled_from([0, 1, 2, 8]))
+def test_sparse_candidates_pick_what_the_dense_masks_pick(mag, threshold, count,
+                                                          search_halfwidth, guard):
+    frame = EchoFrame(m=0, k_start=2100, samples=np.zeros(len(mag) + 511))
+    if mag.max() <= threshold:
+        return  # NoTargetError comes before the candidate rule
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimator, "correlation_profile", lambda s_c, window: mag)
+        assert_picks_match_the_dense_rule(frame, mag, threshold, count,
+                                          search_halfwidth, guard)
+
+
+@pytest.mark.parametrize("p_tx_dbm", [10.0, 20.0, 30.0])
+def test_sparse_candidates_on_the_default_scene(s_c, p_tx_dbm):
+    # At 30 dBm the STF sidelobes put hundreds of lags above threshold.
+    scene = build_scene(Scenario(), p_tx_dbm=p_tx_dbm)
+    frame = synthesize_frame(scene, frame_truth(scene, 0),
+                             np.random.default_rng([1, 0, 0, 0]))
+    threshold = detection_threshold(scene.noise_clutter_var)
+    mag = np.abs(estimator.correlation_profile(s_c, frame.samples))
+    if p_tx_dbm == 30.0:
+        assert np.count_nonzero(mag > threshold) > 300
+    assert_picks_match_the_dense_rule(frame, mag, threshold, 3,
+                                      Scenario.search_halfwidth, Scenario.guard)
+
+
 def test_scale_invariance(default_scene):
     from dataclasses import replace
     frame = noiseless_frame(default_scene, 0)

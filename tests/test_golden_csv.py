@@ -41,8 +41,12 @@ def rows(text):
     return reader.fieldnames, list(reader)
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_cli_csv_matches_the_golden_file(name, tmp_path):
+@pytest.mark.parametrize("name, workers", [
+    pytest.param(name, workers, id=name if workers == "1" else f"{name}-2-workers")
+    for workers in ("1", "2") for name in sorted(GOLDEN)])
+def test_cli_csv_matches_the_golden_file(name, workers, tmp_path, monkeypatch):
+    # Two workers send the shared fixed-gain scene across the process pool.
+    monkeypatch.setenv("ADRADAR_WORKERS", workers)
     out = tmp_path / name
     assert run_cli(GOLDEN[name] + ["--output", str(out)]) == 0
     got_header, got = rows(out.read_text(encoding="utf-8"))

@@ -280,26 +280,30 @@ def test_cli_scenario_of_wrong_json_type_is_config_error(tmp_path, key, value):
                                         ("noise_density_dbm_hz", float("inf")),
                                         ("azimuth_beamwidth_rad", float("nan")),
                                         ("azimuth_beamwidth_rad", 0.0),
-                                        ("target_ranges_m", [14, float("inf"), 20])])
+                                        ("target_ranges_m", [14, float("inf"), 20]),
+                                        ("seed", -5)])
 def test_cli_scenario_with_bad_waveform_numbers_is_config_error(tmp_path, key, value):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps({key: value}))
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match=key):
         load_scenario(path)
     assert run_cli(["simulate", "--scenario", str(path), "--cpi", "2e-4",
                     "--trials", "2", "--output", str(tmp_path / "x.csv")]) == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--cpi", "inf"],
-    ["simulate", "--cpi", "2e-4", "--p-tx-dbm", "nan"],
-    ["sweep-cpi", "--cpis", "inf", "--p-tx-grid", "20"],
-    ["sweep-cpi", "--cpis", "2e-4", "--p-tx-grid", "nan"],
-], ids=["cpi", "p-tx-dbm", "cpis", "p-tx-grid"])
-def test_cli_non_finite_flag_is_config_error(tmp_path, capsys, argv):
+# The last case is finite but out of range: a negative seed is rejected at
+# the edge, naming the field, not by numpy inside the first trial.
+@pytest.mark.parametrize("argv, field", [
+    (["simulate", "--cpi", "inf"], "cpi_s"),
+    (["simulate", "--cpi", "2e-4", "--p-tx-dbm", "nan"], "p_tx_dbm"),
+    (["sweep-cpi", "--cpis", "inf", "--p-tx-grid", "20"], "cpi_s"),
+    (["sweep-cpi", "--cpis", "2e-4", "--p-tx-grid", "nan"], "p_tx_dbm"),
+    (["simulate", "--cpi", "2e-4", "--seed", "-1"], "seed"),
+], ids=["cpi", "p-tx-dbm", "cpis", "p-tx-grid", "seed"])
+def test_cli_non_finite_flag_is_config_error(tmp_path, capsys, argv, field):
     out = tmp_path / "x.csv"
     assert run_cli(argv + ["--trials", "2", "--output", str(out)]) == 1
-    assert "config error" in capsys.readouterr().err
+    assert f"config error: {field} must be" in capsys.readouterr().err
     assert not out.exists()
 
 

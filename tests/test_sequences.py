@@ -25,6 +25,23 @@ def cross_correlate(s_c, window, lag):
     return np.dot(s_c, np.conj(window[lag:lag + n]))
 
 
+def complex_lattice(window):
+    """Rounding oracle for ``correlation_profile``: the same 7-stage Golay
+    lattice run on the conjugated window as complex (or real) arrays.
+
+    The production lattice runs on the interleaved float view and conjugates
+    its n outputs instead; complex add and subtract are componentwise, so the
+    two must agree bit for bit.
+    """
+    x = np.conj(np.asarray(window, dtype=np.result_type(window, np.float64)))
+    a = b = x
+    for d, w in zip((1, 8, 2, 4, 16, 32, 64), (-1, -1, -1, -1, 1, -1, -1)):
+        head, tail = a[:len(a) - d], b[d:]
+        a, b = (head + tail, head - tail) if w > 0 else (head - tail, head + tail)
+    n = len(x) - 511
+    return (b[384:384 + n] - b[128:128 + n]) - (a[:n] + a[256:256 + n])
+
+
 def aperiodic_autocorr(x):
     # Independent oracle: direct integer correlation at every lag.
     return np.correlate(x, x, "full")
@@ -162,3 +179,37 @@ def test_lattice_profile_matches_the_pointwise_oracle(s_c, length, seed):
     expected = np.array([cross_correlate(s_c, ints, lag) for lag in lags])
     assert profile.dtype == np.float64
     assert np.array_equal(profile, expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(length=st.integers(512, 4096), seed=st.integers(0, 2**32 - 1),
+       dtype=st.sampled_from([np.complex128, np.complex64, np.float64, np.int64]))
+def test_lattice_profile_is_bit_identical_to_the_complex_lattice(s_c, length, seed,
+                                                                 dtype):
+    rng = np.random.default_rng(seed)
+    kind = np.dtype(dtype).kind
+    if kind == "i":
+        window = rng.integers(-1000, 1001, size=length)
+    elif kind == "f":
+        window = rng.standard_normal(length)
+    else:
+        window = (rng.standard_normal(length)
+                  + 1j * rng.standard_normal(length)).astype(dtype)
+    expected = complex_lattice(window)
+    profile = correlation_profile(s_c, window)
+    assert profile.dtype == expected.dtype
+    assert profile.tobytes() == expected.tobytes()
+    # A non-contiguous view gives the same bits as its contiguous copy.
+    strided = np.repeat(window, 2)[::2]
+    assert not strided.flags.c_contiguous
+    assert correlation_profile(s_c, strided).tobytes() == expected.tobytes()
+
+
+def test_lattice_profile_of_a_real_valued_complex_window(s_c, preamble):
+    # The one place the two lattices can differ: the conjugate of an exactly
+    # zero imaginary sum is -0.0 on one and +0.0 on the other.  Values and
+    # magnitudes, all that the estimators read, still agree bit for bit.
+    window = preamble.astype(complex)
+    profile, expected = correlation_profile(s_c, window), complex_lattice(window)
+    assert np.array_equal(profile, expected)
+    assert np.abs(profile).tobytes() == np.abs(expected).tobytes()
