@@ -60,34 +60,42 @@ def delay_doppler_map(frames, frame_period: float, lags=None) -> DelayDopplerMap
 
     Parameters
     ----------
-    frames : sequence of EchoFrame
-        All M >= 2 frames, identically windowed.
+    frames : iterable of EchoFrame
+        All M >= 2 frames, identically windowed, in frame order 0 to M-1.
+        They are read one at a time and only each frame's correlator outputs
+        at ``lags`` are kept, so a generator need hold only one frame.
     lags : array of int, optional
         Delay bins to evaluate; default is every lag computable from the
         first frame.
-    """
-    frames = sorted(frames, key=lambda f: f.m)
-    m_count = len(frames)
-    if m_count < 2:
-        raise ValueError("delay-Doppler map needs at least two frames")
 
+    Raises
+    ------
+    ValueError
+        If a frame arrives out of order, fewer than two frames arrive, or a
+        lag is outside a frame's computable range.
+    """
     s_c = correlation_segment(build_preamble())
     n_c = len(s_c)
-    if lags is None:
-        lags = frames[0].first_lag + np.arange(len(frames[0].samples) - n_c + 1)
-    lags = np.asarray(lags, dtype=np.int64)
-
-    slow_time = np.empty((len(lags), m_count), dtype=complex)
-    lag_lo, lag_hi = int(lags.min()), int(lags.max())
-    for col, frame in enumerate(frames):
+    columns = []
+    for frame in frames:
+        if frame.m != len(columns):
+            raise ValueError(f"frame {frame.m} out of order: expected frame "
+                             f"{len(columns)} (frames 0 to M-1 in order)")
+        if not columns:
+            if lags is None:
+                lags = frame.first_lag + np.arange(len(frame.samples) - n_c + 1)
+            lags = np.asarray(lags, dtype=np.int64)
+            lag_lo, lag_hi = int(lags.min()), int(lags.max())
+            rows = lags - lag_lo
         first, last = lag_lo - frame.first_lag, lag_hi - frame.first_lag
         if first < 0 or last + n_c > len(frame.samples):
             raise ValueError("requested lags outside the computable range")
         # Correlate only over the samples the requested lags touch.
-        profile = correlation_profile(s_c, frame.samples[first:last + n_c])
-        slow_time[:, col] = profile[lags - lag_lo]
-
-    values = np.fft.fft(slow_time, axis=1)
+        columns.append(correlation_profile(s_c, frame.samples[first:last + n_c])[rows])
+    m_count = len(columns)
+    if m_count < 2:
+        raise ValueError("delay-Doppler map needs at least two frames")
+    values = np.fft.fft(np.stack(columns, axis=1), axis=1)
     # The correlator conjugates the echo, so a Doppler nu appears at -nu on
     # the DFT frequency axis; negate to read bins directly in echo Doppler.
     doppler_bins = -np.fft.fftfreq(m_count, d=frame_period)

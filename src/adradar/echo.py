@@ -10,7 +10,9 @@ index k + m K; the whole unwrapping chain depends on that accumulated phase.
 
 The synthesized window runs from the first target's delay through the last
 target's preamble tail, so the least-squares shift matrices have complete
-rows for every target.
+rows for every target.  Noise is added last, by ``with_noise``, so a stored
+noiseless frame plus a generator's draw is the frame synthesized with that
+generator.
 """
 
 import functools
@@ -79,11 +81,22 @@ def synthesize_frame(scene: Scene, truth: FrameTruth,
             raise ScenarioError(f"delay outside representable window at frame {m}")
         phase = 2.0 * np.pi * nu * (ell + m * big_k) * ts
         samples[lo:lo + k_pre] += amp * h * np.exp(1j * phase) * row
-    if rng is not None and scene.noise_clutter_var > 0:
-        sigma = np.sqrt(scene.noise_clutter_var / 2.0)
-        # One draw of 2n normals is the real parts, then the imaginary parts.
-        z = rng.standard_normal((2, n))
-        samples.real += sigma * z[0]
-        samples.imag += sigma * z[1]
-    return EchoFrame(m=m, k_start=k_start, samples=samples)
+    frame = EchoFrame(m=m, k_start=k_start, samples=samples)
+    return frame if rng is None else with_noise(frame, scene.noise_clutter_var, rng)
 
+
+def with_noise(frame: EchoFrame, noise_clutter_var: float,
+               rng: np.random.Generator) -> EchoFrame:
+    """A copy of ``frame`` plus one draw of i.i.d. CN(0, ``noise_clutter_var``)
+    clutter-plus-noise from ``rng``; ``frame`` itself is not changed.
+
+    ``synthesize_frame`` adds its noise this way, so the noisy copy of a
+    noiseless frame is the frame synthesized with ``rng``, bit for bit.
+    """
+    samples = frame.samples.copy()
+    sigma = np.sqrt(noise_clutter_var / 2.0)
+    # One draw of 2n normals is the real parts, then the imaginary parts.
+    z = rng.standard_normal((2, len(samples)))
+    samples.real += sigma * z[0]
+    samples.imag += sigma * z[1]
+    return EchoFrame(m=frame.m, k_start=frame.k_start, samples=samples)

@@ -7,6 +7,7 @@ ADRADAR_WORKERS environment variable sets the worker count (default 1, at
 most the CPU count).
 """
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -14,10 +15,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baseline import baseline_velocities, delay_doppler_map, map_lags
-from .echo import synthesize_frame
+from .echo import synthesize_frame, with_noise
 from .errors import AggregationError, EstimationError
 from .estimator import PipelineConfig, detection_threshold, run_pipeline
-from .scene import (Scenario, build_scene, draw_betas, frame_truth,
+from .scene import (Scenario, Scene, build_scene, draw_betas, frame_truth,
                     scene_backscatter)
 from .sequences import build_preamble, correlation_profile, correlation_segment
 
@@ -25,6 +26,7 @@ _STREAM_NOISE = 0
 _STREAM_BETA = 1
 _STREAM_BOOTSTRAP = 2
 
+_CHUNK_TRIALS = 8     # consecutive trials in one task of the process pool
 _CI_RESAMPLES = 500   # bootstrap resamples behind each NMSE interval
 _CI_LEVEL = 0.95
 
@@ -137,50 +139,104 @@ def _trial_scene(scenario: Scenario, exp: ExperimentConfig, trial=None):
     return scene, scene_backscatter(scene)
 
 
-def _run_one_trial(scenario: Scenario, exp: ExperimentConfig, trial: int,
-                   shared) -> TrialRecord:
-    """One trial of a resolved experiment (see ``ExperimentConfig.resolve``);
-    ``shared`` is the experiment's fixed-gain ``_trial_scene``, or None."""
-    scene, h = shared or _trial_scene(scenario, exp, trial)
-    wf = scene.wf
-    s_c = correlation_segment(build_preamble())  # for the baseline's frame-0 profile
+@dataclass(frozen=True)
+class _Setup:
+    """A resolved experiment and the constants all its trials share.
+
+    ``scene`` and ``h`` are the pinned-gain scene and its backscatter
+    coefficients.  A Rayleigh trial draws its own gains, but its noise
+    variance, threshold and true velocities are the pinned scene's.
+    """
+
+    scenario: Scenario
+    exp: ExperimentConfig
+    scene: Scene
+    h: np.ndarray
+    m_count: int
+    cfg: PipelineConfig
+    true_velocities: tuple
+
+
+def _setup(scenario: Scenario, exp: ExperimentConfig) -> _Setup:
+    """The shared constants of a resolved experiment, built once."""
+    scene, h = _trial_scene(scenario, exp)
+    m_count, m_d, m_i = _frame_indices(scene.wf, exp)
     threshold = detection_threshold(scene.noise_clutter_var) * scenario.threshold_scale
+    cfg = PipelineConfig(m_d=m_d, m_i=m_i, threshold=threshold,
+                         expected_targets=scenario.num_targets,
+                         search_halfwidth=scenario.search_halfwidth,
+                         guard=scenario.guard)
+    return _Setup(scenario=scenario, exp=exp, scene=scene, h=h, m_count=m_count,
+                  cfg=cfg, true_velocities=tuple(t.velocity for t in scene.targets))
 
-    m_count, m_d, m_i = _frame_indices(wf, exp)
 
-    names = ESTIMATORS[exp.estimators]
-    needed = range(m_count) if "baseline" in names else sorted({0, m_i, m_d})
-    frames = {}
-    for m in needed:
+def _noiseless_frames(scene, h):
+    """m -> the read-only noiseless frame m of ``scene``, each built once."""
+    @functools.cache
+    def frame(m):
+        echo = synthesize_frame(scene, frame_truth(scene, m, h), None)
+        echo.samples.flags.writeable = False
+        return echo
+    return frame
+
+
+def _run_trials(setup: _Setup, trials) -> list:
+    """Records of consecutive ``trials``, in order.
+
+    A fixed-gain run builds each noiseless frame once for all its trials; a
+    Rayleigh trial builds its own.
+    """
+    s_c = correlation_segment(build_preamble())  # for the baseline's frame-0 profile
+    if setup.scenario.beta_mode == "fixed":
+        shared = setup.scene, _noiseless_frames(setup.scene, setup.h)
+        return [_run_trial(setup, trial, *shared, s_c) for trial in trials]
+    records = []
+    for trial in trials:
+        scene, h = _trial_scene(setup.scenario, setup.exp, trial)
+        records.append(_run_trial(setup, trial, scene,
+                                  _noiseless_frames(scene, h), s_c))
+    return records
+
+
+def _run_trial(setup: _Setup, trial: int, scene: Scene, echo, s_c) -> TrialRecord:
+    """One trial on ``scene``, whose noiseless frame m is ``echo(m)``.
+
+    The trial's frame m is that frame plus the noise of substream
+    [seed, trial, 0, m], as if synthesized at once.  The trial holds frames
+    0, m_i and m_d; the baseline's other frames stream through
+    ``delay_doppler_map`` one at a time.
+    """
+    exp, cfg = setup.exp, setup.cfg
+
+    def noisy(m):
         rng = np.random.default_rng([exp.seed, trial, _STREAM_NOISE, m])
-        frames[m] = synthesize_frame(scene, frame_truth(scene, m, h), rng)
+        return with_noise(echo(m), scene.noise_clutter_var, rng)
 
-    true_v = tuple(t.velocity for t in scene.targets)
+    frames = {m: noisy(m) for m in sorted({0, cfg.m_i, cfg.m_d})}
     estimates, failures = {}, {}
     wraps, delays = (), ()
-    for name in names:
+    for name in ESTIMATORS[exp.estimators]:
         try:
             if name == "proposed":
-                cfg = PipelineConfig(m_d=m_d, m_i=m_i, threshold=threshold,
-                                     expected_targets=scenario.num_targets,
-                                     search_halfwidth=scenario.search_halfwidth,
-                                     guard=scenario.guard)
-                res = run_pipeline(frames, wf, scene.source_velocity,
+                res = run_pipeline(frames, scene.wf, scene.source_velocity,
                                    scene.tx_power, cfg)
                 velocities = res.velocities
                 wraps = tuple(int(n) for n in res.doppler.wrap_count)
                 delays = tuple(int(d) for d in res.delays[0].delays)
             else:
                 profile0 = correlation_profile(s_c, frames[0].samples)
-                ddm = delay_doppler_map(list(frames.values()), wf.frame_period,
+                stream = (frames[m] if m in frames else noisy(m)
+                          for m in range(setup.m_count))
+                ddm = delay_doppler_map(stream, scene.wf.frame_period,
                                         lags=map_lags(frames[0], profile0))
                 velocities = baseline_velocities(
-                    ddm, scene.source_velocity, wf.wavelength,
-                    scenario.num_targets, threshold, guard=scenario.guard)
+                    ddm, scene.source_velocity, scene.wf.wavelength,
+                    cfg.expected_targets, cfg.threshold, guard=cfg.guard)
             estimates[name] = tuple(float(v) for v in velocities)
         except EstimationError as exc:
             failures[name] = f"{type(exc).__name__}: {exc}"
-    return TrialRecord(trial=trial, seed=exp.seed, true_velocities=true_v,
+    return TrialRecord(trial=trial, seed=exp.seed,
+                       true_velocities=setup.true_velocities,
                        estimates=estimates, failures=failures,
                        wrap_counts=wraps, delays=delays)
 
@@ -198,17 +254,21 @@ def _worker_count() -> int:
 
 
 def run_experiment(scenario: Scenario, exp: ExperimentConfig):
-    """Run all trials of one experiment; results are in trial order."""
+    """Run all trials of one experiment; results are in trial order.
+
+    With more than one worker, the pool runs chunks of ``_CHUNK_TRIALS``
+    consecutive trials, each chunk building the noiseless frames it needs.
+    """
     exp = exp.resolve(scenario)
     workers = _worker_count()
-    trials = range(exp.trials)
-    shared = _trial_scene(scenario, exp) if scenario.beta_mode == "fixed" else None
+    setup = _setup(scenario, exp)
     if workers == 1:
-        return [_run_one_trial(scenario, exp, t, shared) for t in trials]
+        return _run_trials(setup, range(exp.trials))
+    chunks = [range(t, min(t + _CHUNK_TRIALS, exp.trials))
+              for t in range(0, exp.trials, _CHUNK_TRIALS)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_one_trial, [scenario] * exp.trials,
-                             [exp] * exp.trials, trials, [shared] * exp.trials,
-                             chunksize=8))
+        runs = pool.map(_run_trials, [setup] * len(chunks), chunks)
+        return [record for run in runs for record in run]
 
 
 def _point_rows(scenario, exp, x_value):

@@ -61,12 +61,19 @@ def build_preamble() -> np.ndarray:
 
 
 def correlation_segment(preamble: np.ndarray) -> np.ndarray:
-    """Return the 512-sample correlation window s_c at offset 2048."""
+    """Return the 512-sample correlation window s_c at offset 2048.
+
+    For the package's own ``build_preamble()`` every call returns the same
+    read-only view, which ``correlation_profile`` accepts without comparing
+    its samples.
+    """
+    if preamble is build_preamble():
+        return _SEGMENT
     return preamble[CORR_SEGMENT_OFFSET:CORR_SEGMENT_OFFSET + CORR_SEGMENT_LEN]
 
 
 # The only segment the lattice in correlation_profile computes.
-_SEGMENT = correlation_segment(build_preamble())
+_SEGMENT = build_preamble()[CORR_SEGMENT_OFFSET:CORR_SEGMENT_OFFSET + CORR_SEGMENT_LEN]
 
 
 def correlation_profile(s_c: np.ndarray, window: np.ndarray) -> np.ndarray:
@@ -86,7 +93,7 @@ def correlation_profile(s_c: np.ndarray, window: np.ndarray) -> np.ndarray:
         If ``s_c`` is not the 802.11ad correlation segment, or ``window`` is
         shorter than it.
     """
-    if not np.array_equal(s_c, _SEGMENT):
+    if s_c is not _SEGMENT and not np.array_equal(s_c, _SEGMENT):
         raise ValueError("s_c is not the 802.11ad correlation segment")
     if len(window) < CORR_SEGMENT_LEN:
         raise ValueError("window shorter than the correlation segment")

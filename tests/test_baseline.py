@@ -37,6 +37,27 @@ def test_map_needs_two_frames(default_scene):
         delay_doppler_map(frames[:1], default_scene.wf.frame_period)
 
 
+def test_map_of_a_frame_stream_equals_the_map_of_the_list(default_scene):
+    frames = synth_cpi(default_scene, 0.4e-3, noiseless=False)
+    period = default_scene.wf.frame_period
+    lags = np.arange(140, 240)
+    for lag_arg in (None, lags):
+        want = delay_doppler_map(frames, period, lags=lag_arg)
+        for stream in (iter(frames), (f for f in frames)):
+            got = delay_doppler_map(stream, period, lags=lag_arg)
+            assert got.values.tobytes() == want.values.tobytes()
+            assert np.array_equal(got.lags, want.lags)
+            assert np.array_equal(got.doppler_bins_hz, want.doppler_bins_hz)
+
+
+@pytest.mark.parametrize("order", [[1, 0, 2, 3], [0, 2, 1, 3], [0, 1, 3]],
+                         ids=["swapped-first", "swapped-middle", "gap"])
+def test_map_rejects_frames_out_of_order(default_scene, order):
+    frames = synth_cpi(default_scene, 0.2e-3)
+    with pytest.raises(ValueError, match="out of order"):
+        delay_doppler_map((frames[m] for m in order), default_scene.wf.frame_period)
+
+
 def test_single_target_on_bin_center():
     # Doppler exactly one bin (1/CPI): energy concentrates in that bin at
     # the true delay, and the velocity recovery is exact.

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from adradar.echo import rotated_preamble, synthesize_frame
+from adradar.echo import rotated_preamble, synthesize_frame, with_noise
 from adradar.errors import ScenarioError
 from adradar.scene import Scenario, build_scene, frame_truth
 
@@ -180,3 +180,15 @@ def test_same_seed_same_noise(default_scene):
     b = synthesize_frame(default_scene, truth, np.random.default_rng([1, 2, 3]))
     assert np.array_equal(a.samples, b.samples)
 
+
+
+def test_noise_on_a_noiseless_copy_equals_noise_at_synthesis(default_scene):
+    truth = frame_truth(default_scene, 5)
+    noiseless = synthesize_frame(default_scene, truth, None)
+    before = noiseless.samples.copy()
+    noisy = with_noise(noiseless, default_scene.noise_clutter_var,
+                       np.random.default_rng([4, 0, 5]))
+    at_once = synthesize_frame(default_scene, truth, np.random.default_rng([4, 0, 5]))
+    assert noisy.samples.tobytes() == at_once.samples.tobytes()
+    assert (noisy.m, noisy.k_start) == (at_once.m, at_once.k_start)
+    assert noiseless.samples.tobytes() == before.tobytes()

@@ -6,10 +6,12 @@ perfbench's output check uses.  The beam-pattern CSV must give the same
 angles and each ``gain_db`` within 1e-6 dB, one unit of its last printed
 digit; the selftest report must match exactly.  A change that is meant to
 alter these outputs regenerates the files with the commands below and says
-why in CHANGES.md.
+why in CHANGES.md.  The benchmark's stored reference CSVs are checked here
+too, with the benchmark's own comparison.
 """
 
 import csv
+import importlib
 import io
 import math
 from decimal import Decimal
@@ -20,6 +22,7 @@ import pytest
 from adradar.cli import run_cli
 
 DATA = Path(__file__).resolve().parent / "data"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 FLOAT_COLUMNS = ("nmse", "ci_lo", "ci_hi")
 REL_TOL = 1e-9
 GAIN_DB_TOL = Decimal("1e-6")
@@ -80,3 +83,14 @@ def test_selftest_report_matches_the_golden_file(capsys):
     assert run_cli(SELFTEST) == 0
     want = (DATA / "selftest.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("workload", ["framegap-proposed", "baseline-cpi1ms"])
+def test_benchmark_outputs_match_its_references(workload, monkeypatch):
+    # The benchmark's own output check, run read-only: a change to these
+    # outputs fails here before the benchmark reports it.  reference_csv
+    # sets ADRADAR_WORKERS; monkeypatch restores it.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setenv("ADRADAR_WORKERS", "1")
+    bench = importlib.import_module("bench")
+    assert bench.check_references(workload, bench.WORKLOADS[workload], 1) == []

@@ -1,17 +1,25 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import adradar.harness
+from adradar.baseline import baseline_velocities, delay_doppler_map, map_lags
 from adradar.cli import run_cli
+from adradar.echo import synthesize_frame
 from adradar.errors import AggregationError, EstimationError, ScenarioError
-from adradar.estimator import raw_doppler
-from adradar.harness import (CSV_HEADER, ExperimentConfig, TrialRecord,
-                             _worker_count, bootstrap_ci, format_csv, nmse,
-                             run_experiment, sweep_cpi, sweep_framegap)
-from adradar.scene import Scenario, draw_betas, load_scenario, save_scenario
+from adradar.estimator import (PipelineConfig, detection_threshold, raw_doppler,
+                               run_pipeline)
+from adradar.harness import (CSV_HEADER, ESTIMATORS, ExperimentConfig,
+                             TrialRecord, _worker_count, bootstrap_ci,
+                             format_csv, nmse, run_experiment, sweep_cpi,
+                             sweep_framegap)
+from adradar.scene import (Scenario, build_scene, draw_betas, frame_truth,
+                           load_scenario, save_scenario, scene_backscatter)
+from adradar.sequences import (build_preamble, correlation_profile,
+                               correlation_segment)
 from adradar.selftest import CHECKS
 
 
@@ -113,6 +121,107 @@ def test_worker_count_does_not_change_results(monkeypatch):
     monkeypatch.setenv("ADRADAR_WORKERS", "2")
     parallel = run_experiment(scn, exp)
     assert [r.estimates for r in serial] == [r.estimates for r in parallel]
+
+
+def oracle_records(scn, exp):
+    """``run_experiment``'s records, each trial built on its own: its scene,
+    then every frame of its CPI from ``synthesize_frame(scene,
+    frame_truth(...), rng)`` with the noise substream [seed, trial, 0, m]
+    and, for Rayleigh gains, the gain substream [seed, trial, 1]."""
+    exp = exp.resolve(scn)
+    records = []
+    for trial in range(exp.trials):
+        betas = None
+        if scn.beta_mode == "rayleigh":
+            betas = draw_betas(scn, np.random.default_rng([exp.seed, trial, 1]))
+        scene = build_scene(scn, betas=betas, p_tx_dbm=exp.p_tx_dbm)
+        h, wf = scene_backscatter(scene), scene.wf
+        m_count = wf.frames_per_cpi(exp.cpi_s)
+        frames = [synthesize_frame(scene, frame_truth(scene, m, h),
+                                   np.random.default_rng([exp.seed, trial, 0, m]))
+                  for m in range(m_count)]
+        threshold = detection_threshold(scene.noise_clutter_var) * scn.threshold_scale
+        cfg = PipelineConfig(m_d=m_count - 1, m_i=m_count - 1 - exp.m_i_offset,
+                             threshold=threshold, expected_targets=scn.num_targets,
+                             search_halfwidth=scn.search_halfwidth, guard=scn.guard)
+        estimates, failures, wraps, delays = {}, {}, (), ()
+        for name in ESTIMATORS[exp.estimators]:
+            try:
+                if name == "proposed":
+                    res = run_pipeline(dict(enumerate(frames)), wf,
+                                       scene.source_velocity, scene.tx_power, cfg)
+                    velocities = res.velocities
+                    wraps = tuple(int(n) for n in res.doppler.wrap_count)
+                    delays = tuple(int(d) for d in res.delays[0].delays)
+                else:
+                    profile0 = correlation_profile(
+                        correlation_segment(build_preamble()), frames[0].samples)
+                    ddm = delay_doppler_map(frames, wf.frame_period,
+                                            lags=map_lags(frames[0], profile0))
+                    velocities = baseline_velocities(
+                        ddm, scene.source_velocity, wf.wavelength,
+                        scn.num_targets, threshold, guard=scn.guard)
+                estimates[name] = tuple(float(v) for v in velocities)
+            except EstimationError as exc:
+                failures[name] = f"{type(exc).__name__}: {exc}"
+        records.append(TrialRecord(
+            trial=trial, seed=exp.seed,
+            true_velocities=tuple(t.velocity for t in scene.targets),
+            estimates=estimates, failures=failures, wrap_counts=wraps,
+            delays=delays))
+    return records
+
+
+# Each case has more trials than one chunk of the process pool, and the
+# cases together reach both estimators' failure paths.
+SHARING_CASES = {
+    "proposed-gap1": (Scenario(), ExperimentConfig(
+        cpi_s=6e-4, trials=10, p_tx_dbm=10.0, m_i_offset=1, seed=11)),
+    "proposed-gap6": (Scenario(), ExperimentConfig(
+        cpi_s=6e-4, trials=10, p_tx_dbm=10.0, m_i_offset=6, seed=11)),
+    "baseline": (Scenario(), ExperimentConfig(
+        cpi_s=2e-4, trials=10, p_tx_dbm=0.0, estimators="baseline", seed=4)),
+    "both": (Scenario(), ExperimentConfig(
+        cpi_s=2e-4, trials=10, p_tx_dbm=10.0, estimators="both", seed=3)),
+    "rayleigh": (Scenario(beta_mode="rayleigh"), ExperimentConfig(
+        cpi_s=2e-4, trials=10, estimators="both")),
+    "clutter": (Scenario(clutter_ratio=1e-10), ExperimentConfig(
+        cpi_s=2e-4, trials=10, estimators="both")),
+}
+
+
+@pytest.fixture(scope="module")
+def oracles():
+    return {name: oracle_records(*case) for name, case in SHARING_CASES.items()}
+
+
+def test_the_sharing_cases_reach_every_failure_path(oracles):
+    failed = {name for records in oracles.values() for r in records
+              for name in r.failures}
+    assert failed == {"proposed", "baseline"}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("case", sorted(SHARING_CASES))
+def test_shared_noiseless_frames_give_the_per_trial_records(monkeypatch, oracles,
+                                                            case, workers):
+    monkeypatch.setenv("ADRADAR_WORKERS", workers)
+    assert run_experiment(*SHARING_CASES[case]) == oracles[case]
+
+
+def test_a_baseline_trial_streams_its_frames(monkeypatch):
+    # Two M = 129 trials hold the 129 noiseless frames (7 MB) and only a few
+    # noisy ones; holding every noisy frame as well would pass 14 MB.
+    monkeypatch.setenv("ADRADAR_WORKERS", "1")
+    exp = ExperimentConfig(cpi_s=1e-3, trials=2, estimators="baseline")
+    run_experiment(Scenario(), exp)  # warm the per-process caches
+    tracemalloc.start()
+    try:
+        run_experiment(Scenario(), exp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 @pytest.mark.parametrize("raw", ["0", "-3", "abc", "2.5", ""])

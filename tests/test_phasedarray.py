@@ -190,6 +190,35 @@ def test_design_wide_beam_hits_target_width():
     assert width == pytest.approx(0.4084, rel=0.05)
 
 
+def bisected_beam(target_width, n_beams, geometry, elevation_center):
+    """Oracle for ``design_wide_beam``: the same bisection, measuring every
+    candidate with ``measure_beamwidth``."""
+    def beam(delta):
+        return wide_beam(np.linspace(-delta, delta, n_beams), elevation_center,
+                         geometry)
+
+    def width(delta):
+        return measure_beamwidth(beam(delta), geometry, "azimuth", elevation_center)
+
+    lo, hi = 0.0, 0.05
+    while width(hi) < target_width:
+        hi *= 2.0
+    while hi - lo > 1e-5:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if width(mid) < target_width else (lo, mid)
+    return beam(0.5 * (lo + hi))
+
+
+@pytest.mark.parametrize("target, n_beams, nx, elevation", [
+    (0.4084, 3, 8, 0.0), (0.3, 2, 8, 0.1), (0.9, 4, 6, -0.2)])
+def test_design_wide_beam_equals_measuring_every_step(target, n_beams, nx,
+                                                      elevation):
+    # The design reuses one scan of steering vectors for all its steps.
+    geo = UpaGeometry(nx=nx, ny=2)
+    assert np.array_equal(design_wide_beam(target, n_beams, geo, elevation),
+                          bisected_beam(target, n_beams, geo, elevation))
+
+
 @pytest.mark.parametrize("width, n_beams, reach", [(0.1, 3, "at least 0.2234"),
                                                    (0.4084, 1, "only 0.2234")])
 def test_design_wide_beam_rejects_a_width_below_reach(width, n_beams, reach):

@@ -163,6 +163,19 @@ def test_correlation_profile_rejects_another_segment(preamble, s_c):
     assert correlation_profile(s_c.astype(complex), window).shape == (2817,)
 
 
+def test_the_package_segment_is_one_object_and_copies_still_pass(preamble):
+    s_c = correlation_segment(preamble)
+    assert correlation_segment(build_preamble()) is s_c
+    assert not s_c.flags.writeable
+    window = preamble.astype(complex)
+    want = correlation_profile(s_c, window)
+    # An equal array that is not the package's segment takes the full check.
+    for equal in (s_c.copy(), correlation_segment(preamble.copy()),
+                  s_c.astype(float)):
+        assert equal is not s_c
+        assert correlation_profile(equal, window).tobytes() == want.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(length=st.integers(512, 4096), seed=st.integers(0, 2**32 - 1))
 def test_lattice_profile_matches_the_pointwise_oracle(s_c, length, seed):
