@@ -87,16 +87,18 @@ def synthesize_frame(scene: Scene, truth: FrameTruth,
 
 def with_noise(frame: EchoFrame, noise_clutter_var: float,
                rng: np.random.Generator) -> EchoFrame:
-    """A copy of ``frame`` plus one draw of i.i.d. CN(0, ``noise_clutter_var``)
-    clutter-plus-noise from ``rng``; ``frame`` itself is not changed.
+    """A new frame: ``frame`` plus one draw of i.i.d. CN(0, ``noise_clutter_var``)
+    clutter-plus-noise from ``rng`` (``frame`` itself if the variance is 0).
 
     ``synthesize_frame`` adds its noise this way, so the noisy copy of a
     noiseless frame is the frame synthesized with ``rng``, bit for bit.
     """
-    samples = frame.samples.copy()
+    if noise_clutter_var <= 0:
+        return frame
     sigma = np.sqrt(noise_clutter_var / 2.0)
     # One draw of 2n normals is the real parts, then the imaginary parts.
-    z = rng.standard_normal((2, len(samples)))
-    samples.real += sigma * z[0]
-    samples.imag += sigma * z[1]
+    z = rng.standard_normal((2, len(frame.samples)))
+    samples = np.empty_like(frame.samples)
+    np.add(frame.samples.real, sigma * z[0], out=samples.real)
+    np.add(frame.samples.imag, sigma * z[1], out=samples.imag)
     return EchoFrame(m=frame.m, k_start=frame.k_start, samples=samples)

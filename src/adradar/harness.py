@@ -139,66 +139,42 @@ def _trial_scene(scenario: Scenario, exp: ExperimentConfig, trial=None):
     return scene, scene_backscatter(scene)
 
 
-@dataclass(frozen=True)
-class _Setup:
-    """A resolved experiment and the constants all its trials share.
+def _noiseless_frame(scene, h, m):
+    """The read-only noiseless frame m of ``scene``."""
+    echo = synthesize_frame(scene, frame_truth(scene, m, h), None)
+    echo.samples.flags.writeable = False
+    return echo
 
-    ``scene`` and ``h`` are the pinned-gain scene and its backscatter
-    coefficients.  A Rayleigh trial draws its own gains, but its noise
-    variance, threshold and true velocities are the pinned scene's.
+
+def _run_trials(scenario: Scenario, exp: ExperimentConfig, trials,
+                pinned) -> list:
+    """Records of consecutive ``trials`` of a resolved experiment, in order.
+
+    ``pinned`` is the experiment's ``_trial_scene``; its noise variance and
+    targets are every trial's.  A fixed-gain run builds each noiseless frame
+    once for all its trials; a Rayleigh trial builds its own scene and frames.
     """
-
-    scenario: Scenario
-    exp: ExperimentConfig
-    scene: Scene
-    h: np.ndarray
-    m_count: int
-    cfg: PipelineConfig
-    true_velocities: tuple
-
-
-def _setup(scenario: Scenario, exp: ExperimentConfig) -> _Setup:
-    """The shared constants of a resolved experiment, built once."""
-    scene, h = _trial_scene(scenario, exp)
+    scene, h = pinned
     m_count, m_d, m_i = _frame_indices(scene.wf, exp)
     threshold = detection_threshold(scene.noise_clutter_var) * scenario.threshold_scale
     cfg = PipelineConfig(m_d=m_d, m_i=m_i, threshold=threshold,
                          expected_targets=scenario.num_targets,
                          search_halfwidth=scenario.search_halfwidth,
                          guard=scenario.guard)
-    return _Setup(scenario=scenario, exp=exp, scene=scene, h=h, m_count=m_count,
-                  cfg=cfg, true_velocities=tuple(t.velocity for t in scene.targets))
-
-
-def _noiseless_frames(scene, h):
-    """m -> the read-only noiseless frame m of ``scene``, each built once."""
-    @functools.cache
-    def frame(m):
-        echo = synthesize_frame(scene, frame_truth(scene, m, h), None)
-        echo.samples.flags.writeable = False
-        return echo
-    return frame
-
-
-def _run_trials(setup: _Setup, trials) -> list:
-    """Records of consecutive ``trials``, in order.
-
-    A fixed-gain run builds each noiseless frame once for all its trials; a
-    Rayleigh trial builds its own.
-    """
-    s_c = correlation_segment(build_preamble())  # for the baseline's frame-0 profile
-    if setup.scenario.beta_mode == "fixed":
-        shared = setup.scene, _noiseless_frames(setup.scene, setup.h)
-        return [_run_trial(setup, trial, *shared, s_c) for trial in trials]
+    true_v = tuple(t.velocity for t in scene.targets)
+    echo = functools.cache(functools.partial(_noiseless_frame, scene, h))
     records = []
     for trial in trials:
-        scene, h = _trial_scene(setup.scenario, setup.exp, trial)
-        records.append(_run_trial(setup, trial, scene,
-                                  _noiseless_frames(scene, h), s_c))
+        if scenario.beta_mode == "rayleigh":
+            # A trial uses each of its frames once, so none is kept.
+            scene, h = _trial_scene(scenario, exp, trial)
+            echo = functools.partial(_noiseless_frame, scene, h)
+        records.append(_run_trial(exp, trial, scene, echo, m_count, cfg, true_v))
     return records
 
 
-def _run_trial(setup: _Setup, trial: int, scene: Scene, echo, s_c) -> TrialRecord:
+def _run_trial(exp: ExperimentConfig, trial: int, scene: Scene, echo,
+               m_count: int, cfg: PipelineConfig, true_v: tuple) -> TrialRecord:
     """One trial on ``scene``, whose noiseless frame m is ``echo(m)``.
 
     The trial's frame m is that frame plus the noise of substream
@@ -206,7 +182,7 @@ def _run_trial(setup: _Setup, trial: int, scene: Scene, echo, s_c) -> TrialRecor
     0, m_i and m_d; the baseline's other frames stream through
     ``delay_doppler_map`` one at a time.
     """
-    exp, cfg = setup.exp, setup.cfg
+    s_c = correlation_segment(build_preamble())  # for the baseline's frame-0 profile
 
     def noisy(m):
         rng = np.random.default_rng([exp.seed, trial, _STREAM_NOISE, m])
@@ -226,7 +202,7 @@ def _run_trial(setup: _Setup, trial: int, scene: Scene, echo, s_c) -> TrialRecor
             else:
                 profile0 = correlation_profile(s_c, frames[0].samples)
                 stream = (frames[m] if m in frames else noisy(m)
-                          for m in range(setup.m_count))
+                          for m in range(m_count))
                 ddm = delay_doppler_map(stream, scene.wf.frame_period,
                                         lags=map_lags(frames[0], profile0))
                 velocities = baseline_velocities(
@@ -235,8 +211,7 @@ def _run_trial(setup: _Setup, trial: int, scene: Scene, echo, s_c) -> TrialRecor
             estimates[name] = tuple(float(v) for v in velocities)
         except EstimationError as exc:
             failures[name] = f"{type(exc).__name__}: {exc}"
-    return TrialRecord(trial=trial, seed=exp.seed,
-                       true_velocities=setup.true_velocities,
+    return TrialRecord(trial=trial, seed=exp.seed, true_velocities=true_v,
                        estimates=estimates, failures=failures,
                        wrap_counts=wraps, delays=delays)
 
@@ -261,13 +236,14 @@ def run_experiment(scenario: Scenario, exp: ExperimentConfig):
     """
     exp = exp.resolve(scenario)
     workers = _worker_count()
-    setup = _setup(scenario, exp)
+    pinned = _trial_scene(scenario, exp)
     if workers == 1:
-        return _run_trials(setup, range(exp.trials))
+        return _run_trials(scenario, exp, range(exp.trials), pinned)
     chunks = [range(t, min(t + _CHUNK_TRIALS, exp.trials))
               for t in range(0, exp.trials, _CHUNK_TRIALS)]
+    n = len(chunks)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        runs = pool.map(_run_trials, [setup] * len(chunks), chunks)
+        runs = pool.map(_run_trials, [scenario] * n, [exp] * n, chunks, [pinned] * n)
         return [record for run in runs for record in run]
 
 

@@ -9,6 +9,7 @@ axes.  The steering functions take scalar angles or arrays of them (one
 vector per angle, along a new last axis).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,6 @@ import numpy as np
 from .errors import BeamMeasurementError
 
 _SCAN_STEP = 1e-3       # rad, angle grid of measure_beamwidth's pattern cut
-_SCAN_ANGLES = np.arange(-np.pi / 2 + _SCAN_STEP, np.pi / 2, _SCAN_STEP)
 _BISECTION_TOL = 1e-5   # rad, design_wide_beam's final bracket on the beam spread
 
 
@@ -80,10 +80,10 @@ def gain_cut(f: np.ndarray, geometry: UpaGeometry, plane: str,
              elevation_center: float, angles: np.ndarray) -> np.ndarray:
     """Power pattern |a^H f|^2 at ``angles`` along the azimuth cut (elevation
     ``elevation_center``) or the elevation cut (azimuth zero)."""
-    return np.abs(_conj_cut(geometry, plane, elevation_center, angles) @ f) ** 2
+    return np.abs(_conj_steering(geometry, plane, elevation_center, angles) @ f) ** 2
 
 
-def _conj_cut(geometry, plane, elevation_center, angles) -> np.ndarray:
+def _conj_steering(geometry, plane, elevation_center, angles) -> np.ndarray:
     """Conjugate steering vectors a^* along ``gain_cut``'s cut, one row per angle."""
     if plane == "azimuth":
         a = steering_upa(angles, elevation_center, geometry)
@@ -92,6 +92,16 @@ def _conj_cut(geometry, plane, elevation_center, angles) -> np.ndarray:
     else:
         raise ValueError(f"plane must be 'azimuth' or 'elevation', got {plane!r}")
     return a.conj()
+
+
+@functools.lru_cache(maxsize=4)
+def _scan_cut(geometry, plane, elevation_center):
+    """``measure_beamwidth``'s 1 mrad scan angles and their read-only
+    ``_conj_steering``, built once per cut (a bisection measures many beams)."""
+    angles = np.arange(-np.pi / 2 + _SCAN_STEP, np.pi / 2, _SCAN_STEP)
+    a_conj = _conj_steering(geometry, plane, elevation_center, angles)
+    a_conj.flags.writeable = False
+    return angles, a_conj
 
 
 def measure_beamwidth(f: np.ndarray, geometry: UpaGeometry,
@@ -109,13 +119,8 @@ def measure_beamwidth(f: np.ndarray, geometry: UpaGeometry,
         If the pattern is flat (no mainlobe) or the half-power level is never
         crossed inside the scanned interval.
     """
-    return _half_power_width(gain_cut(f, geometry, plane, elevation_center,
-                                      _SCAN_ANGLES))
-
-
-def _half_power_width(gains: np.ndarray) -> float:
-    """``measure_beamwidth`` of the pattern cut ``gains`` on ``_SCAN_ANGLES``."""
-    angles = _SCAN_ANGLES
+    angles, a_conj = _scan_cut(geometry, plane, float(elevation_center))
+    gains = np.abs(a_conj @ f) ** 2
     peak = int(np.argmax(gains))
     half = gains[peak] / 2.0
     if gains[peak] <= 0 or np.all(gains >= half * 0.999999):
@@ -170,12 +175,9 @@ def design_wide_beam(target_width: float, n_beams: int, geometry: UpaGeometry,
         az = np.linspace(-delta, delta, n_beams) if n_beams > 1 else (0.0,)
         return wide_beam(az, elevation_center, geometry)
 
-    # The scan's conjugate steering matrix depends only on the geometry and
-    # elevation, so every bisection step reuses it.
-    cut = _conj_cut(geometry, "azimuth", elevation_center, _SCAN_ANGLES)
-
     def width(delta):
-        return _half_power_width(np.abs(cut @ beam(delta)) ** 2)
+        return measure_beamwidth(beam(delta), geometry, "azimuth",
+                                 elevation_center)
 
     lo = 0.0
     w_lo = width(lo)

@@ -181,7 +181,6 @@ def test_same_seed_same_noise(default_scene):
     assert np.array_equal(a.samples, b.samples)
 
 
-
 def test_noise_on_a_noiseless_copy_equals_noise_at_synthesis(default_scene):
     truth = frame_truth(default_scene, 5)
     noiseless = synthesize_frame(default_scene, truth, None)
@@ -189,6 +188,14 @@ def test_noise_on_a_noiseless_copy_equals_noise_at_synthesis(default_scene):
     noisy = with_noise(noiseless, default_scene.noise_clutter_var,
                        np.random.default_rng([4, 0, 5]))
     at_once = synthesize_frame(default_scene, truth, np.random.default_rng([4, 0, 5]))
-    assert noisy.samples.tobytes() == at_once.samples.tobytes()
+    # Oracle: noise added in place after the targets are summed.
+    expected = noiseless.samples.copy()
+    sigma = np.sqrt(default_scene.noise_clutter_var / 2.0)
+    z = np.random.default_rng([4, 0, 5]).standard_normal((2, len(expected)))
+    expected.real += sigma * z[0]
+    expected.imag += sigma * z[1]
+    assert noisy.samples.tobytes() == expected.tobytes()
+    assert at_once.samples.tobytes() == expected.tobytes()
     assert (noisy.m, noisy.k_start) == (at_once.m, at_once.k_start)
     assert noiseless.samples.tobytes() == before.tobytes()
+    assert with_noise(noiseless, 0.0, np.random.default_rng(0)) is noiseless

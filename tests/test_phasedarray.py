@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from adradar import phasedarray
 from adradar.errors import BeamMeasurementError
 from adradar.phasedarray import (UpaGeometry, beam_gain, design_wide_beam,
                                  gain_cut, measure_beamwidth, steering_upa,
@@ -213,10 +214,20 @@ def bisected_beam(target_width, n_beams, geometry, elevation_center):
     (0.4084, 3, 8, 0.0), (0.3, 2, 8, 0.1), (0.9, 4, 6, -0.2)])
 def test_design_wide_beam_equals_measuring_every_step(target, n_beams, nx,
                                                       elevation):
-    # The design reuses one scan of steering vectors for all its steps.
+    # The design's bisection keeps its steps and its beam with the cached scan.
     geo = UpaGeometry(nx=nx, ny=2)
     assert np.array_equal(design_wide_beam(target, n_beams, geo, elevation),
                           bisected_beam(target, n_beams, geo, elevation))
+
+
+@pytest.mark.parametrize("plane", ["azimuth", "elevation"])
+def test_measure_beamwidth_builds_one_read_only_scan_per_cut(plane):
+    f = wide_beam([-0.1, 0.0, 0.1], 0.1, GEO)
+    angles, a_conj = phasedarray._scan_cut(GEO, plane, 0.1)
+    assert phasedarray._scan_cut(GEO, plane, 0.1)[1] is a_conj
+    assert not a_conj.flags.writeable
+    assert np.array_equal(np.abs(a_conj @ f) ** 2,
+                          gain_cut(f, GEO, plane, 0.1, angles))
 
 
 @pytest.mark.parametrize("width, n_beams, reach", [(0.1, 3, "at least 0.2234"),
