@@ -61,9 +61,11 @@ def delay_doppler_map(frames, frame_period: float, lags=None) -> DelayDopplerMap
     Parameters
     ----------
     frames : iterable of EchoFrame
-        All M >= 2 frames, identically windowed, in frame order 0 to M-1.
-        They are read one at a time and only each frame's correlator outputs
-        at ``lags`` are kept, so a generator need hold only one frame.
+        All M >= 2 frames in frame order 0 to M-1.  Each frame need only
+        cover ``lags`` (as ``EchoFrame.cut_to_lags`` leaves it); windows may
+        differ between frames.  They are read one at a time and only each
+        frame's correlator outputs at ``lags`` are kept, so a generator need
+        hold only one frame.
     lags : array of int, optional
         Delay bins to evaluate; default is every lag computable from the
         first frame.
@@ -87,11 +89,9 @@ def delay_doppler_map(frames, frame_period: float, lags=None) -> DelayDopplerMap
             lags = np.asarray(lags, dtype=np.int64)
             lag_lo, lag_hi = int(lags.min()), int(lags.max())
             rows = lags - lag_lo
-        first, last = lag_lo - frame.first_lag, lag_hi - frame.first_lag
-        if first < 0 or last + n_c > len(frame.samples):
-            raise ValueError("requested lags outside the computable range")
         # Correlate only over the samples the requested lags touch.
-        columns.append(correlation_profile(s_c, frame.samples[first:last + n_c])[rows])
+        window = frame.cut_to_lags(lag_lo, lag_hi).samples
+        columns.append(correlation_profile(s_c, window)[rows])
     m_count = len(columns)
     if m_count < 2:
         raise ValueError("delay-Doppler map needs at least two frames")

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import ScenarioError
 from .scene import FrameTruth, Scene
-from .sequences import CORR_SEGMENT_OFFSET, PREAMBLE_LEN, build_preamble
+from .sequences import (CORR_SEGMENT_LEN, CORR_SEGMENT_OFFSET, PREAMBLE_LEN,
+                        build_preamble)
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,22 @@ class EchoFrame:
     def first_lag(self) -> int:
         """Delay lag of index 0 of this frame's correlation profile."""
         return self.k_start - CORR_SEGMENT_OFFSET
+
+    def cut_to_lags(self, lag_lo: int, lag_hi: int) -> "EchoFrame":
+        """This frame over only the samples its correlation lags ``lag_lo`` to
+        ``lag_hi`` read, with ``k_start`` moved to match; the samples are a view.
+
+        Raises
+        ------
+        ValueError
+            If a lag is outside this frame's computable range.
+        """
+        first = int(lag_lo) - self.first_lag
+        stop = int(lag_hi) - self.first_lag + CORR_SEGMENT_LEN
+        if first < 0 or stop > len(self.samples):
+            raise ValueError("requested lags outside the computable range")
+        return EchoFrame(m=self.m, k_start=self.k_start + first,
+                         samples=self.samples[first:stop])
 
 
 @functools.lru_cache(maxsize=16)

@@ -3,11 +3,21 @@
 Every random draw derives from (seed, trial, stream, ...) seed sequences, so
 runs are reproducible bit-for-bit regardless of worker count, and common
 random numbers carry across sweep points that share trial indices.  The
-ADRADAR_WORKERS environment variable sets the worker count (default 1, at
+substreams are
+
+    [seed, trial, 0, m]   noise of the full frame m (frame 0 and the
+                          proposed estimator's frames)
+    [seed, trial, 1]      Rayleigh backscatter gains
+    [seed, 2]             bootstrap resamples of the NMSE interval
+    [seed, trial, 3, m]   noise of frame m >= 1 over the delay-Doppler map's
+                          window
+
+The ADRADAR_WORKERS environment variable sets the worker count (default 1, at
 most the CPU count).
 """
 
 import functools
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -25,8 +35,8 @@ from .sequences import build_preamble, correlation_profile, correlation_segment
 _STREAM_NOISE = 0
 _STREAM_BETA = 1
 _STREAM_BOOTSTRAP = 2
+_STREAM_MAP = 3
 
-_CHUNK_TRIALS = 8     # consecutive trials in one task of the process pool
 _CI_RESAMPLES = 500   # bootstrap resamples behind each NMSE interval
 _CI_LEVEL = 0.95
 
@@ -177,18 +187,19 @@ def _run_trial(exp: ExperimentConfig, trial: int, scene: Scene, echo,
                m_count: int, cfg: PipelineConfig, true_v: tuple) -> TrialRecord:
     """One trial on ``scene``, whose noiseless frame m is ``echo(m)``.
 
-    The trial's frame m is that frame plus the noise of substream
-    [seed, trial, 0, m], as if synthesized at once.  The trial holds frames
-    0, m_i and m_d; the baseline's other frames stream through
-    ``delay_doppler_map`` one at a time.
+    Frames 0, m_i and m_d are whole, each with the noise of substream
+    [seed, trial, 0, m], as if synthesized at once.  The baseline reads
+    frame 0 and then frames 1 to M-1 cut to its map lags, each with the
+    noise of [seed, trial, 3, m]; they stream through ``delay_doppler_map``
+    one at a time.
     """
     s_c = correlation_segment(build_preamble())  # for the baseline's frame-0 profile
 
-    def noisy(m):
-        rng = np.random.default_rng([exp.seed, trial, _STREAM_NOISE, m])
-        return with_noise(echo(m), scene.noise_clutter_var, rng)
+    def noisy(frame, stream):
+        rng = np.random.default_rng([exp.seed, trial, stream, frame.m])
+        return with_noise(frame, scene.noise_clutter_var, rng)
 
-    frames = {m: noisy(m) for m in sorted({0, cfg.m_i, cfg.m_d})}
+    frames = {m: noisy(echo(m), _STREAM_NOISE) for m in sorted({0, cfg.m_i, cfg.m_d})}
     estimates, failures = {}, {}
     wraps, delays = (), ()
     for name in ESTIMATORS[exp.estimators]:
@@ -200,11 +211,11 @@ def _run_trial(exp: ExperimentConfig, trial: int, scene: Scene, echo,
                 wraps = tuple(int(n) for n in res.doppler.wrap_count)
                 delays = tuple(int(d) for d in res.delays[0].delays)
             else:
-                profile0 = correlation_profile(s_c, frames[0].samples)
-                stream = (frames[m] if m in frames else noisy(m)
-                          for m in range(m_count))
-                ddm = delay_doppler_map(stream, scene.wf.frame_period,
-                                        lags=map_lags(frames[0], profile0))
+                lags = map_lags(frames[0], correlation_profile(s_c, frames[0].samples))
+                cut = (noisy(echo(m).cut_to_lags(lags[0], lags[-1]), _STREAM_MAP)
+                       for m in range(1, m_count))
+                ddm = delay_doppler_map(itertools.chain([frames[0]], cut),
+                                        scene.wf.frame_period, lags=lags)
                 velocities = baseline_velocities(
                     ddm, scene.source_velocity, scene.wf.wavelength,
                     cfg.expected_targets, cfg.threshold, guard=cfg.guard)
@@ -231,19 +242,20 @@ def _worker_count() -> int:
 def run_experiment(scenario: Scenario, exp: ExperimentConfig):
     """Run all trials of one experiment; results are in trial order.
 
-    With more than one worker, the pool runs chunks of ``_CHUNK_TRIALS``
-    consecutive trials, each chunk building the noiseless frames it needs.
+    With more than one worker, each worker runs one run of consecutive
+    trials, the runs as even as the trial count allows, and builds the
+    noiseless frames its run needs.
     """
     exp = exp.resolve(scenario)
-    workers = _worker_count()
+    workers = min(_worker_count(), exp.trials)
     pinned = _trial_scene(scenario, exp)
     if workers == 1:
         return _run_trials(scenario, exp, range(exp.trials), pinned)
-    chunks = [range(t, min(t + _CHUNK_TRIALS, exp.trials))
-              for t in range(0, exp.trials, _CHUNK_TRIALS)]
-    n = len(chunks)
+    bounds = [exp.trials * w // workers for w in range(workers + 1)]
+    trial_runs = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        runs = pool.map(_run_trials, [scenario] * n, [exp] * n, chunks, [pinned] * n)
+        runs = pool.map(_run_trials, [scenario] * workers, [exp] * workers,
+                        trial_runs, [pinned] * workers)
         return [record for run in runs for record in run]
 
 

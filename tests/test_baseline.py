@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from adradar.baseline import baseline_velocities, delay_doppler_map
+from adradar.baseline import baseline_velocities, delay_doppler_map, map_lags
 from adradar.echo import synthesize_frame
 from adradar.errors import DetectionShortfallError
 from adradar.estimator import detection_threshold, pick_peaks
@@ -48,6 +48,42 @@ def test_map_of_a_frame_stream_equals_the_map_of_the_list(default_scene):
             assert got.values.tobytes() == want.values.tobytes()
             assert np.array_equal(got.lags, want.lags)
             assert np.array_equal(got.doppler_bins_hz, want.doppler_bins_hz)
+
+
+@pytest.mark.parametrize("clipped", [False, True], ids=["peak", "clipped"])
+def test_the_map_of_frames_cut_to_its_lags_equals_the_map_of_whole_frames(
+        default_scene, clipped):
+    frames = synth_cpi(default_scene, 0.4e-3)
+    first = frames[0].first_lag
+    if clipped:  # the window map_lags gives when the peak is near the start
+        lags = map_lags(frames[0], np.r_[1.0, np.zeros(len(frames[0].samples) - 512)])
+        assert lags[0] == first
+    else:
+        lags = np.arange(first + 140, first + 240)
+    cut = [f.cut_to_lags(lags[0], lags[-1]) for f in frames]
+    assert all(len(f.samples) == len(lags) + 511 for f in cut)
+    assert all(f.first_lag == lags[0] for f in cut)
+    period = default_scene.wf.frame_period
+    want = delay_doppler_map(frames, period, lags=lags)
+    for got in (delay_doppler_map(cut, period, lags=lags),
+                delay_doppler_map(frames[:1] + cut[1:], period, lags=lags)):
+        assert np.array_equal(got.values, want.values)
+
+
+def test_a_cut_outside_the_frame_raises_the_maps_error(default_scene):
+    frames = synth_cpi(default_scene, 0.2e-3)
+    period = default_scene.wf.frame_period
+    first, n_lags = frames[0].first_lag, len(frames[0].samples) - 511
+    for lo, hi in ((first - 1, first + 10), (first + 10, first + n_lags)):
+        with pytest.raises(ValueError, match="outside the computable range") as cut:
+            frames[0].cut_to_lags(lo, hi)
+        with pytest.raises(ValueError) as whole:
+            delay_doppler_map(frames, period, lags=np.arange(lo, hi + 1))
+        assert str(cut.value) == str(whole.value)
+    # a frame cut for some lags cannot serve lags beyond them
+    short = [f.cut_to_lags(first + 10, first + 20) for f in frames]
+    with pytest.raises(ValueError, match="outside the computable range"):
+        delay_doppler_map(short, period, lags=np.arange(first + 10, first + 22))
 
 
 @pytest.mark.parametrize("order", [[1, 0, 2, 3], [0, 2, 1, 3], [0, 1, 3]],

@@ -85,12 +85,14 @@ def test_selftest_report_matches_the_golden_file(capsys):
     assert capsys.readouterr().out == want
 
 
-@pytest.mark.parametrize("workload", ["framegap-proposed", "baseline-cpi1ms"])
-def test_benchmark_outputs_match_its_references(workload, monkeypatch):
+@pytest.mark.parametrize("workload, workers", [
+    pytest.param(name, workers, id=name if workers == 1 else f"{name}-2-workers")
+    for workers in (1, 2) for name in ("framegap-proposed", "baseline-cpi1ms")])
+def test_benchmark_outputs_match_its_references(workload, workers, monkeypatch):
     # The benchmark's own output check, run read-only: a change to these
     # outputs fails here before the benchmark reports it.  reference_csv
     # sets ADRADAR_WORKERS; monkeypatch restores it.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setenv("ADRADAR_WORKERS", "1")
     bench = importlib.import_module("bench")
-    assert bench.check_references(workload, bench.WORKLOADS[workload], 1) == []
+    assert bench.check_references(workload, bench.WORKLOADS[workload], workers) == []

@@ -1,6 +1,7 @@
 import json
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import adradar.harness
 from adradar.baseline import baseline_velocities, delay_doppler_map, map_lags
 from adradar.cli import run_cli
-from adradar.echo import synthesize_frame
+from adradar.echo import EchoFrame, synthesize_frame
 from adradar.errors import AggregationError, EstimationError, ScenarioError
 from adradar.estimator import (PipelineConfig, detection_threshold, raw_doppler,
                                run_pipeline)
@@ -123,11 +124,26 @@ def test_worker_count_does_not_change_results(monkeypatch):
     assert [r.estimates for r in serial] == [r.estimates for r in parallel]
 
 
+def map_window_frame(scene, h, m, lags, rng):
+    """Frame m synthesized without noise, sliced by hand to the samples the
+    map lags read, plus one (2, width) noise draw from ``rng``."""
+    frame = synthesize_frame(scene, frame_truth(scene, m, h), None)
+    first = int(lags[0]) - frame.first_lag
+    samples = frame.samples[first:int(lags[-1]) - frame.first_lag + 512]
+    sigma = np.sqrt(scene.noise_clutter_var / 2.0)
+    z = rng.standard_normal((2, len(samples)))
+    noisy = np.empty_like(samples)
+    noisy.real, noisy.imag = samples.real + sigma * z[0], samples.imag + sigma * z[1]
+    return EchoFrame(m=m, k_start=frame.k_start + first, samples=noisy)
+
+
 def oracle_records(scn, exp):
     """``run_experiment``'s records, each trial built on its own: its scene,
     then every frame of its CPI from ``synthesize_frame(scene,
     frame_truth(...), rng)`` with the noise substream [seed, trial, 0, m]
-    and, for Rayleigh gains, the gain substream [seed, trial, 1]."""
+    and, for Rayleigh gains, the gain substream [seed, trial, 1].  The
+    baseline reads frame 0 and then, for m = 1 to M-1, ``map_window_frame``
+    with the noise substream [seed, trial, 3, m]."""
     exp = exp.resolve(scn)
     records = []
     for trial in range(exp.trials):
@@ -156,8 +172,13 @@ def oracle_records(scn, exp):
                 else:
                     profile0 = correlation_profile(
                         correlation_segment(build_preamble()), frames[0].samples)
-                    ddm = delay_doppler_map(frames, wf.frame_period,
-                                            lags=map_lags(frames[0], profile0))
+                    lags = map_lags(frames[0], profile0)
+                    cut = [map_window_frame(
+                               scene, h, m, lags,
+                               np.random.default_rng([exp.seed, trial, 3, m]))
+                           for m in range(1, m_count)]
+                    ddm = delay_doppler_map(frames[:1] + cut, wf.frame_period,
+                                            lags=lags)
                     velocities = baseline_velocities(
                         ddm, scene.source_velocity, wf.wavelength,
                         scn.num_targets, threshold, guard=scn.guard)
@@ -172,8 +193,8 @@ def oracle_records(scn, exp):
     return records
 
 
-# Each case has more trials than one chunk of the process pool, and the
-# cases together reach both estimators' failure paths.
+# On two workers each case splits into two runs of consecutive trials, and
+# the cases together reach both estimators' failure paths.
 SHARING_CASES = {
     "proposed-gap1": (Scenario(), ExperimentConfig(
         cpi_s=6e-4, trials=10, p_tx_dbm=10.0, m_i_offset=1, seed=11)),
@@ -207,6 +228,53 @@ def test_shared_noiseless_frames_give_the_per_trial_records(monkeypatch, oracles
                                                             case, workers):
     monkeypatch.setenv("ADRADAR_WORKERS", workers)
     assert run_experiment(*SHARING_CASES[case]) == oracles[case]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("case", ["both", "rayleigh"])
+def test_the_estimator_selection_does_not_change_an_estimators_results(
+        monkeypatch, case, workers):
+    # Each estimator reads its own noise substreams, so running it alone or
+    # beside the other gives the same estimates and failures.
+    monkeypatch.setenv("ADRADAR_WORKERS", workers)
+    scn, exp = SHARING_CASES[case]
+    both = run_experiment(scn, replace(exp, estimators="both"))
+    for name in ("proposed", "baseline"):
+        alone = run_experiment(scn, replace(exp, estimators=name))
+        assert ([(r.estimates.get(name), r.failures.get(name)) for r in alone]
+                == [(r.estimates.get(name), r.failures.get(name)) for r in both])
+        assert any(name in r.estimates for r in alone)
+
+
+@pytest.mark.parametrize("workers, trials, runs", [
+    (2, 8, [(0, 4), (4, 8)]), (2, 3, [(0, 1), (1, 3)]), (3, 2, [(0, 1), (1, 2)]),
+    (2, 1, None)])
+def test_the_pool_gets_one_even_run_of_trials_per_worker(monkeypatch, workers,
+                                                         trials, runs):
+    # An in-process stand-in for the pool records the runs it is given.
+    given = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            given.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *columns):
+            given.append([(r.start, r.stop) for r in columns[2]])
+            return map(fn, *columns)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("ADRADAR_WORKERS", str(workers))
+    monkeypatch.setattr(adradar.harness, "ProcessPoolExecutor", RecordingPool)
+    exp = ExperimentConfig(cpi_s=2e-4, trials=trials, seed=2)
+    records = run_experiment(Scenario(), exp)
+    assert [r.trial for r in records] == list(range(trials))
+    assert given == ([] if runs is None else [len(runs), runs])
 
 
 def test_a_baseline_trial_streams_its_frames(monkeypatch):
