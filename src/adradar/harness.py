@@ -9,8 +9,12 @@ substreams are
                           proposed estimator's frames)
     [seed, trial, 1]      Rayleigh backscatter gains
     [seed, 2]             bootstrap resamples of the NMSE interval
-    [seed, trial, 3, m]   noise of frame m >= 1 over the delay-Doppler map's
-                          window
+    [seed, trial, 3]      noise of frames 1..M-1 of the delay-Doppler map
+                          over its window, drawn in frame order
+
+numpy's SeedSequence pads a key with zeros up to four words, so [a, b],
+[a, b, 0] and [a, b, 0, 0] are one stream: a key such as [seed, trial, 0]
+would be frame 0's noise, and [seed, 2] is trial 2's frame-0 noise.
 
 The ADRADAR_WORKERS environment variable sets the worker count (default 1, at
 most the CPU count).
@@ -187,22 +191,25 @@ def _run_trial(exp: ExperimentConfig, trial: int, scene: Scene, echo,
                m_count: int, cfg: PipelineConfig, true_v: tuple) -> TrialRecord:
     """One trial on ``scene``, whose noiseless frame m is ``echo(m)``.
 
-    Frames 0, m_i and m_d are whole, each with the noise of substream
-    [seed, trial, 0, m], as if synthesized at once.  The baseline reads
-    frame 0 and then frames 1 to M-1 cut to its map lags, each with the
-    noise of [seed, trial, 3, m]; they stream through ``delay_doppler_map``
-    one at a time.
+    Frame 0, and frames m_i and m_d when the proposed estimator runs, are
+    whole, each with the noise of substream [seed, trial, 0, m], as if
+    synthesized at once.  The baseline reads frame 0 and then frames 1 to
+    M-1 cut to its map lags; they stream through ``delay_doppler_map`` one
+    at a time, drawing their noise in frame order from one generator,
+    [seed, trial, 3].
     """
     s_c = correlation_segment(build_preamble())  # for the baseline's frame-0 profile
 
-    def noisy(frame, stream):
-        rng = np.random.default_rng([exp.seed, trial, stream, frame.m])
+    def noisy(frame, rng):
         return with_noise(frame, scene.noise_clutter_var, rng)
 
-    frames = {m: noisy(echo(m), _STREAM_NOISE) for m in sorted({0, cfg.m_i, cfg.m_d})}
+    names = ESTIMATORS[exp.estimators]
+    whole = {0, cfg.m_i, cfg.m_d} if "proposed" in names else {0}
+    frames = {m: noisy(echo(m), np.random.default_rng(
+                  [exp.seed, trial, _STREAM_NOISE, m])) for m in sorted(whole)}
     estimates, failures = {}, {}
     wraps, delays = (), ()
-    for name in ESTIMATORS[exp.estimators]:
+    for name in names:
         try:
             if name == "proposed":
                 res = run_pipeline(frames, scene.wf, scene.source_velocity,
@@ -212,7 +219,8 @@ def _run_trial(exp: ExperimentConfig, trial: int, scene: Scene, echo,
                 delays = tuple(int(d) for d in res.delays[0].delays)
             else:
                 lags = map_lags(frames[0], correlation_profile(s_c, frames[0].samples))
-                cut = (noisy(echo(m).cut_to_lags(lags[0], lags[-1]), _STREAM_MAP)
+                map_rng = np.random.default_rng([exp.seed, trial, _STREAM_MAP])
+                cut = (noisy(echo(m).cut_to_lags(lags[0], lags[-1]), map_rng)
                        for m in range(1, m_count))
                 ddm = delay_doppler_map(itertools.chain([frames[0]], cut),
                                         scene.wf.frame_period, lags=lags)

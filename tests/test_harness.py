@@ -9,7 +9,7 @@ import pytest
 import adradar.harness
 from adradar.baseline import baseline_velocities, delay_doppler_map, map_lags
 from adradar.cli import run_cli
-from adradar.echo import EchoFrame, synthesize_frame
+from adradar.echo import EchoFrame, synthesize_frame, with_noise
 from adradar.errors import AggregationError, EstimationError, ScenarioError
 from adradar.estimator import (PipelineConfig, detection_threshold, raw_doppler,
                                run_pipeline)
@@ -142,8 +142,9 @@ def oracle_records(scn, exp):
     then every frame of its CPI from ``synthesize_frame(scene,
     frame_truth(...), rng)`` with the noise substream [seed, trial, 0, m]
     and, for Rayleigh gains, the gain substream [seed, trial, 1].  The
-    baseline reads frame 0 and then, for m = 1 to M-1, ``map_window_frame``
-    with the noise substream [seed, trial, 3, m]."""
+    baseline reads frame 0 and then, for m = 1 to M-1 in order,
+    ``map_window_frame`` with the next noise block of the one substream
+    [seed, trial, 3]."""
     exp = exp.resolve(scn)
     records = []
     for trial in range(exp.trials):
@@ -173,9 +174,8 @@ def oracle_records(scn, exp):
                     profile0 = correlation_profile(
                         correlation_segment(build_preamble()), frames[0].samples)
                     lags = map_lags(frames[0], profile0)
-                    cut = [map_window_frame(
-                               scene, h, m, lags,
-                               np.random.default_rng([exp.seed, trial, 3, m]))
+                    map_rng = np.random.default_rng([exp.seed, trial, 3])
+                    cut = [map_window_frame(scene, h, m, lags, map_rng)
                            for m in range(1, m_count)]
                     ddm = delay_doppler_map(frames[:1] + cut, wf.frame_period,
                                             lags=lags)
@@ -244,6 +244,68 @@ def test_the_estimator_selection_does_not_change_an_estimators_results(
         assert ([(r.estimates.get(name), r.failures.get(name)) for r in alone]
                 == [(r.estimates.get(name), r.failures.get(name)) for r in both])
         assert any(name in r.estimates for r in alone)
+
+
+def test_a_baseline_trial_draws_only_frame_0_whole(monkeypatch):
+    # Frames m_i and m_d are the proposed estimator's; the baseline reads
+    # frame 0 whole and frames 1 to M-1 cut to its map window.
+    scn, exp = SHARING_CASES["baseline"]
+    scene = build_scene(scn, p_tx_dbm=exp.p_tx_dbm)
+    m_count = scene.wf.frames_per_cpi(exp.cpi_s)
+    whole = len(synthesize_frame(scene, frame_truth(scene, 0, scene_backscatter(scene)),
+                                 None).samples)
+    lengths = []
+
+    def counting_with_noise(frame, noise_clutter_var, rng):
+        lengths.append(len(frame.samples))
+        return with_noise(frame, noise_clutter_var, rng)
+
+    monkeypatch.setenv("ADRADAR_WORKERS", "1")
+    monkeypatch.setattr(adradar.harness, "with_noise", counting_with_noise)
+    runs = {}
+    for selection, whole_per_trial in (("baseline", 1), ("both", 3)):
+        lengths.clear()
+        runs[selection] = run_experiment(scn, replace(exp, estimators=selection))
+        assert lengths.count(whole) == whole_per_trial * exp.trials
+        assert len(lengths) == (whole_per_trial + m_count - 1) * exp.trials
+    assert ([(r.trial, r.true_velocities, r.estimates.get("baseline"),
+              r.failures.get("baseline")) for r in runs["baseline"]]
+            == [(r.trial, r.true_velocities, r.estimates.get("baseline"),
+                 r.failures.get("baseline")) for r in runs["both"]])
+
+
+def test_the_map_frames_are_common_across_cpis(monkeypatch):
+    # Frame m's map noise is the m-th block of its trial's map stream, so a
+    # longer CPI begins with the shorter CPI's frames, bit for bit.
+    maps = []
+
+    def recording_map(frames, frame_period, lags=None):
+        maps.append(list(frames))
+        return delay_doppler_map(maps[-1], frame_period, lags=lags)
+
+    monkeypatch.setenv("ADRADAR_WORKERS", "1")
+    monkeypatch.setattr(adradar.harness, "delay_doppler_map", recording_map)
+    for cpi_s in (5e-4, 1e-3):
+        run_experiment(Scenario(), ExperimentConfig(
+            cpi_s=cpi_s, trials=1, estimators="baseline", seed=5))
+    short, long = maps
+    assert 2 < len(short) < len(long)
+    for a, b in zip(short, long):
+        assert (a.m, a.k_start) == (b.m, b.k_start)
+        assert np.array_equal(a.samples, b.samples)
+
+
+def test_the_noise_and_gain_keys_are_distinct_streams():
+    # SeedSequence pads a key with zeros up to four words, so a key such as
+    # [seed, trial, 0] would be frame 0's noise stream; the keys in use differ.
+    def state(key):
+        return np.random.default_rng(key).bit_generator.state["state"]["state"]
+
+    assert state([7, 2]) == state([7, 2, 0]) == state([7, 2, 0, 0])
+    for seed in (0, 7):
+        keys = ([[seed, t, 0, m] for t in range(4) for m in range(6)]
+                + [[seed, t, 1] for t in range(4)] + [[seed, t, 3] for t in range(4)])
+        assert len({state(key) for key in keys}) == len(keys)
 
 
 @pytest.mark.parametrize("workers, trials, runs", [
