@@ -61,11 +61,15 @@ def delay_doppler_map(frames, frame_period: float, lags=None) -> DelayDopplerMap
     Parameters
     ----------
     frames : iterable of EchoFrame
-        All M >= 2 frames in frame order 0 to M-1.  Each frame need only
-        cover ``lags`` (as ``EchoFrame.cut_to_lags`` leaves it); windows may
-        differ between frames.  They are read one at a time and only each
-        frame's correlator outputs at ``lags`` are kept, so a generator need
-        hold only one frame.
+        All M >= 2 frames in frame order 0 to M-1, each item one frame or a
+        block of consecutive frames (``EchoFrame`` rows).  Each item need
+        only cover ``lags`` (as ``EchoFrame.cut_to_lags`` leaves it);
+        windows may differ between items.  Items are read one at a time and
+        only their correlator outputs at ``lags`` are kept, so a generator
+        need hold only one item.  An item's rows of W samples go through one
+        correlator call laid end to end: output r W + i of that call reads
+        only row r's samples i to i + 511, so it is row r's own output i,
+        and the outputs that straddle two rows are dropped.
     lags : array of int, optional
         Delay bins to evaluate; default is every lag computable from the
         first frame.
@@ -78,24 +82,26 @@ def delay_doppler_map(frames, frame_period: float, lags=None) -> DelayDopplerMap
     """
     s_c = correlation_segment(build_preamble())
     n_c = len(s_c)
-    columns = []
+    columns, m_count = [], 0
     for frame in frames:
-        if frame.m != len(columns):
+        if frame.m != m_count:
             raise ValueError(f"frame {frame.m} out of order: expected frame "
-                             f"{len(columns)} (frames 0 to M-1 in order)")
+                             f"{m_count} (frames 0 to M-1 in order)")
         if not columns:
             if lags is None:
-                lags = frame.first_lag + np.arange(len(frame.samples) - n_c + 1)
+                lags = frame.first_lag + np.arange(frame.samples.shape[-1] - n_c + 1)
             lags = np.asarray(lags, dtype=np.int64)
             lag_lo, lag_hi = int(lags.min()), int(lags.max())
             rows = lags - lag_lo
         # Correlate only over the samples the requested lags touch.
         window = frame.cut_to_lags(lag_lo, lag_hi).samples
-        columns.append(correlation_profile(s_c, window)[rows])
-    m_count = len(columns)
+        row_starts = window.shape[-1] * np.arange(window.size // window.shape[-1])
+        profile = correlation_profile(s_c, window.reshape(-1))
+        columns.append(profile[rows[:, None] + row_starts])
+        m_count += len(row_starts)
     if m_count < 2:
         raise ValueError("delay-Doppler map needs at least two frames")
-    values = np.fft.fft(np.stack(columns, axis=1), axis=1)
+    values = np.fft.fft(np.concatenate(columns, axis=1), axis=1)
     # The correlator conjugates the echo, so a Doppler nu appears at -nu on
     # the DFT frequency axis; negate to read bins directly in echo Doppler.
     doppler_bins = -np.fft.fftfreq(m_count, d=frame_period)

@@ -28,7 +28,12 @@ from .sequences import (CORR_SEGMENT_LEN, CORR_SEGMENT_OFFSET, PREAMBLE_LEN,
 
 @dataclass(frozen=True)
 class EchoFrame:
-    """Complex baseband samples of one frame, covering k in [k_start, k_start+len)."""
+    """Complex baseband samples of frame ``m``, covering k in [k_start, k_start+n).
+
+    ``samples`` is one frame, shape (n,), or a block of consecutive frames on
+    a common window, shape (rows, n), whose row r is frame ``m + r``.  Every
+    operation acts on the last axis, so a single frame is the one-row case.
+    """
 
     m: int
     k_start: int
@@ -46,14 +51,17 @@ class EchoFrame:
         Raises
         ------
         ValueError
-            If a lag is outside this frame's computable range.
+            If ``lag_hi < lag_lo``, or a lag is outside this frame's
+            computable range.
         """
+        if lag_hi < lag_lo:
+            raise ValueError(f"empty lag range: lag_hi {lag_hi} < lag_lo {lag_lo}")
         first = int(lag_lo) - self.first_lag
         stop = int(lag_hi) - self.first_lag + CORR_SEGMENT_LEN
-        if first < 0 or stop > len(self.samples):
+        if first < 0 or stop > self.samples.shape[-1]:
             raise ValueError("requested lags outside the computable range")
         return EchoFrame(m=self.m, k_start=self.k_start + first,
-                         samples=self.samples[first:stop])
+                         samples=self.samples[..., first:stop])
 
 
 @functools.lru_cache(maxsize=16)
@@ -107,15 +115,18 @@ def with_noise(frame: EchoFrame, noise_clutter_var: float,
     """A new frame: ``frame`` plus one draw of i.i.d. CN(0, ``noise_clutter_var``)
     clutter-plus-noise from ``rng`` (``frame`` itself if the variance is 0).
 
-    ``synthesize_frame`` adds its noise this way, so the noisy copy of a
-    noiseless frame is the frame synthesized with ``rng``, bit for bit.
+    The draw has shape (2, n) for one frame and (rows, 2, n) for a block:
+    each row's real parts, then its imaginary parts.  A generator fills an
+    array in C order, so a block's draw is, bit for bit, its rows' (2, n)
+    draws in row order.  ``synthesize_frame`` adds its noise this way, so the
+    noisy copy of a noiseless frame is the frame synthesized with ``rng``.
     """
     if noise_clutter_var <= 0:
         return frame
-    sigma = np.sqrt(noise_clutter_var / 2.0)
-    # One draw of 2n normals is the real parts, then the imaginary parts.
-    z = rng.standard_normal((2, len(frame.samples)))
+    shape = frame.samples.shape
+    z = rng.standard_normal(shape[:-1] + (2, shape[-1]))
+    z *= np.sqrt(noise_clutter_var / 2.0)
     samples = np.empty_like(frame.samples)
-    np.add(frame.samples.real, sigma * z[0], out=samples.real)
-    np.add(frame.samples.imag, sigma * z[1], out=samples.imag)
+    np.add(frame.samples.real, z[..., 0, :], out=samples.real)
+    np.add(frame.samples.imag, z[..., 1, :], out=samples.imag)
     return EchoFrame(m=frame.m, k_start=frame.k_start, samples=samples)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baseline import baseline_velocities, delay_doppler_map, map_lags
-from .echo import synthesize_frame, with_noise
+from .echo import EchoFrame, synthesize_frame, with_noise
 from .errors import AggregationError, EstimationError
 from .estimator import PipelineConfig, detection_threshold, run_pipeline
 from .scene import (Scenario, Scene, build_scene, draw_betas, frame_truth,
@@ -40,6 +40,11 @@ _STREAM_NOISE = 0
 _STREAM_BETA = 1
 _STREAM_BOOTSTRAP = 2
 _STREAM_MAP = 3
+
+# Map frames 1 to M-1 per correlator call and noise draw.  Of 8, 16, 32 and
+# 64, 8 and 16 ran baseline trials at M = 129 fastest on a 2-core x86-64 VM;
+# longer blocks lose to cache misses.
+_MAP_BLOCK = 16
 
 _CI_RESAMPLES = 500   # bootstrap resamples behind each NMSE interval
 _CI_LEVEL = 0.95
@@ -187,6 +192,19 @@ def _run_trials(scenario: Scenario, exp: ExperimentConfig, trials,
     return records
 
 
+def _map_blocks(echo, m_count: int, lags, noise_clutter_var: float, rng):
+    """Frames 1 to M-1 of a trial's map, cut to ``lags``: ``EchoFrame``
+    blocks of up to ``_MAP_BLOCK`` consecutive frames, each the stacked
+    noiseless windows of ``echo(m)`` plus one ``with_noise`` draw from
+    ``rng``."""
+    for start in range(1, m_count, _MAP_BLOCK):
+        cut = [echo(m).cut_to_lags(lags[0], lags[-1])
+               for m in range(start, min(start + _MAP_BLOCK, m_count))]
+        block = EchoFrame(m=start, k_start=cut[0].k_start,
+                          samples=np.stack([f.samples for f in cut]))
+        yield with_noise(block, noise_clutter_var, rng)
+
+
 def _run_trial(exp: ExperimentConfig, trial: int, scene: Scene, echo,
                m_count: int, cfg: PipelineConfig, true_v: tuple) -> TrialRecord:
     """One trial on ``scene``, whose noiseless frame m is ``echo(m)``.
@@ -194,18 +212,15 @@ def _run_trial(exp: ExperimentConfig, trial: int, scene: Scene, echo,
     Frame 0, and frames m_i and m_d when the proposed estimator runs, are
     whole, each with the noise of substream [seed, trial, 0, m], as if
     synthesized at once.  The baseline reads frame 0 and then frames 1 to
-    M-1 cut to its map lags; they stream through ``delay_doppler_map`` one
-    at a time, drawing their noise in frame order from one generator,
-    [seed, trial, 3].
+    M-1 cut to its map lags, in blocks of ``_MAP_BLOCK`` consecutive frames
+    that stream through ``delay_doppler_map`` one at a time.  Each block
+    draws its noise at once from one generator per trial, [seed, trial, 3],
+    which is frame by frame the (2, width) draws in frame order.
     """
     s_c = correlation_segment(build_preamble())  # for the baseline's frame-0 profile
-
-    def noisy(frame, rng):
-        return with_noise(frame, scene.noise_clutter_var, rng)
-
     names = ESTIMATORS[exp.estimators]
     whole = {0, cfg.m_i, cfg.m_d} if "proposed" in names else {0}
-    frames = {m: noisy(echo(m), np.random.default_rng(
+    frames = {m: with_noise(echo(m), scene.noise_clutter_var, np.random.default_rng(
                   [exp.seed, trial, _STREAM_NOISE, m])) for m in sorted(whole)}
     estimates, failures = {}, {}
     wraps, delays = (), ()
@@ -220,9 +235,9 @@ def _run_trial(exp: ExperimentConfig, trial: int, scene: Scene, echo,
             else:
                 lags = map_lags(frames[0], correlation_profile(s_c, frames[0].samples))
                 map_rng = np.random.default_rng([exp.seed, trial, _STREAM_MAP])
-                cut = (noisy(echo(m).cut_to_lags(lags[0], lags[-1]), map_rng)
-                       for m in range(1, m_count))
-                ddm = delay_doppler_map(itertools.chain([frames[0]], cut),
+                blocks = _map_blocks(echo, m_count, lags,
+                                     scene.noise_clutter_var, map_rng)
+                ddm = delay_doppler_map(itertools.chain([frames[0]], blocks),
                                         scene.wf.frame_period, lags=lags)
                 velocities = baseline_velocities(
                     ddm, scene.source_velocity, scene.wf.wavelength,

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from adradar.baseline import baseline_velocities, delay_doppler_map, map_lags
-from adradar.echo import synthesize_frame
+from adradar.echo import EchoFrame, synthesize_frame
 from adradar.errors import DetectionShortfallError
 from adradar.estimator import detection_threshold, pick_peaks
 from adradar.scene import Scenario, build_scene, frame_truth, scene_backscatter
@@ -84,6 +84,13 @@ def test_a_cut_outside_the_frame_raises_the_maps_error(default_scene):
     short = [f.cut_to_lags(first + 10, first + 20) for f in frames]
     with pytest.raises(ValueError, match="outside the computable range"):
         delay_doppler_map(short, period, lags=np.arange(first + 10, first + 22))
+    # An inverted range holds no lag.  As slices of this 3374-sample frame,
+    # the first would give 452 samples and the second, with a negative stop,
+    # 3286 samples from the far end.
+    assert len(frames[0].samples) == 3374
+    for lo, hi in ((first + 48, first - 12), (first + 48, first - 552)):
+        with pytest.raises(ValueError, match="empty lag range"):
+            frames[0].cut_to_lags(lo, hi)
 
 
 @pytest.mark.parametrize("order", [[1, 0, 2, 3], [0, 2, 1, 3], [0, 1, 3]],
@@ -92,6 +99,56 @@ def test_map_rejects_frames_out_of_order(default_scene, order):
     frames = synth_cpi(default_scene, 0.2e-3)
     with pytest.raises(ValueError, match="out of order"):
         delay_doppler_map((frames[m] for m in order), default_scene.wf.frame_period)
+
+
+def frame_blocks(frames, size):
+    """``frames[0]`` alone, then frames 1 on as blocks of up to ``size``."""
+    blocks = [frames[0]]
+    for start in range(1, len(frames), size):
+        rows = frames[start:start + size]
+        blocks.append(EchoFrame(m=start, k_start=rows[0].k_start,
+                                samples=np.stack([f.samples for f in rows])))
+    return blocks
+
+
+@pytest.mark.parametrize("m_count", [12, 25, 64, 129])
+def test_the_map_of_frame_blocks_equals_the_map_of_single_frames(default_scene,
+                                                                 m_count):
+    # M - 1 = 11, 24, 63 and 128 frames after frame 0, in blocks of every
+    # size, as the harness streams them (frame 0 whole, the rest cut).
+    h = scene_backscatter(default_scene)
+    frames = [synthesize_frame(default_scene, frame_truth(default_scene, m, h),
+                               np.random.default_rng([5, m]))
+              for m in range(m_count)]
+    first = frames[0].first_lag
+    lags = np.arange(first + 40, first + 297)
+    cut = [frames[0]] + [f.cut_to_lags(lags[0], lags[-1]) for f in frames[1:]]
+    period = default_scene.wf.frame_period
+    want = delay_doppler_map(cut, period, lags=lags)
+    assert want.values.shape == (257, m_count)
+    for size in (1, 5, 16, 128):
+        got = delay_doppler_map(frame_blocks(cut, size), period, lags=lags)
+        assert got.values.tobytes() == want.values.tobytes()
+    # one block of every frame, whole: the map cuts it and takes its lags
+    every = EchoFrame(m=0, k_start=frames[0].k_start,
+                      samples=np.stack([f.samples for f in frames]))
+    whole = delay_doppler_map(frames, period)
+    got = delay_doppler_map([every], period)
+    assert got.values.tobytes() == whole.values.tobytes()
+    assert np.array_equal(got.lags, whole.lags)
+    got = delay_doppler_map([every.cut_to_lags(lags[0], lags[-1])], period, lags=lags)
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("order", [[0, 2, 1, 3], [0, 2, 3], [1, 0]],
+                         ids=["swapped", "gap", "first"])
+def test_map_rejects_blocks_out_of_order(default_scene, order):
+    # blocks [0], [1, 2, 3], [4, 5, 6] and [7]
+    blocks = frame_blocks(synth_cpi(default_scene, 8 * default_scene.wf.frame_period),
+                          3)
+    assert [b.m for b in blocks] == [0, 1, 4, 7]
+    with pytest.raises(ValueError, match="out of order"):
+        delay_doppler_map((blocks[i] for i in order), default_scene.wf.frame_period)
 
 
 def test_single_target_on_bin_center():

@@ -2,8 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adradar.echo import rotated_preamble, synthesize_frame, with_noise
+from adradar.echo import EchoFrame, rotated_preamble, synthesize_frame, with_noise
 from adradar.errors import ScenarioError
 from adradar.scene import Scenario, build_scene, frame_truth
 
@@ -199,3 +201,24 @@ def test_noise_on_a_noiseless_copy_equals_noise_at_synthesis(default_scene):
     assert (noisy.m, noisy.k_start) == (at_once.m, at_once.k_start)
     assert noiseless.samples.tobytes() == before.tobytes()
     assert with_noise(noiseless, 0.0, np.random.default_rng(0)) is noiseless
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=st.integers(1, 20), width=st.integers(1, 1000),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_block_draw_is_its_rows_draws_in_order(rows, width, seed):
+    # A generator fills an array in C order, so one (rows, 2, width) draw is
+    # the rows' (2, width) draws one after another, and a block's noise is
+    # its frames' noise drawn frame by frame, bit for bit.
+    one = np.random.default_rng(seed).standard_normal((rows, 2, width))
+    rng = np.random.default_rng(seed)
+    each = [rng.standard_normal((2, width)) for _ in range(rows)]
+    assert one.tobytes() == np.stack(each).tobytes()
+    noiseless = np.random.default_rng([seed, 1]).standard_normal((rows, width)) * (1 - 2j)
+    block = with_noise(EchoFrame(m=4, k_start=9, samples=noiseless), 0.7,
+                       np.random.default_rng(seed))
+    assert (block.m, block.k_start, block.samples.shape) == (4, 9, (rows, width))
+    rng = np.random.default_rng(seed)
+    for r in range(rows):
+        frame = with_noise(EchoFrame(m=4 + r, k_start=9, samples=noiseless[r]), 0.7, rng)
+        assert frame.samples.tobytes() == block.samples[r].tobytes()

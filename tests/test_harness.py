@@ -20,7 +20,7 @@ from adradar.harness import (CSV_HEADER, ESTIMATORS, ExperimentConfig,
 from adradar.scene import (Scenario, build_scene, draw_betas, frame_truth,
                            load_scenario, save_scenario, scene_backscatter)
 from adradar.sequences import (build_preamble, correlation_profile,
-                               correlation_segment)
+                               correlation_segment, generate_golay_pair)
 from adradar.selftest import CHECKS
 
 
@@ -257,7 +257,9 @@ def test_a_baseline_trial_draws_only_frame_0_whole(monkeypatch):
     lengths = []
 
     def counting_with_noise(frame, noise_clutter_var, rng):
-        lengths.append(len(frame.samples))
+        # one entry per frame the draw covers: a block counts its rows
+        width = frame.samples.shape[-1]
+        lengths.extend([width] * (frame.samples.size // width))
         return with_noise(frame, noise_clutter_var, rng)
 
     monkeypatch.setenv("ADRADAR_WORKERS", "1")
@@ -288,11 +290,111 @@ def test_the_map_frames_are_common_across_cpis(monkeypatch):
     for cpi_s in (5e-4, 1e-3):
         run_experiment(Scenario(), ExperimentConfig(
             cpi_s=cpi_s, trials=1, estimators="baseline", seed=5))
-    short, long = maps
+    def frame_rows(items):
+        # (frame, k_start, samples) of every frame, each block split into rows
+        return [(item.m + r, item.k_start, row) for item in items
+                for r, row in enumerate(np.atleast_2d(item.samples))]
+
+    short, long = (frame_rows(items) for items in maps)
     assert 2 < len(short) < len(long)
+    assert [a[0] for a in short] == list(range(len(short)))
     for a, b in zip(short, long):
-        assert (a.m, a.k_start) == (b.m, b.k_start)
-        assert np.array_equal(a.samples, b.samples)
+        assert a[:2] == b[:2]
+        assert np.array_equal(a[2], b[2])
+
+
+def dense_map(scn, exp, trial):
+    """(lags, values) of trial ``trial``'s baseline map, rebuilt frame by
+    frame without the package's correlator or map.  The noisy windows are
+    the harness's stream layout: frame 0 whole with the noise of
+    [seed, trial, 0, 0], and frames 1 to M-1 cut to the map lags with the
+    m-th (2, width) draw of [seed, trial, 3].  Each is correlated by
+    ``np.correlate`` against [-Ga, -Gb, -Ga, +Gb]; ``np.fft.fft`` then runs
+    over the frames."""
+    exp = exp.resolve(scn)
+    betas = None
+    if scn.beta_mode == "rayleigh":
+        betas = draw_betas(scn, np.random.default_rng([exp.seed, trial, 1]))
+    scene = build_scene(scn, betas=betas, p_tx_dbm=exp.p_tx_dbm)
+    h = scene_backscatter(scene)
+    ga, gb = generate_golay_pair()
+    s_c = np.concatenate([-ga, -gb, -ga, gb])
+
+    def profile(x):  # sum_k s_c[k] conj(x[l + k]); s_c is real
+        return np.conj(np.correlate(x, s_c, "valid"))
+
+    frame0 = synthesize_frame(scene, frame_truth(scene, 0, h),
+                              np.random.default_rng([exp.seed, trial, 0, 0]))
+    profile0 = profile(frame0.samples)
+    peak = int(np.argmax(np.abs(profile0)))
+    index = np.arange(max(peak - 128, 0), min(peak + 128, len(profile0) - 1) + 1)
+    lags = frame0.first_lag + index
+    columns = [profile0[index]]
+    rng = np.random.default_rng([exp.seed, trial, 3])
+    sigma = np.sqrt(scene.noise_clutter_var / 2.0)
+    for m in range(1, scene.wf.frames_per_cpi(exp.cpi_s)):
+        frame = synthesize_frame(scene, frame_truth(scene, m, h), None)
+        first = lags[0] - frame.first_lag
+        window = frame.samples[first:first + len(lags) + 511]
+        z = rng.standard_normal((2, len(window)))
+        columns.append(profile(window + sigma * z[0] + 1j * sigma * z[1]))
+    return lags, np.fft.fft(np.stack(columns, axis=1), axis=1)
+
+
+# M - 1 = 128 map frames fill whole blocks; 63 and 24 leave a shorter last one.
+@pytest.mark.parametrize("scn, exp", [
+    (Scenario(), ExperimentConfig(cpi_s=1e-3, trials=2, p_tx_dbm=20.0,
+                                  estimators="baseline", seed=11)),
+    (Scenario(), ExperimentConfig(cpi_s=5e-4, trials=2, p_tx_dbm=0.0,
+                                  estimators="both", seed=4)),
+    (Scenario(beta_mode="rayleigh"), ExperimentConfig(
+        cpi_s=2e-4, trials=3, estimators="baseline", seed=7)),
+], ids=["fixed-1ms", "fixed-0dBm", "rayleigh"])
+def test_the_baseline_map_matches_a_dense_reference(monkeypatch, scn, exp):
+    maps = []
+
+    def recording_map(frames, frame_period, lags=None):
+        maps.append(delay_doppler_map(frames, frame_period, lags=lags))
+        return maps[-1]
+
+    monkeypatch.setenv("ADRADAR_WORKERS", "1")
+    monkeypatch.setattr(adradar.harness, "delay_doppler_map", recording_map)
+    run_experiment(scn, exp)
+    assert len(maps) == exp.trials
+    for trial, ddm in enumerate(maps):
+        lags, values = dense_map(scn, exp, trial)
+        assert np.array_equal(ddm.lags, lags)
+        assert ddm.values.shape == values.shape
+        peak = np.max(np.abs(values))
+        assert np.max(np.abs(ddm.values - values)) <= 1e-12 * peak
+        assert np.array_equal(np.argmax(np.abs(ddm.values), axis=1),
+                              np.argmax(np.abs(values), axis=1))
+
+
+# The Doppler, and so every estimator's input, depends on the velocities
+# only through V_s - V_p, so adding c to all of them moves each estimate by
+# c.  Rounding of (V_s + c) - (V_p + c) leaves up to a few 1e-16 relative.
+# The Rayleigh case fails 9 proposed and 6 baseline trials of its 12.
+@pytest.mark.parametrize("shift", [3.0, 0.7, -1.3, 12.345])
+@pytest.mark.parametrize("scn, exp", [
+    (Scenario(), ExperimentConfig(cpi_s=6e-4, trials=12, p_tx_dbm=10.0,
+                                  estimators="both", seed=2)),
+    (Scenario(beta_mode="rayleigh"), ExperimentConfig(
+        cpi_s=2e-4, trials=12, p_tx_dbm=8.0, estimators="both", seed=2)),
+], ids=["fixed", "rayleigh"])
+def test_shifting_every_velocity_by_c_shifts_every_estimate_by_c(scn, exp, shift):
+    moved = replace(scn, source_velocity_mps=scn.source_velocity_mps + shift,
+                    target_velocities_mps=tuple(v + shift
+                                                for v in scn.target_velocities_mps))
+    before, after = run_experiment(scn, exp), run_experiment(moved, exp)
+    for a, b in zip(before, after):
+        assert b.failures == a.failures
+        assert (b.wrap_counts, b.delays) == (a.wrap_counts, a.delays)
+        assert b.estimates.keys() == a.estimates.keys()
+        for name, estimates in a.estimates.items():
+            moved_back = np.array(b.estimates[name]) - shift
+            np.testing.assert_allclose(moved_back, estimates, rtol=1e-15, atol=0)
+    assert {name for r in before for name in r.estimates} == {"proposed", "baseline"}
 
 
 def test_the_noise_and_gain_keys_are_distinct_streams():

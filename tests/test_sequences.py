@@ -226,3 +226,21 @@ def test_lattice_profile_of_a_real_valued_complex_window(s_c, preamble):
     profile, expected = correlation_profile(s_c, window), complex_lattice(window)
     assert np.array_equal(profile, expected)
     assert np.abs(profile).tobytes() == np.abs(expected).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 20), width=st.integers(512, 1200),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_lattice_over_rows_end_to_end_reads_each_rows_profile(s_c, rows, width,
+                                                                   seed):
+    # Output r W + i reads only row r's samples i to i + 511, so it is row
+    # r's own output i; the outputs that straddle two rows are the rest.
+    rng = np.random.default_rng(seed)
+    block = (rng.standard_normal((rows, width))
+             + 1j * rng.standard_normal((rows, width)))
+    joined = correlation_profile(s_c, block.reshape(-1))
+    assert len(joined) == rows * width - 511
+    lags = np.arange(width - 511)
+    for r in range(rows):
+        own = correlation_profile(s_c, block[r])
+        assert joined[r * width + lags].tobytes() == own.tobytes()

@@ -1,7 +1,8 @@
 """Module boundaries of the package: no module reaches into a sibling's privates,
 importing the package does not load scipy (a test-only dependency), every
 function the benchmark's tracer wraps is still where the tracer looks it up,
-and no module of the package or the tests imports a name it never uses.
+no module of the package or the tests imports a name it never uses, and every
+module of the package parses as the oldest Python that pyproject.toml allows.
 
 A ``_``-prefixed name is private to the module that defines it.  The scan
 flags ``from .sibling import _name`` (relative or absolute) and
@@ -11,6 +12,7 @@ flags ``from .sibling import _name`` (relative or absolute) and
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -134,3 +136,29 @@ def test_the_unused_import_scan_flags_each_form():
     ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_module_has_an_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def oldest_python():
+    """(major, minor) of the oldest Python that pyproject.toml allows."""
+    pyproject = (PACKAGE.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    found = re.search(r'requires-python\s*=\s*">=(\d+)\.(\d+)"', pyproject)
+    assert found, "pyproject.toml declares no requires-python lower bound"
+    return int(found[1]), int(found[2])
+
+
+# Library names newer than 3.10, which a parse cannot see.
+NEWER_THAN_3_10 = {"batched", "tomllib", "ExceptionGroup", "TaskGroup", "Self"}
+
+
+# Tier-1 runs on a newer Python than the package declares, so syntax or
+# library names newer than the declared floor would fail only for a user.
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_module_parses_as_the_oldest_declared_python(path):
+    assert oldest_python() == (3, 10)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                     feature_version=oldest_python())
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
+    names |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert names & NEWER_THAN_3_10 == set()
