@@ -77,8 +77,8 @@ def delay_doppler_map(frames, frame_period: float, lags=None) -> DelayDopplerMap
     Raises
     ------
     ValueError
-        If a frame arrives out of order, fewer than two frames arrive, or a
-        lag is outside a frame's computable range.
+        If a frame arrives out of order, fewer than two frames arrive, the
+        lags are empty, or a lag is outside a frame's computable range.
     """
     s_c = correlation_segment(build_preamble())
     n_c = len(s_c)
@@ -91,6 +91,8 @@ def delay_doppler_map(frames, frame_period: float, lags=None) -> DelayDopplerMap
             if lags is None:
                 lags = frame.first_lag + np.arange(frame.samples.shape[-1] - n_c + 1)
             lags = np.asarray(lags, dtype=np.int64)
+            if lags.size == 0:
+                raise ValueError("empty lag range: the map has no lags to evaluate")
             lag_lo, lag_hi = int(lags.min()), int(lags.max())
             rows = lags - lag_lo
         # Correlate only over the samples the requested lags touch.

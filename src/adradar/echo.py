@@ -8,14 +8,15 @@ with s the preamble on [0, K_pre) and zero elsewhere, and z i.i.d. complex
 Gaussian clutter-plus-noise.  The Doppler phase references the absolute sample
 index k + m K; the whole unwrapping chain depends on that accumulated phase.
 
-The synthesized window runs from the first target's delay through the last
-target's preamble tail, so the least-squares shift matrices have complete
-rows for every target.  Noise is added last, by ``with_noise``, so a stored
-noiseless frame plus a generator's draw is the frame synthesized with that
-generator.
+``synthesize_window`` builds frames over any sample window.  A whole frame
+runs from the first target's delay through the last target's preamble tail,
+so the least-squares shift matrices have complete rows for every target.
+Noise is added last, by ``with_noise``, so a stored noiseless frame plus a
+generator's draw is the frame synthesized with that generator.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,34 @@ def rotated_preamble(doppler_hz: tuple, sample_period: float) -> np.ndarray:
     return rotated
 
 
+def synthesize_window(scene: Scene, truths, k_start: int, n: int) -> EchoFrame:
+    """Noiseless echo of consecutive frames of one scene over samples
+    [k_start, k_start + n): an ``EchoFrame`` block whose row r is, bit for bit,
+    frame ``truths[r].frame`` synthesized whole there, and 0 past its echo.
+    Rows whose delays agree take each target's copy in one broadcast product.
+    """
+    amp, ts, big_k = np.sqrt(scene.tx_power), scene.wf.sample_period, scene.wf.frame_len
+    first = truths[0]
+    rotated = rotated_preamble(tuple(first.doppler_hz), ts)
+    samples = np.zeros((len(truths), n), dtype=complex)
+    for delays, run in itertools.groupby(truths, lambda t: t.delay_samples.tolist()):
+        run = list(run)
+        rows = samples[run[0].frame - first.frame:run[-1].frame - first.frame + 1]
+        for h, nu, ell, pre in zip(first.backscatter, first.doppler_hz, delays, rotated):
+            lo, hi = max(ell, k_start), min(ell + PREAMBLE_LEN, k_start + n)
+            if lo >= hi:
+                continue
+            # Phase at sample k = ell + i splits into a per-frame scalar at
+            # the echo's first sample and the CPI-constant rotation over i.
+            phases = [2.0 * np.pi * nu * (ell + t.frame * big_k) * ts for t in run]
+            coef = np.array([amp * h * np.exp(1j * phase) for phase in phases])
+            # numpy multiplies a (1, 1) product in its scalar loop, which
+            # rounds apart from a whole frame's vector loop; one row stays 1-D.
+            coef = coef[:, None] if len(run) > 1 else coef
+            rows[:, lo - k_start:hi - k_start] += coef * pre[lo - ell:hi - ell]
+    return EchoFrame(m=first.frame, k_start=k_start, samples=samples)
+
+
 def synthesize_frame(scene: Scene, truth: FrameTruth,
                      rng: np.random.Generator) -> EchoFrame:
     """Generate the echo of frame ``truth.frame``: a delayed, Doppler-rotated
@@ -87,26 +116,12 @@ def synthesize_frame(scene: Scene, truth: FrameTruth,
     rng : numpy Generator
         Noise substream for this frame; pass None for a noiseless frame.
     """
-    m = truth.frame
-    k_pre = PREAMBLE_LEN
-    delays = truth.delay_samples
-    k_start = int(delays[0])
-    n = k_pre + int(delays[-1] - delays[0])
-    amp = np.sqrt(scene.tx_power)
-    ts = scene.wf.sample_period
-    big_k = scene.wf.frame_len
-    rotated = rotated_preamble(tuple(truth.doppler_hz), ts)
-    samples = np.zeros(n, dtype=complex)
-    for h, nu, ell, row in zip(truth.backscatter, truth.doppler_hz, delays, rotated):
-        # Phase at sample k = ell + i splits into a per-frame scalar at the
-        # echo's first sample and the CPI-constant rotation over i.
-        ell = int(ell)
-        lo = ell - k_start
-        if not 0 <= lo <= n - k_pre:
-            raise ScenarioError(f"delay outside representable window at frame {m}")
-        phase = 2.0 * np.pi * nu * (ell + m * big_k) * ts
-        samples[lo:lo + k_pre] += amp * h * np.exp(1j * phase) * row
-    frame = EchoFrame(m=m, k_start=k_start, samples=samples)
+    delays = truth.delay_samples.tolist()
+    if not all(delays[0] <= ell <= delays[-1] for ell in delays):
+        raise ScenarioError(f"delay outside representable window at frame {truth.frame}")
+    block = synthesize_window(scene, [truth], delays[0],
+                              PREAMBLE_LEN + delays[-1] - delays[0])
+    frame = EchoFrame(m=truth.frame, k_start=block.k_start, samples=block.samples[0])
     return frame if rng is None else with_noise(frame, scene.noise_clutter_var, rng)
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baseline import baseline_velocities, delay_doppler_map, map_lags
-from .echo import EchoFrame, synthesize_frame, with_noise
+from .echo import synthesize_frame, synthesize_window, with_noise
 from .errors import AggregationError, EstimationError
 from .estimator import PipelineConfig, detection_threshold, run_pipeline
 from .scene import (Scenario, Scene, build_scene, draw_betas, frame_truth,
@@ -165,13 +165,24 @@ def _noiseless_frame(scene, h, m):
     return echo
 
 
+def _noiseless_block(scene, h, m_count, start, k_start, n):
+    """The read-only noiseless map block of ``scene`` from frame ``start``
+    over samples [k_start, k_start + n)."""
+    truths = [frame_truth(scene, m, h)
+              for m in range(start, min(start + _MAP_BLOCK, m_count))]
+    block = synthesize_window(scene, truths, k_start, n)
+    block.samples.flags.writeable = False
+    return block
+
+
 def _run_trials(scenario: Scenario, exp: ExperimentConfig, trials,
                 pinned) -> list:
     """Records of consecutive ``trials`` of a resolved experiment, in order.
 
     ``pinned`` is the experiment's ``_trial_scene``; its noise variance and
     targets are every trial's.  A fixed-gain run builds each noiseless frame
-    once for all its trials; a Rayleigh trial builds its own scene and frames.
+    once, and each map block once for consecutive trials with one map window;
+    a Rayleigh trial builds its own scene, frames and blocks.
     """
     scene, h = pinned
     m_count, m_d, m_i = _frame_indices(scene.wf, exp)
@@ -182,40 +193,40 @@ def _run_trials(scenario: Scenario, exp: ExperimentConfig, trials,
                          guard=scenario.guard)
     true_v = tuple(t.velocity for t in scene.targets)
     echo = functools.cache(functools.partial(_noiseless_frame, scene, h))
+    block = functools.lru_cache(maxsize=-(-(m_count - 1) // _MAP_BLOCK))(
+        functools.partial(_noiseless_block, scene, h, m_count))
     records = []
     for trial in trials:
         if scenario.beta_mode == "rayleigh":
             # A trial uses each of its frames once, so none is kept.
             scene, h = _trial_scene(scenario, exp, trial)
             echo = functools.partial(_noiseless_frame, scene, h)
-        records.append(_run_trial(exp, trial, scene, echo, m_count, cfg, true_v))
+            block = functools.partial(_noiseless_block, scene, h, m_count)
+        records.append(_run_trial(exp, trial, scene, echo, block, m_count, cfg, true_v))
     return records
 
 
-def _map_blocks(echo, m_count: int, lags, noise_clutter_var: float, rng):
-    """Frames 1 to M-1 of a trial's map, cut to ``lags``: ``EchoFrame``
-    blocks of up to ``_MAP_BLOCK`` consecutive frames, each the stacked
-    noiseless windows of ``echo(m)`` plus one ``with_noise`` draw from
-    ``rng``."""
+def _map_blocks(block, m_count: int, window, noise_clutter_var: float, rng):
+    """Frames 1 to M-1 of a trial's map over the samples of ``window`` (frame
+    0 cut to the map lags): ``block(start, k_start, n)`` for each block of up
+    to ``_MAP_BLOCK`` frames, plus one ``with_noise`` draw from ``rng``."""
+    k_start, n = window.k_start, window.samples.shape[-1]
     for start in range(1, m_count, _MAP_BLOCK):
-        cut = [echo(m).cut_to_lags(lags[0], lags[-1])
-               for m in range(start, min(start + _MAP_BLOCK, m_count))]
-        block = EchoFrame(m=start, k_start=cut[0].k_start,
-                          samples=np.stack([f.samples for f in cut]))
-        yield with_noise(block, noise_clutter_var, rng)
+        yield with_noise(block(start, k_start, n), noise_clutter_var, rng)
 
 
-def _run_trial(exp: ExperimentConfig, trial: int, scene: Scene, echo,
+def _run_trial(exp: ExperimentConfig, trial: int, scene: Scene, echo, block,
                m_count: int, cfg: PipelineConfig, true_v: tuple) -> TrialRecord:
-    """One trial on ``scene``, whose noiseless frame m is ``echo(m)``.
+    """One trial on ``scene``, whose noiseless frame m is ``echo(m)`` and
+    whose map block from frame ``start`` is ``block(start, k_start, n)``.
 
     Frame 0, and frames m_i and m_d when the proposed estimator runs, are
     whole, each with the noise of substream [seed, trial, 0, m], as if
     synthesized at once.  The baseline reads frame 0 and then frames 1 to
-    M-1 cut to its map lags, in blocks of ``_MAP_BLOCK`` consecutive frames
-    that stream through ``delay_doppler_map`` one at a time.  Each block
-    draws its noise at once from one generator per trial, [seed, trial, 3],
-    which is frame by frame the (2, width) draws in frame order.
+    M-1 over only the samples its map lags read (zeros past an echo), in
+    blocks of ``_MAP_BLOCK`` frames that stream through ``delay_doppler_map``
+    one at a time.  Each block draws its noise at once from one generator
+    per trial, [seed, trial, 3]: frame by frame, (2, width) draws in order.
     """
     s_c = correlation_segment(build_preamble())  # for the baseline's frame-0 profile
     names = ESTIMATORS[exp.estimators]
@@ -235,7 +246,8 @@ def _run_trial(exp: ExperimentConfig, trial: int, scene: Scene, echo,
             else:
                 lags = map_lags(frames[0], correlation_profile(s_c, frames[0].samples))
                 map_rng = np.random.default_rng([exp.seed, trial, _STREAM_MAP])
-                blocks = _map_blocks(echo, m_count, lags,
+                window = frames[0].cut_to_lags(lags[0], lags[-1])
+                blocks = _map_blocks(block, m_count, window,
                                      scene.noise_clutter_var, map_rng)
                 ddm = delay_doppler_map(itertools.chain([frames[0]], blocks),
                                         scene.wf.frame_period, lags=lags)

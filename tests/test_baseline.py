@@ -93,6 +93,19 @@ def test_a_cut_outside_the_frame_raises_the_maps_error(default_scene):
             frames[0].cut_to_lags(lo, hi)
 
 
+def test_an_empty_lag_range_is_named(default_scene):
+    frames = synth_cpi(default_scene, 0.2e-3)
+    period = default_scene.wf.frame_period
+    for lags in (np.arange(100, 41), np.array([], dtype=int)):
+        with pytest.raises(ValueError, match="empty lag range"):
+            delay_doppler_map(frames, period, lags=lags)
+    # By default the lags are those the first frame computes: none if it is
+    # shorter than the correlation segment.
+    short = [EchoFrame(m=m, k_start=0, samples=np.ones(511, complex)) for m in range(2)]
+    with pytest.raises(ValueError, match="empty lag range"):
+        delay_doppler_map(short, period)
+
+
 @pytest.mark.parametrize("order", [[1, 0, 2, 3], [0, 2, 1, 3], [0, 1, 3]],
                          ids=["swapped-first", "swapped-middle", "gap"])
 def test_map_rejects_frames_out_of_order(default_scene, order):

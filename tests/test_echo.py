@@ -2,12 +2,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adradar.echo import EchoFrame, rotated_preamble, synthesize_frame, with_noise
+from adradar.echo import (EchoFrame, rotated_preamble, synthesize_frame,
+                          synthesize_window, with_noise)
 from adradar.errors import ScenarioError
-from adradar.scene import Scenario, build_scene, frame_truth
+from adradar.scene import (Scenario, build_scene, draw_betas, frame_truth,
+                           scene_backscatter)
 
 
 def single_target_scene(p_tx_dbm=0.0, velocity=20.279):
@@ -222,3 +224,43 @@ def test_a_block_draw_is_its_rows_draws_in_order(rows, width, seed):
     for r in range(rows):
         frame = with_noise(EchoFrame(m=4 + r, k_start=9, samples=noiseless[r]), 0.7, rng)
         assert frame.samples.tobytes() == block.samples[r].tobytes()
+
+
+# Targets closing and opening at over 100 m/s step their delays about every
+# 90 frames, so a block of up to 16 frames often holds a step.
+FAST = Scenario(target_velocities_mps=(-100.0, 24.949, 150.0))
+FAST_SCENES = {(beta_mode, seed): build_scene(
+    FAST, betas=None if beta_mode == "fixed" else draw_betas(
+        FAST, np.random.default_rng([seed, 0, 1])))
+    for beta_mode, seed in [("fixed", 0)] + [("rayleigh", s) for s in range(3)]}
+FIRST_STEP = next(m for m in range(1, 400)
+                  if frame_truth(FAST_SCENES["fixed", 0], m).delay_samples.tolist()
+                  != frame_truth(FAST_SCENES["fixed", 0], m - 1).delay_samples.tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(key=st.sampled_from(sorted(FAST_SCENES)), start=st.integers(0, 300),
+       rows=st.integers(1, 16), offset=st.integers(-700, 3500),
+       width=st.integers(1, 1500))
+@example(key=("fixed", 0), start=FIRST_STEP - 5, rows=16, offset=2000, width=768)
+@example(key=("rayleigh", 1), start=FIRST_STEP - 1, rows=2, offset=-40, width=3500)
+def test_a_window_block_is_its_frames_cut_to_the_window(key, start, rows, offset,
+                                                        width):
+    # Row r is frame start + r synthesized whole, over the window's samples
+    # inside that frame, and exactly +0 outside it, bit for bit.
+    scene = FAST_SCENES[key]
+    h = scene_backscatter(scene)
+    truths = [frame_truth(scene, m, h) for m in range(start, start + rows)]
+    k_start = int(truths[0].delay_samples[0]) + offset
+    block = synthesize_window(scene, truths, k_start, width)
+    assert (block.m, block.k_start, block.samples.shape) == (start, k_start,
+                                                             (rows, width))
+    for truth, got in zip(truths, block.samples):
+        whole = synthesize_frame(scene, truth, None)
+        want = np.zeros(width, dtype=complex)
+        lo = max(whole.k_start, k_start)
+        hi = min(whole.k_start + len(whole.samples), k_start + width)
+        if lo < hi:
+            want[lo - k_start:hi - k_start] = whole.samples[lo - whole.k_start:
+                                                            hi - whole.k_start]
+        assert got.tobytes() == want.tobytes()

@@ -9,7 +9,7 @@ import pytest
 import adradar.harness
 from adradar.baseline import baseline_velocities, delay_doppler_map, map_lags
 from adradar.cli import run_cli
-from adradar.echo import EchoFrame, synthesize_frame, with_noise
+from adradar.echo import EchoFrame, synthesize_frame, synthesize_window, with_noise
 from adradar.errors import AggregationError, EstimationError, ScenarioError
 from adradar.estimator import (PipelineConfig, detection_threshold, raw_doppler,
                                run_pipeline)
@@ -19,8 +19,9 @@ from adradar.harness import (CSV_HEADER, ESTIMATORS, ExperimentConfig,
                              sweep_framegap)
 from adradar.scene import (Scenario, build_scene, draw_betas, frame_truth,
                            load_scenario, save_scenario, scene_backscatter)
-from adradar.sequences import (build_preamble, correlation_profile,
-                               correlation_segment, generate_golay_pair)
+from adradar.sequences import (CORR_SEGMENT_OFFSET, build_preamble,
+                               correlation_profile, correlation_segment,
+                               generate_golay_pair)
 from adradar.selftest import CHECKS
 
 
@@ -124,17 +125,24 @@ def test_worker_count_does_not_change_results(monkeypatch):
     assert [r.estimates for r in serial] == [r.estimates for r in parallel]
 
 
+def lag_samples(frame, lags):
+    """The samples of ``frame`` that the correlation lags ``lags`` read,
+    sliced by hand, with zeros where they run past the frame's echo."""
+    width = len(lags) + 511
+    first = int(lags[0]) - frame.first_lag + width
+    return np.pad(frame.samples, width)[first:first + width]
+
+
 def map_window_frame(scene, h, m, lags, rng):
-    """Frame m synthesized without noise, sliced by hand to the samples the
-    map lags read, plus one (2, width) noise draw from ``rng``."""
+    """Frame m synthesized without noise, over the samples the map lags read,
+    plus one (2, width) noise draw from ``rng``."""
     frame = synthesize_frame(scene, frame_truth(scene, m, h), None)
-    first = int(lags[0]) - frame.first_lag
-    samples = frame.samples[first:int(lags[-1]) - frame.first_lag + 512]
+    samples = lag_samples(frame, lags)
     sigma = np.sqrt(scene.noise_clutter_var / 2.0)
     z = rng.standard_normal((2, len(samples)))
     noisy = np.empty_like(samples)
     noisy.real, noisy.imag = samples.real + sigma * z[0], samples.imag + sigma * z[1]
-    return EchoFrame(m=m, k_start=frame.k_start + first, samples=noisy)
+    return EchoFrame(m=m, k_start=int(lags[0]) + CORR_SEGMENT_OFFSET, samples=noisy)
 
 
 def oracle_records(scn, exp):
@@ -276,6 +284,56 @@ def test_a_baseline_trial_draws_only_frame_0_whole(monkeypatch):
                  r.failures.get("baseline")) for r in runs["both"]])
 
 
+# At -5 dBm, noise moves the map window of trials 0, 3 and 4 to another
+# peak, so the second case rebuilds its blocks at trials 0, 1, 3 and 5.
+@pytest.mark.parametrize("scn, exp, built", [
+    (Scenario(), ExperimentConfig(cpi_s=1e-3, trials=3, p_tx_dbm=20.0,
+                                  estimators="baseline", seed=11), [0]),
+    (Scenario(), ExperimentConfig(cpi_s=2e-4, trials=6, p_tx_dbm=-5.0,
+                                  estimators="baseline", seed=0), [0, 1, 3, 5]),
+    (Scenario(), ExperimentConfig(cpi_s=5e-4, trials=2, p_tx_dbm=20.0,
+                                  estimators="both", seed=11), [0]),
+    (Scenario(beta_mode="rayleigh"), ExperimentConfig(
+        cpi_s=5e-4, trials=3, estimators="baseline", seed=7), [0, 1, 2]),
+], ids=["fixed", "fixed-moving-window", "fixed-both", "rayleigh"])
+def test_a_point_synthesizes_each_whole_frame_and_map_block_once(monkeypatch,
+                                                                 scn, exp, built):
+    # Whole frames are frame 0 and, for the proposed estimator, m_i and m_d:
+    # once a point at fixed gains, once a trial at Rayleigh gains.  The map's
+    # frames 1 to M-1 are only ever built over its window, in blocks: a
+    # fixed-gain point builds a trial's blocks again only when its window
+    # differs from the trial before, a Rayleigh trial always.
+    whole, blocks, windows = [], [], []
+
+    def counting_frame(scene, truth, rng):
+        whole.append(truth.frame)
+        return synthesize_frame(scene, truth, rng)
+
+    def counting_window(scene, truths, k_start, n):
+        blocks.append(([t.frame for t in truths], k_start, n))
+        return synthesize_window(scene, truths, k_start, n)
+
+    def recording_map(frames, frame_period, lags=None):
+        windows.append((int(lags[0]) + CORR_SEGMENT_OFFSET, len(lags) + 511))
+        return delay_doppler_map(frames, frame_period, lags=lags)
+
+    monkeypatch.setenv("ADRADAR_WORKERS", "1")
+    monkeypatch.setattr(adradar.harness, "synthesize_frame", counting_frame)
+    monkeypatch.setattr(adradar.harness, "synthesize_window", counting_window)
+    monkeypatch.setattr(adradar.harness, "delay_doppler_map", recording_map)
+    run_experiment(scn, exp)
+    m_count = build_scene(scn).wf.frames_per_cpi(exp.cpi_s)
+    m_i = m_count - 1 - exp.resolve(scn).m_i_offset
+    frames = [0, m_i, m_count - 1] if exp.estimators == "both" else [0]
+    rayleigh = scn.beta_mode == "rayleigh"
+    assert whole == frames * (exp.trials if rayleigh else 1)
+    assert len(windows) == exp.trials
+    assert built == [t for t in range(exp.trials)
+                     if rayleigh or t == 0 or windows[t] != windows[t - 1]]
+    assert blocks == [(list(range(start, min(start + 16, m_count))), *windows[t])
+                      for t in built for start in range(1, m_count, 16)]
+
+
 def test_the_map_frames_are_common_across_cpis(monkeypatch):
     # Frame m's map noise is the m-th block of its trial's map stream, so a
     # longer CPI begins with the shorter CPI's frames, bit for bit.
@@ -307,8 +365,9 @@ def dense_map(scn, exp, trial):
     """(lags, values) of trial ``trial``'s baseline map, rebuilt frame by
     frame without the package's correlator or map.  The noisy windows are
     the harness's stream layout: frame 0 whole with the noise of
-    [seed, trial, 0, 0], and frames 1 to M-1 cut to the map lags with the
-    m-th (2, width) draw of [seed, trial, 3].  Each is correlated by
+    [seed, trial, 0, 0], and frames 1 to M-1 over the samples the map lags
+    read, zero-padded where those run past frame m's echo, with the m-th
+    (2, width) draw of [seed, trial, 3].  Each is correlated by
     ``np.correlate`` against [-Ga, -Gb, -Ga, +Gb]; ``np.fft.fft`` then runs
     over the frames."""
     exp = exp.resolve(scn)
@@ -333,12 +392,29 @@ def dense_map(scn, exp, trial):
     rng = np.random.default_rng([exp.seed, trial, 3])
     sigma = np.sqrt(scene.noise_clutter_var / 2.0)
     for m in range(1, scene.wf.frames_per_cpi(exp.cpi_s)):
-        frame = synthesize_frame(scene, frame_truth(scene, m, h), None)
-        first = lags[0] - frame.first_lag
-        window = frame.samples[first:first + len(lags) + 511]
+        window = lag_samples(synthesize_frame(scene, frame_truth(scene, m, h), None),
+                             lags)
         z = rng.standard_normal((2, len(window)))
         columns.append(profile(window + sigma * z[0] + 1j * sigma * z[1]))
     return lags, np.fft.fft(np.stack(columns, axis=1), axis=1)
+
+
+# Target 2 at 17.9285 m sits near a rounding boundary: its delay steps from
+# 211 to 210 samples at frame 22, inside the map block of frames 17 to 32.
+# At -20 dBm and seed 34, noise moves trial 0's map window to the end of
+# frame 0's echo, one sample past the echo of frames 22 to 128.
+STEP = (Scenario(target_ranges_m=(14.0, 15.7, 17.9285)), ExperimentConfig(
+    cpi_s=1e-3, trials=2, p_tx_dbm=-20.0, estimators="baseline", seed=34))
+
+
+def test_the_step_case_steps_a_delay_inside_a_block_past_the_window_end():
+    scn, exp = STEP
+    scene = build_scene(scn, p_tx_dbm=exp.p_tx_dbm)
+    last = [frame_truth(scene, m).delay_samples[-1] for m in range(129)]
+    assert last[:22] == [211] * 22 and last[22:] == [210] * 107
+    # trial 0's window ends where frame 0's echo does, at 211 + 3328
+    lags, _ = dense_map(scn, exp, 0)
+    assert lags[-1] + CORR_SEGMENT_OFFSET + 512 == 211 + 3328
 
 
 # M - 1 = 128 map frames fill whole blocks; 63 and 24 leave a shorter last one.
@@ -349,7 +425,8 @@ def dense_map(scn, exp, trial):
                                   estimators="both", seed=4)),
     (Scenario(beta_mode="rayleigh"), ExperimentConfig(
         cpi_s=2e-4, trials=3, estimators="baseline", seed=7)),
-], ids=["fixed-1ms", "fixed-0dBm", "rayleigh"])
+    STEP,
+], ids=["fixed-1ms", "fixed-0dBm", "rayleigh", "delay-step"])
 def test_the_baseline_map_matches_a_dense_reference(monkeypatch, scn, exp):
     maps = []
 
@@ -442,8 +519,9 @@ def test_the_pool_gets_one_even_run_of_trials_per_worker(monkeypatch, workers,
 
 
 def test_a_baseline_trial_streams_its_frames(monkeypatch):
-    # Two M = 129 trials hold the 129 noiseless frames (7 MB) and only a few
-    # noisy ones; holding every noisy frame as well would pass 14 MB.
+    # Two M = 129 trials hold one trial's eight noiseless map blocks (1.6 MB)
+    # and only a few noisy ones, 3.9 MB at the peak; keeping the 128 whole
+    # noiseless map frames as well would add 7 MB.
     monkeypatch.setenv("ADRADAR_WORKERS", "1")
     exp = ExperimentConfig(cpi_s=1e-3, trials=2, estimators="baseline")
     run_experiment(Scenario(), exp)  # warm the per-process caches
@@ -453,7 +531,7 @@ def test_a_baseline_trial_streams_its_frames(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 10e6
+    assert peak < 5e6
 
 
 @pytest.mark.parametrize("raw", ["0", "-3", "abc", "2.5", ""])

@@ -98,11 +98,18 @@ def tracer_targets():
     raise AssertionError(f"no TARGETS assignment in {TRACER}")
 
 
+# A refactor that drops or renames a traced name fails here, not only in a
+# traced benchmark run.
 def test_every_tracer_target_resolves_to_a_callable():
     targets = tracer_targets()
-    assert ("adradar.harness", "build_preamble") in targets
+    assert {("adradar.harness", name) for name in (
+        "build_preamble", "synthesize_frame", "frame_truth",
+        "correlation_profile")} <= set(targets)
+    modules = {module: importlib.import_module(module) for module, _ in targets}
+    # the package under test is this checkout's src/, not an installed copy
+    assert {Path(mod.__file__).resolve().parent for mod in modules.values()} == {PACKAGE}
     missing = [f"{module}.{attr}" for module, attr in targets
-               if not callable(getattr(importlib.import_module(module), attr, None))]
+               if not callable(getattr(modules[module], attr, None))]
     assert missing == []
 
 
