@@ -39,15 +39,15 @@ class DelayDopplerMap:
     doppler_bin_width_hz: float
 
 
-def map_lags(frame0: EchoFrame, profile0: np.ndarray) -> np.ndarray:
-    """Map lags within ``BASELINE_LAG_HALFWIDTH`` of the dominant peak of frame
-    0's correlation profile, clipped to the frame; targets are assumed not too
-    far apart, as in the proposed estimator's delay stage."""
+def map_window(frame0: EchoFrame, profile0: np.ndarray) -> EchoFrame:
+    """Frame 0 cut to the map lags: within ``BASELINE_LAG_HALFWIDTH`` of the
+    dominant peak of its correlation profile ``profile0``, clipped to the frame
+    (targets are assumed close together, as in the proposed delay stage)."""
     first = frame0.first_lag
     dominant = first + int(np.argmax(np.abs(profile0)))
-    lo = max(dominant - BASELINE_LAG_HALFWIDTH, first)
-    hi = min(dominant + BASELINE_LAG_HALFWIDTH, first + len(profile0) - 1)
-    return np.arange(lo, hi + 1)
+    return frame0.cut_to_lags(max(dominant - BASELINE_LAG_HALFWIDTH, first),
+                              min(dominant + BASELINE_LAG_HALFWIDTH,
+                                  first + len(profile0) - 1))
 
 
 def delay_doppler_map(frames, frame_period: float, lags=None) -> DelayDopplerMap:
@@ -72,7 +72,7 @@ def delay_doppler_map(frames, frame_period: float, lags=None) -> DelayDopplerMap
         and the outputs that straddle two rows are dropped.
     lags : array of int, optional
         Delay bins to evaluate; default is every lag computable from the
-        first frame.
+        first item (the map lags when it is ``map_window``'s cut).
 
     Raises
     ------

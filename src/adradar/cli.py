@@ -36,9 +36,9 @@ def _build_parser() -> _Parser:
                                  "velocity-estimation simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, cpi_default=None):
+    def common(p):
         p.add_argument("--scenario", help="scenario JSON file (default: built-in)")
-        p.add_argument("--cpi", type=float, default=cpi_default,
+        p.add_argument("--cpi", type=float, default=None,
                        help="CPI duration in seconds")
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--p-tx-dbm", type=float, default=None)
@@ -56,7 +56,7 @@ def _build_parser() -> _Parser:
     common(p)
     p.add_argument("--cpis", type=float, nargs="+",
                    default=(1e-4, 2e-4, 4e-4, 6e-4, 8e-4, 1e-3))
-    p.add_argument("--p-tx-grid", type=float, nargs="+", default=None,
+    p.add_argument("--p-tx-grid", type=float, nargs="+", default=(10.0, 20.0),
                    help="TX powers in dBm (default: 10 20)")
 
     p = sub.add_parser("sweep-framegap", help="proposed-estimator NMSE versus m_d - m_i")
@@ -77,11 +77,12 @@ def _load(args) -> Scenario:
 
 
 def _experiment(scenario: Scenario, args) -> ExperimentConfig:
+    """The flags' experiment, each unset field taken from ``scenario``."""
     return ExperimentConfig(
-        cpi_s=args.cpi if args.cpi is not None else scenario.cpi_s,
-        trials=args.trials, p_tx_dbm=args.p_tx_dbm, m_i_offset=args.mi_offset,
+        cpi_s=args.cpi, trials=args.trials, p_tx_dbm=args.p_tx_dbm,
+        m_i_offset=args.mi_offset,
         estimators=getattr(args, "estimator", ExperimentConfig.estimators),
-        seed=args.seed)
+        seed=args.seed).resolve(scenario)
 
 
 def _emit(text: str, output: str):
@@ -130,9 +131,9 @@ def run_cli(argv) -> int:
         elif args.command == "sweep-framegap":
             rows = harness.sweep_framegap(scenario, exp, args.gaps)
         elif args.command == "sweep-cpi":
-            grid = args.p_tx_grid if args.p_tx_grid is not None else (10.0, 20.0)
             both = replace(exp, estimators="both")
-            rows = harness.sweep_cpi(scenario, both, args.cpis, p_tx_dbm_grid=grid)
+            rows = harness.sweep_cpi(scenario, both, args.cpis,
+                                     p_tx_dbm_grid=args.p_tx_grid)
         else:  # pragma: no cover - argparse restricts the choices
             raise ValueError(f"unknown command {args.command!r}")
         _emit(harness.format_csv(rows), args.output)

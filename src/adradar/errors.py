@@ -2,7 +2,7 @@
 
 
 class ScenarioError(ValueError):
-    """Scene configuration produces an unusable geometry (negative or colliding delays)."""
+    """Scene configuration produces an unusable geometry (nonpositive ranges or colliding delays)."""
 
 
 class BeamMeasurementError(ValueError):

@@ -21,14 +21,13 @@ most the CPU count).
 """
 
 import functools
-import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baseline import baseline_velocities, delay_doppler_map, map_lags
+from .baseline import baseline_velocities, delay_doppler_map, map_window
 from .echo import synthesize_frame, synthesize_window, with_noise
 from .errors import AggregationError, EstimationError
 from .estimator import PipelineConfig, detection_threshold, run_pipeline
@@ -59,7 +58,7 @@ ESTIMATORS = {"proposed": ("proposed",), "baseline": ("baseline",),
 class ExperimentConfig:
     """One Monte Carlo experiment over a fixed scenario."""
 
-    cpi_s: float
+    cpi_s: float = None           # None: use the scenario value
     trials: int = None            # None: use the scenario value
     p_tx_dbm: float = None        # None: use the scenario value
     m_i_offset: int = None        # None: use the scenario value
@@ -82,7 +81,7 @@ class ExperimentConfig:
         """This experiment with every unset field taken from ``scenario``."""
         return replace(self, **{
             name: getattr(scenario, name)
-            for name in ("trials", "p_tx_dbm", "m_i_offset", "seed")
+            for name in ("cpi_s", "trials", "p_tx_dbm", "m_i_offset", "seed")
             if getattr(self, name) is None})
 
 
@@ -207,9 +206,10 @@ def _run_trials(scenario: Scenario, exp: ExperimentConfig, trials,
 
 
 def _map_blocks(block, m_count: int, window, noise_clutter_var: float, rng):
-    """Frames 1 to M-1 of a trial's map over the samples of ``window`` (frame
-    0 cut to the map lags): ``block(start, k_start, n)`` for each block of up
-    to ``_MAP_BLOCK`` frames, plus one ``with_noise`` draw from ``rng``."""
+    """A trial's map frames: ``window`` (frame 0 cut to the map lags), then
+    frames 1 to M-1 over its samples, ``block(start, k_start, n)`` for each
+    block of up to ``_MAP_BLOCK`` frames plus one ``with_noise`` draw."""
+    yield window
     k_start, n = window.k_start, window.samples.shape[-1]
     for start in range(1, m_count, _MAP_BLOCK):
         yield with_noise(block(start, k_start, n), noise_clutter_var, rng)
@@ -222,11 +222,12 @@ def _run_trial(exp: ExperimentConfig, trial: int, scene: Scene, echo, block,
 
     Frame 0, and frames m_i and m_d when the proposed estimator runs, are
     whole, each with the noise of substream [seed, trial, 0, m], as if
-    synthesized at once.  The baseline reads frame 0 and then frames 1 to
-    M-1 over only the samples its map lags read (zeros past an echo), in
-    blocks of ``_MAP_BLOCK`` frames that stream through ``delay_doppler_map``
-    one at a time.  Each block draws its noise at once from one generator
-    per trial, [seed, trial, 3]: frame by frame, (2, width) draws in order.
+    synthesized at once.  The baseline reads frame 0 cut to its
+    ``map_window``, then frames 1 to M-1 over that window's samples (zeros
+    past an echo) in blocks of ``_MAP_BLOCK`` frames, streamed through
+    ``delay_doppler_map`` one at a time.  Each block draws its noise at once
+    from one generator per trial, [seed, trial, 3]: frame by frame, (2,
+    width) draws in order.
     """
     s_c = correlation_segment(build_preamble())  # for the baseline's frame-0 profile
     names = ESTIMATORS[exp.estimators]
@@ -244,13 +245,12 @@ def _run_trial(exp: ExperimentConfig, trial: int, scene: Scene, echo, block,
                 wraps = tuple(int(n) for n in res.doppler.wrap_count)
                 delays = tuple(int(d) for d in res.delays[0].delays)
             else:
-                lags = map_lags(frames[0], correlation_profile(s_c, frames[0].samples))
+                profile0 = correlation_profile(s_c, frames[0].samples)
+                window = map_window(frames[0], profile0)
                 map_rng = np.random.default_rng([exp.seed, trial, _STREAM_MAP])
-                window = frames[0].cut_to_lags(lags[0], lags[-1])
                 blocks = _map_blocks(block, m_count, window,
                                      scene.noise_clutter_var, map_rng)
-                ddm = delay_doppler_map(itertools.chain([frames[0]], blocks),
-                                        scene.wf.frame_period, lags=lags)
+                ddm = delay_doppler_map(blocks, scene.wf.frame_period)
                 velocities = baseline_velocities(
                     ddm, scene.source_velocity, scene.wf.wavelength,
                     cfg.expected_targets, cfg.threshold, guard=cfg.guard)

@@ -97,20 +97,9 @@ def backscatter_coefficient(target: Target, beam: np.ndarray, gain: float,
     h_p = sqrt(G_p) * beta_p * (f_RX^H a*(phi, theta)) * (a^H(phi, theta) f),
     held constant over one CPI.  The array receives on f_RX = conj(f), whose
     factor f_RX^H a* equals a^H f, so h_p = sqrt(G_p) * beta_p * (a^H f)^2.
-    The factor is cached by value (see ``_beam_factor``), so a scene's trials
-    compute it once.
     """
-    # Python scalars round-trip the entries exactly and hash by value.
-    factor = _beam_factor(target.azimuth, target.elevation, geometry,
-                          tuple(beam.tolist()))
+    factor = np.vdot(steering_upa(target.azimuth, target.elevation, geometry), beam)
     return complex(np.sqrt(gain) * target.beta * factor * factor)
-
-
-@functools.lru_cache(maxsize=64)
-def _beam_factor(azimuth, elevation, geometry, beam: tuple):
-    """a^H f toward one direction, for a beam given by its entries; the key
-    holds every value the factor depends on."""
-    return np.vdot(steering_upa(azimuth, elevation, geometry), np.array(beam))
 
 
 def noise_clutter_variance(noise_density_w_hz: float, bandwidth_hz: float,
@@ -148,8 +137,6 @@ def frame_truth(scene: Scene, m: int, backscatter: np.ndarray = None) -> FrameTr
         raise ScenarioError(f"target range nonpositive at frame {m}")
     delays = np.rint(2.0 * ranges / SPEED_OF_LIGHT / wf.sample_period).astype(np.int64)
     lags = delays.tolist()
-    if any(lag < 0 for lag in lags):
-        raise ScenarioError(f"negative delay at frame {m}")
     if len(set(lags)) != len(lags):
         raise ScenarioError(f"delays collide after rounding at frame {m}: {delays}")
     if any(b <= a for a, b in zip(lags, lags[1:])):

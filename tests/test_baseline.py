@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from adradar.baseline import baseline_velocities, delay_doppler_map, map_lags
+from adradar.baseline import (BASELINE_LAG_HALFWIDTH, baseline_velocities,
+                              delay_doppler_map, map_window)
 from adradar.echo import EchoFrame, synthesize_frame
 from adradar.errors import DetectionShortfallError
 from adradar.estimator import detection_threshold, pick_peaks
@@ -50,14 +51,36 @@ def test_map_of_a_frame_stream_equals_the_map_of_the_list(default_scene):
             assert np.array_equal(got.doppler_bins_hz, want.doppler_bins_hz)
 
 
+# (peak index, first window lag, window lags) on frame 0's 2863 lags: the
+# peak +-128 lags, clipped at the frame's first and last lag.
+@pytest.mark.parametrize("peak, first, n_lags", [
+    (1000, 872, 257), (0, 0, 129), (100, 0, 229), (2862, 2734, 129),
+    (2800, 2672, 191)], ids=["peak", "first", "near-first", "last", "near-last"])
+def test_map_window_is_the_dominant_peak_plus_minus_128_clipped_to_the_frame(
+        default_scene, peak, first, n_lags):
+    frame0 = synth_cpi(default_scene, 0.2e-3)[0]
+    profile0 = np.zeros(len(frame0.samples) - 511, complex)
+    assert len(profile0) == 2863 and BASELINE_LAG_HALFWIDTH == 128
+    profile0[peak] = -2.0  # the dominant peak is the largest magnitude
+    profile0[(peak + 300) % len(profile0)] = 1.5j
+    window = map_window(frame0, profile0)
+    assert window.m == 0
+    assert window.first_lag == frame0.first_lag + first
+    assert len(window.samples) == n_lags + 511
+    assert np.shares_memory(window.samples, frame0.samples)
+    assert np.array_equal(window.samples, frame0.samples[first:first + n_lags + 511])
+
+
 @pytest.mark.parametrize("clipped", [False, True], ids=["peak", "clipped"])
 def test_the_map_of_frames_cut_to_its_lags_equals_the_map_of_whole_frames(
         default_scene, clipped):
     frames = synth_cpi(default_scene, 0.4e-3)
     first = frames[0].first_lag
-    if clipped:  # the window map_lags gives when the peak is near the start
-        lags = map_lags(frames[0], np.r_[1.0, np.zeros(len(frames[0].samples) - 512)])
-        assert lags[0] == first
+    if clipped:  # the window map_window gives when the peak is near the start
+        window = map_window(frames[0],
+                            np.r_[1.0, np.zeros(len(frames[0].samples) - 512)])
+        assert window.first_lag == first
+        lags = first + np.arange(len(window.samples) - 511)
     else:
         lags = np.arange(first + 140, first + 240)
     cut = [f.cut_to_lags(lags[0], lags[-1]) for f in frames]
@@ -128,7 +151,8 @@ def frame_blocks(frames, size):
 def test_the_map_of_frame_blocks_equals_the_map_of_single_frames(default_scene,
                                                                  m_count):
     # M - 1 = 11, 24, 63 and 128 frames after frame 0, in blocks of every
-    # size, as the harness streams them (frame 0 whole, the rest cut).
+    # size, with frame 0 whole and given lags or, as the harness streams
+    # them, cut too and taking its lags by default.
     h = scene_backscatter(default_scene)
     frames = [synthesize_frame(default_scene, frame_truth(default_scene, m, h),
                                np.random.default_rng([5, m]))
@@ -142,6 +166,10 @@ def test_the_map_of_frame_blocks_equals_the_map_of_single_frames(default_scene,
     for size in (1, 5, 16, 128):
         got = delay_doppler_map(frame_blocks(cut, size), period, lags=lags)
         assert got.values.tobytes() == want.values.tobytes()
+        window = [frames[0].cut_to_lags(lags[0], lags[-1])] + cut[1:]
+        got = delay_doppler_map(frame_blocks(window, size), period)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert np.array_equal(got.lags, lags)
     # one block of every frame, whole: the map cuts it and takes its lags
     every = EchoFrame(m=0, k_start=frames[0].k_start,
                       samples=np.stack([f.samples for f in frames]))

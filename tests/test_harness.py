@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import adradar.harness
-from adradar.baseline import baseline_velocities, delay_doppler_map, map_lags
+from adradar.baseline import baseline_velocities, delay_doppler_map, map_window
 from adradar.cli import run_cli
 from adradar.echo import EchoFrame, synthesize_frame, synthesize_window, with_noise
 from adradar.errors import AggregationError, EstimationError, ScenarioError
@@ -150,9 +150,9 @@ def oracle_records(scn, exp):
     then every frame of its CPI from ``synthesize_frame(scene,
     frame_truth(...), rng)`` with the noise substream [seed, trial, 0, m]
     and, for Rayleigh gains, the gain substream [seed, trial, 1].  The
-    baseline reads frame 0 and then, for m = 1 to M-1 in order,
-    ``map_window_frame`` with the next noise block of the one substream
-    [seed, trial, 3]."""
+    baseline reads frame 0's ``map_window`` and then, for m = 1 to M-1 in
+    order, ``map_window_frame`` with the next noise block of the one
+    substream [seed, trial, 3]."""
     exp = exp.resolve(scn)
     records = []
     for trial in range(exp.trials):
@@ -181,12 +181,12 @@ def oracle_records(scn, exp):
                 else:
                     profile0 = correlation_profile(
                         correlation_segment(build_preamble()), frames[0].samples)
-                    lags = map_lags(frames[0], profile0)
+                    window = map_window(frames[0], profile0)
+                    lags = window.first_lag + np.arange(len(window.samples) - 511)
                     map_rng = np.random.default_rng([exp.seed, trial, 3])
                     cut = [map_window_frame(scene, h, m, lags, map_rng)
                            for m in range(1, m_count)]
-                    ddm = delay_doppler_map(frames[:1] + cut, wf.frame_period,
-                                            lags=lags)
+                    ddm = delay_doppler_map([window] + cut, wf.frame_period)
                     velocities = baseline_velocities(
                         ddm, scene.source_velocity, wf.wavelength,
                         scn.num_targets, threshold, guard=scn.guard)
@@ -313,9 +313,10 @@ def test_a_point_synthesizes_each_whole_frame_and_map_block_once(monkeypatch,
         blocks.append(([t.frame for t in truths], k_start, n))
         return synthesize_window(scene, truths, k_start, n)
 
-    def recording_map(frames, frame_period, lags=None):
-        windows.append((int(lags[0]) + CORR_SEGMENT_OFFSET, len(lags) + 511))
-        return delay_doppler_map(frames, frame_period, lags=lags)
+    def recording_map(frames, frame_period):
+        frames = list(frames)  # the first item is frame 0's map window
+        windows.append((frames[0].k_start, len(frames[0].samples)))
+        return delay_doppler_map(frames, frame_period)
 
     monkeypatch.setenv("ADRADAR_WORKERS", "1")
     monkeypatch.setattr(adradar.harness, "synthesize_frame", counting_frame)
@@ -339,9 +340,9 @@ def test_the_map_frames_are_common_across_cpis(monkeypatch):
     # longer CPI begins with the shorter CPI's frames, bit for bit.
     maps = []
 
-    def recording_map(frames, frame_period, lags=None):
+    def recording_map(frames, frame_period):
         maps.append(list(frames))
-        return delay_doppler_map(maps[-1], frame_period, lags=lags)
+        return delay_doppler_map(maps[-1], frame_period)
 
     monkeypatch.setenv("ADRADAR_WORKERS", "1")
     monkeypatch.setattr(adradar.harness, "delay_doppler_map", recording_map)
@@ -359,17 +360,19 @@ def test_the_map_frames_are_common_across_cpis(monkeypatch):
     for a, b in zip(short, long):
         assert a[:2] == b[:2]
         assert np.array_equal(a[2], b[2])
+    # every frame, frame 0 included, is on frame 0's map window
+    assert {(a[1], len(a[2])) for a in long} == {(long[0][1], len(long[0][2]))}
 
 
 def dense_map(scn, exp, trial):
     """(lags, values) of trial ``trial``'s baseline map, rebuilt frame by
     frame without the package's correlator or map.  The noisy windows are
     the harness's stream layout: frame 0 whole with the noise of
-    [seed, trial, 0, 0], and frames 1 to M-1 over the samples the map lags
-    read, zero-padded where those run past frame m's echo, with the m-th
-    (2, width) draw of [seed, trial, 3].  Each is correlated by
-    ``np.correlate`` against [-Ga, -Gb, -Ga, +Gb]; ``np.fft.fft`` then runs
-    over the frames."""
+    [seed, trial, 0, 0], whose profile gives the map lags by ``map_window``,
+    and frames 1 to M-1 over the samples the map lags read, zero-padded
+    where those run past frame m's echo, with the m-th (2, width) draw of
+    [seed, trial, 3].  Each is correlated by ``np.correlate`` against
+    [-Ga, -Gb, -Ga, +Gb]; ``np.fft.fft`` then runs over the frames."""
     exp = exp.resolve(scn)
     betas = None
     if scn.beta_mode == "rayleigh":
@@ -385,10 +388,9 @@ def dense_map(scn, exp, trial):
     frame0 = synthesize_frame(scene, frame_truth(scene, 0, h),
                               np.random.default_rng([exp.seed, trial, 0, 0]))
     profile0 = profile(frame0.samples)
-    peak = int(np.argmax(np.abs(profile0)))
-    index = np.arange(max(peak - 128, 0), min(peak + 128, len(profile0) - 1) + 1)
-    lags = frame0.first_lag + index
-    columns = [profile0[index]]
+    window = map_window(frame0, profile0)
+    lags = window.first_lag + np.arange(len(window.samples) - 511)
+    columns = [profile0[lags - frame0.first_lag]]
     rng = np.random.default_rng([exp.seed, trial, 3])
     sigma = np.sqrt(scene.noise_clutter_var / 2.0)
     for m in range(1, scene.wf.frames_per_cpi(exp.cpi_s)):
@@ -430,8 +432,8 @@ def test_the_step_case_steps_a_delay_inside_a_block_past_the_window_end():
 def test_the_baseline_map_matches_a_dense_reference(monkeypatch, scn, exp):
     maps = []
 
-    def recording_map(frames, frame_period, lags=None):
-        maps.append(delay_doppler_map(frames, frame_period, lags=lags))
+    def recording_map(frames, frame_period):
+        maps.append(delay_doppler_map(frames, frame_period))
         return maps[-1]
 
     monkeypatch.setenv("ADRADAR_WORKERS", "1")
@@ -628,16 +630,20 @@ def test_sweep_cpi_shape():
 
 
 def test_unset_experiment_fields_come_from_the_scenario():
-    scn = Scenario(trials=3, m_i_offset=2, p_tx_dbm=7.0, seed=5)
-    resolved = ExperimentConfig(cpi_s=2e-4).resolve(scn)
-    assert (resolved.trials, resolved.m_i_offset, resolved.p_tx_dbm,
-            resolved.seed) == (3, 2, 7.0, 5)
+    scn = Scenario(cpi_s=4e-4, trials=3, m_i_offset=2, p_tx_dbm=7.0, seed=5)
+    resolved = ExperimentConfig().resolve(scn)
+    assert (resolved.cpi_s, resolved.trials, resolved.m_i_offset,
+            resolved.p_tx_dbm, resolved.seed) == (4e-4, 3, 2, 7.0, 5)
     explicit = ExperimentConfig(cpi_s=2e-4, trials=4, p_tx_dbm=10.0,
                                 m_i_offset=1, seed=9)
     assert explicit.resolve(scn) == explicit
     # the scenario's trial count, not the Scenario class default of 200
     rows = sweep_cpi(Scenario(trials=3), ExperimentConfig(cpi_s=2e-4), [2e-4])
     assert rows[0]["trials"] + rows[0]["failures"] == 3
+    # and the scenario's CPI, not the Scenario class default of 0.5 ms
+    exp = ExperimentConfig(trials=2, estimators="both")
+    assert (run_experiment(Scenario(cpi_s=2e-4), exp)
+            == run_experiment(Scenario(), replace(exp, cpi_s=2e-4)))
 
 
 def test_format_csv_layout():

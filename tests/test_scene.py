@@ -8,7 +8,7 @@ from scipy.constants import c as C0
 from adradar.errors import ScenarioError
 from adradar.params import SPEED_OF_LIGHT
 from adradar.phasedarray import UpaGeometry, steering_upa, wide_beam
-from adradar.scene import (Scenario, Target, _beam_factor, backscatter_coefficient,
+from adradar.scene import (Scenario, Target, backscatter_coefficient,
                            build_scene, dbm_to_watts, frame_truth,
                            large_scale_gain, load_scenario, noise_clutter_variance,
                            save_scenario, scene_backscatter)
@@ -196,25 +196,6 @@ def test_frame_truth_names_the_frame_of_a_later_collision():
     frame_truth(scene, 0)
     with pytest.raises(ScenarioError, match="collide after rounding at frame 600"):
         frame_truth(scene, 600)
-
-
-def test_beam_factors_are_cached_by_value():
-    t = Target(velocity=20.0, initial_range=30.0, azimuth=0.1, beta=1.0)
-    f = wide_beam([0.0, 0.2], 0.0, GEO)
-    h = backscatter_coefficient(t, f, 1e-12, GEO)
-    # Equal entries in a new object hit the cache; changed entries miss it.
-    twin = wide_beam([0.0, 0.2], 0.0, GEO)
-    hits = _beam_factor.cache_info().hits
-    assert backscatter_coefficient(t, twin, 1e-12, GEO) == h
-    assert _beam_factor.cache_info().hits == hits + 1
-    f = f.copy()
-    f[0] = -f[0]
-    # The two-factor product with the conjugate receive beam, bit for bit.
-    a = steering_upa(0.1, 0.0, GEO)
-    expected = (np.sqrt(1e-12) * np.vdot(np.conj(f), np.conj(a))
-                * np.vdot(a, f))
-    assert backscatter_coefficient(t, f, 1e-12, GEO) == expected
-    assert expected != h
 
 
 def test_negative_beta_mode_rejected():

@@ -1,7 +1,8 @@
 """Module boundaries of the package: no module reaches into a sibling's privates,
 importing the package does not load scipy (a test-only dependency), every
 function the benchmark's tracer wraps is still where the tracer looks it up,
-no module of the package or the tests imports a name it never uses, and every
+the harness reaches the baseline only through its entry points, no module of
+the package, the tests or the demos imports a name it never uses, and every
 module of the package parses as the oldest Python that pyproject.toml allows.
 
 A ``_``-prefixed name is private to the module that defines it.  The scan
@@ -23,6 +24,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "adradar"
 TRACER = PACKAGE.parent.parent / "perfbench" / "tracer.py"
 MODULES = sorted(PACKAGE.glob("*.py"))
 TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
+DEMO_MODULES = sorted((PACKAGE.parent.parent / "demos").glob("*.py"))
 
 
 def _is_private(name: str) -> bool:
@@ -58,6 +60,8 @@ def private_imports(source: str):
 
 def test_the_scan_sees_the_package():
     assert {p.stem for p in MODULES} >= {"cli", "harness", "scene", "selftest"}
+    assert {p.stem for p in DEMO_MODULES} >= {"demo_delay_doppler_baseline",
+                                              "demo_nmse_sweeps"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -113,6 +117,24 @@ def test_every_tracer_target_resolves_to_a_callable():
     assert missing == []
 
 
+def imported_names(source: str, module: str):
+    """Names ``source`` imports from the package's ``module``, relative or absolute."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and _is_sibling(node)
+            and (node.module or "").split(".")[-1] == module
+            for alias in node.names}
+
+
+# The baseline picks its own map window, and the map takes its lags from
+# the window, so the harness hands frames through and reads the result.
+def test_the_harness_reaches_the_baseline_only_through_its_entry_points():
+    source = (PACKAGE / "harness.py").read_text(encoding="utf-8")
+    assert imported_names(source, "baseline") == {
+        "map_window", "delay_doppler_map", "baseline_velocities"}
+    assert "cut_to_lags" not in {node.attr for node in ast.walk(ast.parse(source))
+                                 if isinstance(node, ast.Attribute)}
+
+
 def unused_imports(source: str):
     """(line, name) of every name ``source`` imports but never reads as a ``Name``."""
     tree = ast.parse(source)
@@ -139,8 +161,8 @@ def test_the_unused_import_scan_flags_each_form():
 
 # The package's __init__ imports only to re-export.
 @pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name != "__init__.py"] + TEST_MODULES,
-    ids=lambda p: f"{p.parent.name}/{p.name}")
+    "path", [p for p in MODULES if p.name != "__init__.py"] + TEST_MODULES
+    + DEMO_MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_module_has_an_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
