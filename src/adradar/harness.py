@@ -17,12 +17,11 @@ numpy's SeedSequence pads a key with zeros up to four words, so [a, b],
 would be frame 0's noise, and [seed, 2] is trial 2's frame-0 noise.
 
 The ADRADAR_WORKERS environment variable sets the worker count (default 1, at
-most the CPU count).
+most the CPU count).  Only a multi-worker run imports the process pool.
 """
 
 import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,7 +31,7 @@ from .echo import synthesize_frame, synthesize_window, with_noise
 from .errors import AggregationError, EstimationError
 from .estimator import PipelineConfig, detection_threshold, run_pipeline
 from .scene import (Scenario, Scene, build_scene, draw_betas, frame_truth,
-                    scene_backscatter)
+                    frame_truths, scene_backscatter)
 from .sequences import build_preamble, correlation_profile, correlation_segment
 
 _STREAM_NOISE = 0
@@ -167,8 +166,7 @@ def _noiseless_frame(scene, h, m):
 def _noiseless_block(scene, h, m_count, start, k_start, n):
     """The read-only noiseless map block of ``scene`` from frame ``start``
     over samples [k_start, k_start + n)."""
-    truths = [frame_truth(scene, m, h)
-              for m in range(start, min(start + _MAP_BLOCK, m_count))]
+    truths = frame_truths(scene, range(start, min(start + _MAP_BLOCK, m_count)), h)
     block = synthesize_window(scene, truths, k_start, n)
     block.samples.flags.writeable = False
     return block
@@ -288,6 +286,7 @@ def run_experiment(scenario: Scenario, exp: ExperimentConfig):
         return _run_trials(scenario, exp, range(exp.trials), pinned)
     bounds = [exp.trials * w // workers for w in range(workers + 1)]
     trial_runs = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         runs = pool.map(_run_trials, [scenario] * workers, [exp] * workers,
                         trial_runs, [pinned] * workers)

@@ -9,7 +9,6 @@ axes.  The steering functions take scalar angles or arrays of them (one
 vector per angle, along a new last axis).
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,10 +93,8 @@ def _conj_steering(geometry, plane, elevation_center, angles) -> np.ndarray:
     return a.conj()
 
 
-@functools.lru_cache(maxsize=4)
 def _scan_cut(geometry, plane, elevation_center):
-    """``measure_beamwidth``'s 1 mrad scan angles and their read-only
-    ``_conj_steering``, built once per cut (a bisection measures many beams)."""
+    """A cut's 1 mrad scan angles and their read-only ``_conj_steering``."""
     angles = np.arange(-np.pi / 2 + _SCAN_STEP, np.pi / 2, _SCAN_STEP)
     a_conj = _conj_steering(geometry, plane, elevation_center, angles)
     a_conj.flags.writeable = False
@@ -119,7 +116,11 @@ def measure_beamwidth(f: np.ndarray, geometry: UpaGeometry,
         If the pattern is flat (no mainlobe) or the half-power level is never
         crossed inside the scanned interval.
     """
-    angles, a_conj = _scan_cut(geometry, plane, float(elevation_center))
+    return _scan_width(f, *_scan_cut(geometry, plane, float(elevation_center)))
+
+
+def _scan_width(f, angles, a_conj) -> float:
+    """``measure_beamwidth`` of ``f`` on the scan ``angles, a_conj``."""
     gains = np.abs(a_conj @ f) ** 2
     peak = int(np.argmax(gains))
     half = gains[peak] / 2.0
@@ -175,9 +176,11 @@ def design_wide_beam(target_width: float, n_beams: int, geometry: UpaGeometry,
         az = np.linspace(-delta, delta, n_beams) if n_beams > 1 else (0.0,)
         return wide_beam(az, elevation_center, geometry)
 
+    # One scan cut serves every measured width and is freed with the design.
+    scan = _scan_cut(geometry, "azimuth", float(elevation_center))
+
     def width(delta):
-        return measure_beamwidth(beam(delta), geometry, "azimuth",
-                                 elevation_center)
+        return _scan_width(beam(delta), *scan)
 
     lo = 0.0
     w_lo = width(lo)

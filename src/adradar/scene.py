@@ -126,23 +126,31 @@ def frame_truth(scene: Scene, m: int, backscatter: np.ndarray = None) -> FrameTr
     sample delays.  ``backscatter`` short-circuits the h_p computation with
     a precomputed ``scene_backscatter`` result (h_p is frame-independent).
     """
-    if m < 0:
+    return frame_truths(scene, (m,), backscatter)[0]
+
+
+def frame_truths(scene: Scene, frames, backscatter: np.ndarray = None) -> list:
+    """``frame_truth`` of each frame of the sequence ``frames``, all delays from
+    one ``np.rint``; raises ``frame_truth``'s error for the first bad frame."""
+    if min(frames) < 0:
         raise ValueError("frame index must be nonnegative")
     wf = scene.wf
     doppler, initial_ranges, range_rates = scene._kinematics
-    ranges = initial_ranges + range_rates * (m * wf.frame_period)
-    # The checks run over Python lists: for a few targets that costs far
-    # less than a numpy reduction per check.
-    if any(r <= 0 for r in ranges.tolist()):
-        raise ScenarioError(f"target range nonpositive at frame {m}")
+    frames = np.asarray(frames)
+    ranges = initial_ranges + range_rates * (frames[:, None] * wf.frame_period)
     delays = np.rint(2.0 * ranges / SPEED_OF_LIGHT / wf.sample_period).astype(np.int64)
+    # Python checks: for a few targets they cost less than numpy reductions.
     lags = delays.tolist()
-    if len(set(lags)) != len(lags):
-        raise ScenarioError(f"delays collide after rounding at frame {m}: {delays}")
-    if any(b <= a for a, b in zip(lags, lags[1:])):
-        raise ScenarioError(f"delay ordering violated at frame {m}: {delays}")
+    if ranges.min() <= 0 or any(b <= a for row in lags for a, b in zip(row, row[1:])):
+        i = int(np.argmax((ranges <= 0).any(axis=1) | (np.diff(delays) <= 0).any(axis=1)))
+        if min(ranges[i]) <= 0:
+            raise ScenarioError(f"target range nonpositive at frame {frames[i]}")
+        what = ("delays collide after rounding" if len(set(lags[i])) < len(lags[i])
+                else "delay ordering violated")
+        raise ScenarioError(f"{what} at frame {frames[i]}: {delays[i]}")
     h = scene_backscatter(scene) if backscatter is None else backscatter
-    return FrameTruth(frame=m, doppler_hz=doppler, delay_samples=delays, backscatter=h)
+    return [FrameTruth(frame=m, doppler_hz=doppler, delay_samples=d, backscatter=h)
+            for m, d in zip(frames.tolist(), delays)]
 
 
 # ---------------------------------------------------------------------------

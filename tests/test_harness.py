@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import tracemalloc
@@ -513,7 +514,8 @@ def test_the_pool_gets_one_even_run_of_trials_per_worker(monkeypatch, workers,
 
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setenv("ADRADAR_WORKERS", str(workers))
-    monkeypatch.setattr(adradar.harness, "ProcessPoolExecutor", RecordingPool)
+    # The harness imports the pool from concurrent.futures when it starts one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     exp = ExperimentConfig(cpi_s=2e-4, trials=trials, seed=2)
     records = run_experiment(Scenario(), exp)
     assert [r.trial for r in records] == list(range(trials))

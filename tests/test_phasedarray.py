@@ -214,20 +214,52 @@ def bisected_beam(target_width, n_beams, geometry, elevation_center):
     (0.4084, 3, 8, 0.0), (0.3, 2, 8, 0.1), (0.9, 4, 6, -0.2)])
 def test_design_wide_beam_equals_measuring_every_step(target, n_beams, nx,
                                                       elevation):
-    # The design's bisection keeps its steps and its beam with the cached scan.
+    # The design's bisection keeps its steps and its beam with its shared scan.
     geo = UpaGeometry(nx=nx, ny=2)
     assert np.array_equal(design_wide_beam(target, n_beams, geo, elevation),
                           bisected_beam(target, n_beams, geo, elevation))
 
 
+def record_scan_cuts(monkeypatch):
+    """(geometry, plane, elevation, angles, a_conj) of every scan cut built."""
+    built, conj_steering = [], phasedarray._conj_steering
+
+    def recording(geometry, plane, elevation_center, angles):
+        a_conj = conj_steering(geometry, plane, elevation_center, angles)
+        built.append((geometry, plane, elevation_center, angles, a_conj))
+        return a_conj
+
+    monkeypatch.setattr(phasedarray, "_conj_steering", recording)
+    return built
+
+
 @pytest.mark.parametrize("plane", ["azimuth", "elevation"])
-def test_measure_beamwidth_builds_one_read_only_scan_per_cut(plane):
+def test_measure_beamwidth_scans_its_own_read_only_gain_cut(monkeypatch, plane):
     f = wide_beam([-0.1, 0.0, 0.1], 0.1, GEO)
-    angles, a_conj = phasedarray._scan_cut(GEO, plane, 0.1)
-    assert phasedarray._scan_cut(GEO, plane, 0.1)[1] is a_conj
+    built = record_scan_cuts(monkeypatch)
+    measure_beamwidth(f, GEO, plane, 0.1)
+    measure_beamwidth(f, GEO, plane, 0.1)
+    assert len(built) == 2  # no cut outlives its measurement
+    geometry, got_plane, elevation, angles, a_conj = built[0]
+    assert (geometry, got_plane, elevation) == (GEO, plane, 0.1)
     assert not a_conj.flags.writeable
     assert np.array_equal(np.abs(a_conj @ f) ** 2,
                           gain_cut(f, GEO, plane, 0.1, angles))
+
+
+@pytest.mark.parametrize("target, n_beams, elevation", [(0.4084, 3, 0.0),
+                                                       (0.3, 2, 0.1)])
+def test_a_design_builds_one_read_only_scan_cut(monkeypatch, target, n_beams,
+                                                elevation):
+    # Every width the bisection measures (19 for the default beam) reads one
+    # azimuth cut.
+    built = record_scan_cuts(monkeypatch)
+    beam = design_wide_beam(target, n_beams, GEO, elevation)
+    [(geometry, plane, got_elevation, angles, a_conj)] = built
+    assert (geometry, plane, got_elevation) == (GEO, "azimuth", elevation)
+    assert not a_conj.flags.writeable
+    assert np.array_equal(np.abs(a_conj @ beam) ** 2,
+                          gain_cut(beam, GEO, "azimuth", elevation, angles))
 
 
 @pytest.mark.parametrize("width, n_beams, reach", [(0.1, 3, "at least 0.2234"),

@@ -9,7 +9,7 @@ from adradar.errors import ScenarioError
 from adradar.params import SPEED_OF_LIGHT
 from adradar.phasedarray import UpaGeometry, steering_upa, wide_beam
 from adradar.scene import (Scenario, Target, backscatter_coefficient,
-                           build_scene, dbm_to_watts, frame_truth,
+                           build_scene, dbm_to_watts, frame_truth, frame_truths,
                            large_scale_gain, load_scenario, noise_clutter_variance,
                            save_scenario, scene_backscatter)
 
@@ -127,6 +127,41 @@ def test_frame_truth_delay_drift_small(default_scene):
     assert np.all(np.abs(d1 - d0) <= 1)
 
 
+def test_frame_truths_equal_each_frames_truth():
+    vs = 25.271
+    moving = build_scene(Scenario(source_velocity_mps=vs,
+                                  target_velocities_mps=(vs + 30, vs, vs - 30)))
+    h = scene_backscatter(moving)
+    for frames in (range(0, 16), range(113, 129), (1000, 0, 64), (7,)):
+        truths = frame_truths(moving, frames, h)
+        assert [t.frame for t in truths] == list(frames)
+        for truth, m in zip(truths, frames):
+            one = frame_truth(moving, m, h)
+            assert np.array_equal(truth.delay_samples, one.delay_samples)
+            assert truth.delay_samples.dtype == np.int64
+            assert truth.doppler_hz is one.doppler_hz and truth.backscatter is h
+
+
+@pytest.mark.parametrize("frames, first_bad", [
+    (range(590, 606), 599), (range(700, 716), 700), ((720, 600), 720),
+    ((0, 1, 709), 709)])
+def test_frame_truths_raise_for_the_first_bad_frame(frames, first_bad):
+    # The second target closes on the first at 100 m/s: their delays collide
+    # from frame 599 and cross from frame 709.
+    vs = 25.271
+    scene = build_scene(Scenario(source_velocity_mps=vs,
+                                 target_velocities_mps=(vs, vs - 100.0),
+                                 target_ranges_m=(50.0, 50.5),
+                                 target_azimuths_rad=(0.0, 0.1),
+                                 target_elevations_rad=(0.0, 0.0)))
+    with pytest.raises(ScenarioError) as one:
+        frame_truth(scene, first_bad)
+    with pytest.raises(ScenarioError) as block:
+        frame_truths(scene, frames)
+    assert str(block.value) == str(one.value)
+    assert f"at frame {first_bad}:" in str(block.value)
+
+
 def test_backscatter_constant_across_frames(default_scene):
     h = scene_backscatter(default_scene)
     np.testing.assert_array_equal(frame_truth(default_scene, 0).backscatter, h)
@@ -183,6 +218,8 @@ def test_frame_truth_names_the_frame_of_a_nonpositive_range():
     frame_truth(scene, 129)
     with pytest.raises(ScenarioError, match="nonpositive at frame 130"):
         frame_truth(scene, 130)
+    with pytest.raises(ScenarioError, match="nonpositive at frame 130$"):
+        frame_truths(scene, range(120, 136))
 
 
 def test_frame_truth_names_the_frame_of_a_later_collision():

@@ -1,9 +1,11 @@
 """Module boundaries of the package: no module reaches into a sibling's privates,
-importing the package does not load scipy (a test-only dependency), every
-function the benchmark's tracer wraps is still where the tracer looks it up,
-the harness reaches the baseline only through its entry points, no module of
-the package, the tests or the demos imports a name it never uses, and every
-module of the package parses as the oldest Python that pyproject.toml allows.
+importing the package does not load scipy (a test-only dependency), a
+single-worker run loads no process pool, no scan cut outlives the beam
+design, every function the benchmark's tracer wraps is still where the
+tracer looks it up, the harness reaches the baseline only through its entry
+points, no module of the package, the tests or the demos imports a name it
+never uses, and every module of the package parses as the oldest Python that
+pyproject.toml allows.
 
 A ``_``-prefixed name is private to the module that defines it.  The scan
 flags ``from .sibling import _name`` (relative or absolute) and
@@ -84,11 +86,42 @@ def test_the_scan_flags_each_form():
         "echo._DUMP_MAGIC"]
 
 
+def run_fresh(source: str, **env):
+    """Run ``source`` in a fresh interpreter on this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent), **env)
+    subprocess.run([sys.executable, "-c", source], env=env, check=True, timeout=60)
+
+
 def test_importing_the_package_does_not_load_scipy():
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    subprocess.run([sys.executable, "-c",
-                    "import sys, adradar; assert 'scipy' not in sys.modules"],
-                   env=env, check=True, timeout=60)
+    run_fresh("import sys, adradar; assert 'scipy' not in sys.modules")
+
+
+# Every trial draws its noise, so numpy.random loads with the package; the
+# process pool loads only for a run with more than one worker.
+def test_a_single_worker_run_loads_no_process_pool():
+    run_fresh("import sys, adradar\n"
+              "assert 'numpy.random' in sys.modules\n"
+              "adradar.run_experiment(adradar.Scenario(),\n"
+              "                       adradar.ExperimentConfig(cpi_s=2e-4, trials=2))\n"
+              "pool = {'concurrent.futures.process', 'multiprocessing'}\n"
+              "assert pool.isdisjoint(sys.modules), pool & set(sys.modules)\n",
+              ADRADAR_WORKERS="1")
+
+
+# The beam design's scan cut (3141 x 16 complex, 0.8 MB) is not kept once
+# the beam is designed.
+def test_the_beam_designs_scan_cut_is_freed_with_the_design():
+    run_fresh("import gc, weakref, adradar\n"
+              "from adradar import phasedarray\n"
+              "refs, conj_steering = [], phasedarray._conj_steering\n"
+              "def recording(*args):\n"
+              "    a_conj = conj_steering(*args)\n"
+              "    refs.append(weakref.ref(a_conj))\n"
+              "    return a_conj\n"
+              "phasedarray._conj_steering = recording\n"
+              "adradar.build_scene(adradar.Scenario())\n"
+              "gc.collect()\n"
+              "assert len(refs) == 1 and refs[0]() is None, refs\n")
 
 
 def tracer_targets():
