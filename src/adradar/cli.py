@@ -6,7 +6,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime estimation failure.
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -30,45 +30,49 @@ class _UsageError(Exception):
     pass
 
 
+# Every flag of the CLI, once.  A flag that sets an ExperimentConfig field has
+# that field as its dest.
+_FLAGS = {
+    "--scenario": dict(help="scenario JSON file (default: built-in)"),
+    "--cpi": dict(type=float, dest="cpi_s", metavar="CPI", help="CPI duration in seconds"),
+    "--trials": dict(type=int),
+    "--p-tx-dbm": dict(type=float),
+    "--seed": dict(type=int),
+    "--mi-offset": dict(type=int, dest="m_i_offset", metavar="MI_OFFSET",
+                        help="m_d - m_i frame gap"),
+    "--output": dict(default="-", help="CSV path ('-' for stdout)"),
+    "--estimator": dict(choices=tuple(ESTIMATORS), dest="estimators",
+                        default=ExperimentConfig.estimators),
+    "--cpis": dict(type=float, nargs="+", default=(1e-4, 2e-4, 4e-4, 6e-4, 8e-4, 1e-3)),
+    "--p-tx-grid": dict(type=float, nargs="+", default=(10.0, 20.0),
+                        help="TX powers in dBm (default: 10 20)"),
+    "--gaps": dict(type=int, nargs="+", default=tuple(range(1, 11))),
+    "--resolution": dict(type=float, default=1e-3),
+}
+
+# Subcommand -> its help and the flags it reads (a sweep's points set their own
+# CPI, power or gap).  No parser takes an abbreviated flag.
+_COMMANDS = {
+    "simulate": ("Monte Carlo NMSE at one CPI", "--scenario --cpi --trials "
+                 "--p-tx-dbm --seed --mi-offset --output --estimator"),
+    "sweep-cpi": ("NMSE of both estimators versus CPI", "--scenario --trials "
+                  "--seed --mi-offset --output --cpis --p-tx-grid"),
+    "sweep-framegap": ("proposed-estimator NMSE versus m_d - m_i", "--scenario "
+                       "--cpi --trials --p-tx-dbm --seed --output --gaps"),
+    "beam-pattern": ("azimuth gain cut of the designed beam",
+                     "--scenario --resolution --output"),
+    "selftest": ("run the built-in invariant battery", ""),
+}
+
+
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="adradar",
-                     description="802.11ad joint radar-communication "
-                                 "velocity-estimation simulator")
+    parser = _Parser(prog="adradar", allow_abbrev=False, description="802.11ad "
+                     "joint radar-communication velocity-estimation simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--scenario", help="scenario JSON file (default: built-in)")
-        p.add_argument("--cpi", type=float, default=None,
-                       help="CPI duration in seconds")
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--p-tx-dbm", type=float, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--mi-offset", type=int, default=None,
-                       help="m_d - m_i frame gap")
-        p.add_argument("--output", default="-", help="CSV path ('-' for stdout)")
-
-    p = sub.add_parser("simulate", help="Monte Carlo NMSE at one CPI")
-    common(p)
-    p.add_argument("--estimator", choices=tuple(ESTIMATORS),
-                   default=ExperimentConfig.estimators)
-
-    p = sub.add_parser("sweep-cpi", help="NMSE of both estimators versus CPI")
-    common(p)
-    p.add_argument("--cpis", type=float, nargs="+",
-                   default=(1e-4, 2e-4, 4e-4, 6e-4, 8e-4, 1e-3))
-    p.add_argument("--p-tx-grid", type=float, nargs="+", default=(10.0, 20.0),
-                   help="TX powers in dBm (default: 10 20)")
-
-    p = sub.add_parser("sweep-framegap", help="proposed-estimator NMSE versus m_d - m_i")
-    common(p)
-    p.add_argument("--gaps", type=int, nargs="+", default=tuple(range(1, 11)))
-
-    p = sub.add_parser("beam-pattern", help="azimuth gain cut of the designed beam")
-    p.add_argument("--scenario", help="scenario JSON file (default: built-in)")
-    p.add_argument("--resolution", type=float, default=1e-3)
-    p.add_argument("--output", default="-")
-
-    sub.add_parser("selftest", help="run the built-in invariant battery")
+    for command, (help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -78,11 +82,8 @@ def _load(args) -> Scenario:
 
 def _experiment(scenario: Scenario, args) -> ExperimentConfig:
     """The flags' experiment, each unset field taken from ``scenario``."""
-    return ExperimentConfig(
-        cpi_s=args.cpi, trials=args.trials, p_tx_dbm=args.p_tx_dbm,
-        m_i_offset=args.mi_offset,
-        estimators=getattr(args, "estimator", ExperimentConfig.estimators),
-        seed=args.seed).resolve(scenario)
+    return ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+                               if hasattr(args, f.name)}).resolve(scenario)
 
 
 def _emit(text: str, output: str):
@@ -130,12 +131,9 @@ def run_cli(argv) -> int:
             rows = harness.sweep_cpi(scenario, exp, [exp.cpi_s])
         elif args.command == "sweep-framegap":
             rows = harness.sweep_framegap(scenario, exp, args.gaps)
-        elif args.command == "sweep-cpi":
-            both = replace(exp, estimators="both")
-            rows = harness.sweep_cpi(scenario, both, args.cpis,
-                                     p_tx_dbm_grid=args.p_tx_grid)
-        else:  # pragma: no cover - argparse restricts the choices
-            raise ValueError(f"unknown command {args.command!r}")
+        else:  # sweep-cpi
+            rows = harness.sweep_cpi(scenario, replace(exp, estimators="both"),
+                                     args.cpis, p_tx_dbm_grid=args.p_tx_grid)
         _emit(harness.format_csv(rows), args.output)
         worst = max(row["nmse"] for row in rows)
         print(f"{args.command}: {len(rows)} rows, worst NMSE {worst:.3e}",

@@ -128,7 +128,8 @@ def synthesize_frame(scene: Scene, truth: FrameTruth,
 def with_noise(frame: EchoFrame, noise_clutter_var: float,
                rng: np.random.Generator) -> EchoFrame:
     """A new frame: ``frame`` plus one draw of i.i.d. CN(0, ``noise_clutter_var``)
-    clutter-plus-noise from ``rng`` (``frame`` itself if the variance is 0).
+    clutter-plus-noise from ``rng``; ``frame`` itself for a variance of 0, and
+    ValueError for a negative or NaN one.
 
     The draw has shape (2, n) for one frame and (rows, 2, n) for a block:
     each row's real parts, then its imaginary parts.  A generator fills an
@@ -136,7 +137,9 @@ def with_noise(frame: EchoFrame, noise_clutter_var: float,
     draws in row order.  ``synthesize_frame`` adds its noise this way, so the
     noisy copy of a noiseless frame is the frame synthesized with ``rng``.
     """
-    if noise_clutter_var <= 0:
+    if not noise_clutter_var >= 0:
+        raise ValueError(f"noise_clutter_var must be >= 0, got {noise_clutter_var!r}")
+    if noise_clutter_var == 0:
         return frame
     shape = frame.samples.shape
     z = rng.standard_normal(shape[:-1] + (2, shape[-1]))

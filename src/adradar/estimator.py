@@ -36,7 +36,6 @@ class DelayEstimate:
     """Detected delays of one frame, sorted ascending."""
 
     delays: np.ndarray            # integer lags
-    dominant_index: int           # position of the argmax peak in ``delays``
     correlation_peak: np.ndarray  # |R| at each retained delay
 
 
@@ -149,7 +148,6 @@ def estimate_delays(frame: EchoFrame, threshold: float, expected_targets: int,
             f"frame {frame.m}: detected {len(accepted)} of "
             f"{expected_targets} targets above threshold {threshold:.3e}")
     return DelayEstimate(delays=frame.first_lag + np.array(accepted),
-                         dominant_index=accepted.index(dom),
                          correlation_peak=mag[accepted])
 
 

@@ -320,10 +320,9 @@ def _sweep_rows(scenario, points):
 
 
 def sweep_framegap(scenario: Scenario, exp: ExperimentConfig, gaps):
-    """NMSE of the proposed estimator versus the frame gap m_d - m_i.
-
-    m_d is pinned to M-1; all gaps share trial seeds (common random numbers).
-    """
+    """NMSE of the proposed estimator versus the frame gap m_d - m_i, m_d pinned
+    to M-1: each gap overrides ``exp.m_i_offset``, and "proposed" ``exp.estimators``.
+    All gaps share trial seeds (common random numbers)."""
     exp = exp.resolve(scenario)
     return _sweep_rows(scenario, [
         (replace(exp, m_i_offset=int(gap), estimators="proposed"), int(gap))
@@ -331,7 +330,8 @@ def sweep_framegap(scenario: Scenario, exp: ExperimentConfig, gaps):
 
 
 def sweep_cpi(scenario: Scenario, exp: ExperimentConfig, cpis, p_tx_dbm_grid=None):
-    """NMSE of both estimators versus CPI duration, optionally over TX powers."""
+    """NMSE of ``exp``'s estimators versus CPI duration: each CPI overrides
+    ``exp.cpi_s``, and each power of ``p_tx_dbm_grid``, if given, ``exp.p_tx_dbm``."""
     exp = exp.resolve(scenario)
     powers = [exp.p_tx_dbm] if p_tx_dbm_grid is None else list(p_tx_dbm_grid)
     return _sweep_rows(scenario, [
@@ -344,7 +344,7 @@ CSV_HEADER = ("x", "estimator", "p_tx_dbm", "nmse", "ci_lo", "ci_hi",
 
 
 def format_csv(rows) -> str:
-    """Render result rows deterministically (shortest round-trip floats)."""
+    """Render result rows deterministically (floats to 12 significant digits)."""
     lines = [",".join(CSV_HEADER)]
     for row in rows:
         lines.append(",".join(

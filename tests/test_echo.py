@@ -205,6 +205,13 @@ def test_noise_on_a_noiseless_copy_equals_noise_at_synthesis(default_scene):
     assert with_noise(noiseless, 0.0, np.random.default_rng(0)) is noiseless
 
 
+@pytest.mark.parametrize("variance", [-1e-3, -np.inf, np.nan])
+def test_noise_of_a_negative_variance_is_an_error(variance):
+    frame = EchoFrame(m=0, k_start=0, samples=np.ones(8, dtype=complex))
+    with pytest.raises(ValueError, match="noise_clutter_var must be >= 0"):
+        with_noise(frame, variance, np.random.default_rng(0))
+
+
 @settings(max_examples=30, deadline=None)
 @given(rows=st.integers(1, 20), width=st.integers(1, 1000),
        seed=st.integers(0, 2**32 - 1))

@@ -49,7 +49,6 @@ def test_single_target_delay_587(s_c):
     frame = noiseless_frame(scene, 0)
     est = estimate_delays(frame, threshold=1e-9, expected_targets=1)
     assert est.delays.tolist() == [587]
-    assert est.dominant_index == 0
 
     # oracle: exhaustive scan with an independently computed correlation
     lags = np.arange(frame.k_start - 2048, frame.k_start - 2048
@@ -128,8 +127,8 @@ def test_pick_peaks_rejects_a_negative_guard():
 def dense_delay_picks(mag, first_lag, threshold, count, search_halfwidth, guard):
     """Reference for estimate_delays' candidate rule, with full-length masks:
     interior local maxima of |R| above threshold within search_halfwidth of
-    the dominant, plus the dominant.  Returns (delays, dominant_index,
-    correlation_peak), or the number of picks when it is short of ``count``."""
+    the dominant, plus the dominant.  Returns (delays, correlation_peak), or
+    the number of picks when it is short of ``count``."""
     lags = first_lag + np.arange(len(mag))
     dom = int(np.argmax(mag))
     interior = np.zeros(len(mag), dtype=bool)
@@ -141,7 +140,7 @@ def dense_delay_picks(mag, first_lag, threshold, count, search_halfwidth, guard)
                                  threshold, guard))
     if len(accepted) != count:
         return len(accepted)
-    return lags[accepted], accepted.index(dom), mag[accepted]
+    return lags[accepted], mag[accepted]
 
 
 def assert_picks_match_the_dense_rule(frame, mag, threshold, count,
@@ -155,8 +154,7 @@ def assert_picks_match_the_dense_rule(frame, mag, threshold, count,
     got = estimate_delays(frame, threshold, count, search_halfwidth, guard)
     assert got.delays.dtype == np.int64
     assert np.array_equal(got.delays, want[0])
-    assert got.dominant_index == want[1]
-    assert got.correlation_peak.tobytes() == want[2].tobytes()
+    assert got.correlation_peak.tobytes() == want[1].tobytes()
 
 
 @st.composite
@@ -209,7 +207,6 @@ def test_scale_invariance(default_scene):
         scaled = replace(frame, samples=alpha * frame.samples)
         est = estimate_delays(scaled, threshold=1e-12, expected_targets=3)
         assert est.delays.tolist() == base.delays.tolist()
-        assert est.dominant_index == base.dominant_index
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
+import argparse
 import concurrent.futures
 import json
 import os
+import shlex
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import adradar.harness
+from adradar import cli
 from adradar.baseline import baseline_velocities, delay_doppler_map, map_window
 from adradar.cli import run_cli
 from adradar.echo import EchoFrame, synthesize_frame, synthesize_window, with_noise
@@ -682,6 +686,100 @@ def test_cli_scenario_file_and_unknown_flag(tmp_path):
     assert out.read_text().count("\n") == 2  # header + one row
     assert run_cli(["simulate", "--bogus-flag"]) == 1
     assert run_cli(["not-a-command"]) == 1
+
+
+# Each subcommand's flags: every flag the CLI has is read by its subcommand.
+CLI_FLAGS = {
+    "simulate": "--scenario --cpi --trials --p-tx-dbm --seed --mi-offset --output "
+                "--estimator",
+    "sweep-cpi": "--scenario --trials --seed --mi-offset --output --cpis --p-tx-grid",
+    "sweep-framegap": "--scenario --cpi --trials --p-tx-dbm --seed --output --gaps",
+    "beam-pattern": "--scenario --resolution --output",
+    "selftest": "",
+}
+
+
+def subparsers(parser):
+    """Subcommand name -> its parser."""
+    action, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def flags_of(parser):
+    """A parser's option strings, in definition order, without -h/--help."""
+    return [s for a in parser._actions if not isinstance(a, argparse._HelpAction)
+            for s in a.option_strings]
+
+
+def test_cli_each_subcommand_has_exactly_its_flags_and_no_abbreviations():
+    parser = cli._build_parser()
+    commands = subparsers(parser)
+    assert {name: flags_of(p) for name, p in commands.items()} == {
+        name: flags.split() for name, flags in CLI_FLAGS.items()}
+    assert sum(len(flags_of(p)) for p in commands.values()) == 25
+    assert not parser.allow_abbrev
+    assert not any(p.allow_abbrev for p in commands.values())
+
+
+# A value other than the default of each flag that reaches the experiment.
+NON_DEFAULT = {"--cpi": ["2e-4"], "--trials": ["3"], "--p-tx-dbm": ["30"],
+               "--seed": ["9"], "--mi-offset": ["3"], "--estimator": ["both"],
+               "--cpis": ["2e-4"], "--p-tx-grid": ["30"], "--gaps": ["2", "5"]}
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep-cpi", "sweep-framegap"])
+def test_cli_every_flag_of_a_run_reaches_the_harness(monkeypatch, tmp_path, capsys,
+                                                      command):
+    seen = []
+    dummy = [dict.fromkeys(CSV_HEADER, 0)]
+
+    def record_points(scenario, points):
+        seen.append((scenario, list(points)))
+        return dummy
+
+    monkeypatch.setattr(adradar.harness, "_sweep_rows", record_points)
+    path = tmp_path / "scn.json"
+    save_scenario(Scenario(threshold_scale=2.0), path)
+    values = dict(NON_DEFAULT, **{"--scenario": [str(path)]})
+    out = tmp_path / "out.csv"
+    assert run_cli([command, "--output", str(out)]) == 0
+    assert out.read_text() == format_csv(dummy)
+    assert capsys.readouterr().out == ""
+    default = seen.pop()
+    for flag in flags_of(subparsers(cli._build_parser())[command]):
+        if flag != "--output":
+            assert run_cli([command, flag, *values[flag]]) == 0
+            assert seen.pop() != default, flag
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-cpi", "--trials", "2", "--cpi", "5e-4"],
+    ["sweep-cpi", "--trials", "2", "--p-tx-dbm", "30"],
+    ["sweep-framegap", "--trials", "2", "--mi-offset", "3"],
+    ["simulate", "--cpi", "2e-4", "--tri", "2"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_cli_a_removed_or_abbreviated_flag_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "x.csv"
+    assert run_cli(argv + ["--output", str(out)]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def readme_cli_commands():
+    """The argv of every ``adradar`` command in README.md's CLI code block."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.startswith("adradar ")]
+
+
+def test_readme_cli_examples_parse():
+    commands = readme_cli_commands()
+    assert sorted(argv[0] for argv in commands) == sorted(CLI_FLAGS)
+    parser = cli._build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]
 
 
 def test_cli_bad_scenario_path_is_config_error(tmp_path):
