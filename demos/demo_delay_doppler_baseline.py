@@ -10,6 +10,7 @@ import numpy as np
 
 from adradar import (PipelineConfig, baseline_velocities, delay_doppler_map,
                      detection_threshold, run_pipeline, synthesize_frame)
+from adradar.echo import with_noise
 from adradar.scene import Scenario, build_scene, frame_truth, scene_backscatter
 
 
@@ -24,11 +25,14 @@ def main():
     frames = {}
     for m in range(m_count):
         rng = np.random.default_rng([scenario.seed, 0, 0, m])
-        frames[m] = synthesize_frame(scene, frame_truth(scene, m, h), rng)
+        frames[m] = with_noise(synthesize_frame(scene, frame_truth(scene, m, h)),
+                               scene.noise_clutter_var, rng)
 
+    # The map reads every frame over the lags 40 either side of the targets.
     truth = frame_truth(scene, 0, h)
-    lags = np.arange(truth.delay_samples[0] - 40, truth.delay_samples[-1] + 41)
-    ddm = delay_doppler_map(list(frames.values()), wf.frame_period, lags=lags)
+    lo, hi = truth.delay_samples[0] - 40, truth.delay_samples[-1] + 40
+    ddm = delay_doppler_map([f.cut_to_lags(lo, hi) for f in frames.values()],
+                            wf.frame_period)
     threshold = detection_threshold(scene.noise_clutter_var)
     base_v = baseline_velocities(ddm, scene.source_velocity, wf.wavelength,
                                  scenario.num_targets, threshold)
@@ -58,7 +62,7 @@ def main():
         fig, ax = plt.subplots(figsize=(6.5, 4))
         img = ax.imshow(20 * np.log10(np.abs(ddm.values[:, order]).T + 1e-12),
                         aspect="auto", origin="lower",
-                        extent=(lags[0], lags[-1],
+                        extent=(ddm.lags[0], ddm.lags[-1],
                                 ddm.doppler_bins_hz.min(),
                                 ddm.doppler_bins_hz.max()))
         ax.set_ylim(-4000, 4000)

@@ -23,7 +23,7 @@ def main():
           f"m_d = {m_d}, m_i = {m_i}")
 
     h = scene_backscatter(scene)
-    frames = {m: synthesize_frame(scene, frame_truth(scene, m, h), None)
+    frames = {m: synthesize_frame(scene, frame_truth(scene, m, h))
               for m in (0, m_i, m_d)}
     cfg = PipelineConfig(m_d=m_d, m_i=m_i,
                          threshold=detection_threshold(scene.noise_clutter_var),

@@ -50,7 +50,7 @@ def map_window(frame0: EchoFrame, profile0: np.ndarray) -> EchoFrame:
                                   first + len(profile0) - 1))
 
 
-def delay_doppler_map(frames, frame_period: float, lags=None) -> DelayDopplerMap:
+def delay_doppler_map(frames, frame_period: float) -> DelayDopplerMap:
     """Build the delay-Doppler map from all frames of a CPI.
 
     Entry (l, q) is sum_m R_m[l] exp(-j 2 pi q m / M): the slow-time DFT of
@@ -62,43 +62,41 @@ def delay_doppler_map(frames, frame_period: float, lags=None) -> DelayDopplerMap
     ----------
     frames : iterable of EchoFrame
         All M >= 2 frames in frame order 0 to M-1, each item one frame or a
-        block of consecutive frames (``EchoFrame`` rows).  Each item need
-        only cover ``lags`` (as ``EchoFrame.cut_to_lags`` leaves it);
-        windows may differ between items.  Items are read one at a time and
-        only their correlator outputs at ``lags`` are kept, so a generator
-        need hold only one item.  An item's rows of W samples go through one
+        block of consecutive frames (``EchoFrame`` rows), every item on the
+        first item's window: the same ``k_start`` and width, as
+        ``map_window``'s cut and frames cut to its lags have.  The map lags
+        are every lag that window computes.  Items are read one at a time
+        and only their correlator outputs are kept, so a generator need hold
+        only one item.  An item's rows of W samples go through one
         correlator call laid end to end: output r W + i of that call reads
         only row r's samples i to i + 511, so it is row r's own output i,
         and the outputs that straddle two rows are dropped.
-    lags : array of int, optional
-        Delay bins to evaluate; default is every lag computable from the
-        first item (the map lags when it is ``map_window``'s cut).
 
     Raises
     ------
     ValueError
-        If a frame arrives out of order, fewer than two frames arrive, the
-        lags are empty, or a lag is outside a frame's computable range.
+        If a frame arrives out of order or off the first item's window,
+        fewer than two frames arrive, or the window is shorter than the
+        correlation segment.
     """
     s_c = correlation_segment(build_preamble())
-    n_c = len(s_c)
     columns, m_count = [], 0
     for frame in frames:
         if frame.m != m_count:
             raise ValueError(f"frame {frame.m} out of order: expected frame "
                              f"{m_count} (frames 0 to M-1 in order)")
+        window = (frame.k_start, frame.samples.shape[-1])
         if not columns:
-            if lags is None:
-                lags = frame.first_lag + np.arange(frame.samples.shape[-1] - n_c + 1)
-            lags = np.asarray(lags, dtype=np.int64)
-            if lags.size == 0:
+            k_start, width = window
+            rows = np.arange(width - len(s_c) + 1)
+            lags = frame.first_lag + rows
+            if rows.size == 0:
                 raise ValueError("empty lag range: the map has no lags to evaluate")
-            lag_lo, lag_hi = int(lags.min()), int(lags.max())
-            rows = lags - lag_lo
-        # Correlate only over the samples the requested lags touch.
-        window = frame.cut_to_lags(lag_lo, lag_hi).samples
-        row_starts = window.shape[-1] * np.arange(window.size // window.shape[-1])
-        profile = correlation_profile(s_c, window.reshape(-1))
+        elif window != (k_start, width):
+            raise ValueError(f"frame {frame.m} is off the map window: k_start and "
+                             f"width {window}, not {(k_start, width)}")
+        row_starts = width * np.arange(frame.samples.size // width)
+        profile = correlation_profile(s_c, frame.samples.reshape(-1))
         columns.append(profile[rows[:, None] + row_starts])
         m_count += len(row_starts)
     if m_count < 2:

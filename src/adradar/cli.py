@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime estimation failure.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import fields, replace
 
@@ -19,11 +20,18 @@ from .selftest import run_selftest
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse terminates with code 2 on usage errors; the CLI contract is 1."""
+    """argparse terminates with code 2 on usage errors; the CLI contract is 1.
+    A subcommand shows its own usage for an argument it does not take."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         raise _UsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        parsed, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return parsed, extras
 
 
 class _UsageError(Exception):
@@ -102,7 +110,12 @@ def run_cli(argv) -> int:
         print(f"adradar: error: {exc}", file=sys.stderr)
         return 1
 
+    output, created = getattr(args, "output", "-"), False
     try:
+        if output != "-":  # an unwritable path fails before any trial runs
+            existed = os.path.exists(output)
+            open(output, "a", encoding="utf-8").close()
+            created = not existed
         if args.command == "selftest":
             return 0 if run_selftest() else 2
 
@@ -141,10 +154,13 @@ def run_cli(argv) -> int:
         return 0
     except (ScenarioError, ValueError, OSError) as exc:
         print(f"adradar: config error: {exc}", file=sys.stderr)
-        return 1
+        code = 1
     except (EstimationError, AggregationError) as exc:
         print(f"adradar: estimation failure: {exc}", file=sys.stderr)
-        return 2
+        code = 2
+    if created:  # a failed run leaves no file
+        os.remove(output)
+    return code
 
 
 def main():

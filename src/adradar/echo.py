@@ -11,11 +11,10 @@ index k + m K; the whole unwrapping chain depends on that accumulated phase.
 ``synthesize_window`` builds frames over any sample window.  A whole frame
 runs from the first target's delay through the last target's preamble tail,
 so the least-squares shift matrices have complete rows for every target.
-Noise is added last, by ``with_noise``, so a stored noiseless frame plus a
-generator's draw is the frame synthesized with that generator.
+It and ``synthesize_frame`` build noiseless frames; ``with_noise`` alone adds
+noise, so a stored noiseless frame serves every trial's own draw.
 """
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -23,8 +22,7 @@ import numpy as np
 
 from .errors import ScenarioError
 from .scene import FrameTruth, Scene
-from .sequences import (CORR_SEGMENT_LEN, CORR_SEGMENT_OFFSET, PREAMBLE_LEN,
-                        build_preamble)
+from .sequences import CORR_SEGMENT_LEN, CORR_SEGMENT_OFFSET, PREAMBLE_LEN
 
 
 @dataclass(frozen=True)
@@ -65,19 +63,6 @@ class EchoFrame:
                          samples=self.samples[..., first:stop])
 
 
-@functools.lru_cache(maxsize=16)
-def rotated_preamble(doppler_hz: tuple, sample_period: float) -> np.ndarray:
-    """Read-only (P, K_pre) array exp(j 2 pi nu_p i T_s) s[i] for i in [0, K_pre).
-
-    A target's Doppler is fixed over a CPI, so every frame of it reuses its
-    rotated preamble; the frame and delay enter as one scalar phase.
-    """
-    phase = 2.0 * np.pi * np.outer(doppler_hz, np.arange(PREAMBLE_LEN)) * sample_period
-    rotated = np.exp(1j * phase) * build_preamble()
-    rotated.flags.writeable = False
-    return rotated
-
-
 def synthesize_window(scene: Scene, truths, k_start: int, n: int) -> EchoFrame:
     """Noiseless echo of consecutive frames of one scene over samples
     [k_start, k_start + n): an ``EchoFrame`` block whose row r is, bit for bit,
@@ -86,12 +71,12 @@ def synthesize_window(scene: Scene, truths, k_start: int, n: int) -> EchoFrame:
     """
     amp, ts, big_k = np.sqrt(scene.tx_power), scene.wf.sample_period, scene.wf.frame_len
     first = truths[0]
-    rotated = rotated_preamble(tuple(first.doppler_hz), ts)
     samples = np.zeros((len(truths), n), dtype=complex)
     for delays, run in itertools.groupby(truths, lambda t: t.delay_samples.tolist()):
         run = list(run)
         rows = samples[run[0].frame - first.frame:run[-1].frame - first.frame + 1]
-        for h, nu, ell, pre in zip(first.backscatter, first.doppler_hz, delays, rotated):
+        for h, nu, ell, pre in zip(first.backscatter, first.doppler_hz, delays,
+                                   scene.rotated_preamble):
             lo, hi = max(ell, k_start), min(ell + PREAMBLE_LEN, k_start + n)
             if lo >= hi:
                 continue
@@ -106,41 +91,30 @@ def synthesize_window(scene: Scene, truths, k_start: int, n: int) -> EchoFrame:
     return EchoFrame(m=first.frame, k_start=k_start, samples=samples)
 
 
-def synthesize_frame(scene: Scene, truth: FrameTruth,
-                     rng: np.random.Generator) -> EchoFrame:
-    """Generate the echo of frame ``truth.frame``: a delayed, Doppler-rotated
-    copy of the 802.11ad preamble per target, plus noise.
-
-    Parameters
-    ----------
-    rng : numpy Generator
-        Noise substream for this frame; pass None for a noiseless frame.
+def synthesize_frame(scene: Scene, truth: FrameTruth) -> EchoFrame:
+    """The noiseless echo of frame ``truth.frame``: a delayed, Doppler-rotated
+    copy of the 802.11ad preamble per target.  ``with_noise`` adds its noise.
     """
     delays = truth.delay_samples.tolist()
     if not all(delays[0] <= ell <= delays[-1] for ell in delays):
         raise ScenarioError(f"delay outside representable window at frame {truth.frame}")
     block = synthesize_window(scene, [truth], delays[0],
                               PREAMBLE_LEN + delays[-1] - delays[0])
-    frame = EchoFrame(m=truth.frame, k_start=block.k_start, samples=block.samples[0])
-    return frame if rng is None else with_noise(frame, scene.noise_clutter_var, rng)
+    return EchoFrame(m=truth.frame, k_start=block.k_start, samples=block.samples[0])
 
 
 def with_noise(frame: EchoFrame, noise_clutter_var: float,
                rng: np.random.Generator) -> EchoFrame:
     """A new frame: ``frame`` plus one draw of i.i.d. CN(0, ``noise_clutter_var``)
-    clutter-plus-noise from ``rng``; ``frame`` itself for a variance of 0, and
-    ValueError for a negative or NaN one.
+    clutter-plus-noise from ``rng``; ValueError for a negative or NaN variance.
 
     The draw has shape (2, n) for one frame and (rows, 2, n) for a block:
     each row's real parts, then its imaginary parts.  A generator fills an
     array in C order, so a block's draw is, bit for bit, its rows' (2, n)
-    draws in row order.  ``synthesize_frame`` adds its noise this way, so the
-    noisy copy of a noiseless frame is the frame synthesized with ``rng``.
+    draws in row order.
     """
     if not noise_clutter_var >= 0:
         raise ValueError(f"noise_clutter_var must be >= 0, got {noise_clutter_var!r}")
-    if noise_clutter_var == 0:
-        return frame
     shape = frame.samples.shape
     z = rng.standard_normal(shape[:-1] + (2, shape[-1]))
     z *= np.sqrt(noise_clutter_var / 2.0)

@@ -158,7 +158,7 @@ def _trial_scene(scenario: Scenario, exp: ExperimentConfig, trial=None):
 
 def _noiseless_frame(scene, h, m):
     """The read-only noiseless frame m of ``scene``."""
-    echo = synthesize_frame(scene, frame_truth(scene, m, h), None)
+    echo = synthesize_frame(scene, frame_truth(scene, m, h))
     echo.samples.flags.writeable = False
     return echo
 

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ScenarioError
 from .params import SPEED_OF_LIGHT, WaveformParams
 from .phasedarray import UpaGeometry, design_wide_beam, steering_upa
-from .sequences import PREAMBLE_LEN
+from .sequences import PREAMBLE_LEN, build_preamble
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,19 @@ class Scene:
         for arr in (doppler, initial, rate):
             arr.flags.writeable = False
         return doppler, initial, rate
+
+    @functools.cached_property
+    def rotated_preamble(self) -> np.ndarray:
+        """Read-only (P, K_pre) array exp(j 2 pi nu_p i T_s) s[i] for i in [0, K_pre).
+
+        A target's Doppler is fixed over a CPI, so every frame of it reuses its
+        rotated preamble; the frame and delay enter as one scalar phase.
+        """
+        phase = (2.0 * np.pi * np.outer(self._kinematics[0], np.arange(PREAMBLE_LEN))
+                 * self.wf.sample_period)
+        rotated = np.exp(1j * phase) * build_preamble()
+        rotated.flags.writeable = False
+        return rotated
 
 
 @dataclass(frozen=True)
@@ -178,14 +191,14 @@ class Scenario:
     p_tx_dbm: float = 20.0
     noise_density_dbm_hz: float = -174.0
     clutter_ratio: float = 0.0
-    carrier_hz: float = 60e9
-    bandwidth_hz: float = 1.76e9
-    frame_len: int = 13632
+    carrier_hz: float = WaveformParams.carrier_hz
+    bandwidth_hz: float = WaveformParams.bandwidth_hz
+    frame_len: int = WaveformParams.frame_len
     n_beams: int = 3
     azimuth_beamwidth_rad: float = 0.4084
     elevation_center_rad: float = 0.0
-    nx_tx: int = 8
-    ny_tx: int = 2
+    nx_tx: int = UpaGeometry.nx
+    ny_tx: int = UpaGeometry.ny
     beta_mode: str = "fixed"          # "fixed" (beta = 1) or "rayleigh" (CN(0,1))
     threshold_scale: float = 1.0      # multiplies the 512*sigma_cn detection threshold
     search_halfwidth: int = 1024

@@ -46,7 +46,7 @@ def _check_noiseless_pipeline():
     wf = scene.wf
     m_count = wf.frames_per_cpi(0.5e-3)
     m_d, m_i = m_count - 1, m_count - 7
-    frames = {m: synthesize_frame(scene, frame_truth(scene, m), None)
+    frames = {m: synthesize_frame(scene, frame_truth(scene, m))
               for m in (0, m_i, m_d)}
     cfg = PipelineConfig(m_d=m_d, m_i=m_i,
                          threshold=detection_threshold(scene.noise_clutter_var),

@@ -80,10 +80,10 @@ def correlation_profile(s_c: np.ndarray, window: np.ndarray) -> np.ndarray:
     """Correlation of ``s_c`` with every admissible lag of ``window``.
 
     Element ``l`` equals sum_{k=0}^{511} s_c[k] conj(window[l + k]), with the
-    conjugate on the observation; the output has ``len(window) - 511``
-    entries, complex128 for complex input and float64 otherwise.  Since
-    s_c = [-Ga, -Gb, -Ga, +Gb], the profile is four shifted outputs of one
-    Ga/Gb correlator, computed by the 7-stage add/subtract lattice of the
+    conjugate on the observation; the output is complex128 with
+    ``len(window) - 511`` entries, and a real window is cast to complex.
+    Since s_c = [-Ga, -Gb, -Ga, +Gb], the profile is four shifted outputs of
+    one Ga/Gb correlator, computed by the 7-stage add/subtract lattice of the
     generator (B. M. Popovic, "Efficient Golay correlator", Electron. Lett.
     35(17), 1999).  Integer-valued input gives exact output.
 
@@ -97,21 +97,19 @@ def correlation_profile(s_c: np.ndarray, window: np.ndarray) -> np.ndarray:
         raise ValueError("s_c is not the 802.11ad correlation segment")
     if len(window) < CORR_SEGMENT_LEN:
         raise ValueError("window shorter than the correlation segment")
-    x = np.ascontiguousarray(window, dtype=np.result_type(window, np.float64))
+    x = np.ascontiguousarray(window, dtype=np.complex128)
     # Complex add and subtract act on the real and imaginary parts apart, so
     # the lattice runs on the interleaved float view with every shift doubled.
     # a[l] = sum_j Ga[j] x[l + j] and b[l] = sum_j Gb[j] x[l + j], built one
     # stage of the generator's recursion a, b = w a + b', w a - b' at a time.
     # For w = -1 that pair is -(a - b'), -(a + b'): the sum and difference
     # swap and both change sign, which the six such stages cancel.
-    step = 2 if np.iscomplexobj(x) else 1
     a = b = x.view(np.float64)
     for d, w in zip(_AD_DELAYS, _AD_WEIGHTS):
-        head, tail = a[:len(a) - step * d], b[step * d:]
+        head, tail = a[:len(a) - 2 * d], b[2 * d:]
         a, b = (head + tail, head - tail) if w > 0 else (head - tail, head + tail)
-    n, o = step * (len(x) - CORR_SEGMENT_LEN + 1), step * 128
+    n, o = 2 * (len(x) - CORR_SEGMENT_LEN + 1), 2 * 128
     out = (b[3 * o:3 * o + n] - b[o:o + n]) - (a[:n] + a[2 * o:2 * o + n])
-    if step == 2:  # s_c is real, so the window's conjugate moves onto the sums
-        out = out.view(np.complex128)
-        np.conjugate(out, out=out)
-    return out
+    # s_c is real, so the window's conjugate moves onto the sums.
+    out = out.view(np.complex128)
+    return np.conjugate(out, out=out)

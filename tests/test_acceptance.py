@@ -72,7 +72,7 @@ def test_criterion_3_noiseless_recovery():
     m_count = wf.frames_per_cpi(0.5e-3)
     m_d, m_i = m_count - 1, m_count - 7
     h = scene_backscatter(scene)
-    frames = {m: synthesize_frame(scene, frame_truth(scene, m, h), None)
+    frames = {m: synthesize_frame(scene, frame_truth(scene, m, h))
               for m in (0, m_i, m_d)}
     cfg = PipelineConfig(m_d=m_d, m_i=m_i,
                          threshold=detection_threshold(scene.noise_clutter_var),
@@ -116,7 +116,7 @@ def test_criterion_4_wrap_compensation_sweep():
                        target_elevations_rad=(0.0,))
         scene = build_scene(scn)
         h = scene_backscatter(scene)
-        frames = {m: synthesize_frame(scene, frame_truth(scene, m, h), None)
+        frames = {m: synthesize_frame(scene, frame_truth(scene, m, h))
                   for m in (0, m_i, m_d)}
         cfg = PipelineConfig(m_d=m_d, m_i=m_i, threshold=1e-9,
                              expected_targets=1)
@@ -288,10 +288,10 @@ def test_criterion_8_baseline_quantization_bound():
         scene = build_scene(scn)
         h = scene_backscatter(scene)
         delay = int(frame_truth(scene, 0).delay_samples[0])
-        frames = [synthesize_frame(scene, frame_truth(scene, m, h), None)
+        frames = [synthesize_frame(scene, frame_truth(scene, m, h))
                   for m in range(m_count)]
-        ddm = delay_doppler_map(frames, wf.frame_period,
-                                lags=np.arange(delay - 16, delay + 17))
+        frames = [f.cut_to_lags(delay - 16, delay + 16) for f in frames]
+        ddm = delay_doppler_map(frames, wf.frame_period)
         v = baseline_velocities(ddm, scene.source_velocity, wf.wavelength,
                                 1, 1e-12)
         worst = max(worst, abs(v[0] - scene.targets[0].velocity))

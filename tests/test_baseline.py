@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from adradar.baseline import (BASELINE_LAG_HALFWIDTH, baseline_velocities,
                               delay_doppler_map, map_window)
-from adradar.echo import EchoFrame, synthesize_frame
+from adradar.echo import EchoFrame, synthesize_frame, with_noise
 from adradar.errors import DetectionShortfallError
 from adradar.estimator import detection_threshold, pick_peaks
 from adradar.scene import Scenario, build_scene, frame_truth, scene_backscatter
@@ -23,9 +23,17 @@ def synth_cpi(scene, cpi_s, noiseless=True, seed=5):
     h = scene_backscatter(scene)
     frames = []
     for m in range(m_count):
-        rng = None if noiseless else np.random.default_rng([seed, m])
-        frames.append(synthesize_frame(scene, frame_truth(scene, m, h), rng))
+        frame = synthesize_frame(scene, frame_truth(scene, m, h))
+        if not noiseless:
+            frame = with_noise(frame, scene.noise_clutter_var,
+                               np.random.default_rng([seed, m]))
+        frames.append(frame)
     return frames
+
+
+def cut(frames, lags):
+    """Each frame over only the samples its lags ``lags[0]`` to ``lags[-1]`` read."""
+    return [f.cut_to_lags(lags[0], lags[-1]) for f in frames]
 
 
 def velocity_for_doppler(scene, nu):
@@ -41,11 +49,10 @@ def test_map_needs_two_frames(default_scene):
 def test_map_of_a_frame_stream_equals_the_map_of_the_list(default_scene):
     frames = synth_cpi(default_scene, 0.4e-3, noiseless=False)
     period = default_scene.wf.frame_period
-    lags = np.arange(140, 240)
-    for lag_arg in (None, lags):
-        want = delay_doppler_map(frames, period, lags=lag_arg)
-        for stream in (iter(frames), (f for f in frames)):
-            got = delay_doppler_map(stream, period, lags=lag_arg)
+    for listed in (frames, cut(frames, np.arange(140, 240))):
+        want = delay_doppler_map(listed, period)
+        for stream in (iter(listed), (f for f in listed)):
+            got = delay_doppler_map(stream, period)
             assert got.values.tobytes() == want.values.tobytes()
             assert np.array_equal(got.lags, want.lags)
             assert np.array_equal(got.doppler_bins_hz, want.doppler_bins_hz)
@@ -74,7 +81,9 @@ def test_map_window_is_the_dominant_peak_plus_minus_128_clipped_to_the_frame(
 @pytest.mark.parametrize("clipped", [False, True], ids=["peak", "clipped"])
 def test_the_map_of_frames_cut_to_its_lags_equals_the_map_of_whole_frames(
         default_scene, clipped):
+    # The CPI's whole frames share one window here, so they make a map too.
     frames = synth_cpi(default_scene, 0.4e-3)
+    assert len({(f.k_start, len(f.samples)) for f in frames}) == 1
     first = frames[0].first_lag
     if clipped:  # the window map_window gives when the peak is near the start
         window = map_window(frames[0],
@@ -83,30 +92,26 @@ def test_the_map_of_frames_cut_to_its_lags_equals_the_map_of_whole_frames(
         lags = first + np.arange(len(window.samples) - 511)
     else:
         lags = np.arange(first + 140, first + 240)
-    cut = [f.cut_to_lags(lags[0], lags[-1]) for f in frames]
-    assert all(len(f.samples) == len(lags) + 511 for f in cut)
-    assert all(f.first_lag == lags[0] for f in cut)
+    cut_frames = cut(frames, lags)
+    assert all(len(f.samples) == len(lags) + 511 for f in cut_frames)
+    assert all(f.first_lag == lags[0] for f in cut_frames)
     period = default_scene.wf.frame_period
-    want = delay_doppler_map(frames, period, lags=lags)
-    for got in (delay_doppler_map(cut, period, lags=lags),
-                delay_doppler_map(frames[:1] + cut[1:], period, lags=lags)):
-        assert np.array_equal(got.values, want.values)
+    whole = delay_doppler_map(frames, period)
+    got = delay_doppler_map(cut_frames, period)
+    assert np.array_equal(got.lags, lags)
+    assert np.array_equal(got.values, whole.values[lags - first])
 
 
-def test_a_cut_outside_the_frame_raises_the_maps_error(default_scene):
+def test_a_cut_outside_the_frame_is_an_error(default_scene):
     frames = synth_cpi(default_scene, 0.2e-3)
-    period = default_scene.wf.frame_period
     first, n_lags = frames[0].first_lag, len(frames[0].samples) - 511
     for lo, hi in ((first - 1, first + 10), (first + 10, first + n_lags)):
-        with pytest.raises(ValueError, match="outside the computable range") as cut:
+        with pytest.raises(ValueError, match="outside the computable range"):
             frames[0].cut_to_lags(lo, hi)
-        with pytest.raises(ValueError) as whole:
-            delay_doppler_map(frames, period, lags=np.arange(lo, hi + 1))
-        assert str(cut.value) == str(whole.value)
     # a frame cut for some lags cannot serve lags beyond them
-    short = [f.cut_to_lags(first + 10, first + 20) for f in frames]
+    short = frames[1].cut_to_lags(first + 10, first + 20)
     with pytest.raises(ValueError, match="outside the computable range"):
-        delay_doppler_map(short, period, lags=np.arange(first + 10, first + 22))
+        short.cut_to_lags(first + 10, first + 21)
     # An inverted range holds no lag.  As slices of this 3374-sample frame,
     # the first would give 452 samples and the second, with a negative stop,
     # 3286 samples from the far end.
@@ -117,16 +122,33 @@ def test_a_cut_outside_the_frame_raises_the_maps_error(default_scene):
 
 
 def test_an_empty_lag_range_is_named(default_scene):
-    frames = synth_cpi(default_scene, 0.2e-3)
+    # The map lags are those the first item computes: none if it is shorter
+    # than the correlation segment.
     period = default_scene.wf.frame_period
-    for lags in (np.arange(100, 41), np.array([], dtype=int)):
-        with pytest.raises(ValueError, match="empty lag range"):
-            delay_doppler_map(frames, period, lags=lags)
-    # By default the lags are those the first frame computes: none if it is
-    # shorter than the correlation segment.
     short = [EchoFrame(m=m, k_start=0, samples=np.ones(511, complex)) for m in range(2)]
     with pytest.raises(ValueError, match="empty lag range"):
         delay_doppler_map(short, period)
+
+
+@pytest.mark.parametrize("shift, trim", [(0, 1), (0, -1), (1, 0), (-1, 0), (3, -3)],
+                         ids=["shorter", "longer", "later", "earlier", "moved"])
+@pytest.mark.parametrize("item", [1, 3], ids=["frame", "block"])
+def test_an_item_off_the_first_items_window_is_named(default_scene, shift, trim,
+                                                     item):
+    # Frames 0 to 5 on one window; item 1 (frame 1) or item 3 (the block of
+    # frames 3 to 5) starts ``shift`` samples later and ends ``trim`` earlier.
+    frames = cut(synth_cpi(default_scene, 0.2e-3)[:6], np.arange(200, 400))
+    items = frames[:3] + [EchoFrame(m=3, k_start=frames[3].k_start,
+                                    samples=np.stack([f.samples for f in frames[3:]]))]
+    assert [i.m for i in items] == [0, 1, 2, 3]
+    bad = items[item]
+    items[item] = EchoFrame(m=bad.m, k_start=bad.k_start + shift, samples=np.zeros(
+        bad.samples.shape[:-1] + (bad.samples.shape[-1] - shift - trim,), complex))
+    period = default_scene.wf.frame_period
+    with pytest.raises(ValueError, match=f"frame {bad.m} is off the map window"):
+        delay_doppler_map(items, period)
+    items[item] = bad
+    assert delay_doppler_map(items, period).values.shape == (200, 6)
 
 
 @pytest.mark.parametrize("order", [[1, 0, 2, 3], [0, 2, 1, 3], [0, 1, 3]],
@@ -151,33 +173,30 @@ def frame_blocks(frames, size):
 def test_the_map_of_frame_blocks_equals_the_map_of_single_frames(default_scene,
                                                                  m_count):
     # M - 1 = 11, 24, 63 and 128 frames after frame 0, in blocks of every
-    # size, with frame 0 whole and given lags or, as the harness streams
-    # them, cut too and taking its lags by default.
+    # size, all cut to one window as the harness streams them.
     h = scene_backscatter(default_scene)
-    frames = [synthesize_frame(default_scene, frame_truth(default_scene, m, h),
-                               np.random.default_rng([5, m]))
+    frames = [with_noise(synthesize_frame(default_scene, frame_truth(default_scene, m, h)),
+                         default_scene.noise_clutter_var, np.random.default_rng([5, m]))
               for m in range(m_count)]
     first = frames[0].first_lag
     lags = np.arange(first + 40, first + 297)
-    cut = [frames[0]] + [f.cut_to_lags(lags[0], lags[-1]) for f in frames[1:]]
+    window = cut(frames, lags)
     period = default_scene.wf.frame_period
-    want = delay_doppler_map(cut, period, lags=lags)
+    want = delay_doppler_map(window, period)
     assert want.values.shape == (257, m_count)
+    assert np.array_equal(want.lags, lags)
     for size in (1, 5, 16, 128):
-        got = delay_doppler_map(frame_blocks(cut, size), period, lags=lags)
-        assert got.values.tobytes() == want.values.tobytes()
-        window = [frames[0].cut_to_lags(lags[0], lags[-1])] + cut[1:]
         got = delay_doppler_map(frame_blocks(window, size), period)
         assert got.values.tobytes() == want.values.tobytes()
         assert np.array_equal(got.lags, lags)
-    # one block of every frame, whole: the map cuts it and takes its lags
+    # one block of every frame, whole or cut
     every = EchoFrame(m=0, k_start=frames[0].k_start,
                       samples=np.stack([f.samples for f in frames]))
     whole = delay_doppler_map(frames, period)
     got = delay_doppler_map([every], period)
     assert got.values.tobytes() == whole.values.tobytes()
     assert np.array_equal(got.lags, whole.lags)
-    got = delay_doppler_map([every.cut_to_lags(lags[0], lags[-1])], period, lags=lags)
+    got = delay_doppler_map(cut([every], lags), period)
     assert got.values.tobytes() == want.values.tobytes()
 
 
@@ -230,7 +249,7 @@ def test_empty_cells_are_zero(preamble):
                         samples=preamble.astype(complex))
               for m in range(25)]
     lags = delay + np.arange(1, 64)
-    ddm = delay_doppler_map(frames, 7.745454545e-6, lags=lags)
+    ddm = delay_doppler_map(cut(frames, lags), 7.745454545e-6)
     assert np.max(np.abs(ddm.values)) == 0.0
 
 
@@ -251,8 +270,7 @@ def test_doppler_axis_convention():
     assert ddm.doppler_bins_hz.min() > -nyquist
     # even frame count: the +Nyquist bin itself is present
     frames64 = synth_cpi(scene, 0.5e-3)
-    ddm64 = delay_doppler_map(frames64, wf.frame_period,
-                              lags=np.arange(340, 360))
+    ddm64 = delay_doppler_map(cut(frames64, np.arange(340, 360)), wf.frame_period)
     assert len(frames64) % 2 == 0
     assert ddm64.doppler_bins_hz.max() == pytest.approx(nyquist, rel=1e-12)
 
@@ -279,10 +297,8 @@ def test_bin_width_halves_when_cpi_doubles(default_scene):
     wf = default_scene.wf
     f1 = synth_cpi(default_scene, 0.2e-3)
     f2 = synth_cpi(default_scene, 0.4e-3)
-    d1 = delay_doppler_map(f1, wf.frame_period,
-                           lags=np.arange(160, 220))
-    d2 = delay_doppler_map(f2, wf.frame_period,
-                           lags=np.arange(160, 220))
+    d1 = delay_doppler_map(cut(f1, np.arange(160, 220)), wf.frame_period)
+    d2 = delay_doppler_map(cut(f2, np.arange(160, 220)), wf.frame_period)
     ratio = d1.doppler_bin_width_hz / d2.doppler_bin_width_hz
     assert ratio == pytest.approx(len(f2) / len(f1), rel=1e-12)
 
@@ -300,8 +316,7 @@ def test_three_target_association_by_delay(default_scene, true_velocities):
     cpi = 1e-3
     frames = synth_cpi(default_scene, cpi)
     m_count = len(frames)
-    ddm = delay_doppler_map(frames, wf.frame_period,
-                            lags=np.arange(130, 250))
+    ddm = delay_doppler_map(cut(frames, np.arange(130, 250)), wf.frame_period)
     thr = detection_threshold(default_scene.noise_clutter_var)
     v = baseline_velocities(ddm, default_scene.source_velocity, wf.wavelength,
                             3, thr)
@@ -317,8 +332,7 @@ def test_power_invariance_high_snr():
         scn = Scenario(p_tx_dbm=p_dbm)
         scene = build_scene(scn)
         frames = synth_cpi(scene, 0.4e-3, noiseless=False, seed=3)
-        ddm = delay_doppler_map(frames, scene.wf.frame_period,
-                                lags=np.arange(130, 250))
+        ddm = delay_doppler_map(cut(frames, np.arange(130, 250)), scene.wf.frame_period)
         thr = detection_threshold(scene.noise_clutter_var)
         results.append(baseline_velocities(ddm, scene.source_velocity,
                                            scene.wf.wavelength, 3, thr))

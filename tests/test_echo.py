@@ -5,8 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adradar.echo import (EchoFrame, rotated_preamble, synthesize_frame,
-                          synthesize_window, with_noise)
+from adradar.echo import EchoFrame, synthesize_frame, synthesize_window, with_noise
 from adradar.errors import ScenarioError
 from adradar.scene import (Scenario, build_scene, draw_betas, frame_truth,
                            scene_backscatter)
@@ -22,7 +21,7 @@ def single_target_scene(p_tx_dbm=0.0, velocity=20.279):
 def test_pure_shift_no_doppler(preamble):
     scene = single_target_scene(velocity=25.271)  # zero Doppler
     truth = frame_truth(scene, 0)
-    frame = synthesize_frame(scene, truth, rng=None)
+    frame = synthesize_frame(scene, truth)
     h = truth.backscatter[0]
     amp = np.sqrt(scene.tx_power)
     expected = amp * h * preamble
@@ -35,7 +34,7 @@ def test_pure_shift_no_doppler(preamble):
 def test_phase_advances_per_sample(preamble):
     scene = single_target_scene()
     truth = frame_truth(scene, 0)
-    frame = synthesize_frame(scene, truth, rng=None)
+    frame = synthesize_frame(scene, truth)
     nu = truth.doppler_hz[0]
     ts = scene.wf.sample_period
     # strip the preamble sign, leaving the Doppler rotation
@@ -55,13 +54,13 @@ def test_two_target_superposition():
                    target_elevations_rad=(0.0, 0.0))
     scene = build_scene(scn)
     truth = frame_truth(scene, 0)
-    both = synthesize_frame(scene, truth, None)
+    both = synthesize_frame(scene, truth)
 
     parts = []
     for keep in range(2):
         sub = replace(scene, targets=(scene.targets[keep],))
         sub_truth = frame_truth(sub, 0)
-        f = synthesize_frame(sub, sub_truth, None)
+        f = synthesize_frame(sub, sub_truth)
         padded = np.zeros_like(both.samples)
         off = f.k_start - both.k_start
         padded[off:off + len(f.samples)] = f.samples
@@ -74,7 +73,7 @@ def test_window_length_extended_vs_first_delay(default_scene):
     # target's tail, and every sample of that extension is occupied.
     truth = frame_truth(default_scene, 0)
     spread = int(truth.delay_samples[-1] - truth.delay_samples[0])
-    frame = synthesize_frame(default_scene, truth, None)
+    frame = synthesize_frame(default_scene, truth)
     assert frame.k_start == truth.delay_samples[0]
     assert len(frame.samples) == 3328 + spread
     assert np.all(frame.samples[3328:] != 0)
@@ -111,29 +110,26 @@ def test_synthesis_matches_the_per_sample_formula(preamble, default_scene):
     for scene in (default_scene, moving):
         for m in frames:
             truth = frame_truth(scene, m)
-            frame = synthesize_frame(scene, truth, None)
+            frame = synthesize_frame(scene, truth)
             k_start, expected = per_sample_echo(scene, truth, preamble)
             assert frame.k_start == k_start
             np.testing.assert_allclose(frame.samples, expected, rtol=1e-12)
 
 
 def test_rotated_preamble_is_cached_read_only(preamble, default_scene):
-    truth = frame_truth(default_scene, 9)
-    rotated_preamble.cache_clear()
-    first = synthesize_frame(default_scene, truth, None)
-    again = synthesize_frame(default_scene, truth, None)
-    assert rotated_preamble.cache_info().hits >= 1
-    assert np.array_equal(first.samples, again.samples)
-    rotated = rotated_preamble(tuple(truth.doppler_hz),
-                               default_scene.wf.sample_period)
+    rotated = default_scene.rotated_preamble
+    assert default_scene.rotated_preamble is rotated
     assert rotated.shape == (3, len(preamble))
     # Row p is the preamble under target p's fast-time Doppler rotation.
     i = np.arange(len(preamble))
-    for row, nu in zip(rotated, truth.doppler_hz):
+    for row, nu in zip(rotated, frame_truth(default_scene, 9).doppler_hz):
         phasor = np.exp(1j * (2.0 * np.pi * nu * i * default_scene.wf.sample_period))
         np.testing.assert_allclose(row, phasor * preamble, rtol=1e-12)
     with pytest.raises(ValueError):
         rotated[0, 0] = 0
+    # A scene with other target velocities rotates by its own Dopplers.
+    other = build_scene(Scenario(target_velocities_mps=(20.0, 21.0, 22.0)))
+    assert not np.array_equal(other.rotated_preamble, rotated)
 
 
 def test_delay_outside_the_window_is_a_scenario_error(default_scene):
@@ -144,13 +140,13 @@ def test_delay_outside_the_window_is_a_scenario_error(default_scene):
     unsorted = replace(truth, delay_samples=truth.delay_samples[::-1])
     for bad in (tail_cut, unsorted):
         with pytest.raises(ScenarioError, match="outside representable window"):
-            synthesize_frame(default_scene, bad, None)
+            synthesize_frame(default_scene, bad)
 
 
 def test_zero_noise_reproducible(default_scene):
     truth = frame_truth(default_scene, 5)
-    a = synthesize_frame(default_scene, truth, None)
-    b = synthesize_frame(default_scene, truth, None)
+    a = synthesize_frame(default_scene, truth)
+    b = synthesize_frame(default_scene, truth)
     assert np.array_equal(a.samples, b.samples)
 
 
@@ -163,7 +159,8 @@ def test_noise_statistics():
     samples = []
     for m in range(12):
         rng = np.random.default_rng([99, 0, m])
-        samples.append(synthesize_frame(scene, frame_truth(scene, m), rng).samples)
+        frame = synthesize_frame(scene, frame_truth(scene, m))
+        samples.append(with_noise(frame, scene.noise_clutter_var, rng).samples)
     z = np.concatenate(samples)
     var = np.mean(np.abs(z) ** 2)
     n = len(z)
@@ -173,25 +170,25 @@ def test_noise_statistics():
 def test_amplitude_linear_in_sqrt_power():
     s1 = single_target_scene(p_tx_dbm=0.0)
     s4 = single_target_scene(p_tx_dbm=10 * np.log10(4))
-    f1 = synthesize_frame(s1, frame_truth(s1, 0), None)
-    f4 = synthesize_frame(s4, frame_truth(s4, 0), None)
+    f1 = synthesize_frame(s1, frame_truth(s1, 0))
+    f4 = synthesize_frame(s4, frame_truth(s4, 0))
     np.testing.assert_allclose(f4.samples, 2.0 * f1.samples, rtol=1e-12)
 
 
 def test_same_seed_same_noise(default_scene):
-    truth = frame_truth(default_scene, 3)
-    a = synthesize_frame(default_scene, truth, np.random.default_rng([1, 2, 3]))
-    b = synthesize_frame(default_scene, truth, np.random.default_rng([1, 2, 3]))
+    frame = synthesize_frame(default_scene, frame_truth(default_scene, 3))
+    a, b = (with_noise(frame, default_scene.noise_clutter_var,
+                       np.random.default_rng([1, 2, 3])) for _ in range(2))
     assert np.array_equal(a.samples, b.samples)
+    assert not np.array_equal(a.samples, frame.samples)
 
 
 def test_noise_on_a_noiseless_copy_equals_noise_at_synthesis(default_scene):
     truth = frame_truth(default_scene, 5)
-    noiseless = synthesize_frame(default_scene, truth, None)
+    noiseless = synthesize_frame(default_scene, truth)
     before = noiseless.samples.copy()
     noisy = with_noise(noiseless, default_scene.noise_clutter_var,
                        np.random.default_rng([4, 0, 5]))
-    at_once = synthesize_frame(default_scene, truth, np.random.default_rng([4, 0, 5]))
     # Oracle: noise added in place after the targets are summed.
     expected = noiseless.samples.copy()
     sigma = np.sqrt(default_scene.noise_clutter_var / 2.0)
@@ -199,10 +196,10 @@ def test_noise_on_a_noiseless_copy_equals_noise_at_synthesis(default_scene):
     expected.real += sigma * z[0]
     expected.imag += sigma * z[1]
     assert noisy.samples.tobytes() == expected.tobytes()
-    assert at_once.samples.tobytes() == expected.tobytes()
-    assert (noisy.m, noisy.k_start) == (at_once.m, at_once.k_start)
+    assert (noisy.m, noisy.k_start) == (noiseless.m, noiseless.k_start)
     assert noiseless.samples.tobytes() == before.tobytes()
-    assert with_noise(noiseless, 0.0, np.random.default_rng(0)) is noiseless
+    silent = with_noise(noiseless, 0.0, np.random.default_rng(0))
+    assert np.array_equal(silent.samples, noiseless.samples)
 
 
 @pytest.mark.parametrize("variance", [-1e-3, -np.inf, np.nan])
@@ -263,7 +260,7 @@ def test_a_window_block_is_its_frames_cut_to_the_window(key, start, rows, offset
     assert (block.m, block.k_start, block.samples.shape) == (start, k_start,
                                                              (rows, width))
     for truth, got in zip(truths, block.samples):
-        whole = synthesize_frame(scene, truth, None)
+        whole = synthesize_frame(scene, truth)
         want = np.zeros(width, dtype=complex)
         lo = max(whole.k_start, k_start)
         hi = min(whole.k_start + len(whole.samples), k_start + width)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adradar import estimator
-from adradar.echo import EchoFrame, synthesize_frame
+from adradar.echo import EchoFrame, synthesize_frame, with_noise
 from adradar.errors import (DetectionShortfallError, LseWindowError,
                             NoTargetError, SingularDesignError,
                             ZeroCoefficientError)
@@ -36,7 +36,7 @@ def scene_with_delays(ranges, velocities=None, azimuths=None, p_tx_dbm=10.0):
 
 
 def noiseless_frame(scene, m):
-    return synthesize_frame(scene, frame_truth(scene, m), None)
+    return synthesize_frame(scene, frame_truth(scene, m))
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +189,8 @@ def test_sparse_candidates_pick_what_the_dense_masks_pick(mag, threshold, count,
 def test_sparse_candidates_on_the_default_scene(s_c, p_tx_dbm):
     # At 30 dBm the STF sidelobes put hundreds of lags above threshold.
     scene = build_scene(Scenario(), p_tx_dbm=p_tx_dbm)
-    frame = synthesize_frame(scene, frame_truth(scene, 0),
-                             np.random.default_rng([1, 0, 0, 0]))
+    frame = with_noise(synthesize_frame(scene, frame_truth(scene, 0)),
+                       scene.noise_clutter_var, np.random.default_rng([1, 0, 0, 0]))
     threshold = detection_threshold(scene.noise_clutter_var)
     mag = np.abs(estimator.correlation_profile(s_c, frame.samples))
     if p_tx_dbm == 30.0:

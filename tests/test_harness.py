@@ -141,7 +141,7 @@ def lag_samples(frame, lags):
 def map_window_frame(scene, h, m, lags, rng):
     """Frame m synthesized without noise, over the samples the map lags read,
     plus one (2, width) noise draw from ``rng``."""
-    frame = synthesize_frame(scene, frame_truth(scene, m, h), None)
+    frame = synthesize_frame(scene, frame_truth(scene, m, h))
     samples = lag_samples(frame, lags)
     sigma = np.sqrt(scene.noise_clutter_var / 2.0)
     z = rng.standard_normal((2, len(samples)))
@@ -153,7 +153,7 @@ def map_window_frame(scene, h, m, lags, rng):
 def oracle_records(scn, exp):
     """``run_experiment``'s records, each trial built on its own: its scene,
     then every frame of its CPI from ``synthesize_frame(scene,
-    frame_truth(...), rng)`` with the noise substream [seed, trial, 0, m]
+    frame_truth(...))`` plus ``with_noise`` from the substream [seed, trial, 0, m]
     and, for Rayleigh gains, the gain substream [seed, trial, 1].  The
     baseline reads frame 0's ``map_window`` and then, for m = 1 to M-1 in
     order, ``map_window_frame`` with the next noise block of the one
@@ -167,8 +167,9 @@ def oracle_records(scn, exp):
         scene = build_scene(scn, betas=betas, p_tx_dbm=exp.p_tx_dbm)
         h, wf = scene_backscatter(scene), scene.wf
         m_count = wf.frames_per_cpi(exp.cpi_s)
-        frames = [synthesize_frame(scene, frame_truth(scene, m, h),
-                                   np.random.default_rng([exp.seed, trial, 0, m]))
+        frames = [with_noise(synthesize_frame(scene, frame_truth(scene, m, h)),
+                             scene.noise_clutter_var,
+                             np.random.default_rng([exp.seed, trial, 0, m]))
                   for m in range(m_count)]
         threshold = detection_threshold(scene.noise_clutter_var) * scn.threshold_scale
         cfg = PipelineConfig(m_d=m_count - 1, m_i=m_count - 1 - exp.m_i_offset,
@@ -265,8 +266,8 @@ def test_a_baseline_trial_draws_only_frame_0_whole(monkeypatch):
     scn, exp = SHARING_CASES["baseline"]
     scene = build_scene(scn, p_tx_dbm=exp.p_tx_dbm)
     m_count = scene.wf.frames_per_cpi(exp.cpi_s)
-    whole = len(synthesize_frame(scene, frame_truth(scene, 0, scene_backscatter(scene)),
-                                 None).samples)
+    whole = len(synthesize_frame(scene, frame_truth(scene, 0, scene_backscatter(scene)))
+                .samples)
     lengths = []
 
     def counting_with_noise(frame, noise_clutter_var, rng):
@@ -310,9 +311,9 @@ def test_a_point_synthesizes_each_whole_frame_and_map_block_once(monkeypatch,
     # differs from the trial before, a Rayleigh trial always.
     whole, blocks, windows = [], [], []
 
-    def counting_frame(scene, truth, rng):
+    def counting_frame(scene, truth):
         whole.append(truth.frame)
-        return synthesize_frame(scene, truth, rng)
+        return synthesize_frame(scene, truth)
 
     def counting_window(scene, truths, k_start, n):
         blocks.append(([t.frame for t in truths], k_start, n))
@@ -390,8 +391,9 @@ def dense_map(scn, exp, trial):
     def profile(x):  # sum_k s_c[k] conj(x[l + k]); s_c is real
         return np.conj(np.correlate(x, s_c, "valid"))
 
-    frame0 = synthesize_frame(scene, frame_truth(scene, 0, h),
-                              np.random.default_rng([exp.seed, trial, 0, 0]))
+    frame0 = with_noise(synthesize_frame(scene, frame_truth(scene, 0, h)),
+                        scene.noise_clutter_var,
+                        np.random.default_rng([exp.seed, trial, 0, 0]))
     profile0 = profile(frame0.samples)
     window = map_window(frame0, profile0)
     lags = window.first_lag + np.arange(len(window.samples) - 511)
@@ -399,8 +401,7 @@ def dense_map(scn, exp, trial):
     rng = np.random.default_rng([exp.seed, trial, 3])
     sigma = np.sqrt(scene.noise_clutter_var / 2.0)
     for m in range(1, scene.wf.frames_per_cpi(exp.cpi_s)):
-        window = lag_samples(synthesize_frame(scene, frame_truth(scene, m, h), None),
-                             lags)
+        window = lag_samples(synthesize_frame(scene, frame_truth(scene, m, h)), lags)
         z = rng.standard_normal((2, len(window)))
         columns.append(profile(window + sigma * z[0] + 1j * sigma * z[1]))
     return lags, np.fft.fft(np.stack(columns, axis=1), axis=1)
@@ -761,8 +762,37 @@ def test_cli_every_flag_of_a_run_reaches_the_harness(monkeypatch, tmp_path, caps
 def test_cli_a_removed_or_abbreviated_flag_is_a_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "x.csv"
     assert run_cli(argv + ["--output", str(out)]) == 1
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err
+    assert f"usage: adradar {argv[0]}" in err  # the subcommand's usage
     assert not out.exists()
+
+
+def test_cli_an_unwritable_output_fails_before_any_trial(monkeypatch, tmp_path,
+                                                          capsys):
+    def no_trials(scenario, points):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(adradar.harness, "_sweep_rows", no_trials)
+    out = tmp_path / "no-such-dir" / "x.csv"
+    for command in ("simulate", "sweep-cpi", "sweep-framegap"):
+        assert run_cli([command, "--output", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+def test_cli_a_run_that_fails_after_starting_leaves_no_file(tmp_path):
+    path = tmp_path / "scn.json"
+    save_scenario(Scenario(trials=2, threshold_scale=1e9), path)
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", "--scenario", str(path), "--cpi", "2e-4",
+                    "--output", str(out)]) == 2
+    assert not out.exists()
+    # A file that was there before a failed run is left as it was.
+    out.write_text("kept\n")
+    assert run_cli(["simulate", "--scenario", str(path), "--cpi", "2e-4",
+                    "--output", str(out)]) == 2
+    assert out.read_text() == "kept\n"
 
 
 def readme_cli_commands():

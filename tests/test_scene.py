@@ -253,6 +253,13 @@ def test_scenario_roundtrip(tmp_path):
     save_scenario(scn, path)
     loaded = load_scenario(path)
     assert loaded == scn
+    # The defaults Scenario takes from WaveformParams and UpaGeometry are
+    # written as before: the older file's text, less its retired keys.
+    parent = json.loads((Path(__file__).resolve().parent / "data"
+                         / "scenario_parent.json").read_text())
+    for key in ("nx_rx", "ny_rx", "first_delay_window", "preamble_len"):
+        del parent[key]
+    assert path.read_text() == json.dumps(parent, indent=2, sort_keys=True) + "\n"
 
 
 def test_scenario_file_of_the_two_array_version_loads():
