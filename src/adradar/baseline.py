@@ -7,6 +7,7 @@ correlator outputs into a delay-Doppler map whose Doppler resolution is
 velocity error is bounded by half a Doppler bin, independent of SNR.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,15 +29,21 @@ _MAP_SCALLOP_MARGIN = 0.5
 class DelayDopplerMap:
     """Slow-time DFT of per-frame correlator outputs.
 
-    ``values[i, q]`` is the DFT over frames of R_m[lags[i]] at DFT index q;
-    ``doppler_bins_hz[q]`` is the Doppler frequency that peaks in column q,
-    spanning (-1/(2 T_f), +1/(2 T_f)] with spacing 1/(M T_f).
+    ``slow_time[i, m]`` is R_m[lags[i]] and ``values`` (computed on first read)
+    its DFT over frames; ``doppler_bins_hz[q]`` is the Doppler frequency that
+    peaks in column q, spanning (-1/(2 T_f), +1/(2 T_f)] with spacing 1/(M T_f).
     """
 
-    values: np.ndarray
+    slow_time: np.ndarray
     lags: np.ndarray
     doppler_bins_hz: np.ndarray
     doppler_bin_width_hz: float
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        values = np.fft.fft(self.slow_time, axis=1)
+        values.flags.writeable = False
+        return values
 
 
 def map_window(frame0: EchoFrame, profile0: np.ndarray) -> EchoFrame:
@@ -101,11 +108,12 @@ def delay_doppler_map(frames, frame_period: float) -> DelayDopplerMap:
         m_count += len(row_starts)
     if m_count < 2:
         raise ValueError("delay-Doppler map needs at least two frames")
-    values = np.fft.fft(np.concatenate(columns, axis=1), axis=1)
     # The correlator conjugates the echo, so a Doppler nu appears at -nu on
     # the DFT frequency axis; negate to read bins directly in echo Doppler.
     doppler_bins = -np.fft.fftfreq(m_count, d=frame_period)
-    return DelayDopplerMap(values=values, lags=lags, doppler_bins_hz=doppler_bins,
+    slow_time = np.concatenate(columns, axis=1)
+    slow_time.flags.writeable = False
+    return DelayDopplerMap(slow_time=slow_time, lags=lags, doppler_bins_hz=doppler_bins,
                            doppler_bin_width_hz=1.0 / (m_count * frame_period))
 
 
@@ -118,21 +126,23 @@ def baseline_velocities(ddm: DelayDopplerMap, v_source: float, wavelength: float
     ``threshold * M * 0.5``.  ``pick_peaks`` takes delay rows by their peak
     magnitude, suppressing rows within ``guard`` lags of an accepted one (a
     target occupies one delay stripe, Doppler leakage included).  Each row's
-    strongest Doppler bin center maps to a velocity, ordered by delay.
+    strongest Doppler bin center maps to a velocity, ordered by delay.  Only
+    rows whose bound sum_m |R_m[l]| >= max_q |DFT| passes the threshold (less
+    a margin far above the rounding of either side) are transformed.
 
     Raises
     ------
     DetectionShortfallError
         If fewer than ``expected_targets`` peaks exceed the map threshold.
     """
-    mag = np.abs(ddm.values)
-    map_threshold = threshold * mag.shape[1] * _MAP_SCALLOP_MARGIN
-    rows = pick_peaks(mag.max(axis=1), ddm.lags, expected_targets,
-                      map_threshold, guard)
+    map_threshold = threshold * ddm.slow_time.shape[1] * _MAP_SCALLOP_MARGIN
+    live = np.flatnonzero(np.abs(ddm.slow_time).sum(axis=1) > map_threshold * (1 - 1e-9))
+    mag, lags = np.abs(np.fft.fft(ddm.slow_time[live], axis=1)), ddm.lags[live]
+    rows = pick_peaks(mag.max(axis=1), lags, expected_targets, map_threshold, guard)
     if len(rows) < expected_targets:
         raise DetectionShortfallError(
             f"only {len(rows)} of {expected_targets} map peaks above "
             f"threshold {map_threshold:.3e}")
-    rows.sort(key=lambda i: ddm.lags[i])
+    rows.sort(key=lambda i: lags[i])
     nu = ddm.doppler_bins_hz[np.argmax(mag[rows], axis=1)]
     return velocity_from_doppler(nu, v_source, wavelength)

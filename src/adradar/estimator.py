@@ -25,9 +25,9 @@ from .sequences import (CORR_SEGMENT_LEN, PREAMBLE_LEN, build_preamble,
                         correlation_profile, correlation_segment)
 
 _COND_LIMIT = 1e12
-# Entries of run_pipeline's design cache.  One entry is a float64 shift matrix
-# of rows x P and its P x P Gram matrix: 81 KB for three targets in the
-# default 3374-row window, so about 1.3 MB when full.
+# Entries of run_pipeline's design cache.  One entry is the transposed shift
+# matrix, P x rows as complex128, and its P x P Gram matrix: 162 KB for three
+# targets in the default 3374-row window, so about 2.6 MB when full.
 _DESIGN_CACHE_SIZE = 16
 
 
@@ -169,11 +169,8 @@ def build_shift_matrix(delays, rows: int) -> np.ndarray:
         raise ValueError("delays must be sorted ascending")
     preamble = build_preamble()
     s = np.zeros((rows, len(delays)))
-    x = np.arange(rows)
-    for p, ell in enumerate(delays):
-        idx = delays[0] + x - ell
-        ok = (idx >= 0) & (idx < PREAMBLE_LEN)
-        s[ok, p] = preamble[idx[ok]]
+    for p, lo in enumerate(delays - delays[0]):  # sorted, so lo >= 0
+        s[lo:lo + PREAMBLE_LEN, p] = preamble[:max(rows - lo, 0)]
     return s
 
 
@@ -187,7 +184,7 @@ def lse_coefficients(y: np.ndarray, shift_matrix: np.ndarray,
         If the normal equations are ill-conditioned (cond >= 1e12); the
         message names the most correlated delay pair.
     """
-    return _solve(y, shift_matrix, _checked_gram(shift_matrix), tx_power)
+    return _solve(y, shift_matrix.T, _checked_gram(shift_matrix), tx_power)
 
 
 def _checked_gram(shift_matrix: np.ndarray) -> np.ndarray:
@@ -205,15 +202,15 @@ def _checked_gram(shift_matrix: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _solve(y, shift_matrix, gram, tx_power):
-    rhs = shift_matrix.T @ y
+def _solve(y, st, gram, tx_power):
+    rhs = st @ y  # st is S^T
     return np.linalg.solve(gram, rhs) / np.sqrt(tx_power)
 
 
 @functools.lru_cache(maxsize=_DESIGN_CACHE_SIZE)
 def _shift_design(offsets: tuple, rows: int):
-    """Read-only shift matrix of the 802.11ad preamble and its checked Gram
-    matrix, for delays ``offsets`` relative to the first one.
+    """Read-only S^T, C-contiguous complex128, and the checked Gram matrix
+    of the 802.11ad preamble for delays ``offsets`` relative to the first one.
 
     The design depends on the delays only through these offsets, so frames
     and trials whose targets keep their spacing share one entry.  A design
@@ -221,10 +218,10 @@ def _shift_design(offsets: tuple, rows: int):
     next call.
     """
     s = build_shift_matrix(offsets, rows)
-    gram = _checked_gram(s)
-    s.flags.writeable = False
+    gram, st = _checked_gram(s), np.ascontiguousarray(s.T, dtype=np.complex128)
+    st.flags.writeable = False
     gram.flags.writeable = False
-    return s, gram
+    return st, gram
 
 
 def denominator_inverse(l_0: int, m: int, frame_len: int,
@@ -325,8 +322,8 @@ def run_pipeline(frames, wf: WaveformParams, v_source: float, tx_power: float,
     for m in needed:
         est = delay_est[m]
         y, rows = _lse_window(frames[m], est.delays)
-        s, gram = _shift_design(tuple((est.delays - est.delays[0]).tolist()), rows)
-        coeffs[m] = _solve(y, s, gram, tx_power)
+        st, gram = _shift_design(tuple((est.delays - est.delays[0]).tolist()), rows)
+        coeffs[m] = _solve(y, st, gram, tx_power)
 
     d_md = denominator_inverse(int(delay_est[cfg.m_d].delays[0]), cfg.m_d,
                                wf.frame_len, wf.sample_period)

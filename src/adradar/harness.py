@@ -39,9 +39,9 @@ _STREAM_BETA = 1
 _STREAM_BOOTSTRAP = 2
 _STREAM_MAP = 3
 
-# Map frames 1 to M-1 per correlator call and noise draw.  Of 8, 16, 32 and
-# 64, 8 and 16 ran baseline trials at M = 129 fastest on a 2-core x86-64 VM;
-# longer blocks lose to cache misses.
+# Map frames 1 to M-1 per correlator call and noise draw.  At M = 129 on a
+# 2-core x86-64 VM, 32 and 64 lose to cache misses, and 8 runs baseline trials
+# 0.92-0.93x as fast as 16 for 0.6 MiB less peak RSS.
 _MAP_BLOCK = 16
 
 _CI_RESAMPLES = 500   # bootstrap resamples behind each NMSE interval
@@ -179,7 +179,7 @@ def _run_trials(scenario: Scenario, exp: ExperimentConfig, trials,
     ``pinned`` is the experiment's ``_trial_scene``; its noise variance and
     targets are every trial's.  A fixed-gain run builds each noiseless frame
     once, and each map block once for consecutive trials with one map window;
-    a Rayleigh trial builds its own scene, frames and blocks.
+    a Rayleigh trial builds its own frames and blocks from its own gains.
     """
     scene, h = pinned
     m_count, m_d, m_i = _frame_indices(scene.wf, exp)
@@ -195,8 +195,8 @@ def _run_trials(scenario: Scenario, exp: ExperimentConfig, trials,
     records = []
     for trial in trials:
         if scenario.beta_mode == "rayleigh":
-            # A trial uses each of its frames once, so none is kept.
-            scene, h = _trial_scene(scenario, exp, trial)
+            # Only h reads the gains; a trial uses each frame once, keeping none.
+            h = _trial_scene(scenario, exp, trial)[1]
             echo = functools.partial(_noiseless_frame, scene, h)
             block = functools.partial(_noiseless_block, scene, h, m_count)
         records.append(_run_trial(exp, trial, scene, echo, block, m_count, cfg, true_v))

@@ -97,19 +97,24 @@ def correlation_profile(s_c: np.ndarray, window: np.ndarray) -> np.ndarray:
         raise ValueError("s_c is not the 802.11ad correlation segment")
     if len(window) < CORR_SEGMENT_LEN:
         raise ValueError("window shorter than the correlation segment")
-    x = np.ascontiguousarray(window, dtype=np.complex128)
     # Complex add and subtract act on the real and imaginary parts apart, so
     # the lattice runs on the interleaved float view with every shift doubled.
     # a[l] = sum_j Ga[j] x[l + j] and b[l] = sum_j Gb[j] x[l + j], built one
     # stage of the generator's recursion a, b = w a + b', w a - b' at a time.
     # For w = -1 that pair is -(a - b'), -(a + b'): the sum and difference
     # swap and both change sign, which the six such stages cancel.
-    a = b = x.view(np.float64)
-    for d, w in zip(_AD_DELAYS, _AD_WEIGHTS):
-        head, tail = a[:len(a) - 2 * d], b[2 * d:]
-        a, b = (head + tail, head - tail) if w > 0 else (head - tail, head + tail)
-    n, o = 2 * (len(x) - CORR_SEGMENT_LEN + 1), 2 * 128
-    out = (b[3 * o:3 * o + n] - b[o:o + n]) - (a[:n] + a[2 * o:2 * o + n])
+    f = np.ascontiguousarray(window, dtype=np.complex128).view(np.float64)
+    k = len(f) - 2 * _AD_DELAYS[0]  # the first stage (w = -1) fills a new a, b
+    a, b, spare = f[:k] - f[-k:], f[:k] + f[-k:], np.empty(k)
+    for d, w in zip(_AD_DELAYS[1:], _AD_WEIGHTS[1:]):
+        k -= 2 * d
+        head, tail = a[:k], b[2 * d:2 * d + k]
+        (np.subtract if w > 0 else np.add)(head, tail, out=spare[:k])
+        (np.add if w > 0 else np.subtract)(head, tail, out=head)
+        b, spare = spare, b  # three buffers: a in place, b via the spare
+    n, o = len(f) - 2 * (CORR_SEGMENT_LEN - 1), 2 * 128
+    out = np.subtract(b[3 * o:3 * o + n], b[o:o + n])
+    out -= np.add(a[:n], a[2 * o:2 * o + n], out=spare[:n])
     # s_c is real, so the window's conjugate moves onto the sums.
     out = out.view(np.complex128)
     return np.conjugate(out, out=out)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adradar.baseline import (BASELINE_LAG_HALFWIDTH, baseline_velocities,
-                              delay_doppler_map, map_window)
+import adradar.harness
+from adradar.baseline import (BASELINE_LAG_HALFWIDTH, DelayDopplerMap,
+                              baseline_velocities, delay_doppler_map, map_window)
 from adradar.echo import EchoFrame, synthesize_frame, with_noise
 from adradar.errors import DetectionShortfallError
-from adradar.estimator import detection_threshold, pick_peaks
+from adradar.estimator import detection_threshold, pick_peaks, velocity_from_doppler
+from adradar.harness import ExperimentConfig, run_experiment
 from adradar.scene import Scenario, build_scene, frame_truth, scene_backscatter
 
 
@@ -370,3 +372,119 @@ def test_row_maxima_picks_match_the_2d_map_picks(data):
     picked = pick_peaks(mag.max(axis=1), lags, count, threshold, guard)
     assert [(int(lags[i]), int(np.argmax(mag[i]))) for i in picked] == \
         masked_map_picks(mag, lags, count, threshold, guard)
+
+
+def full_map_velocities(ddm, v_source, wavelength, expected_targets, threshold,
+                        guard=Scenario.guard):
+    """Reference reader: the peaks of every row of the whole map."""
+    mag = np.abs(ddm.values)
+    map_threshold = threshold * mag.shape[1] * 0.5
+    rows = pick_peaks(mag.max(axis=1), ddm.lags, expected_targets,
+                      map_threshold, guard)
+    if len(rows) < expected_targets:
+        raise DetectionShortfallError(
+            f"only {len(rows)} of {expected_targets} map peaks above "
+            f"threshold {map_threshold:.3e}")
+    rows.sort(key=lambda i: ddm.lags[i])
+    nu = ddm.doppler_bins_hz[np.argmax(mag[rows], axis=1)]
+    return velocity_from_doppler(nu, v_source, wavelength)
+
+
+def read_like_the_full_map(ddm, threshold, count, guard=Scenario.guard):
+    """``baseline_velocities`` on ``ddm``, asserted to return the reference
+    reader's velocity bits or to raise its error text; returns either."""
+    readings = []
+    for reader in (baseline_velocities, full_map_velocities):
+        try:
+            readings.append(reader(ddm, 25.0, 0.005, count, threshold,
+                                   guard=guard).tobytes())
+        except DetectionShortfallError as exc:
+            readings.append(str(exc))
+    assert readings[0] == readings[1]
+    return readings[0]
+
+
+def synthetic_map(slow_time, first_lag=100, frame_period=7.7e-6):
+    m_count = slow_time.shape[1]
+    return DelayDopplerMap(slow_time=slow_time,
+                           lags=first_lag + np.arange(len(slow_time)),
+                           doppler_bins_hz=-np.fft.fftfreq(m_count, d=frame_period),
+                           doppler_bin_width_hz=1.0 / (m_count * frame_period))
+
+
+# Both outcomes are drawn: at seed 3, 0 dBm falls short at every CPI and
+# 5 dBm at 1 ms, and the higher powers pass.
+@settings(max_examples=15, deadline=None)
+@given(p_tx_dbm=st.sampled_from([0.0, 5.0, 10.0, 20.0, 30.0]),
+       seed=st.integers(0, 2**16), cpi_s=st.sampled_from([2e-4, 5e-4, 1e-3]))
+def test_the_screened_rows_read_a_harness_map_like_the_full_map(p_tx_dbm, seed,
+                                                                cpi_s):
+    maps = []
+
+    def recording_map(frames, frame_period):
+        maps.append(delay_doppler_map(frames, frame_period))
+        return maps[-1]
+
+    scn = Scenario()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("ADRADAR_WORKERS", "1")
+        mp.setattr(adradar.harness, "delay_doppler_map", recording_map)
+        run_experiment(scn, ExperimentConfig(cpi_s=cpi_s, trials=1, p_tx_dbm=p_tx_dbm,
+                                             estimators="baseline", seed=seed))
+    scene = build_scene(scn, p_tx_dbm=p_tx_dbm)
+    threshold = detection_threshold(scene.noise_clutter_var) * scn.threshold_scale
+    read_like_the_full_map(maps[0], threshold, scn.num_targets, scn.guard)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_screened_rows_read_a_synthetic_map_like_the_full_map(data):
+    rows = data.draw(st.integers(1, 40), label="rows")
+    m_count = data.draw(st.integers(2, 40), label="M")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    slow_time = rng.standard_normal((rows, m_count)) + 1j * rng.standard_normal(
+        (rows, m_count))
+    # Tones, some on a bin and some between bins, make rows that can peak.
+    for row in data.draw(st.lists(st.integers(0, rows - 1), max_size=5), label="tones"):
+        bin_ = data.draw(st.floats(0.0, m_count), label="bin")
+        slow_time[row] += (data.draw(st.floats(0.5, 8.0), label="amplitude")
+                           * np.exp(2j * np.pi * bin_ * np.arange(m_count) / m_count))
+    threshold = data.draw(st.floats(0.0, 6.0), label="threshold")
+    read_like_the_full_map(synthetic_map(slow_time), threshold,
+                           data.draw(st.integers(1, 4), label="count"),
+                           data.draw(st.integers(0, 5), label="guard"))
+
+
+def test_a_row_whose_bound_is_the_threshold_reads_like_the_full_map():
+    # Map threshold 0.5 * 8 * 0.5 = 2.  Row 1 sums to exactly 2 and so does
+    # its zero-bin DFT: it passes the screen but is not above the threshold.
+    slow_time = np.zeros((5, 8), dtype=complex)
+    slow_time[1], slow_time[3] = 0.25, 0.5
+    ddm = synthetic_map(slow_time)
+    assert np.abs(ddm.values).max(axis=1)[1] == 2.0
+    one = read_like_the_full_map(ddm, 0.5, 1, guard=0)
+    assert one == velocity_from_doppler(np.zeros(1), 25.0, 0.005).tobytes()
+    assert read_like_the_full_map(ddm, 0.5, 2, guard=0) == (
+        "only 1 of 2 map peaks above threshold 2.000e+00")
+
+
+def test_a_map_with_every_row_below_the_threshold_is_a_shortfall():
+    slow_time = np.full((4, 6), 1e-3 + 1e-3j)
+    ddm = synthetic_map(slow_time)
+    assert read_like_the_full_map(ddm, 1.0, 3) == (
+        "only 0 of 3 map peaks above threshold 3.000e+00")
+
+
+def test_the_map_values_are_the_read_only_dft_of_the_slow_time_rows(default_scene):
+    frames = synth_cpi(default_scene, 0.2e-3, noiseless=False)
+    ddm = delay_doppler_map(cut(frames, np.arange(140, 240)),
+                            default_scene.wf.frame_period)
+    assert "values" not in ddm.__dict__
+    assert ddm.values is ddm.values
+    assert ddm.values.tobytes() == np.fft.fft(ddm.slow_time, axis=1).tobytes()
+    for arr in (ddm.slow_time, ddm.values):
+        assert not arr.flags.writeable
+    # A subset of rows transforms to the same bits as those rows of the map.
+    for rows in ([0], [3, 50, 99], list(range(0, 100, 7))):
+        assert (np.fft.fft(ddm.slow_time[rows], axis=1).tobytes()
+                == ddm.values[rows].tobytes())

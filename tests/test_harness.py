@@ -1,5 +1,6 @@
 import argparse
 import concurrent.futures
+import functools
 import json
 import os
 import shlex
@@ -22,7 +23,7 @@ from adradar.harness import (CSV_HEADER, ESTIMATORS, ExperimentConfig,
                              TrialRecord, _worker_count, bootstrap_ci,
                              format_csv, nmse, run_experiment, sweep_cpi,
                              sweep_framegap)
-from adradar.scene import (Scenario, build_scene, draw_betas, frame_truth,
+from adradar.scene import (Scenario, Scene, build_scene, draw_betas, frame_truth,
                            load_scenario, save_scenario, scene_backscatter)
 from adradar.sequences import (CORR_SEGMENT_OFFSET, build_preamble,
                                correlation_profile, correlation_segment,
@@ -587,6 +588,44 @@ def test_sweep_cpi_checks_every_point_before_running_any(monkeypatch):
     with pytest.raises(ValueError, match=r"m_i offset 6 not in \[1, M-1\] for M=5"):
         sweep_cpi(Scenario(), exp, cpis=(2e-4, 4e-5), p_tx_dbm_grid=(20.0,))
     assert calls == []
+
+
+def test_a_baseline_trial_never_transforms_the_whole_map(monkeypatch):
+    # baseline_velocities transforms only the rows that can peak; the whole
+    # map's DFT is left to whoever reads ``values``.
+    maps = []
+
+    def recording_map(frames, frame_period):
+        maps.append(delay_doppler_map(frames, frame_period))
+        return maps[-1]
+
+    monkeypatch.setenv("ADRADAR_WORKERS", "1")
+    monkeypatch.setattr(adradar.harness, "delay_doppler_map", recording_map)
+    records = run_experiment(Scenario(), ExperimentConfig(
+        cpi_s=1e-3, trials=2, p_tx_dbm=20.0, estimators="baseline", seed=1))
+    assert all("baseline" in r.estimates for r in records)
+    assert len(maps) == 2
+    assert not any("values" in ddm.__dict__ for ddm in maps)
+
+
+def test_a_rayleigh_run_rotates_the_preamble_of_one_scene(monkeypatch):
+    # Every Rayleigh trial synthesizes on the pinned scene with its own
+    # gains, so the rotated preamble is computed once per run.
+    rotated = Scene.rotated_preamble
+    scenes = []
+
+    def recording(scene):
+        scenes.append(scene)
+        return rotated.func(scene)
+
+    recording_property = functools.cached_property(recording)
+    recording_property.__set_name__(Scene, "rotated_preamble")
+    monkeypatch.setenv("ADRADAR_WORKERS", "1")
+    monkeypatch.setattr(Scene, "rotated_preamble", recording_property)
+    records = run_experiment(Scenario(beta_mode="rayleigh"), ExperimentConfig(
+        cpi_s=2e-4, trials=4, estimators="both", seed=5))
+    assert len(records) == 4
+    assert len(scenes) == 1
 
 
 @pytest.mark.parametrize("overrides", [{"beta_mode": "rayleigh"},

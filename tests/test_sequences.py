@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adradar.sequences import (CORR_SEGMENT_LEN, CORR_SEGMENT_OFFSET,
@@ -197,9 +199,11 @@ def test_lattice_profile_matches_the_pointwise_oracle(s_c, length, seed):
     assert not np.any(profile.imag)
 
 
+# Up to 12,288 samples: one map block of 16 frames of 768 samples.
 @settings(max_examples=40, deadline=None)
-@given(length=st.integers(512, 4096), seed=st.integers(0, 2**32 - 1),
+@given(length=st.integers(512, 12288), seed=st.integers(0, 2**32 - 1),
        dtype=st.sampled_from([np.complex128, np.complex64, np.float64, np.int64]))
+@example(length=12288, seed=0, dtype=np.complex128)
 def test_lattice_profile_is_bit_identical_to_the_complex_lattice(s_c, length, seed,
                                                                  dtype):
     rng = np.random.default_rng(seed)
@@ -223,6 +227,25 @@ def test_lattice_profile_is_bit_identical_to_the_complex_lattice(s_c, length, se
     strided = np.repeat(window, 2)[::2]
     assert not strided.flags.c_contiguous
     assert correlation_profile(s_c, strided).tobytes() == profile.tobytes()
+
+
+def test_the_lattice_holds_three_stage_arrays_and_its_output(s_c):
+    # A 16 x 768 map block.  The stages run in three float64 buffers of the
+    # first stage's 2n - 2 entries, and the output takes 2 (n - 511); a
+    # lattice holding a fourth stage array or a temporary of the output's
+    # size would exceed the bound by far more than the slack.
+    n = 16 * 768
+    rng = np.random.default_rng(3)
+    window = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    correlation_profile(s_c, window)
+    tracemalloc.start()
+    try:
+        correlation_profile(s_c, window)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stage, out = 8 * (2 * n - 2), 16 * (n - 511)
+    assert peak <= 3 * stage + out + 16384
 
 
 def test_lattice_profile_of_a_real_valued_complex_window(s_c, preamble):
