@@ -9,7 +9,7 @@ hits 0.4084 rad.  The elevation cut of the 2-element axis comes out near
 
 import numpy as np
 
-from adradar import UpaGeometry, beam_gain, design_wide_beam, measure_beamwidth, wide_beam
+from adradar import UpaGeometry, design_wide_beam, gain_cut, measure_beamwidth, wide_beam
 
 
 def main():
@@ -20,8 +20,7 @@ def main():
     for name, beam in (("single beam", single), ("3-beam wide", wide)):
         az = measure_beamwidth(beam, geo, "azimuth", 0.0)
         el = measure_beamwidth(beam, geo, "elevation", 0.0)
-        peak = max(beam_gain(beam, a, 0.0, geo)
-                   for a in np.linspace(-0.5, 0.5, 401))
+        peak = gain_cut(beam, geo, "azimuth", 0.0, np.linspace(-0.5, 0.5, 401)).max()
         print(f"{name:12s}: 3 dB azimuth {az:.4f} rad, elevation {el:.4f} rad, "
               f"peak gain {10 * np.log10(peak):.2f} dB")
 
@@ -32,10 +31,10 @@ def main():
         import matplotlib.pyplot as plt
         fig, ax = plt.subplots(figsize=(7, 3.4))
         for name, beam in (("single", single), ("3-beam wide", wide)):
-            g = np.array([beam_gain(beam, a, 0.0, geo) for a in angles])
+            g = gain_cut(beam, geo, "azimuth", 0.0, angles)
             ax.plot(angles, 10 * np.log10(np.maximum(g, 1e-9)), label=name)
-        ax.axhline(10 * np.log10(beam_gain(wide, 0, 0, geo) / 2), ls="--",
-                   c="gray", lw=0.8)
+        broadside = gain_cut(wide, geo, "azimuth", 0.0, np.zeros(1))[0]
+        ax.axhline(10 * np.log10(broadside / 2), ls="--", c="gray", lw=0.8)
         ax.set_ylim(-35, 14)
         ax.set_xlabel("azimuth (rad)")
         ax.set_ylabel("gain (dB)")

@@ -10,9 +10,8 @@ from .estimator import (DelayEstimate, DopplerEstimate, PipelineConfig,
 from .harness import (ExperimentConfig, TrialRecord, bootstrap_ci, nmse,
                       run_experiment, sweep_cpi, sweep_framegap)
 from .params import WaveformParams
-from .phasedarray import (UpaGeometry, beam_gain, design_wide_beam, gain_cut,
-                          measure_beamwidth, steering_upa, steering_x, steering_y,
-                          wide_beam)
+from .phasedarray import (UpaGeometry, design_wide_beam, gain_cut, measure_beamwidth,
+                          steering_upa, steering_x, steering_y, wide_beam)
 from .scene import (FrameTruth, Scenario, Scene, Target, backscatter_coefficient,
                     build_scene, designed_beam, frame_truth, large_scale_gain,
                     load_scenario, noise_clutter_variance, save_scenario)

@@ -30,8 +30,8 @@ from .baseline import baseline_velocities, delay_doppler_map, map_window
 from .echo import synthesize_frame, synthesize_window, with_noise
 from .errors import AggregationError, EstimationError
 from .estimator import PipelineConfig, detection_threshold, run_pipeline
-from .scene import (Scenario, Scene, build_scene, draw_betas, frame_truth,
-                    frame_truths, scene_backscatter)
+from .scene import (Scenario, Scene, build_scene, check_dbm, draw_betas,
+                    frame_truth, frame_truths, scene_backscatter)
 from .sequences import build_preamble, correlation_profile, correlation_segment
 
 _STREAM_NOISE = 0
@@ -75,6 +75,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.p_tx_dbm is not None:
+            check_dbm("p_tx_dbm", self.p_tx_dbm)
 
     def resolve(self, scenario: Scenario) -> "ExperimentConfig":
         """This experiment with every unset field taken from ``scenario``."""
@@ -146,16 +148,6 @@ def _frame_indices(wf, exp: ExperimentConfig):
     return m_count, m_d, m_i
 
 
-def _trial_scene(scenario: Scenario, exp: ExperimentConfig, trial=None):
-    """A trial's scene and its backscatter coefficients.  ``trial=None`` gives
-    the pinned-gain scene, which every fixed-gain trial shares since it
-    draws nothing."""
-    betas = None if trial is None else draw_betas(
-        scenario, np.random.default_rng([exp.seed, trial, _STREAM_BETA]))
-    scene = build_scene(scenario, betas=betas, p_tx_dbm=exp.p_tx_dbm)
-    return scene, scene_backscatter(scene)
-
-
 def _noiseless_frame(scene, h, m):
     """The read-only noiseless frame m of ``scene``."""
     echo = synthesize_frame(scene, frame_truth(scene, m, h))
@@ -176,10 +168,10 @@ def _run_trials(scenario: Scenario, exp: ExperimentConfig, trials,
                 pinned) -> list:
     """Records of consecutive ``trials`` of a resolved experiment, in order.
 
-    ``pinned`` is the experiment's ``_trial_scene``; its noise variance and
-    targets are every trial's.  A fixed-gain run builds each noiseless frame
-    once, and each map block once for consecutive trials with one map window;
-    a Rayleigh trial builds its own frames and blocks from its own gains.
+    ``pinned`` is the experiment's one scene and its pinned-gain h.  A
+    fixed-gain run builds each noiseless frame once, and each map block once
+    for consecutive trials with one map window; a Rayleigh trial builds its
+    own frames and blocks from its own gains, which enter only its h.
     """
     scene, h = pinned
     m_count, m_d, m_i = _frame_indices(scene.wf, exp)
@@ -195,8 +187,9 @@ def _run_trials(scenario: Scenario, exp: ExperimentConfig, trials,
     records = []
     for trial in trials:
         if scenario.beta_mode == "rayleigh":
-            # Only h reads the gains; a trial uses each frame once, keeping none.
-            h = _trial_scene(scenario, exp, trial)[1]
+            # A trial uses each frame once, keeping none.
+            h = scene_backscatter(scene, draw_betas(scenario, np.random.default_rng(
+                [exp.seed, trial, _STREAM_BETA])))
             echo = functools.partial(_noiseless_frame, scene, h)
             block = functools.partial(_noiseless_block, scene, h, m_count)
         records.append(_run_trial(exp, trial, scene, echo, block, m_count, cfg, true_v))
@@ -281,7 +274,8 @@ def run_experiment(scenario: Scenario, exp: ExperimentConfig):
     """
     exp = exp.resolve(scenario)
     workers = min(_worker_count(), exp.trials)
-    pinned = _trial_scene(scenario, exp)
+    scene = build_scene(scenario, p_tx_dbm=exp.p_tx_dbm)
+    pinned = (scene, scene_backscatter(scene))
     if workers == 1:
         return _run_trials(scenario, exp, range(exp.trials), pinned)
     bounds = [exp.trials * w // workers for w in range(workers + 1)]

@@ -68,13 +68,6 @@ def wide_beam(azimuths, elevation: float, geometry: UpaGeometry) -> np.ndarray:
     return f
 
 
-def beam_gain(f: np.ndarray, azimuth: float, elevation: float,
-              geometry: UpaGeometry) -> float:
-    """Power pattern |a(az, el)^H f|^2 of a beamforming vector."""
-    a = steering_upa(azimuth, elevation, geometry)
-    return float(np.abs(np.vdot(a, f)) ** 2)
-
-
 def gain_cut(f: np.ndarray, geometry: UpaGeometry, plane: str,
              elevation_center: float, angles: np.ndarray) -> np.ndarray:
     """Power pattern |a^H f|^2 at ``angles`` along the azimuth cut (elevation

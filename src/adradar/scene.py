@@ -2,8 +2,9 @@
 
 A scene fixes the source vehicle, an ordered list of target vehicles (sorted
 by round-trip delay), the waveform, the designed beam, and the
-clutter-plus-noise variance.  Per-frame truth (Doppler, integer delay,
-backscatter coefficient) is derived under a constant-velocity model.
+clutter-plus-noise variance, but no small-scale gains: ``scene_backscatter``
+takes each CPI's.  Per-frame truth (Doppler, integer delay, backscatter
+coefficient) is derived under a constant-velocity model.
 """
 
 import functools
@@ -20,14 +21,13 @@ from .sequences import PREAMBLE_LEN, build_preamble
 
 @dataclass(frozen=True)
 class Target:
-    """One target vehicle: kinematics, reflectivity, and small-scale gain."""
+    """One target vehicle: kinematics and reflectivity."""
 
     velocity: float            # m/s, along-road
     initial_range: float       # m
     azimuth: float = 0.0       # rad
     elevation: float = 0.0     # rad
     rcs: float = 100.0         # m^2 (20 dBsm default)
-    beta: complex = 1.0 + 0j   # small-scale gain, CN(0,1) draw or pinned 1
 
     def __post_init__(self):
         if self.initial_range <= 0:
@@ -103,8 +103,8 @@ def large_scale_gain(range_m: float, rcs_m2: float, wavelength_m: float) -> floa
     return wavelength_m ** 2 * rcs_m2 / ((4.0 * np.pi) ** 3 * range_m ** 4)
 
 
-def backscatter_coefficient(target: Target, beam: np.ndarray, gain: float,
-                            geometry: UpaGeometry) -> complex:
+def backscatter_coefficient(target: Target, beta: complex, beam: np.ndarray,
+                            gain: float, geometry: UpaGeometry) -> complex:
     """Effective radar channel coefficient after TX and RX beamforming.
 
     h_p = sqrt(G_p) * beta_p * (f_RX^H a*(phi, theta)) * (a^H(phi, theta) f),
@@ -112,7 +112,7 @@ def backscatter_coefficient(target: Target, beam: np.ndarray, gain: float,
     factor f_RX^H a* equals a^H f, so h_p = sqrt(G_p) * beta_p * (a^H f)^2.
     """
     factor = np.vdot(steering_upa(target.azimuth, target.elevation, geometry), beam)
-    return complex(np.sqrt(gain) * target.beta * factor * factor)
+    return complex(np.sqrt(gain) * beta * factor * factor)
 
 
 def noise_clutter_variance(noise_density_w_hz: float, bandwidth_hz: float,
@@ -123,12 +123,14 @@ def noise_clutter_variance(noise_density_w_hz: float, bandwidth_hz: float,
     return noise_density_w_hz * bandwidth_hz + clutter_ratio * tx_power_w
 
 
-def scene_backscatter(scene: Scene) -> np.ndarray:
-    """Backscatter coefficients h_p at the CPI start, constant over the CPI."""
+def scene_backscatter(scene: Scene, betas=None) -> np.ndarray:
+    """Backscatter coefficients h_p, constant over the CPI, of one CPI's
+    small-scale gains ``betas`` (default: pinned ones)."""
+    betas = np.ones(len(scene.targets), dtype=complex) if betas is None else betas
     wf = scene.wf
     return np.array([backscatter_coefficient(
-        tg, scene.beam, large_scale_gain(tg.initial_range, tg.rcs, wf.wavelength),
-        scene.geometry) for tg in scene.targets])
+        tg, beta, scene.beam, large_scale_gain(tg.initial_range, tg.rcs, wf.wavelength),
+        scene.geometry) for tg, beta in zip(scene.targets, betas)])
 
 
 def frame_truth(scene: Scene, m: int, backscatter: np.ndarray = None) -> FrameTruth:
@@ -152,14 +154,13 @@ def frame_truths(scene: Scene, frames, backscatter: np.ndarray = None) -> list:
     frames = np.asarray(frames)
     ranges = initial_ranges + range_rates * (frames[:, None] * wf.frame_period)
     delays = np.rint(2.0 * ranges / SPEED_OF_LIGHT / wf.sample_period).astype(np.int64)
-    # Python checks: for a few targets they cost less than numpy reductions.
-    lags = delays.tolist()
-    if ranges.min() <= 0 or any(b <= a for row in lags for a, b in zip(row, row[1:])):
-        i = int(np.argmax((ranges <= 0).any(axis=1) | (np.diff(delays) <= 0).any(axis=1)))
-        if min(ranges[i]) <= 0:
+    bad = (ranges <= 0).any(axis=1) | (np.diff(delays) <= 0).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if ranges[i].min() <= 0:
             raise ScenarioError(f"target range nonpositive at frame {frames[i]}")
-        what = ("delays collide after rounding" if len(set(lags[i])) < len(lags[i])
-                else "delay ordering violated")
+        what = ("delays collide after rounding" if len(set(delays[i].tolist()))
+                < delays.shape[1] else "delay ordering violated")
         raise ScenarioError(f"{what} at frame {frames[i]}: {delays[i]}")
     h = scene_backscatter(scene) if backscatter is None else backscatter
     return [FrameTruth(frame=m, doppler_hz=doppler, delay_samples=d, backscatter=h)
@@ -172,6 +173,14 @@ def frame_truths(scene: Scene, frames, backscatter: np.ndarray = None) -> list:
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) * 1e-3
+
+
+def check_dbm(name: str, dbm: float) -> None:
+    """ScenarioError naming ``name`` if the watts of ``dbm`` overflow a float."""
+    try:
+        dbm_to_watts(dbm)
+    except OverflowError:
+        raise ScenarioError(f"{name} of {dbm!r} dBm overflows in watts") from None
 
 
 @dataclass
@@ -213,6 +222,8 @@ class Scenario:
             value = getattr(self, f.name)
             if f.type in (float, tuple) and not np.all(np.isfinite(value)):
                 raise ScenarioError(f"{f.name} must be finite, got {value!r}")
+        check_dbm("p_tx_dbm", self.p_tx_dbm)
+        check_dbm("noise_density_dbm_hz", self.noise_density_dbm_hz)
         if not self.azimuth_beamwidth_rad > 0:
             raise ScenarioError("azimuth_beamwidth_rad must be positive")
         n = len(self.target_velocities_mps)
@@ -296,11 +307,8 @@ def _checked(key: str, kind: type, val):
 
 
 def draw_betas(scn: Scenario, rng: np.random.Generator) -> np.ndarray:
-    """Small-scale gains for one CPI: pinned ones, or one CN(0,1) draw each."""
-    if scn.beta_mode == "fixed":
-        return np.ones(scn.num_targets, dtype=complex)
-    re = rng.standard_normal(scn.num_targets)
-    im = rng.standard_normal(scn.num_targets)
+    """Rayleigh small-scale gains for one CPI: one CN(0,1) draw per target."""
+    re, im = rng.standard_normal(scn.num_targets), rng.standard_normal(scn.num_targets)
     return (re + 1j * im) / np.sqrt(2.0)
 
 
@@ -318,22 +326,17 @@ def _design_wide_beam_once(geometry, n_beams, width, elevation_center):
                             elevation_center=elevation_center)
 
 
-def build_scene(scn: Scenario, betas=None, p_tx_dbm=None) -> Scene:
+def build_scene(scn: Scenario, p_tx_dbm=None) -> Scene:
     """Instantiate a Scene from a Scenario, designing the wide beam.
 
-    ``betas`` overrides the small-scale gains (defaults to pinned ones);
     ``p_tx_dbm`` overrides the scenario TX power, which the sweeps use.
     """
     wf = scn.waveform()
-    if betas is None:
-        betas = np.ones(scn.num_targets, dtype=complex)
     rcs = 10.0 ** (scn.rcs_dbsm / 10.0)
     targets = tuple(
-        Target(velocity=v, initial_range=r, azimuth=az, elevation=el,
-               rcs=rcs, beta=complex(b))
-        for v, r, az, el, b in zip(scn.target_velocities_mps, scn.target_ranges_m,
-                                   scn.target_azimuths_rad,
-                                   scn.target_elevations_rad, betas))
+        Target(velocity=v, initial_range=r, azimuth=az, elevation=el, rcs=rcs)
+        for v, r, az, el in zip(scn.target_velocities_mps, scn.target_ranges_m,
+                                scn.target_azimuths_rad, scn.target_elevations_rad))
     p_tx = dbm_to_watts(scn.p_tx_dbm if p_tx_dbm is None else p_tx_dbm)
     n0 = dbm_to_watts(scn.noise_density_dbm_hz)
     sigma2 = noise_clutter_variance(n0, wf.bandwidth_hz, p_tx, scn.clutter_ratio)

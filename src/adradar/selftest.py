@@ -73,7 +73,7 @@ CHECKS = (
 )
 
 
-def run_selftest(out=print) -> bool:
+def run_selftest() -> bool:
     all_ok = True
     for name, check in CHECKS:
         try:
@@ -81,5 +81,5 @@ def run_selftest(out=print) -> bool:
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         all_ok &= ok
-        out(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return all_ok

@@ -233,13 +233,15 @@ def test_a_block_draw_is_its_rows_draws_in_order(rows, width, seed):
 # Targets closing and opening at over 100 m/s step their delays about every
 # 90 frames, so a block of up to 16 frames often holds a step.
 FAST = Scenario(target_velocities_mps=(-100.0, 24.949, 150.0))
-FAST_SCENES = {(beta_mode, seed): build_scene(
-    FAST, betas=None if beta_mode == "fixed" else draw_betas(
-        FAST, np.random.default_rng([seed, 0, 1])))
+FAST_SCENE = build_scene(FAST)
+# Each case's scene and its h: pinned gains, or one Rayleigh draw.
+FAST_SCENES = {(beta_mode, seed): (FAST_SCENE, scene_backscatter(
+    FAST_SCENE, None if beta_mode == "fixed" else draw_betas(
+        FAST, np.random.default_rng([seed, 0, 1]))))
     for beta_mode, seed in [("fixed", 0)] + [("rayleigh", s) for s in range(3)]}
 FIRST_STEP = next(m for m in range(1, 400)
-                  if frame_truth(FAST_SCENES["fixed", 0], m).delay_samples.tolist()
-                  != frame_truth(FAST_SCENES["fixed", 0], m - 1).delay_samples.tolist())
+                  if frame_truth(FAST_SCENE, m).delay_samples.tolist()
+                  != frame_truth(FAST_SCENE, m - 1).delay_samples.tolist())
 
 
 @settings(max_examples=60, deadline=None)
@@ -252,8 +254,7 @@ def test_a_window_block_is_its_frames_cut_to_the_window(key, start, rows, offset
                                                         width):
     # Row r is frame start + r synthesized whole, over the window's samples
     # inside that frame, and exactly +0 outside it, bit for bit.
-    scene = FAST_SCENES[key]
-    h = scene_backscatter(scene)
+    scene, h = FAST_SCENES[key]
     truths = [frame_truth(scene, m, h) for m in range(start, start + rows)]
     k_start = int(truths[0].delay_samples[0]) + offset
     block = synthesize_window(scene, truths, k_start, width)

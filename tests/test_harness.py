@@ -165,8 +165,8 @@ def oracle_records(scn, exp):
         betas = None
         if scn.beta_mode == "rayleigh":
             betas = draw_betas(scn, np.random.default_rng([exp.seed, trial, 1]))
-        scene = build_scene(scn, betas=betas, p_tx_dbm=exp.p_tx_dbm)
-        h, wf = scene_backscatter(scene), scene.wf
+        scene = build_scene(scn, p_tx_dbm=exp.p_tx_dbm)
+        h, wf = scene_backscatter(scene, betas), scene.wf
         m_count = wf.frames_per_cpi(exp.cpi_s)
         frames = [with_noise(synthesize_frame(scene, frame_truth(scene, m, h)),
                              scene.noise_clutter_var,
@@ -384,8 +384,8 @@ def dense_map(scn, exp, trial):
     betas = None
     if scn.beta_mode == "rayleigh":
         betas = draw_betas(scn, np.random.default_rng([exp.seed, trial, 1]))
-    scene = build_scene(scn, betas=betas, p_tx_dbm=exp.p_tx_dbm)
-    h = scene_backscatter(scene)
+    scene = build_scene(scn, p_tx_dbm=exp.p_tx_dbm)
+    h = scene_backscatter(scene, betas)
     ga, gb = generate_golay_pair()
     s_c = np.concatenate([-ga, -gb, -ga, gb])
 
@@ -626,6 +626,23 @@ def test_a_rayleigh_run_rotates_the_preamble_of_one_scene(monkeypatch):
         cpi_s=2e-4, trials=4, estimators="both", seed=5))
     assert len(records) == 4
     assert len(scenes) == 1
+
+
+@pytest.mark.parametrize("beta_mode", ["fixed", "rayleigh"])
+def test_an_experiment_builds_one_scene(monkeypatch, beta_mode):
+    # A Scene holds no gains: a Rayleigh trial computes only its h.
+    built = []
+
+    def counting_build_scene(*args, **kwargs):
+        built.append(build_scene(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setenv("ADRADAR_WORKERS", "1")
+    monkeypatch.setattr(adradar.harness, "build_scene", counting_build_scene)
+    records = run_experiment(Scenario(beta_mode=beta_mode), ExperimentConfig(
+        cpi_s=2e-4, trials=6, estimators="both", seed=5))
+    assert len(records) == 6
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("overrides", [{"beta_mode": "rayleigh"},
@@ -898,6 +915,31 @@ def test_cli_non_finite_flag_is_config_error(tmp_path, capsys, argv, field):
     out = tmp_path / "x.csv"
     assert run_cli(argv + ["--trials", "2", "--output", str(out)]) == 1
     assert f"config error: {field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# 10 ** (dBm / 10) overflows a float above about 3,082 dBm.
+@pytest.mark.parametrize("argv, scenario", [
+    (["simulate", "--p-tx-dbm", "4000"], None),
+    (["sweep-cpi", "--p-tx-grid", "10", "4000"], None),
+    (["simulate"], {"p_tx_dbm": 4000}),
+    (["simulate"], {"noise_density_dbm_hz": 1e308}),
+], ids=["p-tx-dbm", "p-tx-grid", "scenario-p_tx_dbm", "scenario-noise_density_dbm_hz"])
+def test_cli_a_dbm_whose_watts_overflow_is_config_error(monkeypatch, tmp_path, capsys,
+                                                         argv, scenario):
+    def no_trials(scenario, exp):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(adradar.harness, "run_experiment", no_trials)
+    if scenario is not None:
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(scenario))
+        argv = argv + ["--scenario", str(path)]
+    out = tmp_path / "x.csv"
+    assert run_cli(argv + ["--trials", "2", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: " in err and "dBm overflows in watts" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

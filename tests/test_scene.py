@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import c as C0
 
 from adradar.errors import ScenarioError
@@ -40,9 +42,9 @@ def test_large_scale_gain_rejects_bad_range():
 
 
 def test_backscatter_zero_beta():
-    t = Target(velocity=20.0, initial_range=30.0, beta=0.0)
+    t = Target(velocity=20.0, initial_range=30.0)
     f = wide_beam([0.0], 0.0, GEO)
-    assert backscatter_coefficient(t, f, 1.0, GEO) == 0
+    assert backscatter_coefficient(t, 0.0, f, 1.0, GEO) == 0
 
 
 def test_backscatter_matched_beam_term_by_term():
@@ -50,11 +52,11 @@ def test_backscatter_matched_beam_term_by_term():
     # unoptimized evaluation of sqrt(G) beta (f_RX^H a*) (a^H f) with the
     # conjugate receive beam f_RX = conj(f).
     az, el = 0.2, 0.0
-    t = Target(velocity=20.0, initial_range=30.0, azimuth=az, elevation=el, beta=1.0)
+    t = Target(velocity=20.0, initial_range=30.0, azimuth=az, elevation=el)
     f_tx = wide_beam([az], el, GEO)
     f_rx = np.conj(f_tx)
     gain = 2.5e-13
-    h = backscatter_coefficient(t, f_tx, gain, GEO)
+    h = backscatter_coefficient(t, 1.0, f_tx, gain, GEO)
     a = steering_upa(az, el, GEO)
     expected = (np.sqrt(gain)
                 * np.sum(np.conj(f_rx) * np.conj(a))
@@ -66,12 +68,48 @@ def test_backscatter_matched_beam_term_by_term():
 
 def test_backscatter_modulus_invariant_under_beta_phase():
     f = wide_beam([0.0], 0.0, GEO)
-    t1 = Target(velocity=20.0, initial_range=30.0, beta=1.0)
-    t2 = Target(velocity=20.0, initial_range=30.0, beta=np.exp(1j * 1.1))
-    h1 = backscatter_coefficient(t1, f, 1e-12, GEO)
-    h2 = backscatter_coefficient(t2, f, 1e-12, GEO)
+    t = Target(velocity=20.0, initial_range=30.0)
+    h1 = backscatter_coefficient(t, 1.0, f, 1e-12, GEO)
+    h2 = backscatter_coefficient(t, np.exp(1j * 1.1), f, 1e-12, GEO)
     assert abs(h1) == pytest.approx(abs(h2), rel=1e-12)
     assert h1 != h2
+
+
+def test_a_target_holds_no_small_scale_gain():
+    with pytest.raises(TypeError):
+        Target(velocity=20.0, initial_range=30.0, beta=1.0)
+
+
+def per_target_backscatter(scene, betas):
+    """h_p target by target as computed when each Target carried its gain as
+    a Python complex: sqrt(G_p) * beta_p * (a^H f)^2."""
+    out = []
+    for tg, beta in zip(scene.targets, betas):
+        factor = np.vdot(steering_upa(tg.azimuth, tg.elevation, scene.geometry),
+                         scene.beam)
+        gain = large_scale_gain(tg.initial_range, tg.rcs, scene.wf.wavelength)
+        out.append(complex(np.sqrt(gain) * complex(beta) * factor * factor))
+    return np.array(out)
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(targets=st.lists(st.tuples(st.floats(1.0, 100.0), st.floats(-1.5, 1.5),
+                                  st.floats(-1.5, 1.5)), min_size=1, max_size=4),
+       betas=st.lists(st.complex_numbers(max_magnitude=1e3, **finite),
+                      min_size=4, max_size=4))
+def test_scene_backscatter_is_the_per_target_formula_bit_for_bit(targets, betas):
+    ranges, azimuths, elevations = zip(*targets)
+    scene = build_scene(Scenario(target_velocities_mps=(20.0,) * len(targets),
+                                 target_ranges_m=ranges, target_azimuths_rad=azimuths,
+                                 target_elevations_rad=elevations))
+    drawn = np.array(betas[:len(targets)])
+    got = scene_backscatter(scene, drawn)
+    assert got.tobytes() == per_target_backscatter(scene, drawn).tobytes()
+    ones = per_target_backscatter(scene, [1.0] * len(targets))
+    assert scene_backscatter(scene).tobytes() == ones.tobytes()
 
 
 def test_noise_clutter_variance_values():
