@@ -25,7 +25,7 @@ from .sequences import (CORR_SEGMENT_LEN, PREAMBLE_LEN, build_preamble,
                         correlation_profile, correlation_segment)
 
 _COND_LIMIT = 1e12
-# Entries of run_pipeline's design cache.  One entry is the transposed shift
+# Entries of lse_coefficients' design cache.  One entry is the transposed shift
 # matrix, P x rows as complex128, and its P x P Gram matrix: 162 KB for three
 # targets in the default 3374-row window, so about 2.6 MB when full.
 _DESIGN_CACHE_SIZE = 16
@@ -174,17 +174,30 @@ def build_shift_matrix(delays, rows: int) -> np.ndarray:
     return s
 
 
-def lse_coefficients(y: np.ndarray, shift_matrix: np.ndarray,
-                     tx_power: float) -> np.ndarray:
-    """Least-squares channel coefficients: (S^H S)^{-1} S^H y / sqrt(P_TX).
+def lse_coefficients(frame: EchoFrame, delays, tx_power: float) -> np.ndarray:
+    """Least-squares channel coefficients of one frame at its estimated
+    ``delays`` (sorted): (S^T S)^{-1} S^T y / sqrt(P_TX), over the window
+    from the first delay through the last delay's preamble tail.  S and
+    S^T S come from a 16-entry cache keyed on the delay offsets and rows.
 
     Raises
     ------
+    LseWindowError
+        If the window reaches outside the frame's samples.
     SingularDesignError
         If the normal equations are ill-conditioned (cond >= 1e12); the
         message names the most correlated delay pair.
     """
-    return _solve(y, shift_matrix.T, _checked_gram(shift_matrix), tx_power)
+    rows = PREAMBLE_LEN + int(delays[-1] - delays[0])
+    start = int(delays[0]) - frame.k_start
+    if start < 0 or start + rows > len(frame.samples):
+        raise LseWindowError(
+            f"frame {frame.m}: LSE window [{int(delays[0])}, "
+            f"{int(delays[0]) + rows}) outside the frame's samples "
+            f"[{frame.k_start}, {frame.k_start + len(frame.samples)})")
+    st, gram = _shift_design(tuple(int(d - delays[0]) for d in delays), rows)
+    y = frame.samples[start:start + rows]
+    return np.linalg.solve(gram, st @ y) / np.sqrt(tx_power)
 
 
 def _checked_gram(shift_matrix: np.ndarray) -> np.ndarray:
@@ -200,11 +213,6 @@ def _checked_gram(shift_matrix: np.ndarray) -> np.ndarray:
             f"shift matrix ill-conditioned (cond {cond:.2e}); "
             f"columns {i} and {j} nearly collinear")
     return gram
-
-
-def _solve(y, st, gram, tx_power):
-    rhs = st @ y  # st is S^T
-    return np.linalg.solve(gram, rhs) / np.sqrt(tx_power)
 
 
 @functools.lru_cache(maxsize=_DESIGN_CACHE_SIZE)
@@ -245,21 +253,21 @@ def raw_doppler(h_md, h, d_md: float):
     return np.angle(h_md / h) * d_md
 
 
-def wrap_count(nu_md, nu_mi, d_md: float, d_mi: float, wrapped_phase_sign):
+def wrap_count(nu_md, nu_mi, d_md: float, d_mi: float):
     """Integer number of full phase turns shared by frames m_d and m_i
     (scalar or array, as int64).
 
     Uses the magnitude difference of the two wrapped estimates,
     c = |nu_md| - |nu_mi|, scaled by the difference of the frame scale
-    factors; the sign of the observed wrapped phase at m_d selects the
-    branch.  Valid when both frames wrap the same number of times with
-    residual phases of equal sign.
+    factors; the sign of nu_md, which is the sign of the observed wrapped
+    phase at m_d since D_md > 0, selects the branch.  Valid when both frames
+    wrap the same number of times with residual phases of equal sign.
     """
-    if d_mi <= d_md:
-        raise ValueError("need d_mi > d_md (i.e. m_i < m_d)")
+    if not 0 < d_md < d_mi:
+        raise ValueError("need 0 < d_md < d_mi (i.e. m_i < m_d)")
     c_hat = np.abs(nu_md) - np.abs(nu_mi)
     scale = 2.0 * np.pi * (d_mi - d_md)
-    value = np.where(wrapped_phase_sign >= 0, c_hat / scale, -c_hat / scale)
+    value = np.where(nu_md >= 0, c_hat / scale, -c_hat / scale)
     return np.rint(value).astype(np.int64)
 
 
@@ -272,20 +280,6 @@ def velocity_from_doppler(nu_hz, v_source: float, wavelength: float):
     """Two-way Doppler (scalar or array) to absolute target velocity:
     V = V_s - nu * lambda / 2."""
     return v_source - nu_hz * wavelength / 2.0
-
-
-def _lse_window(frame: EchoFrame, delays: np.ndarray):
-    """Slice the frame to the LSE window from the estimated l_0 through the
-    last estimated delay's preamble tail; LseWindowError if the window
-    reaches outside the frame's samples."""
-    rows = PREAMBLE_LEN + int(delays[-1] - delays[0])
-    start = int(delays[0]) - frame.k_start
-    if start < 0 or start + rows > len(frame.samples):
-        raise LseWindowError(
-            f"frame {frame.m}: LSE window [{int(delays[0])}, "
-            f"{int(delays[0]) + rows}) outside the frame's samples "
-            f"[{frame.k_start}, {frame.k_start + len(frame.samples)})")
-    return frame.samples[start:start + rows], rows
 
 
 def run_pipeline(frames, wf: WaveformParams, v_source: float, tx_power: float,
@@ -312,28 +306,16 @@ def run_pipeline(frames, wf: WaveformParams, v_source: float, tx_power: float,
     if missing:
         raise ValueError(f"pipeline needs frames {needed}, missing {missing}")
 
-    delay_est = {}
-    for m in needed:
-        delay_est[m] = estimate_delays(frames[m], cfg.threshold,
-                                       cfg.expected_targets,
-                                       cfg.search_halfwidth, cfg.guard)
+    delay_est = {m: estimate_delays(frames[m], cfg.threshold, cfg.expected_targets,
+                                    cfg.search_halfwidth, cfg.guard) for m in needed}
+    h, h_mi, h_md = (lse_coefficients(frames[m], delay_est[m].delays, tx_power)
+                     for m in needed)
 
-    coeffs = {}
-    for m in needed:
-        est = delay_est[m]
-        y, rows = _lse_window(frames[m], est.delays)
-        st, gram = _shift_design(tuple((est.delays - est.delays[0]).tolist()), rows)
-        coeffs[m] = _solve(y, st, gram, tx_power)
-
-    d_md = denominator_inverse(int(delay_est[cfg.m_d].delays[0]), cfg.m_d,
-                               wf.frame_len, wf.sample_period)
-    d_mi = denominator_inverse(int(delay_est[cfg.m_i].delays[0]), cfg.m_i,
-                               wf.frame_len, wf.sample_period)
-
-    h, h_md, h_mi = coeffs[0], coeffs[cfg.m_d], coeffs[cfg.m_i]
+    d_md, d_mi = (denominator_inverse(int(delay_est[m].delays[0]), m, wf.frame_len,
+                                      wf.sample_period) for m in (cfg.m_d, cfg.m_i))
     nu_raw = raw_doppler(h_md, h, d_md)
     nu_mi = raw_doppler(h_mi, h, d_mi)
-    wraps = wrap_count(nu_raw, nu_mi, d_md, d_mi, np.angle(h_md / h))
+    wraps = wrap_count(nu_raw, nu_mi, d_md, d_mi)
     nu_refined = refine_doppler(nu_raw, wraps, d_md)
 
     doppler = DopplerEstimate(h_hat=h, h_hat_md=h_md, h_hat_mi=h_mi,

@@ -28,7 +28,7 @@ import numpy as np
 
 from .baseline import baseline_velocities, delay_doppler_map, map_window
 from .echo import synthesize_frame, synthesize_window, with_noise
-from .errors import AggregationError, EstimationError
+from .errors import AggregationError, EstimationError, ScenarioError
 from .estimator import PipelineConfig, detection_threshold, run_pipeline
 from .scene import (Scenario, Scene, build_scene, check_dbm, draw_betas,
                     frame_truth, frame_truths, scene_backscatter)
@@ -99,16 +99,21 @@ class TrialRecord:
     delays: tuple = ()
 
 
+def _check_moving(true_v, error: type) -> None:
+    """``error`` if a target is stationary: its relative error is undefined."""
+    stationary = np.flatnonzero(np.any(np.atleast_2d(true_v) == 0, axis=0))
+    if stationary.size:
+        raise error(f"target {stationary[0]} has true velocity 0 m/s; "
+                    "its relative error is undefined")
+
+
 def _relative_squared_errors(records, estimator: str) -> np.ndarray:
     """(trial, target) squared relative velocity errors of the successful trials."""
     ok = [r for r in records if estimator in r.estimates]
     if not ok:
         raise AggregationError(f"no successful trials for {estimator!r}")
     true_v = np.array([r.true_velocities for r in ok])
-    stationary = np.flatnonzero(np.any(true_v == 0, axis=0))
-    if stationary.size:
-        raise AggregationError(f"target {stationary[0]} has true velocity 0 m/s; "
-                               "its relative error is undefined")
+    _check_moving(true_v, AggregationError)
     est_v = np.array([r.estimates[estimator] for r in ok])
     return ((true_v - est_v) / true_v) ** 2
 
@@ -305,8 +310,9 @@ def _point_rows(scenario, exp, x_value):
 
 
 def _sweep_rows(scenario, points):
-    """CSV rows of every (resolved experiment, x value) point, in order.
-    Every point's frame indices are checked before the first point runs."""
+    """CSV rows of every (resolved experiment, x value) point, in order; no
+    target may be stationary, and every point's frame indices are checked."""
+    _check_moving(scenario.target_velocities_mps, ScenarioError)
     for exp, _ in points:
         _frame_indices(scenario.waveform(), exp)
     return [row for exp, x_value in points

@@ -51,8 +51,10 @@ class Scene:
     def __post_init__(self):
         if not self.targets:
             raise ScenarioError("scene needs at least one target")
-        if self.noise_clutter_var <= 0:
-            raise ScenarioError("noise-plus-clutter variance must be positive")
+        for name, watts in (("TX power", self.tx_power),
+                            ("noise-plus-clutter variance", self.noise_clutter_var)):
+            if not 0 < watts < np.inf:
+                raise ScenarioError(f"{name} must be positive and finite, got {watts!r} W")
 
     @functools.cached_property
     def _kinematics(self):
@@ -176,11 +178,14 @@ def dbm_to_watts(dbm: float) -> float:
 
 
 def check_dbm(name: str, dbm: float) -> None:
-    """ScenarioError naming ``name`` if the watts of ``dbm`` overflow a float."""
+    """ScenarioError naming ``name`` unless the watts of ``dbm`` are a positive
+    float: they overflow above about 3,082 dBm and are 0 below about -3,206."""
     try:
-        dbm_to_watts(dbm)
+        watts = dbm_to_watts(dbm)
     except OverflowError:
         raise ScenarioError(f"{name} of {dbm!r} dBm overflows in watts") from None
+    if watts == 0:
+        raise ScenarioError(f"{name} of {dbm!r} dBm is 0 W in floating point")
 
 
 @dataclass
@@ -223,7 +228,13 @@ class Scenario:
             if f.type in (float, tuple) and not np.all(np.isfinite(value)):
                 raise ScenarioError(f"{f.name} must be finite, got {value!r}")
         check_dbm("p_tx_dbm", self.p_tx_dbm)
-        check_dbm("noise_density_dbm_hz", self.noise_density_dbm_hz)
+        try:  # N0 may be 0 W/Hz when clutter makes sigma^2 positive
+            n0w = dbm_to_watts(self.noise_density_dbm_hz) * self.bandwidth_hz
+        except OverflowError:
+            n0w = np.inf
+        if not np.isfinite(n0w):
+            raise ScenarioError(f"noise_density_dbm_hz of {self.noise_density_dbm_hz!r} "
+                                f"dBm overflows in watts over {self.bandwidth_hz!r} Hz")
         if not self.azimuth_beamwidth_rad > 0:
             raise ScenarioError("azimuth_beamwidth_rad must be positive")
         n = len(self.target_velocities_mps)

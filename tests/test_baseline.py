@@ -468,6 +468,16 @@ def test_a_row_whose_bound_is_the_threshold_reads_like_the_full_map():
         "only 1 of 2 map peaks above threshold 2.000e+00")
 
 
+def test_a_row_whose_peak_is_its_bound_just_above_the_threshold_is_read():
+    # Row 1's zero-bin DFT equals its bound sum_m |R_m| = 2, 1e-10 relative
+    # above the map threshold: the screen's margin must keep it.
+    slow_time = np.zeros((5, 8), dtype=complex)
+    slow_time[1] = 0.25
+    one = read_like_the_full_map(synthetic_map(slow_time), 0.5 * (1 - 1e-10), 1,
+                                 guard=0)
+    assert one == velocity_from_doppler(np.zeros(1), 25.0, 0.005).tobytes()
+
+
 def test_a_map_with_every_row_below_the_threshold_is_a_shortfall():
     slow_time = np.full((4, 6), 1e-3 + 1e-3j)
     ddm = synthetic_map(slow_time)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from adradar import estimator
@@ -242,15 +242,13 @@ def test_lse_noiseless_recovery():
     scene = scene_with_delays([14.0, 15.7, 17.9], velocities=[25.271] * 3)
     truth = frame_truth(scene, 0)
     frame = noiseless_frame(scene, 0)
-    rows = len(frame.samples)
-    s = build_shift_matrix(truth.delay_samples, rows)
-    h_hat = lse_coefficients(frame.samples, s, scene.tx_power)
+    h_hat = lse_coefficients(frame, truth.delay_samples, scene.tx_power)
     np.testing.assert_allclose(h_hat, truth.backscatter, rtol=1e-9)
 
 
 def test_lse_zero_observation():
-    s = build_shift_matrix([0, 40], rows=K_PRE + 40)
-    h = lse_coefficients(np.zeros(K_PRE + 40, dtype=complex), s, 0.01)
+    frame = EchoFrame(m=0, k_start=0, samples=np.zeros(K_PRE + 40, dtype=complex))
+    h = lse_coefficients(frame, [0, 40], 0.01)
     np.testing.assert_array_equal(h, 0)
 
 
@@ -258,9 +256,8 @@ def test_lse_power_scaling():
     scene = scene_with_delays([14.0], velocities=[25.271], azimuths=[0.0])
     truth = frame_truth(scene, 0)
     frame = noiseless_frame(scene, 0)
-    s = build_shift_matrix(truth.delay_samples, len(frame.samples))
-    h1 = lse_coefficients(frame.samples, s, scene.tx_power)
-    h4 = lse_coefficients(frame.samples, s, 4 * scene.tx_power)
+    h1 = lse_coefficients(frame, truth.delay_samples, scene.tx_power)
+    h4 = lse_coefficients(frame, truth.delay_samples, 4 * scene.tx_power)
     np.testing.assert_allclose(h4, h1 / 2, rtol=1e-12)
 
 
@@ -268,7 +265,7 @@ def test_lse_ill_conditioned(preamble):
     col = preamble.astype(float)
     s = np.column_stack([col, col * (1 + 1e-15)])
     with pytest.raises(SingularDesignError, match="columns 0 and 1"):
-        lse_coefficients(np.zeros(len(col), dtype=complex), s, 1.0)
+        estimator._checked_gram(s)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +309,7 @@ def test_wrap_count_zero_when_unwrapped():
     d_md = denominator_inverse(0, 70, K, TS)
     d_mi = denominator_inverse(0, 65, K, TS)
     nu = 100.0  # well below one wrap at both frames
-    assert wrap_count(nu, nu, d_md, d_mi, +1.0) == 0
+    assert wrap_count(nu, nu, d_md, d_mi) == 0
 
 
 def test_wrap_count_constructed_single_wrap():
@@ -326,7 +323,7 @@ def test_wrap_count_constructed_single_wrap():
     assert 2 * np.pi < zeta_mi < 2.5 * np.pi
     nu_md = (zeta_md - 2 * np.pi) * d_md
     nu_mi = (zeta_mi - 2 * np.pi) * d_mi
-    n = wrap_count(nu_md, nu_mi, d_md, d_mi, wrapped_phase_sign=+1.0)
+    n = wrap_count(nu_md, nu_mi, d_md, d_mi)
     assert n == 1
     assert refine_doppler(nu_md, n, d_md) == pytest.approx(nu, rel=1e-12)
 
@@ -338,7 +335,7 @@ def test_wrap_count_sign_mirror():
     nu_md = (nu / d_md - 2 * np.pi) * d_md
     nu_mi = (nu / d_mi - 2 * np.pi) * d_mi
     # a target faster than the source mirrors every sign
-    n = wrap_count(-nu_md, -nu_mi, d_md, d_mi, wrapped_phase_sign=-1.0)
+    n = wrap_count(-nu_md, -nu_mi, d_md, d_mi)
     assert n == -1
     assert refine_doppler(-nu_md, n, d_md) == pytest.approx(-nu, rel=1e-12)
 
@@ -346,7 +343,54 @@ def test_wrap_count_sign_mirror():
 def test_wrap_count_degenerate_pair():
     d = denominator_inverse(0, 70, K, TS)
     with pytest.raises(ValueError):
-        wrap_count(100.0, 100.0, d, d, +1.0)
+        wrap_count(100.0, 100.0, d, d)
+
+
+def test_wrap_count_needs_a_positive_d_md():
+    for d_md in (0.0, -0.0, -160.4):
+        with pytest.raises(ValueError):
+            wrap_count(100.0, 100.0, d_md, 170.0)
+
+
+def wrap_count_with_sign(nu_md, nu_mi, d_md, d_mi, wrapped_phase_sign):
+    """The wrap count as it was computed when the sign of the wrapped phase
+    at m_d came in as a fifth argument."""
+    c_hat = np.abs(nu_md) - np.abs(nu_mi)
+    scale = 2.0 * np.pi * (d_mi - d_md)
+    value = np.where(wrapped_phase_sign >= 0, c_hat / scale, -c_hat / scale)
+    return np.rint(value).astype(np.int64)
+
+
+# Coefficient parts include 0.0 and -0.0, so some ratios h_md / h have an
+# exactly-zero phase or a -0.0 imaginary part.
+coefficient_parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                              st.floats(-1e3, 1e3, allow_subnormal=False))
+coefficient_triples = st.lists(st.tuples(
+    *[st.builds(complex, coefficient_parts, coefficient_parts)] * 3),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@example(triples=[(1 + 0j, complex(1, -0.0), 1 + 0j), (1 + 0j, 0j, 1j),
+                  (2 + 0j, complex(-0.0, -0.0), -1 + 0j)],
+         l_0=164, m_i=57, gap=6)
+@given(triples=coefficient_triples, l_0=st.integers(0, 20000),
+       m_i=st.integers(0, 200), gap=st.integers(1, 200))
+def test_wrap_count_takes_the_branch_the_phase_sign_gave(triples, l_0, m_i, gap):
+    # nu_md = angle(h_md / h) * D_md with D_md > 0 carries the phase's sign
+    # bit, -0.0 included, so reading the branch from nu_md changes nothing.
+    h, h_md, h_mi = (np.array(column) for column in zip(*triples))
+    assume(np.all(h != 0))
+    d_md = denominator_inverse(l_0, m_i + gap, K, TS)
+    d_mi = denominator_inverse(l_0, m_i, K, TS)
+    sign = np.angle(h_md / h)
+    nu_md, nu_mi = raw_doppler(h_md, h, d_md), raw_doppler(h_mi, h, d_mi)
+    assert np.array_equal(np.signbit(nu_md), np.signbit(sign))
+    want = wrap_count_with_sign(nu_md, nu_mi, d_md, d_mi, sign)
+    got = wrap_count(nu_md, nu_mi, d_md, d_mi)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    for p in range(len(h)):
+        assert wrap_count(nu_md[p], nu_mi[p], d_md, d_mi) == want[p]
 
 
 def test_wrap_property_phase_arithmetic_sweep():
@@ -368,7 +412,7 @@ def test_wrap_property_phase_arithmetic_sweep():
         if n_md != n_mi or np.sign(zw_md) != np.sign(zw_mi):
             continue
         nu_md, nu_mi = zw_md * d_md, zw_mi * d_mi
-        n_bar = wrap_count(nu_md, nu_mi, d_md, d_mi, zw_md)
+        n_bar = wrap_count(nu_md, nu_mi, d_md, d_mi)
         assert n_bar == n_md
         assert refine_doppler(nu_md, n_bar, d_md) == pytest.approx(nu, rel=1e-9)
         checked += 1
@@ -395,13 +439,13 @@ def test_doppler_chain_on_arrays_equals_the_scalar_calls():
 
     nu_md = raw_doppler(h_md, h, d_md)
     nu_mi = raw_doppler(h_mi, h, d_mi)
-    wraps = wrap_count(nu_md, nu_mi, d_md, d_mi, sign)
+    wraps = wrap_count(nu_md, nu_mi, d_md, d_mi)
     refined = refine_doppler(nu_md, wraps, d_md)
     assert wraps.dtype == np.int64 and len(set(wraps.tolist())) > 2
     for p in range(len(h)):
         assert nu_md[p] == raw_doppler(h_md[p], h[p], d_md)
         assert nu_mi[p] == raw_doppler(h_mi[p], h[p], d_mi)
-        assert wraps[p] == wrap_count(nu_md[p], nu_mi[p], d_md, d_mi, sign[p])
+        assert wraps[p] == wrap_count(nu_md[p], nu_mi[p], d_md, d_mi)
         assert refined[p] == refine_doppler(nu_md[p], wraps[p], d_md)
     for p in (0, 5, 11):
         zeroed = h.copy()

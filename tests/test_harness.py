@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
 
 import adradar.harness
 from adradar import cli
@@ -24,7 +26,8 @@ from adradar.harness import (CSV_HEADER, ESTIMATORS, ExperimentConfig,
                              format_csv, nmse, run_experiment, sweep_cpi,
                              sweep_framegap)
 from adradar.scene import (Scenario, Scene, build_scene, draw_betas, frame_truth,
-                           load_scenario, save_scenario, scene_backscatter)
+                           frame_truths, load_scenario, save_scenario,
+                           scene_backscatter)
 from adradar.sequences import (CORR_SEGMENT_OFFSET, build_preamble,
                                correlation_profile, correlation_segment,
                                generate_golay_pair)
@@ -375,8 +378,9 @@ def dense_map(scn, exp, trial):
     """(lags, values) of trial ``trial``'s baseline map, rebuilt frame by
     frame without the package's correlator or map.  The noisy windows are
     the harness's stream layout: frame 0 whole with the noise of
-    [seed, trial, 0, 0], whose profile gives the map lags by ``map_window``,
-    and frames 1 to M-1 over the samples the map lags read, zero-padded
+    [seed, trial, 0, 0], whose profile gives the map lags (those within 128
+    of its dominant peak, clipped to the profile), and frames 1 to M-1 over
+    the samples the map lags read, zero-padded
     where those run past frame m's echo, with the m-th (2, width) draw of
     [seed, trial, 3].  Each is correlated by ``np.correlate`` against
     [-Ga, -Gb, -Ga, +Gb]; ``np.fft.fft`` then runs over the frames."""
@@ -396,9 +400,10 @@ def dense_map(scn, exp, trial):
                         scene.noise_clutter_var,
                         np.random.default_rng([exp.seed, trial, 0, 0]))
     profile0 = profile(frame0.samples)
-    window = map_window(frame0, profile0)
-    lags = window.first_lag + np.arange(len(window.samples) - 511)
-    columns = [profile0[lags - frame0.first_lag]]
+    dominant = int(np.argmax(np.abs(profile0)))
+    rows = np.arange(max(dominant - 128, 0), min(dominant + 128, len(profile0) - 1) + 1)
+    lags = frame0.first_lag + rows
+    columns = [profile0[rows]]
     rng = np.random.default_rng([exp.seed, trial, 3])
     sigma = np.sqrt(scene.noise_clutter_var / 2.0)
     for m in range(1, scene.wf.frames_per_cpi(exp.cpi_s)):
@@ -455,6 +460,93 @@ def test_the_baseline_map_matches_a_dense_reference(monkeypatch, scn, exp):
         assert np.max(np.abs(ddm.values - values)) <= 1e-12 * peak
         assert np.array_equal(np.argmax(np.abs(ddm.values), axis=1),
                               np.argmax(np.abs(values), axis=1))
+
+
+def dense_baseline_velocities(scn, exp, lags, values):
+    """The baseline velocities read from a ``dense_map`` by the documented
+    rules as plain loops, or the failure's class name: rows whose maximum
+    over Doppler bins is above threshold * M * 0.5, picked greedily by that
+    maximum (the first on ties) with rows within ``guard`` lags of a pick
+    suppressed, then in delay order, each at its strongest bin's centre."""
+    scene = build_scene(scn, p_tx_dbm=exp.resolve(scn).p_tx_dbm)
+    m_count = values.shape[1]
+    threshold = 512 * np.sqrt(scene.noise_clutter_var) * scn.threshold_scale
+    map_threshold = threshold * m_count * 0.5
+    mag = np.abs(values).tolist()
+    row_max = [max(row) for row in mag]
+    alive = [i for i in range(len(lags)) if row_max[i] > map_threshold]
+    picks = []
+    while alive and len(picks) < scn.num_targets:
+        best = alive[0]
+        for i in alive:
+            if row_max[i] > row_max[best]:
+                best = i
+        picks.append(best)
+        alive = [i for i in alive if abs(int(lags[i]) - int(lags[best])) > scn.guard]
+    if len(picks) < scn.num_targets:
+        return "DetectionShortfallError"
+    bins = -np.fft.fftfreq(m_count, d=scene.wf.frame_period)
+    velocities = []
+    for i in sorted(picks, key=lambda i: lags[i]):
+        q = mag[i].index(row_max[i])  # the first strongest bin
+        velocities.append(float(scn.source_velocity_mps
+                                - bins[q] * scene.wf.wavelength / 2.0))
+    return velocities
+
+
+@st.composite
+def baseline_cases(draw):
+    """A one-trial baseline experiment: 1 to 4 targets in range order, up to
+    20 m/s either side of the source, any gains and guard, 0 to 30 dBm, and
+    a CPI of M = 12 to 129 frames."""
+    count = draw(st.integers(1, 4))
+    first = draw(st.floats(5.0, 18.0))
+    gaps = draw(st.lists(st.floats(0.05, 3.0), min_size=count - 1, max_size=count - 1))
+    v_s = Scenario.source_velocity_mps
+    scn = Scenario(
+        target_velocities_mps=tuple(draw(st.lists(
+            st.floats(v_s - 20.0, v_s + 20.0), min_size=count, max_size=count))),
+        target_ranges_m=tuple(first + sum(gaps[:p]) for p in range(count)),
+        target_azimuths_rad=tuple(draw(st.lists(
+            st.floats(-0.2, 0.2), min_size=count, max_size=count))),
+        target_elevations_rad=(0.0,) * count,
+        beta_mode=draw(st.sampled_from(["fixed", "rayleigh"])),
+        guard=draw(st.integers(0, 40)))
+    m_count = draw(st.integers(12, 129))
+    exp = ExperimentConfig(cpi_s=(m_count + 0.5) * scn.waveform().frame_period,
+                           trials=1, p_tx_dbm=draw(st.floats(0.0, 30.0)),
+                           estimators="baseline", seed=draw(st.integers(0, 2 ** 16)))
+    return scn, exp
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=baseline_cases())
+def test_any_scene_reads_the_baseline_velocities_the_dense_map_gives(case):
+    scn, exp = case
+    scene = build_scene(scn, p_tx_dbm=exp.p_tx_dbm)
+    try:
+        frame_truths(scene, range(scene.wf.frames_per_cpi(exp.cpi_s)))
+    except ScenarioError:
+        assume(False)  # delays collide or cross
+    maps = []
+
+    def recording_map(frames, frame_period):
+        maps.append(delay_doppler_map(frames, frame_period))
+        return maps[-1]
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setenv("ADRADAR_WORKERS", "1")
+        monkeypatch.setattr(adradar.harness, "delay_doppler_map", recording_map)
+        (rec,) = run_experiment(scn, exp)
+    lags, values = dense_map(scn, exp, 0)
+    assert np.array_equal(maps[0].lags, lags) and maps[0].values.shape == values.shape
+    assert np.max(np.abs(maps[0].values - values)) <= 1e-12 * np.max(np.abs(values))
+    want = dense_baseline_velocities(scn, exp, lags, values)
+    got = rec.failures.get("baseline", "ok").split(":")[0]
+    event(got)
+    assert got == (want if isinstance(want, str) else "ok")
+    if got == "ok":
+        assert list(rec.estimates["baseline"]) == want
 
 
 # The Doppler, and so every estimator's input, depends on the velocities
@@ -918,29 +1010,78 @@ def test_cli_non_finite_flag_is_config_error(tmp_path, capsys, argv, field):
     assert not out.exists()
 
 
+def config_error_before_any_trial(monkeypatch, tmp_path, capsys, argv, scenario):
+    """stderr of ``argv`` run on ``scenario`` with a ``run_experiment`` that
+    fails the test if called, after checking that the run exits 1 with a
+    config error, no traceback or warning, and no output file."""
+    def no_trials(scenario, exp):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(adradar.harness, "run_experiment", no_trials)
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "x.csv"
+    assert run_cli(argv + ["--scenario", str(path), "--trials", "2",
+                           "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("adradar: config error: ")
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not out.exists()
+    return err
+
+
 # 10 ** (dBm / 10) overflows a float above about 3,082 dBm.
 @pytest.mark.parametrize("argv, scenario", [
-    (["simulate", "--p-tx-dbm", "4000"], None),
-    (["sweep-cpi", "--p-tx-grid", "10", "4000"], None),
+    (["simulate", "--p-tx-dbm", "4000"], {}),
+    (["sweep-cpi", "--p-tx-grid", "10", "4000"], {}),
     (["simulate"], {"p_tx_dbm": 4000}),
     (["simulate"], {"noise_density_dbm_hz": 1e308}),
 ], ids=["p-tx-dbm", "p-tx-grid", "scenario-p_tx_dbm", "scenario-noise_density_dbm_hz"])
 def test_cli_a_dbm_whose_watts_overflow_is_config_error(monkeypatch, tmp_path, capsys,
                                                          argv, scenario):
-    def no_trials(scenario, exp):
-        raise AssertionError("a trial ran")
+    assert "dBm overflows in watts" in config_error_before_any_trial(
+        monkeypatch, tmp_path, capsys, argv, scenario)
 
-    monkeypatch.setattr(adradar.harness, "run_experiment", no_trials)
-    if scenario is not None:
-        path = tmp_path / "scn.json"
-        path.write_text(json.dumps(scenario))
-        argv = argv + ["--scenario", str(path)]
-    out = tmp_path / "x.csv"
-    assert run_cli(argv + ["--trials", "2", "--output", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "config error: " in err and "dBm overflows in watts" in err
-    assert "Traceback" not in err
-    assert not out.exists()
+
+# N0 is finite at 3080 dBm/Hz but N0 W is not, and -3300 dBm is 0 W.
+ZERO_WATTS = "adradar: config error: p_tx_dbm of -3300.0 dBm is 0 W in floating point\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, scenario, message", [
+    (["simulate", "--cpi", "2e-4"], {"noise_density_dbm_hz": 3080},
+     "adradar: config error: noise_density_dbm_hz of 3080.0 dBm overflows in watts "
+     "over 1760000000.0 Hz\n"),
+    (["simulate", "--cpi", "2e-4", "--p-tx-dbm", "-3300"], {}, ZERO_WATTS),
+    (["sweep-cpi", "--cpis", "2e-4", "--p-tx-grid", "10", "-3300"], {}, ZERO_WATTS),
+    (["sweep-framegap", "--cpi", "2e-4", "--p-tx-dbm", "-3300"], {}, ZERO_WATTS),
+    (["simulate", "--cpi", "2e-4"], {"p_tx_dbm": -3300}, ZERO_WATTS),
+], ids=["scenario-noise-times-bandwidth", "p-tx-dbm", "p-tx-grid", "framegap-p-tx-dbm",
+        "scenario-p_tx_dbm"])
+def test_cli_a_level_the_scene_cannot_use_is_config_error(monkeypatch, tmp_path, capsys,
+                                                          argv, scenario, message):
+    assert config_error_before_any_trial(monkeypatch, tmp_path, capsys, argv,
+                                         scenario) == message
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--cpi", "5e-4"],
+    ["sweep-cpi", "--cpis", "2e-4", "5e-4", "--p-tx-grid", "20"],
+    ["sweep-framegap", "--cpi", "5e-4", "--gaps", "1", "2"],
+], ids=lambda argv: argv[0])
+def test_cli_a_stationary_target_is_config_error(monkeypatch, tmp_path, capsys, argv):
+    # Its relative velocity error, and so the NMSE, is undefined.
+    err = config_error_before_any_trial(
+        monkeypatch, tmp_path, capsys, argv,
+        {"target_velocities_mps": [0.0, 24.949, 21.806]})
+    assert err == ("adradar: config error: target 0 has true velocity 0 m/s; "
+                   "its relative error is undefined\n")
+
+
+def test_run_experiment_runs_a_stationary_target():
+    scn = Scenario(target_velocities_mps=(0.0, 24.949, 21.806))
+    records = run_experiment(scn, ExperimentConfig(cpi_s=2e-4, trials=2))
+    assert [r.true_velocities[0] for r in records] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("command", [["simulate", "--cpi", "2e-4", "--trials", "2"],

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import adradar.estimator
 import adradar.harness
 from adradar.errors import ScenarioError
 from adradar.harness import ExperimentConfig, run_experiment
@@ -196,10 +197,42 @@ def test_every_frames_delays_come_before_any_lse(monkeypatch):
     # Trial 14: frame 0 picks STF-sidelobe delays, whose LSE window starts
     # before the frame's samples, and frame m_d = 24 finds only 2 of 3
     # targets.  The delay stage covers all three frames first, so the trial
-    # ends in a shortfall, not in frame 0's LSE window.
+    # ends in a shortfall, not in frame 0's LSE window.  Every run_pipeline
+    # call fits the delays of frames 0, m_i and m_d, then solves their LSE
+    # through lse_coefficients in the same order, up to its first failure.
     scn, exp, _ = CASES["rayleigh-10dBm-0.2ms"]
     exp = exp.resolve(scn)
+    calls = []
+    pipeline = adradar.harness.run_pipeline
+
+    def counted_pipeline(frames, *args):
+        calls.append([])
+        return pipeline(frames, *args)
+
+    def recorded(stage, fn):
+        def stage_call(frame, *args):
+            calls[-1].append((stage, frame.m))
+            return fn(frame, *args)
+        return stage_call
+
+    monkeypatch.setattr(adradar.harness, "run_pipeline", counted_pipeline)
+    for stage, name in (("delays", "estimate_delays"), ("lse", "lse_coefficients")):
+        monkeypatch.setattr(adradar.estimator, name,
+                            recorded(stage, getattr(adradar.estimator, name)))
     records, frames = recorded_run(monkeypatch, scn, exp)
+    assert sorted(frames[0]) == [0, 18, 24]
+    full = [(stage, m) for stage in ("delays", "lse") for m in (0, 18, 24)]
+    for record, trial_calls in zip(records, calls):
+        failure = record.failures.get("proposed", "ok").split(":")[0]
+        assert trial_calls == full[:len(trial_calls)], record.trial
+        if failure == "ok":
+            assert trial_calls == full, record.trial
+        else:
+            assert trial_calls[-1][0] == ("lse" if failure == "LseWindowError"
+                                          else "delays"), record.trial
+    assert sum(trial_calls == full for trial_calls in calls) > 0
+    assert calls[14] == full[:3]
+
     tx_power, threshold = reference_power_and_threshold(scn, exp)
     delays = reference_delays(frames[14][0], threshold, 3, scn.search_halfwidth,
                               scn.guard)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,24 @@ def test_noise_clutter_variance_values():
         n0 * 1.76e9, rel=1e-12)
     with pytest.raises(ValueError):
         noise_clutter_variance(n0, 1.76e9, -1.0, 0.0)
+
+
+@pytest.mark.parametrize("field, watts", [
+    ("noise_clutter_var", np.inf), ("noise_clutter_var", np.nan),
+    ("noise_clutter_var", 0.0), ("tx_power", 0.0), ("tx_power", -1.0),
+    ("tx_power", np.inf), ("tx_power", np.nan)])
+def test_a_scene_takes_only_positive_finite_power_and_variance(default_scene, field,
+                                                               watts):
+    with pytest.raises(ScenarioError, match="must be positive and finite"):
+        replace(default_scene, **{field: watts})
+
+
+def test_clutter_alone_makes_a_usable_variance():
+    # 10 ** -503 underflows, so N0 is 0 W/Hz and sigma^2 is all clutter.
+    scn = Scenario(noise_density_dbm_hz=-5000.0, clutter_ratio=1e-13)
+    scene = build_scene(scn)
+    assert dbm_to_watts(-5000.0) == 0.0
+    assert scene.noise_clutter_var == 1e-13 * scene.tx_power > 0
 
 
 def test_frame_truth_static_target(default_scene):
