@@ -12,8 +12,8 @@ from .harness import (ExperimentConfig, TrialRecord, bootstrap_ci, nmse,
 from .params import WaveformParams
 from .phasedarray import (UpaGeometry, design_wide_beam, gain_cut, measure_beamwidth,
                           steering_upa, steering_x, steering_y, wide_beam)
-from .scene import (FrameTruth, Scenario, Scene, Target, backscatter_coefficient,
-                    build_scene, designed_beam, frame_truth, large_scale_gain,
+from .scene import (FrameTruth, Scenario, Scene, backscatter_coefficient, build_scene,
+                    designed_beam, frame_truth, large_scale_gain,
                     load_scenario, noise_clutter_variance, save_scenario)
 from .sequences import (build_preamble, correlation_profile, correlation_segment,
                         generate_golay_pair)

@@ -75,7 +75,7 @@ def synthesize_window(scene: Scene, truths, k_start: int, n: int) -> EchoFrame:
     for delays, run in itertools.groupby(truths, lambda t: t.delay_samples.tolist()):
         run = list(run)
         rows = samples[run[0].frame - first.frame:run[-1].frame - first.frame + 1]
-        for h, nu, ell, pre in zip(first.backscatter, first.doppler_hz, delays,
+        for h, nu, ell, pre in zip(first.backscatter, scene.doppler_hz, delays,
                                    scene.rotated_preamble):
             lo, hi = max(ell, k_start), min(ell + PREAMBLE_LEN, k_start + n)
             if lo >= hi:

@@ -30,7 +30,7 @@ from .baseline import baseline_velocities, delay_doppler_map, map_window
 from .echo import synthesize_frame, synthesize_window, with_noise
 from .errors import AggregationError, EstimationError, ScenarioError
 from .estimator import PipelineConfig, detection_threshold, run_pipeline
-from .scene import (Scenario, Scene, build_scene, check_dbm, draw_betas,
+from .scene import (Scenario, Scene, build_scene, check_db, draw_betas,
                     frame_truth, frame_truths, scene_backscatter)
 from .sequences import build_preamble, correlation_profile, correlation_segment
 
@@ -76,7 +76,7 @@ class ExperimentConfig:
             if value is not None and not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.p_tx_dbm is not None:
-            check_dbm("p_tx_dbm", self.p_tx_dbm)
+            check_db("p_tx_dbm", self.p_tx_dbm)
 
     def resolve(self, scenario: Scenario) -> "ExperimentConfig":
         """This experiment with every unset field taken from ``scenario``."""
@@ -185,7 +185,7 @@ def _run_trials(scenario: Scenario, exp: ExperimentConfig, trials,
                          expected_targets=scenario.num_targets,
                          search_halfwidth=scenario.search_halfwidth,
                          guard=scenario.guard)
-    true_v = tuple(t.velocity for t in scene.targets)
+    true_v = tuple(scene.velocities.tolist())
     echo = functools.cache(functools.partial(_noiseless_frame, scene, h))
     block = functools.lru_cache(maxsize=-(-(m_count - 1) // _MAP_BLOCK))(
         functools.partial(_noiseless_block, scene, h, m_count))

@@ -1,10 +1,10 @@
 """Ground-truth V2V scenario: kinematics, channel gains, and noise statistics.
 
-A scene fixes the source vehicle, an ordered list of target vehicles (sorted
-by round-trip delay), the waveform, the designed beam, and the
-clutter-plus-noise variance, but no small-scale gains: ``scene_backscatter``
-takes each CPI's.  Per-frame truth (Doppler, integer delay, backscatter
-coefficient) is derived under a constant-velocity model.
+A scene fixes the source vehicle, the target vehicles as per-target arrays
+(sorted by round-trip delay) with their Doppler, the waveform, the designed
+beam, and the clutter-plus-noise variance, but no small-scale gains:
+``scene_backscatter`` takes each CPI's.  Per-frame truth (integer delay,
+backscatter coefficient) is derived under a constant-velocity model.
 """
 
 import functools
@@ -20,28 +20,16 @@ from .sequences import PREAMBLE_LEN, build_preamble
 
 
 @dataclass(frozen=True)
-class Target:
-    """One target vehicle: kinematics and reflectivity."""
-
-    velocity: float            # m/s, along-road
-    initial_range: float       # m
-    azimuth: float = 0.0       # rad
-    elevation: float = 0.0     # rad
-    rcs: float = 100.0         # m^2 (20 dBsm default)
-
-    def __post_init__(self):
-        if self.initial_range <= 0:
-            raise ScenarioError("target range must be positive")
-        if self.rcs <= 0:
-            raise ScenarioError("target RCS must be positive")
-
-
-@dataclass(frozen=True)
 class Scene:
-    """Complete simulation scene over one CPI."""
+    """Complete simulation scene over one CPI; each target field is a read-only
+    float64 array with one entry per target, in order of increasing delay."""
 
     source_velocity: float
-    targets: tuple               # Target, ordered by increasing delay
+    velocities: np.ndarray       # m/s, along-road
+    ranges: np.ndarray           # m, at frame 0
+    azimuths: np.ndarray         # rad
+    elevations: np.ndarray       # rad
+    rcs: float                   # m^2, every target's
     tx_power: float              # W
     noise_clutter_var: float     # W, sigma_cn^2
     geometry: UpaGeometry
@@ -49,27 +37,37 @@ class Scene:
     wf: WaveformParams = field(default_factory=WaveformParams)
 
     def __post_init__(self):
-        if not self.targets:
-            raise ScenarioError("scene needs at least one target")
+        for name in ("velocities", "ranges", "azimuths", "elevations"):
+            values = np.array(getattr(self, name), dtype=np.float64)
+            if not values.size or values.shape != (len(self.velocities),):
+                raise ScenarioError(f"scene needs at least one target and one {name} "
+                                    "value per target")
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        if not (self.ranges > 0).all():
+            raise ScenarioError("target range must be positive")
+        if not self.rcs > 0:
+            raise ScenarioError("target RCS must be positive")
+        try:  # r^4 may be 0 or past the largest float
+            gains = [large_scale_gain(r, self.rcs, self.wf.wavelength)
+                     for r in self.ranges.tolist()]
+        except (ZeroDivisionError, OverflowError):
+            gains = [0.0]
+        if not all(0 < gain < np.inf for gain in gains):
+            raise ScenarioError(f"radar-equation gain of targets at {self.ranges.tolist()} m "
+                                f"with RCS {self.rcs!r} m^2 is not positive and finite")
         for name, watts in (("TX power", self.tx_power),
                             ("noise-plus-clutter variance", self.noise_clutter_var)):
             if not 0 < watts < np.inf:
                 raise ScenarioError(f"{name} must be positive and finite, got {watts!r} W")
 
     @functools.cached_property
-    def _kinematics(self):
-        """Read-only per-target Doppler, initial ranges and range rates.
-
-        All three are constant over the CPI, so ``frame_truth`` builds them
-        once per scene rather than once per frame.
-        """
-        velocity = np.array([tg.velocity for tg in self.targets])
-        doppler = 2.0 * (self.source_velocity - velocity) / self.wf.wavelength
-        initial = np.array([tg.initial_range for tg in self.targets])
-        rate = velocity - self.source_velocity
-        for arr in (doppler, initial, rate):
-            arr.flags.writeable = False
-        return doppler, initial, rate
+    def doppler_hz(self) -> np.ndarray:
+        """Read-only per-target Doppler nu_p = 2 (V_s - V_p) / lambda (small
+        azimuth approximation), constant over the CPI."""
+        doppler = 2.0 * (self.source_velocity - self.velocities) / self.wf.wavelength
+        doppler.flags.writeable = False
+        return doppler
 
     @functools.cached_property
     def rotated_preamble(self) -> np.ndarray:
@@ -78,7 +76,7 @@ class Scene:
         A target's Doppler is fixed over a CPI, so every frame of it reuses its
         rotated preamble; the frame and delay enter as one scalar phase.
         """
-        phase = (2.0 * np.pi * np.outer(self._kinematics[0], np.arange(PREAMBLE_LEN))
+        phase = (2.0 * np.pi * np.outer(self.doppler_hz, np.arange(PREAMBLE_LEN))
                  * self.wf.sample_period)
         rotated = np.exp(1j * phase) * build_preamble()
         rotated.flags.writeable = False
@@ -90,7 +88,6 @@ class FrameTruth:
     """Per-frame ground truth for every target, in scene target order."""
 
     frame: int
-    doppler_hz: np.ndarray     # nu_p^m
     delay_samples: np.ndarray  # l_p^m, integer
     backscatter: np.ndarray    # h_p, complex
 
@@ -105,15 +102,15 @@ def large_scale_gain(range_m: float, rcs_m2: float, wavelength_m: float) -> floa
     return wavelength_m ** 2 * rcs_m2 / ((4.0 * np.pi) ** 3 * range_m ** 4)
 
 
-def backscatter_coefficient(target: Target, beta: complex, beam: np.ndarray,
-                            gain: float, geometry: UpaGeometry) -> complex:
+def backscatter_coefficient(azimuth: float, elevation: float, beta: complex,
+                            beam: np.ndarray, gain: float, geometry: UpaGeometry) -> complex:
     """Effective radar channel coefficient after TX and RX beamforming.
 
     h_p = sqrt(G_p) * beta_p * (f_RX^H a*(phi, theta)) * (a^H(phi, theta) f),
     held constant over one CPI.  The array receives on f_RX = conj(f), whose
     factor f_RX^H a* equals a^H f, so h_p = sqrt(G_p) * beta_p * (a^H f)^2.
     """
-    factor = np.vdot(steering_upa(target.azimuth, target.elevation, geometry), beam)
+    factor = np.vdot(steering_upa(azimuth, elevation, geometry), beam)
     return complex(np.sqrt(gain) * beta * factor * factor)
 
 
@@ -128,18 +125,17 @@ def noise_clutter_variance(noise_density_w_hz: float, bandwidth_hz: float,
 def scene_backscatter(scene: Scene, betas=None) -> np.ndarray:
     """Backscatter coefficients h_p, constant over the CPI, of one CPI's
     small-scale gains ``betas`` (default: pinned ones)."""
-    betas = np.ones(len(scene.targets), dtype=complex) if betas is None else betas
-    wf = scene.wf
+    betas = np.ones(scene.velocities.size, dtype=complex) if betas is None else betas
     return np.array([backscatter_coefficient(
-        tg, beta, scene.beam, large_scale_gain(tg.initial_range, tg.rcs, wf.wavelength),
-        scene.geometry) for tg, beta in zip(scene.targets, betas)])
+        az, el, beta, scene.beam, large_scale_gain(r, scene.rcs, scene.wf.wavelength),
+        scene.geometry) for r, az, el, beta in zip(
+            scene.ranges.tolist(), scene.azimuths.tolist(), scene.elevations.tolist(), betas)])
 
 
 def frame_truth(scene: Scene, m: int, backscatter: np.ndarray = None) -> FrameTruth:
-    """Doppler, integer delay, and backscatter of every target at frame m.
+    """Integer delay and backscatter of every target at frame m.
 
-    Constant-velocity model: nu_p = 2*(V_s - V_p)/lambda (small azimuth
-    approximation) and r_p(t) = r_p(0) + (V_p - V_s)*t, rounded to whole
+    Constant-velocity model: r_p(t) = r_p(0) + (V_p - V_s)*t, rounded to whole
     sample delays.  ``backscatter`` short-circuits the h_p computation with
     a precomputed ``scene_backscatter`` result (h_p is frame-independent).
     """
@@ -152,20 +148,24 @@ def frame_truths(scene: Scene, frames, backscatter: np.ndarray = None) -> list:
     if min(frames) < 0:
         raise ValueError("frame index must be nonnegative")
     wf = scene.wf
-    doppler, initial_ranges, range_rates = scene._kinematics
     frames = np.asarray(frames)
-    ranges = initial_ranges + range_rates * (frames[:, None] * wf.frame_period)
-    delays = np.rint(2.0 * ranges / SPEED_OF_LIGHT / wf.sample_period).astype(np.int64)
-    bad = (ranges <= 0).any(axis=1) | (np.diff(delays) <= 0).any(axis=1)
+    ranges = scene.ranges + (scene.velocities - scene.source_velocity) * (
+        frames[:, None] * wf.frame_period)
+    rounded = np.rint(2.0 * ranges / SPEED_OF_LIGHT / wf.sample_period)
+    fits = (ranges > 0) & (rounded < 2.0 ** 63)  # int64 holds every float below 2^63
+    delays = np.where(fits, rounded, -1.0).astype(np.int64)
+    bad = ~fits.all(axis=1) | (np.diff(delays) <= 0).any(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
         if ranges[i].min() <= 0:
             raise ScenarioError(f"target range nonpositive at frame {frames[i]}")
+        if not fits[i].all():
+            raise ScenarioError(f"target delay past 2^63 samples at frame {frames[i]}")
         what = ("delays collide after rounding" if len(set(delays[i].tolist()))
                 < delays.shape[1] else "delay ordering violated")
         raise ScenarioError(f"{what} at frame {frames[i]}: {delays[i]}")
     h = scene_backscatter(scene) if backscatter is None else backscatter
-    return [FrameTruth(frame=m, doppler_hz=doppler, delay_samples=d, backscatter=h)
+    return [FrameTruth(frame=m, delay_samples=d, backscatter=h)
             for m, d in zip(frames.tolist(), delays)]
 
 
@@ -177,15 +177,17 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) * 1e-3
 
 
-def check_dbm(name: str, dbm: float) -> None:
-    """ScenarioError naming ``name`` unless the watts of ``dbm`` are a positive
-    float: they overflow above about 3,082 dBm and are 0 below about -3,206."""
+def check_db(name: str, db: float, unit: str = "dBm") -> None:
+    """ScenarioError naming ``name`` unless ``db`` in ``unit``, dBm or dBsm, is a
+    positive float in watts or m^2: in dBm, from about -3,206 to 3,082."""
+    linear_unit, symbol, scale = (("watts", "W", 1e-3) if unit == "dBm"
+                                  else ("square metres", "m^2", 1.0))
     try:
-        watts = dbm_to_watts(dbm)
+        linear = 10.0 ** (db / 10.0) * scale
     except OverflowError:
-        raise ScenarioError(f"{name} of {dbm!r} dBm overflows in watts") from None
-    if watts == 0:
-        raise ScenarioError(f"{name} of {dbm!r} dBm is 0 W in floating point")
+        raise ScenarioError(f"{name} of {db!r} {unit} overflows in {linear_unit}") from None
+    if linear == 0:
+        raise ScenarioError(f"{name} of {db!r} {unit} is 0 {symbol} in floating point")
 
 
 @dataclass
@@ -227,7 +229,8 @@ class Scenario:
             value = getattr(self, f.name)
             if f.type in (float, tuple) and not np.all(np.isfinite(value)):
                 raise ScenarioError(f"{f.name} must be finite, got {value!r}")
-        check_dbm("p_tx_dbm", self.p_tx_dbm)
+        check_db("p_tx_dbm", self.p_tx_dbm)
+        check_db("rcs_dbsm", self.rcs_dbsm, "dBsm")
         try:  # N0 may be 0 W/Hz when clutter makes sigma^2 positive
             n0w = dbm_to_watts(self.noise_density_dbm_hz) * self.bandwidth_hz
         except OverflowError:
@@ -343,14 +346,12 @@ def build_scene(scn: Scenario, p_tx_dbm=None) -> Scene:
     ``p_tx_dbm`` overrides the scenario TX power, which the sweeps use.
     """
     wf = scn.waveform()
-    rcs = 10.0 ** (scn.rcs_dbsm / 10.0)
-    targets = tuple(
-        Target(velocity=v, initial_range=r, azimuth=az, elevation=el, rcs=rcs)
-        for v, r, az, el in zip(scn.target_velocities_mps, scn.target_ranges_m,
-                                scn.target_azimuths_rad, scn.target_elevations_rad))
     p_tx = dbm_to_watts(scn.p_tx_dbm if p_tx_dbm is None else p_tx_dbm)
     n0 = dbm_to_watts(scn.noise_density_dbm_hz)
     sigma2 = noise_clutter_variance(n0, wf.bandwidth_hz, p_tx, scn.clutter_ratio)
-    return Scene(source_velocity=scn.source_velocity_mps, targets=targets,
-                 tx_power=p_tx, noise_clutter_var=sigma2, geometry=scn.geometry(),
+    return Scene(source_velocity=scn.source_velocity_mps,
+                 velocities=scn.target_velocities_mps, ranges=scn.target_ranges_m,
+                 azimuths=scn.target_azimuths_rad, elevations=scn.target_elevations_rad,
+                 rcs=10.0 ** (scn.rcs_dbsm / 10.0), tx_power=p_tx,
+                 noise_clutter_var=sigma2, geometry=scn.geometry(),
                  beam=designed_beam(scn), wf=wf)

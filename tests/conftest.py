@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from adradar.scene import Scenario, build_scene
@@ -22,4 +21,4 @@ def default_scene():
 
 @pytest.fixture(scope="session")
 def true_velocities(default_scene):
-    return np.array([t.velocity for t in default_scene.targets])
+    return default_scene.velocities

@@ -78,7 +78,7 @@ def test_criterion_3_noiseless_recovery():
                          threshold=detection_threshold(scene.noise_clutter_var),
                          expected_targets=3)
     res = run_pipeline(frames, wf, scene.source_velocity, scene.tx_power, cfg)
-    true_v = np.array([t.velocity for t in scene.targets])
+    true_v = np.array(Scenario().target_velocities_mps)
     worst = float(np.max(np.abs(res.velocities - true_v)))
     ok = worst < 0.02 and time.time() - t0 < 10.0
     report(3, ok, f"M={m_count}, worst |V_hat - V| = {worst:.4f} m/s < 0.02", t0)
@@ -294,7 +294,7 @@ def test_criterion_8_baseline_quantization_bound():
         ddm = delay_doppler_map(frames, wf.frame_period)
         v = baseline_velocities(ddm, scene.source_velocity, wf.wavelength,
                                 1, 1e-12)
-        worst = max(worst, abs(v[0] - scene.targets[0].velocity))
+        worst = max(worst, abs(v[0] - scn.target_velocities_mps[0]))
     ok = worst <= bound and time.time() - t0 < 60.0
     report(8, ok, f"50 off-grid Dopplers: worst error {worst:.4f} m/s "
                   f"<= lambda/(4 CPI) bound {bound:.4f}", t0)

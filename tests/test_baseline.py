@@ -224,14 +224,14 @@ def test_single_target_on_bin_center():
     scene = single_target_scene(velocity_for_doppler(scn0, bin_hz))
     frames = synth_cpi(scene, cpi)
     truth = frame_truth(scene, 0)
-    assert truth.doppler_hz[0] == pytest.approx(bin_hz, rel=1e-9)
+    assert scene.doppler_hz[0] == pytest.approx(bin_hz, rel=1e-9)
 
     ddm = delay_doppler_map(frames, wf.frame_period)
     i, q = np.unravel_index(np.argmax(np.abs(ddm.values)), ddm.values.shape)
     assert ddm.lags[i] == truth.delay_samples[0]
     assert ddm.doppler_bins_hz[q] == pytest.approx(bin_hz, rel=1e-12)
     v = baseline_velocities(ddm, scene.source_velocity, wf.wavelength, 1, 1e-9)
-    assert v[0] == pytest.approx(scene.targets[0].velocity, rel=1e-9)
+    assert v[0] == pytest.approx(scene.velocities[0], rel=1e-9)
 
 
 def test_zero_doppler_peaks_in_zero_bin():
@@ -260,12 +260,11 @@ def test_doppler_axis_convention():
     frames = synth_cpi(scene, 0.2e-3)
     wf = scene.wf
     ddm = delay_doppler_map(frames, wf.frame_period)
-    truth = frame_truth(scene, 0)
     _, q = np.unravel_index(np.argmax(np.abs(ddm.values)), ddm.values.shape)
     bw = ddm.doppler_bin_width_hz
     assert bw == pytest.approx(1.0 / (len(frames) * wf.frame_period), rel=1e-12)
     # picked bin is the one nearest the true Doppler
-    assert abs(ddm.doppler_bins_hz[q] - truth.doppler_hz[0]) <= bw / 2 * (1 + 1e-9)
+    assert abs(ddm.doppler_bins_hz[q] - scene.doppler_hz[0]) <= bw / 2 * (1 + 1e-9)
     # axis confined to (-1/(2 T_f), +1/(2 T_f)]
     nyquist = 1 / (2 * wf.frame_period)
     assert ddm.doppler_bins_hz.max() <= nyquist * (1 + 1e-12)
@@ -289,7 +288,7 @@ def test_quantization_bound_midway():
     frames = synth_cpi(scene, cpi)
     ddm = delay_doppler_map(frames, wf.frame_period)
     v = baseline_velocities(ddm, scene.source_velocity, wf.wavelength, 1, 1e-9)
-    err = abs(v[0] - scene.targets[0].velocity)
+    err = abs(v[0] - scene.velocities[0])
     bound = wf.wavelength / (4 * cpi_eff)
     assert err == pytest.approx(bound, rel=1e-6)
     assert bound == pytest.approx(1.25, rel=0.05)
@@ -498,3 +497,27 @@ def test_the_map_values_are_the_read_only_dft_of_the_slow_time_rows(default_scen
     for rows in ([0], [3, 50, 99], list(range(0, 100, 7))):
         assert (np.fft.fft(ddm.slow_time[rows], axis=1).tobytes()
                 == ddm.values[rows].tobytes())
+
+
+def bin_center_nmse(scn, cpi_s):
+    """The baseline's NMSE when every target lands in the Doppler bin nearest
+    its true Doppler: the bin-center quantization error alone."""
+    scene = build_scene(scn)
+    wf = scene.wf
+    bins = -np.fft.fftfreq(wf.frames_per_cpi(cpi_s), wf.frame_period)
+    nearest = bins[np.abs(bins[:, None] - scene.doppler_hz).argmin(axis=0)]
+    v_hat = velocity_from_doppler(nearest, scene.source_velocity, wf.wavelength)
+    return float(np.mean(((scene.velocities - v_hat) / scene.velocities) ** 2))
+
+
+# Above its detection SNR the baseline picks each target's nearest bin in every
+# trial, so its NMSE is the bin-center error alone and grows between CPIs whose
+# bins fall farther from the true Dopplers: criterion 6b's violation.
+@pytest.mark.parametrize("p_tx_dbm", [20.0, 60.0])
+def test_the_baseline_nmse_is_the_bin_center_error_at_high_snr(p_tx_dbm):
+    scn = Scenario(p_tx_dbm=p_tx_dbm)
+    for cpi_s in (0.2e-3, 0.4e-3, 0.6e-3, 0.8e-3, 1e-3):
+        records = run_experiment(scn, ExperimentConfig(
+            cpi_s=cpi_s, trials=20, estimators="baseline", seed=1))
+        assert adradar.harness.nmse(records, "baseline") == pytest.approx(
+            bin_center_nmse(scn, cpi_s), rel=1e-12, abs=0.0), cpi_s

@@ -35,7 +35,7 @@ def test_phase_advances_per_sample(preamble):
     scene = single_target_scene()
     truth = frame_truth(scene, 0)
     frame = synthesize_frame(scene, truth)
-    nu = truth.doppler_hz[0]
+    nu = scene.doppler_hz[0]
     ts = scene.wf.sample_period
     # strip the preamble sign, leaving the Doppler rotation
     rotation = frame.samples * preamble
@@ -58,7 +58,8 @@ def test_two_target_superposition():
 
     parts = []
     for keep in range(2):
-        sub = replace(scene, targets=(scene.targets[keep],))
+        sub = replace(scene, **{name: getattr(scene, name)[keep:keep + 1] for name in
+                                ("velocities", "ranges", "azimuths", "elevations")})
         sub_truth = frame_truth(sub, 0)
         f = synthesize_frame(sub, sub_truth)
         padded = np.zeros_like(both.samples)
@@ -90,7 +91,7 @@ def per_sample_echo(scene, truth, preamble_samples):
     k = k_start + np.arange(n)
     ts = scene.wf.sample_period
     samples = np.zeros(n, dtype=complex)
-    for h, nu, ell in zip(truth.backscatter, truth.doppler_hz, delays):
+    for h, nu, ell in zip(truth.backscatter, scene.doppler_hz, delays):
         idx = k - int(ell)
         occupied = (idx >= 0) & (idx < k_pre)
         phase = 2.0 * np.pi * nu * (k[occupied] + m * scene.wf.frame_len) * ts
@@ -122,7 +123,7 @@ def test_rotated_preamble_is_cached_read_only(preamble, default_scene):
     assert rotated.shape == (3, len(preamble))
     # Row p is the preamble under target p's fast-time Doppler rotation.
     i = np.arange(len(preamble))
-    for row, nu in zip(rotated, frame_truth(default_scene, 9).doppler_hz):
+    for row, nu in zip(rotated, default_scene.doppler_hz):
         phasor = np.exp(1j * (2.0 * np.pi * nu * i * default_scene.wf.sample_period))
         np.testing.assert_allclose(row, phasor * preamble, rtol=1e-12)
     with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from adradar.estimator import (PipelineConfig, build_shift_matrix,
                                raw_doppler, refine_doppler,
                                run_pipeline, velocity_from_doppler, wrap_count)
 from adradar.params import WaveformParams
-from adradar.scene import Scenario, build_scene, frame_truth
+from adradar.scene import Scenario, build_scene, frame_truth, scene_backscatter
 
 TS = 1 / 1.76e9
 K = 13632
@@ -60,16 +60,14 @@ def test_single_target_delay_587(s_c):
 
 
 def test_three_targets_recovered_exactly():
-    # delays {587, 800, 1050} with comparable |h_p|: per-target RCS
-    # compensates the r^-4 spread so all main peaks beat every sidelobe.
-    from dataclasses import replace
+    # delays {587, 800, 1050} with comparable |h_p|: per-target gains
+    # (r_p / r_0)^2 compensate the r^-4 power spread so all main peaks beat
+    # every sidelobe.
     from scipy.constants import c as c0
-    ranges = [l * c0 / (2 * 1.76e9) for l in (587, 800, 1050)]
+    ranges = np.array([l * c0 / (2 * 1.76e9) for l in (587, 800, 1050)])
     scene = scene_with_delays(ranges)
-    targets = tuple(replace(t, rcs=t.rcs * (t.initial_range / ranges[0]) ** 4)
-                    for t in scene.targets)
-    scene = replace(scene, targets=targets)
-    frame = noiseless_frame(scene, 0)
+    h = scene_backscatter(scene, (ranges / ranges[0]) ** 2)
+    frame = synthesize_frame(scene, frame_truth(scene, 0, h))
     est = estimate_delays(frame, threshold=1e-9, expected_targets=3)
     assert est.delays.tolist() == [587, 800, 1050]
 
@@ -473,7 +471,7 @@ def run_noiseless_pipeline(scene, cpi_s=0.5e-3, gap=6):
     frames = {m: noiseless_frame(scene, m) for m in (0, m_i, m_d)}
     cfg = PipelineConfig(m_d=m_d, m_i=m_i,
                          threshold=detection_threshold(scene.noise_clutter_var),
-                         expected_targets=len(scene.targets))
+                         expected_targets=scene.velocities.size)
     return run_pipeline(frames, wf, scene.source_velocity,
                         scene.tx_power, cfg)
 
@@ -492,7 +490,7 @@ def test_pipeline_lse_phase_matches_midpoint_model(default_scene):
     m_d = max(res.delays)
     k_mid = (2 * truth.delay_samples[0] + K_PRE - 1) / 2
     for p in range(3):
-        predicted = 2 * np.pi * truth.doppler_hz[p] * (k_mid + m_d * K) * TS
+        predicted = 2 * np.pi * default_scene.doppler_hz[p] * (k_mid + m_d * K) * TS
         observed = np.angle(res.doppler.h_hat_md[p] / truth.backscatter[p])
         resid = (predicted - observed + np.pi) % (2 * np.pi) - np.pi
         assert abs(resid) < 2.5e-2
@@ -537,18 +535,16 @@ def test_lse_window_running_past_the_frame_end_raises(preamble):
 
 def test_pipeline_velocity_map_inverts_frame_truth(default_scene):
     # velocity mapping is affine and inverts the scene Doppler map exactly
-    truth = frame_truth(default_scene, 0)
     wf = default_scene.wf
-    for p, target in enumerate(default_scene.targets):
-        v = velocity_from_doppler(truth.doppler_hz[p],
-                                  default_scene.source_velocity, wf.wavelength)
-        assert v == pytest.approx(target.velocity, rel=1e-12)
+    for nu, want in zip(default_scene.doppler_hz, default_scene.velocities):
+        v = velocity_from_doppler(nu, default_scene.source_velocity, wf.wavelength)
+        assert v == pytest.approx(want, rel=1e-12)
 
 
 def test_pipeline_refined_doppler_within_half_percent(default_scene):
     res = run_noiseless_pipeline(default_scene)
-    truth = frame_truth(default_scene, 0)
-    np.testing.assert_allclose(res.doppler.nu_refined, truth.doppler_hz, rtol=5e-3)
+    np.testing.assert_allclose(res.doppler.nu_refined, default_scene.doppler_hz,
+                               rtol=5e-3)
 
 
 def test_pipeline_doppler_fields_self_consistent(default_scene):

@@ -205,7 +205,7 @@ def oracle_records(scn, exp):
                 failures[name] = f"{type(exc).__name__}: {exc}"
         records.append(TrialRecord(
             trial=trial, seed=exp.seed,
-            true_velocities=tuple(t.velocity for t in scene.targets),
+            true_velocities=tuple(scn.target_velocities_mps),
             estimates=estimates, failures=failures, wrap_counts=wraps,
             delays=delays))
     return records
@@ -1062,6 +1062,44 @@ def test_cli_a_level_the_scene_cannot_use_is_config_error(monkeypatch, tmp_path,
                                                           argv, scenario, message):
     assert config_error_before_any_trial(monkeypatch, tmp_path, capsys, argv,
                                          scenario) == message
+
+
+# 10 ** (dBsm / 10) overflows a float above about 3,082 dBsm and is 0 m^2
+# below about -3,240.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rcs_dbsm, message", [
+    (4000, "rcs_dbsm of 4000.0 dBsm overflows in square metres"),
+    (-4000, "rcs_dbsm of -4000.0 dBsm is 0 m^2 in floating point")])
+def test_cli_an_rcs_the_scene_cannot_use_is_config_error(monkeypatch, tmp_path, capsys,
+                                                          rcs_dbsm, message):
+    assert config_error_before_any_trial(
+        monkeypatch, tmp_path, capsys, ["simulate", "--cpi", "2e-4"],
+        {"rcs_dbsm": rcs_dbsm}) == f"adradar: config error: {message}\n"
+
+
+# r^4 underflows to 0 at 1e-300 m and overflows at 1e300 m; at 1e300 m/s the
+# first target's delay passes 2^63 samples by frame m_i = 18, where a cast to
+# int64 would wrap round.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scenario, message", [
+    ({"target_ranges_m": [1e-300, 15.7, 17.9]},
+     "radar-equation gain of targets at [1e-300, 15.7, 17.9] m with RCS 100.0 m^2 "
+     "is not positive and finite"),
+    ({"target_ranges_m": [1e300] * 3},
+     "radar-equation gain of targets at [1e+300, 1e+300, 1e+300] m with RCS 100.0 m^2 "
+     "is not positive and finite"),
+    ({"target_velocities_mps": [1e300, 24.949, 21.806]},
+     "target delay past 2^63 samples at frame 18"),
+], ids=["range-1e-300", "ranges-1e300", "velocity-1e300"])
+def test_cli_a_target_the_scene_cannot_represent_is_config_error(tmp_path, capsys,
+                                                                 scenario, message):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", "--scenario", str(path), "--trials", "1",
+                    "--cpi", "2e-4", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"adradar: config error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,8 +11,8 @@ from scipy.constants import c as C0
 from adradar.errors import ScenarioError
 from adradar.params import SPEED_OF_LIGHT
 from adradar.phasedarray import UpaGeometry, steering_upa, wide_beam
-from adradar.scene import (Scenario, Target, backscatter_coefficient,
-                           build_scene, dbm_to_watts, frame_truth, frame_truths,
+from adradar.scene import (Scenario, backscatter_coefficient, build_scene,
+                           dbm_to_watts, frame_truth, frame_truths,
                            large_scale_gain, load_scenario, noise_clutter_variance,
                            save_scenario, scene_backscatter)
 
@@ -43,9 +43,8 @@ def test_large_scale_gain_rejects_bad_range():
 
 
 def test_backscatter_zero_beta():
-    t = Target(velocity=20.0, initial_range=30.0)
     f = wide_beam([0.0], 0.0, GEO)
-    assert backscatter_coefficient(t, 0.0, f, 1.0, GEO) == 0
+    assert backscatter_coefficient(0.0, 0.0, 0.0, f, 1.0, GEO) == 0
 
 
 def test_backscatter_matched_beam_term_by_term():
@@ -53,11 +52,10 @@ def test_backscatter_matched_beam_term_by_term():
     # unoptimized evaluation of sqrt(G) beta (f_RX^H a*) (a^H f) with the
     # conjugate receive beam f_RX = conj(f).
     az, el = 0.2, 0.0
-    t = Target(velocity=20.0, initial_range=30.0, azimuth=az, elevation=el)
     f_tx = wide_beam([az], el, GEO)
     f_rx = np.conj(f_tx)
     gain = 2.5e-13
-    h = backscatter_coefficient(t, 1.0, f_tx, gain, GEO)
+    h = backscatter_coefficient(az, el, 1.0, f_tx, gain, GEO)
     a = steering_upa(az, el, GEO)
     expected = (np.sqrt(gain)
                 * np.sum(np.conj(f_rx) * np.conj(a))
@@ -69,26 +67,27 @@ def test_backscatter_matched_beam_term_by_term():
 
 def test_backscatter_modulus_invariant_under_beta_phase():
     f = wide_beam([0.0], 0.0, GEO)
-    t = Target(velocity=20.0, initial_range=30.0)
-    h1 = backscatter_coefficient(t, 1.0, f, 1e-12, GEO)
-    h2 = backscatter_coefficient(t, np.exp(1j * 1.1), f, 1e-12, GEO)
+    h1 = backscatter_coefficient(0.0, 0.0, 1.0, f, 1e-12, GEO)
+    h2 = backscatter_coefficient(0.0, 0.0, np.exp(1j * 1.1), f, 1e-12, GEO)
     assert abs(h1) == pytest.approx(abs(h2), rel=1e-12)
     assert h1 != h2
 
 
-def test_a_target_holds_no_small_scale_gain():
+def test_a_target_holds_no_small_scale_gain(default_scene):
     with pytest.raises(TypeError):
-        Target(velocity=20.0, initial_range=30.0, beta=1.0)
+        replace(default_scene, betas=np.ones(3, dtype=complex))
 
 
 def per_target_backscatter(scene, betas):
-    """h_p target by target as computed when each Target carried its gain as
-    a Python complex: sqrt(G_p) * beta_p * (a^H f)^2."""
+    """h_p target by target from Python floats, as computed when each target
+    was an object carrying its gain as a Python complex:
+    sqrt(G_p) * beta_p * (a^H f)^2."""
     out = []
-    for tg, beta in zip(scene.targets, betas):
-        factor = np.vdot(steering_upa(tg.azimuth, tg.elevation, scene.geometry),
-                         scene.beam)
-        gain = large_scale_gain(tg.initial_range, tg.rcs, scene.wf.wavelength)
+    for p, beta in enumerate(betas):
+        az, el, r = (float(scene.azimuths[p]), float(scene.elevations[p]),
+                     float(scene.ranges[p]))
+        factor = np.vdot(steering_upa(az, el, scene.geometry), scene.beam)
+        gain = large_scale_gain(r, scene.rcs, scene.wf.wavelength)
         out.append(complex(np.sqrt(gain) * complex(beta) * factor * factor))
     return np.array(out)
 
@@ -148,15 +147,15 @@ def test_frame_truth_static_target(default_scene):
     scene = build_scene(scn)
     t0 = frame_truth(scene, 0)
     t50 = frame_truth(scene, 50)
-    assert t0.doppler_hz[0] == 0.0
+    assert scene.doppler_hz[0] == 0.0
     assert t0.delay_samples[0] == t50.delay_samples[0]
 
 
 def test_frame_truth_doppler_value(default_scene):
-    tr = frame_truth(default_scene, 0)
     lam = default_scene.wf.wavelength
-    assert tr.doppler_hz[0] == pytest.approx(2 * (25.271 - 20.279) / lam, rel=1e-12)
-    assert tr.doppler_hz[0] == pytest.approx(1998.2, rel=1e-4)
+    nu = default_scene.doppler_hz
+    assert nu[0] == pytest.approx(2 * (25.271 - 20.279) / lam, rel=1e-12)
+    assert nu[0] == pytest.approx(1998.2, rel=1e-4)
 
 
 def test_frame_truth_delay_rounding():
@@ -196,7 +195,7 @@ def test_frame_truths_equal_each_frames_truth():
             one = frame_truth(moving, m, h)
             assert np.array_equal(truth.delay_samples, one.delay_samples)
             assert truth.delay_samples.dtype == np.int64
-            assert truth.doppler_hz is one.doppler_hz and truth.backscatter is h
+            assert truth.backscatter is h
 
 
 @pytest.mark.parametrize("frames, first_bad", [
@@ -239,9 +238,9 @@ def scalar_truth(scene, m):
     wf = scene.wf
     t = m * wf.frame_period
     doppler, delays = [], []
-    for tg in scene.targets:
-        doppler.append(2.0 * (scene.source_velocity - tg.velocity) / wf.wavelength)
-        r = tg.initial_range + (tg.velocity - scene.source_velocity) * t
+    for v, r0 in zip(scene.velocities.tolist(), scene.ranges.tolist()):
+        doppler.append(2.0 * (scene.source_velocity - v) / wf.wavelength)
+        r = r0 + (v - scene.source_velocity) * t
         delays.append(int(np.rint(2.0 * r / SPEED_OF_LIGHT / wf.sample_period)))
     return np.array(doppler), np.array(delays)
 
@@ -258,11 +257,11 @@ def test_frame_truth_matches_the_scalar_formula(default_scene):
         for m in frames:
             truth = frame_truth(scene, m)
             doppler, delays = scalar_truth(scene, m)
-            assert np.array_equal(truth.doppler_hz, doppler)
+            assert np.array_equal(scene.doppler_hz, doppler)
             assert np.array_equal(truth.delay_samples, delays)
             assert truth.delay_samples.dtype == np.int64
-            # The Doppler vector is shared by every frame of the scene.
-            assert not truth.doppler_hz.flags.writeable
+            # The Doppler vector is the scene's, shared by every frame.
+            assert not scene.doppler_hz.flags.writeable
 
 
 def test_frame_truth_names_the_frame_of_a_nonpositive_range():
@@ -297,11 +296,54 @@ def test_negative_beta_mode_rejected():
         Scenario(beta_mode="gaussian")
 
 
-def test_target_validation():
-    with pytest.raises(ScenarioError):
-        Target(velocity=20.0, initial_range=-1.0)
-    with pytest.raises(ScenarioError):
-        Target(velocity=20.0, initial_range=10.0, rcs=0.0)
+def test_target_validation(default_scene):
+    with pytest.raises(ScenarioError, match="target range must be positive"):
+        replace(default_scene, ranges=(-1.0, 15.7, 17.9))
+    with pytest.raises(ScenarioError, match="target RCS must be positive"):
+        replace(default_scene, rcs=0.0)
+
+
+def test_a_scene_holds_each_target_quantity_once_read_only(default_scene):
+    scn = Scenario()
+    for name, want in (("velocities", scn.target_velocities_mps),
+                       ("ranges", scn.target_ranges_m),
+                       ("azimuths", scn.target_azimuths_rad),
+                       ("elevations", scn.target_elevations_rad)):
+        values = getattr(default_scene, name)
+        assert values.dtype == np.float64 and not values.flags.writeable
+        assert values.tolist() == list(want)
+    assert default_scene.rcs == 100.0
+    assert default_scene.doppler_hz is default_scene.doppler_hz
+    assert not default_scene.doppler_hz.flags.writeable
+
+
+@pytest.mark.parametrize("changes", [
+    {"velocities": ()}, {"velocities": (), "ranges": (), "azimuths": (), "elevations": ()},
+    {"ranges": (14.0, 15.7)}, {"azimuths": ((0.0, 0.0, 0.0),)}])
+def test_a_scene_needs_one_value_per_target(default_scene, changes):
+    with pytest.raises(ScenarioError, match="at least one target and one"):
+        replace(default_scene, **changes)
+
+
+# r^4 underflows to 0 at 1e-300 m and overflows at 1e300 m; at 1e76 m the
+# gain is a subnormal float, still positive.
+@pytest.mark.parametrize("ranges, rcs", [
+    ((1e-300, 15.7, 17.9), 100.0), ((1e300,) * 3, 100.0), ((14.0, 15.7, 1e80), 100.0),
+    ((1e-3, 15.7, 17.9), 1e308)])
+def test_a_scene_rejects_a_gain_that_is_not_a_positive_float(default_scene, ranges, rcs):
+    with pytest.raises(ScenarioError, match="radar-equation gain"):
+        replace(default_scene, ranges=ranges, rcs=rcs)
+    assert replace(default_scene, ranges=(14.0, 15.7, 1e76)).ranges[2] == 1e76
+
+
+def test_frame_truths_reject_a_delay_past_int64():
+    # 1e300 m/s carries the first target past 2^63 samples of delay by
+    # frame 1, where a cast to int64 would wrap.
+    scene = build_scene(Scenario(target_velocities_mps=(1e300, 24.949, 21.806)))
+    frame_truth(scene, 0)
+    with np.errstate(all="raise"):
+        with pytest.raises(ScenarioError, match="past 2\\^63 samples at frame 1$"):
+            frame_truths(scene, range(0, 4))
 
 
 def test_scenario_roundtrip(tmp_path):
