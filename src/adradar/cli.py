@@ -128,12 +128,9 @@ def run_cli(argv) -> int:
                                args.resolution)
             gains = gain_cut(designed_beam(scenario), scenario.geometry(),
                              "azimuth", scenario.elevation_center_rad, angles)
-            lines = ["angle_rad,gain_db"]
-            floor = gains.max() * 1e-12
-            for ang, g in zip(angles, gains):
-                db = 10.0 * np.log10(max(g, floor))
-                lines.append(f"{ang:.6f},{db:.6f}")
-            _emit("\n".join(lines) + "\n", args.output)
+            gains_db = 10.0 * np.log10(np.maximum(gains, gains.max() * 1e-12))
+            _emit("angle_rad,gain_db\n" + "".join(
+                f"{ang:.6f},{db:.6f}\n" for ang, db in zip(angles, gains_db)), args.output)
             print(f"beam-pattern: {len(angles)} points, "
                   f"peak {10 * np.log10(gains.max()):.2f} dB", file=sys.stderr)
             return 0

@@ -21,6 +21,7 @@ most the CPU count).  Only a multi-worker run imports the process pool.
 """
 
 import functools
+import itertools
 import os
 from dataclasses import dataclass, replace
 
@@ -180,7 +181,9 @@ def _run_trials(scenario: Scenario, exp: ExperimentConfig, trials,
     """
     scene, h = pinned
     m_count, m_d, m_i = _frame_indices(scene.wf, exp)
-    threshold = detection_threshold(scene.noise_clutter_var) * scenario.threshold_scale
+    threshold = float(detection_threshold(scene.noise_clutter_var)) * scenario.threshold_scale
+    if threshold == np.inf:
+        raise ScenarioError("threshold_scale makes the detection threshold overflow")
     cfg = PipelineConfig(m_d=m_d, m_i=m_i, threshold=threshold,
                          expected_targets=scenario.num_targets,
                          search_halfwidth=scenario.search_halfwidth,
@@ -199,16 +202,6 @@ def _run_trials(scenario: Scenario, exp: ExperimentConfig, trials,
             block = functools.partial(_noiseless_block, scene, h, m_count)
         records.append(_run_trial(exp, trial, scene, echo, block, m_count, cfg, true_v))
     return records
-
-
-def _map_blocks(block, m_count: int, window, noise_clutter_var: float, rng):
-    """A trial's map frames: ``window`` (frame 0 cut to the map lags), then
-    frames 1 to M-1 over its samples, ``block(start, k_start, n)`` for each
-    block of up to ``_MAP_BLOCK`` frames plus one ``with_noise`` draw."""
-    yield window
-    k_start, n = window.k_start, window.samples.shape[-1]
-    for start in range(1, m_count, _MAP_BLOCK):
-        yield with_noise(block(start, k_start, n), noise_clutter_var, rng)
 
 
 def _run_trial(exp: ExperimentConfig, trial: int, scene: Scene, echo, block,
@@ -244,8 +237,10 @@ def _run_trial(exp: ExperimentConfig, trial: int, scene: Scene, echo, block,
                 profile0 = correlation_profile(s_c, frames[0].samples)
                 window = map_window(frames[0], profile0)
                 map_rng = np.random.default_rng([exp.seed, trial, _STREAM_MAP])
-                blocks = _map_blocks(block, m_count, window,
-                                     scene.noise_clutter_var, map_rng)
+                blocks = itertools.chain((window,), (with_noise(
+                    block(start, window.k_start, window.samples.shape[-1]),
+                    scene.noise_clutter_var, map_rng)
+                    for start in range(1, m_count, _MAP_BLOCK)))
                 ddm = delay_doppler_map(blocks, scene.wf.frame_period)
                 velocities = baseline_velocities(
                     ddm, scene.source_velocity, scene.wf.wavelength,
@@ -297,11 +292,12 @@ def _point_rows(scenario, exp, x_value):
     records = run_experiment(scenario, exp)
     rows = []
     for name in ESTIMATORS[exp.estimators]:
-        try:
-            value = nmse(records, name)
-        except AggregationError as exc:
+        try:  # a nearly stationary target's relative error may overflow
+            with np.errstate(over="raise"):
+                value = nmse(records, name)
+                lo, hi = bootstrap_ci(records, name, exp.seed)
+        except (AggregationError, FloatingPointError) as exc:
             raise AggregationError(f"{exc} at x={x_value}") from exc
-        lo, hi = bootstrap_ci(records, name, exp.seed)
         n_fail = sum(1 for r in records if name in r.failures)
         rows.append({"x": x_value, "estimator": name, "p_tx_dbm": exp.p_tx_dbm,
                      "nmse": value, "ci_lo": lo, "ci_hi": hi,

@@ -38,6 +38,10 @@ class WaveformParams:
                                 f"{PREAMBLE_LEN}-sample preamble")
         if not (self.carrier_hz > 0 and self.bandwidth_hz > 0):
             raise ScenarioError("carrier_hz and bandwidth_hz must be positive")
+        if not (self.frame_len < 2 ** 63 and self.frame_period < float("inf")):
+            raise ScenarioError(f"frame_len {self.frame_len} at bandwidth_hz "
+                                f"{self.bandwidth_hz!r} is past 2^63 samples or the "
+                                "largest float in seconds")
 
     @property
     def sample_period(self) -> float:

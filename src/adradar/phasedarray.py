@@ -100,7 +100,7 @@ def measure_beamwidth(f: np.ndarray, geometry: UpaGeometry,
     """Half-power width of the mainlobe in one principal plane.
 
     Scans the pattern cut on a uniform 1 mrad grid, locates the
-    peak, and walks outward to the contiguous -3 dB crossings; each crossing
+    peak, and searches outward for the contiguous -3 dB crossings; each crossing
     is refined with a local parabolic fit through the three nearest samples.
 
     Raises
@@ -120,13 +120,13 @@ def _scan_width(f, angles, a_conj) -> float:
     if gains[peak] <= 0 or np.all(gains >= half * 0.999999):
         raise BeamMeasurementError("pattern has no resolvable mainlobe")
 
-    def crossing(start, step):
-        i = start
-        while 0 <= i + step < len(gains) and gains[i + step] >= half:
-            i += step
-        j = i + step
-        if j < 0 or j >= len(gains):
+    def crossing(step):
+        side = gains[peak + 1:] if step > 0 else gains[:peak][::-1]  # outward
+        below = np.flatnonzero(~(side >= half))  # a NaN sample ends the lobe too
+        if not below.size:
             raise BeamMeasurementError("half-power level not crossed inside the scan")
+        j = peak + step * (int(below[0]) + 1)
+        i = j - step
         # The crossing lies between grid points k and k+1.
         k = min(max(i if step > 0 else j, 1), len(gains) - 2)
         y0, y1, y2 = gains[k - 1], gains[k], gains[k + 1]
@@ -147,9 +147,7 @@ def _scan_width(f, angles, a_conj) -> float:
         frac = (gi - half) / (gi - gj)
         return angles[i] + step * frac * _SCAN_STEP
 
-    upper = crossing(peak, +1)
-    lower = crossing(peak, -1)
-    return float(upper - lower)
+    return float(crossing(+1) - crossing(-1))
 
 
 def design_wide_beam(target_width: float, n_beams: int, geometry: UpaGeometry,

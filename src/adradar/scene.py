@@ -48,14 +48,14 @@ class Scene:
             raise ScenarioError("target range must be positive")
         if not self.rcs > 0:
             raise ScenarioError("target RCS must be positive")
-        try:  # r^4 may be 0 or past the largest float
-            gains = [large_scale_gain(r, self.rcs, self.wf.wavelength)
-                     for r in self.ranges.tolist()]
-        except (ZeroDivisionError, OverflowError):
-            gains = [0.0]
+        gains = [large_scale_gain(r, self.rcs, self.wf.wavelength)
+                 for r in self.ranges.tolist()]
         if not all(0 < gain < np.inf for gain in gains):
             raise ScenarioError(f"radar-equation gain of targets at {self.ranges.tolist()} m "
                                 f"with RCS {self.rcs!r} m^2 is not positive and finite")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.doppler_hz).all():
+                raise ScenarioError(f"Doppler of {self.velocities.tolist()} m/s overflows")
         for name, watts in (("TX power", self.tx_power),
                             ("noise-plus-clutter variance", self.noise_clutter_var)):
             if not 0 < watts < np.inf:
@@ -92,14 +92,23 @@ class FrameTruth:
     backscatter: np.ndarray    # h_p, complex
 
 
+def _power(base: float, exponent: float) -> float:
+    """``base ** exponent`` in Python floats, ``inf`` where that overflows."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return np.inf
+
+
 def large_scale_gain(range_m: float, rcs_m2: float, wavelength_m: float) -> float:
     """Two-way power gain of the monostatic radar range equation.
 
-    G = lambda^2 * sigma / ((4 pi)^3 * r^4).
+    G = lambda^2 * sigma / ((4 pi)^3 * r^4): ``inf`` or 0.0 where r^4 under- or overflows.
     """
     if range_m <= 0:
         raise ValueError(f"range must be positive, got {range_m}")
-    return wavelength_m ** 2 * rcs_m2 / ((4.0 * np.pi) ** 3 * range_m ** 4)
+    r4 = _power(range_m, 4)
+    return wavelength_m ** 2 * rcs_m2 / ((4.0 * np.pi) ** 3 * r4) if r4 else np.inf
 
 
 def backscatter_coefficient(azimuth: float, elevation: float, beta: complex,
@@ -174,7 +183,7 @@ def frame_truths(scene: Scene, frames, backscatter: np.ndarray = None) -> list:
 # ---------------------------------------------------------------------------
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** (dbm / 10.0) * 1e-3
+    return _power(10.0, dbm / 10.0) * 1e-3
 
 
 def check_db(name: str, db: float, unit: str = "dBm") -> None:
@@ -182,10 +191,9 @@ def check_db(name: str, db: float, unit: str = "dBm") -> None:
     positive float in watts or m^2: in dBm, from about -3,206 to 3,082."""
     linear_unit, symbol, scale = (("watts", "W", 1e-3) if unit == "dBm"
                                   else ("square metres", "m^2", 1.0))
-    try:
-        linear = 10.0 ** (db / 10.0) * scale
-    except OverflowError:
-        raise ScenarioError(f"{name} of {db!r} {unit} overflows in {linear_unit}") from None
+    linear = _power(10.0, db / 10.0) * scale
+    if linear == np.inf:
+        raise ScenarioError(f"{name} of {db!r} {unit} overflows in {linear_unit}")
     if linear == 0:
         raise ScenarioError(f"{name} of {db!r} {unit} is 0 {symbol} in floating point")
 
@@ -231,11 +239,8 @@ class Scenario:
                 raise ScenarioError(f"{f.name} must be finite, got {value!r}")
         check_db("p_tx_dbm", self.p_tx_dbm)
         check_db("rcs_dbsm", self.rcs_dbsm, "dBsm")
-        try:  # N0 may be 0 W/Hz when clutter makes sigma^2 positive
-            n0w = dbm_to_watts(self.noise_density_dbm_hz) * self.bandwidth_hz
-        except OverflowError:
-            n0w = np.inf
-        if not np.isfinite(n0w):
+        # N0 may be 0 W/Hz when clutter makes sigma^2 positive
+        if not np.isfinite(dbm_to_watts(self.noise_density_dbm_hz) * self.bandwidth_hz):
             raise ScenarioError(f"noise_density_dbm_hz of {self.noise_density_dbm_hz!r} "
                                 f"dBm overflows in watts over {self.bandwidth_hz!r} Hz")
         if not self.azimuth_beamwidth_rad > 0:
@@ -352,6 +357,6 @@ def build_scene(scn: Scenario, p_tx_dbm=None) -> Scene:
     return Scene(source_velocity=scn.source_velocity_mps,
                  velocities=scn.target_velocities_mps, ranges=scn.target_ranges_m,
                  azimuths=scn.target_azimuths_rad, elevations=scn.target_elevations_rad,
-                 rcs=10.0 ** (scn.rcs_dbsm / 10.0), tx_power=p_tx,
+                 rcs=_power(10.0, scn.rcs_dbsm / 10.0), tx_power=p_tx,
                  noise_clutter_var=sigma2, geometry=scn.geometry(),
                  beam=designed_beam(scn), wf=wf)

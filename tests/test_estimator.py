@@ -235,6 +235,11 @@ def test_shift_matrix_duplicate_delay():
         build_shift_matrix([10, 10], rows=K_PRE)
 
 
+def test_shift_matrix_rejects_unsorted_delays():
+    with pytest.raises(ValueError, match="delays must be sorted ascending"):
+        build_shift_matrix([20, 10], rows=K_PRE)
+
+
 def test_lse_noiseless_recovery():
     # zero relative velocity -> zero Doppler -> exact linear model
     scene = scene_with_delays([14.0, 15.7, 17.9], velocities=[25.271] * 3)
@@ -282,6 +287,11 @@ def test_denominator_inverse_values():
 def test_denominator_inverse_monotone():
     values = [denominator_inverse(100, m, K, TS) for m in range(0, 130, 10)]
     assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def test_denominator_inverse_rejects_a_negative_frame():
+    with pytest.raises(ValueError, match="frame index must be nonnegative"):
+        denominator_inverse(0, -1, K, TS)
 
 
 def test_raw_doppler_identity_and_scaling():
@@ -506,6 +516,12 @@ def test_pipeline_zero_doppler_exact_recovery():
 def test_pipeline_requires_distinct_frames(default_scene):
     with pytest.raises(ValueError):
         run_noiseless_pipeline(default_scene, gap=0)
+
+
+def test_pipeline_names_the_missing_frames():
+    cfg = PipelineConfig(m_d=2, m_i=1, threshold=1.0, expected_targets=1)
+    with pytest.raises(ValueError, match=r"pipeline needs frames \(0, 1, 2\), missing \[2\]"):
+        run_pipeline(dict.fromkeys((0, 1)), WaveformParams(), 25.0, 1.0, cfg)
 
 
 def run_on_hand_built_frames(samples):

@@ -14,6 +14,7 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import adradar.harness
+import adradar.selftest
 from adradar import cli
 from adradar.baseline import baseline_velocities, delay_doppler_map, map_window
 from adradar.cli import run_cli
@@ -656,6 +657,15 @@ def test_worker_count_defaults_to_one_and_caps_at_cpu_count(monkeypatch):
     assert _worker_count() == 1
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"trials": 0}, "trials must be >= 1"),
+    ({"estimators": "dense"}, "unknown estimator selection 'dense'")],
+    ids=["trials", "estimators"])
+def test_an_experiment_needs_a_trial_and_a_known_estimator_selection(fields, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**fields)
+
+
 def test_sweep_framegap_shape_and_crn():
     scn = Scenario()
     exp = ExperimentConfig(cpi_s=2e-4, trials=2)
@@ -964,6 +974,18 @@ def test_cli_bad_scenario_path_is_config_error(tmp_path):
     assert run_cli(["simulate", "--scenario", str(tmp_path / "nope.json")]) == 1
 
 
+@pytest.mark.parametrize("text", ["[]", "3", '"scenario"', "null"])
+def test_cli_a_scenario_file_without_a_json_object_is_config_error(tmp_path, capsys, text):
+    path = tmp_path / "scn.json"
+    path.write_text(text)
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", "--scenario", str(path), "--trials", "1",
+                    "--cpi", "2e-4", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == ("adradar: config error: scenario file must "
+                                       "hold a JSON object\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [("p_tx_dbm", "20"), ("trials", 2.5),
                                         ("frame_len", 13632.5), ("seed", "1")])
 def test_cli_scenario_of_wrong_json_type_is_config_error(tmp_path, key, value):
@@ -1102,6 +1124,49 @@ def test_cli_a_target_the_scene_cannot_represent_is_config_error(tmp_path, capsy
     assert not out.exists()
 
 
+# Cases the CLI fuzzer found.  A subnormal bandwidth makes the frame period
+# inf, a frame_len past the float range cannot become one, 2 (V_s - V_p)
+# overflows at the largest float, and 512 sigma_cn is about 5.1 with this
+# clutter, so the largest float as the threshold's scale overflows it.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scenario, message", [
+    ({"bandwidth_hz": 5e-324}, "frame_len 13632 at bandwidth_hz 5e-324 is past 2^63 "
+     "samples or the largest float in seconds"),
+    ({"frame_len": 10 ** 400}, f"frame_len {10 ** 400} at bandwidth_hz 1760000000.0 is "
+     "past 2^63 samples or the largest float in seconds"),
+    ({"target_velocities_mps": [20.279, 24.949, -1.7976931348623157e308]},
+     "Doppler of [20.279, 24.949, -1.7976931348623157e+308] m/s overflows"),
+    ({"threshold_scale": 1.7976931348623157e308, "clutter_ratio": 1e-3},
+     "threshold_scale makes the detection threshold overflow"),
+], ids=["bandwidth-subnormal", "frame_len-1e400", "velocity-max-float", "threshold-scale"])
+def test_cli_a_quantity_past_the_float_range_is_config_error(tmp_path, capsys, scenario,
+                                                              message):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", "--scenario", str(path), "--trials", "1",
+                    "--cpi", "2e-4", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"adradar: config error: {message}\n"
+    assert not out.exists()
+
+
+# At 1e-300 m/s, an estimate off by more than about 1e-146 m/s has a squared
+# relative error past the largest float.
+@pytest.mark.filterwarnings("error")
+def test_cli_a_relative_error_past_the_largest_float_is_an_estimation_failure(tmp_path,
+                                                                              capsys):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"target_velocities_mps": [1e-300], "target_ranges_m": [25.0],
+                                "target_azimuths_rad": [0.0],
+                                "target_elevations_rad": [0.0]}))
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", "--scenario", str(path), "--trials", "1",
+                    "--cpi", "2e-4", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == ("adradar: estimation failure: overflow "
+                                       "encountered in square at x=0.0002\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--cpi", "5e-4"],
     ["sweep-cpi", "--cpis", "2e-4", "5e-4", "--p-tx-grid", "20"],
@@ -1225,3 +1290,14 @@ def test_cli_selftest_passes_every_check_once(capsys):
         assert sum(line.startswith(f"[PASS] {name}:") for line in lines) == 1
     assert len(lines) == len(CHECKS)
     assert not any("rrc-nyquist" in line for line in lines)
+
+
+def test_cli_selftest_reports_a_crashed_check_as_a_fail(monkeypatch, capsys):
+    def crash():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(adradar.selftest, "CHECKS", (("crash", crash),) + CHECKS[:1])
+    assert run_cli(["selftest"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "[FAIL] crash: RuntimeError: boom"
+    assert lines[1].startswith(f"[PASS] {CHECKS[0][0]}:") and len(lines) == 2

@@ -118,6 +118,16 @@ def test_wide_beam_argument_validation():
         wide_beam([], 0.0, GEO)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: UpaGeometry(nx=0), "antenna counts must be >= 1"),
+    (lambda: UpaGeometry(ny=-1), "antenna counts must be >= 1"),
+    (lambda: design_wide_beam(0.4084, 0, GEO), "n_beams must be >= 1")],
+    ids=["nx", "ny", "n_beams"])
+def test_array_and_beam_counts_must_be_positive(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_rx_beam_consistency_identity():
     # The array receives on f_RX = conj(f): its factor f_RX^H a* sums the
     # same products f_i conj(a_i) as the TX factor a^H f, so the two-factor
@@ -184,6 +194,43 @@ def test_beamwidth_halves_when_elements_double():
     w4 = measure_beamwidth(wide_beam([0.0], 0.0, geo4), geo4, "azimuth", 0.0)
     w8 = measure_beamwidth(wide_beam([0.0], 0.0, GEO), GEO, "azimuth", 0.0)
     assert w4 / w8 == pytest.approx(2.0, rel=0.08)
+
+
+def scan_width_of(gains):
+    """The scan width of a pattern whose power is exactly ``gains`` (perfect
+    squares), one sample per scan step."""
+    n = len(gains)
+    return phasedarray._scan_width(np.sqrt(gains), np.arange(n) * phasedarray._SCAN_STEP,
+                                   np.eye(n))
+
+
+# A lobe that reaches an end of the scan has no crossing on that side; a peak
+# at sample 0 must not wrap round to the far end.
+@pytest.mark.parametrize("gains", [[1, 4, 9], [9, 4, 1], [1, 9, 8]],
+                         ids=["peak-at-the-last-sample", "peak-at-sample-0",
+                              "lobe-past-the-end"])
+def test_scan_width_needs_a_half_power_crossing_on_both_sides(gains):
+    with pytest.raises(BeamMeasurementError,
+                       match="half-power level not crossed inside the scan"):
+        scan_width_of(gains)
+
+
+def test_scan_width_interpolates_linearly_where_the_parabola_is_a_line():
+    # 1, 25 and 49 are evenly spaced, so the parabola through the samples
+    # around either crossing has a2 == 0; each crossing of 24.5 lies 0.5/24
+    # of a step outside sample 1 or 3, both at the scan's edge.
+    assert scan_width_of([1, 25, 49, 25, 1]) == pytest.approx(
+        (2 + 1 / 24) * phasedarray._SCAN_STEP, rel=1e-12)
+
+
+def test_scan_width_refines_each_crossing_on_a_parabola():
+    # Half power is 24.5.  Above the peak the crossing lies between samples 4
+    # and 5, on the parabola through samples 3 to 5 (49, 36, 16); below it,
+    # between samples 1 and 2, on the one through samples 0 to 2 (1, 16, 36).
+    upper = 4 + (np.sqrt(16.5 ** 2 + 4 * 3.5 * 11.5) - 16.5) / 7
+    lower = 1 + (np.sqrt(17.5 ** 2 + 4 * 2.5 * 8.5) - 17.5) / 5
+    assert scan_width_of([1, 16, 36, 49, 36, 16, 1]) == pytest.approx(
+        (upper - lower) * phasedarray._SCAN_STEP, rel=1e-12)
 
 
 def test_measure_beamwidth_flat_pattern_raises():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.constants import c as C0
 
 from adradar.errors import ScenarioError
-from adradar.params import SPEED_OF_LIGHT
+from adradar.params import SPEED_OF_LIGHT, WaveformParams
 from adradar.phasedarray import UpaGeometry, steering_upa, wide_beam
 from adradar.scene import (Scenario, backscatter_coefficient, build_scene,
                            dbm_to_watts, frame_truth, frame_truths,
@@ -40,6 +40,16 @@ def test_large_scale_gain_plugin_value():
 def test_large_scale_gain_rejects_bad_range():
     with pytest.raises(ValueError):
         large_scale_gain(0.0, 100.0, 5e-3)
+
+
+def test_large_scale_gain_at_the_float_limits():
+    # r^4 underflows to 0 at 1e-300 m and overflows at 1e300 m.
+    assert large_scale_gain(1e-300, 100.0, 5e-3) == np.inf
+    assert large_scale_gain(1e300, 100.0, 5e-3) == 0.0
+
+
+def test_dbm_to_watts_is_inf_where_the_watts_overflow():
+    assert dbm_to_watts(4000.0) == np.inf  # 10 ** 400
 
 
 def test_backscatter_zero_beta():
@@ -216,6 +226,19 @@ def test_frame_truths_raise_for_the_first_bad_frame(frames, first_bad):
         frame_truths(scene, frames)
     assert str(block.value) == str(one.value)
     assert f"at frame {first_bad}:" in str(block.value)
+
+
+def test_frame_truths_reject_a_negative_frame(default_scene):
+    with pytest.raises(ValueError, match="frame index must be nonnegative"):
+        frame_truths(default_scene, (0, -1))
+
+
+@pytest.mark.parametrize("changes", [{"bandwidth_hz": 5e-324}, {"frame_len": 2 ** 63},
+                                     {"frame_len": 10 ** 400}],
+                         ids=["subnormal-bandwidth", "frame_len-2^63", "frame_len-1e400"])
+def test_a_waveform_needs_a_frame_below_2_63_samples_and_finite_seconds(changes):
+    with pytest.raises(ScenarioError, match=r"past 2\^63 samples or the largest float"):
+        WaveformParams(**changes)
 
 
 def test_backscatter_constant_across_frames(default_scene):
