@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime estimation failure.
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import fields, replace
 
@@ -28,6 +29,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
     def parse_known_args(self, args=None, namespace=None):
+        self._negative_number_matcher = re.compile(r"-\.?\d")  # -1e1 is a value, not a flag
         parsed, extras = super().parse_known_args(args, namespace)
         if extras:
             self.error(f"unrecognized arguments: {' '.join(extras)}")
@@ -88,12 +90,6 @@ def _load(args) -> Scenario:
     return load_scenario(args.scenario) if args.scenario else Scenario()
 
 
-def _experiment(scenario: Scenario, args) -> ExperimentConfig:
-    """The flags' experiment, each unset field taken from ``scenario``."""
-    return ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
-                               if hasattr(args, f.name)}).resolve(scenario)
-
-
 def _emit(text: str, output: str):
     if output == "-":
         sys.stdout.write(text)
@@ -136,7 +132,8 @@ def run_cli(argv) -> int:
             return 0
 
         scenario = _load(args)
-        exp = _experiment(scenario, args)
+        exp = ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(
+            ExperimentConfig) if hasattr(args, f.name)}).resolve(scenario)
         if args.command == "simulate":
             rows = harness.sweep_cpi(scenario, exp, [exp.cpi_s])
         elif args.command == "sweep-framegap":

@@ -25,9 +25,8 @@ from .sequences import (CORR_SEGMENT_LEN, PREAMBLE_LEN, build_preamble,
                         correlation_profile, correlation_segment)
 
 _COND_LIMIT = 1e12
-# Entries of lse_coefficients' design cache.  One entry is the transposed shift
-# matrix, P x rows as complex128, and its P x P Gram matrix: 162 KB for three
-# targets in the default 3374-row window, so about 2.6 MB when full.
+# Entries of lse_coefficients' design cache.  One entry, S^T (P x rows, complex128) and its
+# Gram matrix, is 162 KB for three targets in the default 3374-row window; 2.6 MB in all.
 _DESIGN_CACHE_SIZE = 16
 
 
@@ -88,15 +87,15 @@ def pick_peaks(score, lags, count: int, threshold: float, guard: int) -> list:
     if guard < 0:
         raise ValueError(f"guard must be >= 0, got {guard}")
     score = np.asarray(score, dtype=float)
-    idx = np.flatnonzero(score > threshold)  # nothing else can be picked
+    idx = (score > threshold).nonzero()[0]  # nothing else can be picked
     remaining, cand_lags = score[idx], np.asarray(lags)[idx]
     picks = []
     while len(picks) < count and idx.size:
-        j = int(np.argmax(remaining))
+        j = int(remaining.argmax())
         if remaining[j] == -np.inf:
             break
         picks.append(int(idx[j]))
-        remaining[np.abs(cand_lags - cand_lags[j]) <= guard] = -np.inf
+        remaining[abs(cand_lags - cand_lags[j]) <= guard] = -np.inf
     return picks
 
 
@@ -105,14 +104,13 @@ def estimate_delays(frame: EchoFrame, threshold: float, expected_targets: int,
                     guard: int = Scenario.guard) -> DelayEstimate:
     """Correlation-based multi-target delay estimation on one frame.
 
-    The correlation at lag l is R[l] = sum_k s_c[k] conj(y[m, l + k + 2048]),
-    with s_c the 802.11ad correlation segment, so a target at delay l_p
-    peaks at l = l_p.  The dominant delay is the
-    global argmax of |R|; further targets are local maxima above ``threshold``
-    within ``search_halfwidth`` lags of the dominant, picked by ``pick_peaks``
-    with ``guard`` lags suppressed on both sides of every accepted peak.
-    Exactly ``expected_targets`` peaks are required (perfect-detection
-    assumption).
+    The correlation at lag l is R[l] = sum_k s_c[k] conj(y[m, l + k + 2048]), with
+    s_c the 802.11ad correlation segment, so a target at delay l_p peaks at l = l_p.
+    The dominant delay is the global argmax of |R|; further targets are interior
+    local maxima (at least both neighbours) above ``threshold`` within
+    ``search_halfwidth`` lags of the dominant, picked by ``pick_peaks`` with ``guard``
+    lags suppressed on both sides of every accepted peak.  Exactly
+    ``expected_targets`` peaks are required (perfect-detection assumption).
 
     Raises
     ------
@@ -125,22 +123,21 @@ def estimate_delays(frame: EchoFrame, threshold: float, expected_targets: int,
         raise ValueError("threshold must be positive")
     mag = np.abs(correlation_profile(correlation_segment(build_preamble()),
                                      frame.samples))
-    dom = int(np.argmax(mag))
+    dom = int(mag.argmax())
     if mag[dom] <= threshold:
         raise NoTargetError(
             f"no correlation peak above threshold {threshold:.3e} "
             f"(max {mag[dom]:.3e}) in frame {frame.m}")
 
-    # Candidates: the dominant, then the interior local maxima above threshold
-    # within search_halfwidth of it, tested on those lags only.  pick_peaks
-    # takes the dominant first wherever it stands, as the first maximum.
-    above = np.flatnonzero(mag > threshold)
+    # One mask finds the other candidates; pick_peaks takes the dominant first.
     lo = max(dom - search_halfwidth, 1)
     hi = min(dom + search_halfwidth, len(mag) - 2)
-    inner = above[np.searchsorted(above, lo):np.searchsorted(above, hi, "right")]
-    peak = mag[inner]
-    inner = inner[(peak >= mag[inner - 1]) & (peak >= mag[inner + 1]) & (inner != dom)]
-    cand = np.concatenate(([dom], inner))
+    window = mag[lo - 1:hi + 2]
+    peak = window[1:-1]
+    local = (peak > threshold) & (peak >= window[:-2]) & (peak >= window[2:])
+    if lo <= dom <= hi:
+        local[dom - lo] = False
+    cand = np.concatenate(([dom], lo + local.nonzero()[0]))
     accepted = sorted(cand[pick_peaks(mag[cand], cand, expected_targets,
                                       threshold, guard)].tolist())
     if len(accepted) != expected_targets:
@@ -188,16 +185,16 @@ def lse_coefficients(frame: EchoFrame, delays, tx_power: float) -> np.ndarray:
         If the normal equations are ill-conditioned (cond >= 1e12); the
         message names the most correlated delay pair.
     """
-    rows = PREAMBLE_LEN + int(delays[-1] - delays[0])
+    offsets = np.subtract(delays, delays[0]).tolist()
+    rows = PREAMBLE_LEN + offsets[-1]
     start = int(delays[0]) - frame.k_start
     if start < 0 or start + rows > len(frame.samples):
         raise LseWindowError(
             f"frame {frame.m}: LSE window [{int(delays[0])}, "
             f"{int(delays[0]) + rows}) outside the frame's samples "
             f"[{frame.k_start}, {frame.k_start + len(frame.samples)})")
-    st, gram = _shift_design(tuple(int(d - delays[0]) for d in delays), rows)
-    y = frame.samples[start:start + rows]
-    return np.linalg.solve(gram, st @ y) / np.sqrt(tx_power)
+    st, gram = _shift_design(tuple(offsets), rows)
+    return np.linalg.solve(gram, st @ frame.samples[start:start + rows]) / np.sqrt(tx_power)
 
 
 def _checked_gram(shift_matrix: np.ndarray) -> np.ndarray:
@@ -248,9 +245,10 @@ def denominator_inverse(l_0: int, m: int, frame_len: int,
 def raw_doppler(h_md, h, d_md: float):
     """Wrapped Doppler estimates (scalar or array): angle(h_md / h) * D_md,
     angle in [-pi, pi]."""
-    if np.any(h == 0):
+    if (np.asarray(h) == 0).any():
         raise ZeroCoefficientError("frame-0 coefficient is zero")
-    return np.angle(h_md / h) * d_md
+    ratio = h_md / h
+    return np.arctan2(ratio.imag, ratio.real) * d_md  # np.angle, without its wrapper
 
 
 def wrap_count(nu_md, nu_mi, d_md: float, d_mi: float):

@@ -33,7 +33,7 @@ from .errors import AggregationError, EstimationError, ScenarioError
 from .estimator import PipelineConfig, detection_threshold, run_pipeline
 from .scene import (Scenario, Scene, build_scene, check_db, draw_betas,
                     frame_truth, frame_truths, scene_backscatter)
-from .sequences import build_preamble, correlation_profile, correlation_segment
+from .sequences import PREAMBLE_LEN, build_preamble, correlation_profile, correlation_segment
 
 _STREAM_NOISE = 0
 _STREAM_BETA = 1
@@ -231,8 +231,8 @@ def _run_trial(exp: ExperimentConfig, trial: int, scene: Scene, echo, block,
                 res = run_pipeline(frames, scene.wf, scene.source_velocity,
                                    scene.tx_power, cfg)
                 velocities = res.velocities
-                wraps = tuple(int(n) for n in res.doppler.wrap_count)
-                delays = tuple(int(d) for d in res.delays[0].delays)
+                wraps = tuple(res.doppler.wrap_count.tolist())
+                delays = tuple(res.delays[0].delays.tolist())
             else:
                 profile0 = correlation_profile(s_c, frames[0].samples)
                 window = map_window(frames[0], profile0)
@@ -241,11 +241,10 @@ def _run_trial(exp: ExperimentConfig, trial: int, scene: Scene, echo, block,
                     block(start, window.k_start, window.samples.shape[-1]),
                     scene.noise_clutter_var, map_rng)
                     for start in range(1, m_count, _MAP_BLOCK)))
-                ddm = delay_doppler_map(blocks, scene.wf.frame_period)
                 velocities = baseline_velocities(
-                    ddm, scene.source_velocity, scene.wf.wavelength,
-                    cfg.expected_targets, cfg.threshold, guard=cfg.guard)
-            estimates[name] = tuple(float(v) for v in velocities)
+                    delay_doppler_map(blocks, scene.wf.frame_period), scene.source_velocity,
+                    scene.wf.wavelength, cfg.expected_targets, cfg.threshold, guard=cfg.guard)
+            estimates[name] = tuple(velocities.tolist())
         except EstimationError as exc:
             failures[name] = f"{type(exc).__name__}: {exc}"
     return TrialRecord(trial=trial, seed=exp.seed, true_velocities=true_v,
@@ -268,14 +267,20 @@ def _worker_count() -> int:
 def run_experiment(scenario: Scenario, exp: ExperimentConfig):
     """Run all trials of one experiment; results are in trial order.
 
-    With more than one worker, each worker runs one run of consecutive
-    trials, the runs as even as the trial count allows, and builds the
-    noiseless frames its run needs.
+    With more than one worker, each worker runs one run of consecutive trials, the
+    runs as even as the trial count allows, and builds the noiseless frames its run
+    needs.  First, a ScenarioError names a delay spread too long for frame 0, m_i or m_d.
     """
     exp = exp.resolve(scenario)
     workers = min(_worker_count(), exp.trials)
     scene = build_scene(scenario, p_tx_dbm=exp.p_tx_dbm)
     pinned = (scene, scene_backscatter(scene))
+    _, m_d, m_i = _frame_indices(scene.wf, exp)
+    for truth in frame_truths(scene, (0, m_i, m_d), pinned[1]):
+        spread = int(truth.delay_samples[-1] - truth.delay_samples[0])
+        if spread + PREAMBLE_LEN > scene.wf.frame_len:
+            raise ScenarioError(f"delay spread {spread} + preamble {PREAMBLE_LEN} > frame_len "
+                                f"{scene.wf.frame_len} samples at frame {truth.frame}")
     if workers == 1:
         return _run_trials(scenario, exp, range(exp.trials), pinned)
     bounds = [exp.trials * w // workers for w in range(workers + 1)]

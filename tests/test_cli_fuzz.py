@@ -27,7 +27,7 @@ within these bounds, which keep one run to a few MB and well under a second:
 - ``n_beams`` from -1 to 6;
 - ``target_ranges_m`` from 1e-3 to 300 m (echoes within 8,000 samples of
   each other), or an extreme value, which makes a gain or a delay that no
-  scene can use;
+  scene can use, or 1e7 m, whose delay spread no frame holds;
 - target and source velocities within 1e3 m/s, or an extreme value, which
   moves a target by at least 1e288 m a frame or by none.
 """
@@ -97,7 +97,7 @@ SCALARS = {
 }
 TARGETS = {
     "target_velocities_mps": floats(-1e3, 1e3),
-    "target_ranges_m": floats(1e-3, 300.0, 1e-50, 1e50),
+    "target_ranges_m": floats(1e-3, 300.0, 1e-50, 1e50, 1e7),
     "target_azimuths_rad": floats(-2.0, 2.0),
     "target_elevations_rad": floats(-2.0, 2.0),
 }
@@ -133,13 +133,15 @@ def scenarios(draw) -> dict:
 
 @st.composite
 def flags(draw) -> list:
-    """Optional simulate flags, rarely with a value that does not parse."""
+    """Optional simulate flags, as ``--flag value`` or ``--flag=value``, rarely
+    with a value that does not parse."""
     argv = []
     for flag, key in (("--p-tx-dbm", "p_tx_dbm"), ("--seed", "seed"),
                       ("--mi-offset", "m_i_offset")):
-        if draw(st.booleans()):  # --flag=value: argparse reads "-1e+300" as a flag
-            argv.append(f"{flag}=" + (draw(st.sampled_from(["abc", "", "1e", "0x10", "2.5"]))
-                                      if rarely(draw) else repr(draw(SCALARS[key]))))
+        if draw(st.booleans()):
+            value = (draw(st.sampled_from(["abc", "", "1e", "0x10", "2.5"]))
+                     if rarely(draw) else repr(draw(SCALARS[key])))
+            argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
     if draw(st.booleans()):
         argv += ["--estimator", draw(st.sampled_from(["proposed", "baseline", "both"]))
                  if not rarely(draw) else "dense"]
@@ -161,14 +163,18 @@ def run_simulate(scenario: dict, argv: list):
         return code, err.getvalue(), out.read_text() if out.exists() else None
 
 
-# Four hand probes that once ended in a traceback or a garbled message, then a
-# run that passes.
+# Four hand probes that once ended in a traceback or a garbled message, a
+# delay spread that would make frame 0 1.9 GB, a guard past int64, a negative
+# flag value in exponent form, then a run that passes.
 @settings(max_examples=120, deadline=None)
 @given(scenario=scenarios(), argv=flags())
 @example(scenario={"rcs_dbsm": 4000}, argv=[])
 @example(scenario={"target_ranges_m": [1e-300, 15.7, 17.9]}, argv=[])
 @example(scenario={"target_ranges_m": [1e300] * 3}, argv=[])
 @example(scenario={"target_velocities_mps": [1e300, 24.949, 21.806]}, argv=[])
+@example(scenario={"target_ranges_m": [14.0, 15.7, 1e7]}, argv=[])
+@example(scenario={"guard": 2**100}, argv=[])
+@example(scenario={}, argv=["--p-tx-dbm", "-1e+300"])
 @example(scenario={}, argv=["--estimator", "both"])
 def test_any_scenario_and_flags_end_in_one_of_three_outcomes(scenario, argv):
     code, err, output = run_simulate(scenario, argv)

@@ -14,7 +14,8 @@ from adradar.estimator import (PipelineConfig, build_shift_matrix,
                                raw_doppler, refine_doppler,
                                run_pipeline, velocity_from_doppler, wrap_count)
 from adradar.params import WaveformParams
-from adradar.scene import Scenario, build_scene, frame_truth, scene_backscatter
+from adradar.scene import (Scenario, build_scene, draw_betas, frame_truth,
+                           scene_backscatter)
 
 TS = 1 / 1.76e9
 K = 13632
@@ -118,6 +119,8 @@ def test_pick_peaks_rejects_a_negative_guard():
     # A negative guard suppresses nothing, not even the pick itself, so the
     # same entry would come back every time.
     assert pick_peaks([1, 5, 2, 4], range(4), 3, 0.5, 0) == [1, 3, 2]
+    # A guard past int64, which a scenario may set, suppresses everything.
+    assert pick_peaks([1, 5, 2, 4], range(4), 3, 0.5, 2**100) == [1]
     with pytest.raises(ValueError, match="guard"):
         pick_peaks([1, 5, 2, 4], range(4), 3, 0.5, -5)
 
@@ -172,8 +175,8 @@ def magnitude_profiles(draw):
 @given(mag=magnitude_profiles(), threshold=st.sampled_from([0.5, 1.0, 2.5, 6.0]),
        count=st.integers(1, 6), search_halfwidth=st.sampled_from([0, 1, 3, 40, 1024]),
        guard=st.sampled_from([0, 1, 2, 8]))
-def test_sparse_candidates_pick_what_the_dense_masks_pick(mag, threshold, count,
-                                                          search_halfwidth, guard):
+def test_window_mask_picks_what_the_dense_masks_pick(mag, threshold, count,
+                                                     search_halfwidth, guard):
     frame = EchoFrame(m=0, k_start=2100, samples=np.zeros(len(mag) + 511))
     if mag.max() <= threshold:
         return  # NoTargetError comes before the candidate rule
@@ -183,18 +186,49 @@ def test_sparse_candidates_pick_what_the_dense_masks_pick(mag, threshold, count,
                                           search_halfwidth, guard)
 
 
-@pytest.mark.parametrize("p_tx_dbm", [10.0, 20.0, 30.0])
-def test_sparse_candidates_on_the_default_scene(s_c, p_tx_dbm):
-    # At 30 dBm the STF sidelobes put hundreds of lags above threshold.
-    scene = build_scene(Scenario(), p_tx_dbm=p_tx_dbm)
-    frame = with_noise(synthesize_frame(scene, frame_truth(scene, 0)),
-                       scene.noise_clutter_var, np.random.default_rng([1, 0, 0, 0]))
+@pytest.mark.parametrize("beta_mode, p_tx_dbm", [
+    ("fixed", 10.0), ("fixed", 20.0), ("fixed", 30.0), ("fixed", 40.0), ("fixed", 60.0),
+    ("rayleigh", 20.0)], ids=["10.0", "20.0", "30.0", "40.0", "60.0", "rayleigh-20.0"])
+def test_window_mask_on_the_default_scene(s_c, beta_mode, p_tx_dbm):
+    # From 30 dBm up the STF sidelobes put hundreds of lags above threshold.
+    scenario = Scenario(beta_mode=beta_mode)
+    scene = build_scene(scenario, p_tx_dbm=p_tx_dbm)
+    betas = (draw_betas(scenario, np.random.default_rng([1, 0, 1]))
+             if beta_mode == "rayleigh" else None)
+    frame = with_noise(synthesize_frame(scene, frame_truth(scene, 0, scene_backscatter(
+        scene, betas))), scene.noise_clutter_var, np.random.default_rng([1, 0, 0, 0]))
     threshold = detection_threshold(scene.noise_clutter_var)
     mag = np.abs(estimator.correlation_profile(s_c, frame.samples))
-    if p_tx_dbm == 30.0:
+    if p_tx_dbm >= 30.0:
         assert np.count_nonzero(mag > threshold) > 300
     assert_picks_match_the_dense_rule(frame, mag, threshold, 3,
                                       Scenario.search_halfwidth, Scenario.guard)
+
+
+# |R| whose dominant, at lag 20, has search_halfwidth 5 lags on each side: a
+# peak on each edge of that window (15 and 25), a plateau of two equal local
+# maxima (17 and 18), and a higher peak one lag past each edge (13 and 27).
+EDGE_PROFILE = np.zeros(41)
+EDGE_PROFILE[[13, 15, 17, 18, 20, 25, 27]] = [9.0, 3.0, 2.0, 2.0, 10.0, 4.0, 9.0]
+
+
+def test_the_window_mask_reaches_both_edges_and_keeps_plateaus():
+    frame = EchoFrame(m=0, k_start=2100, samples=np.zeros(len(EDGE_PROFILE) + 511))
+    seen = []
+
+    def recording_pick_peaks(score, lags, *args):
+        seen.append(np.asarray(lags).tolist())
+        return pick_peaks(score, lags, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimator, "correlation_profile", lambda s_c, window: EDGE_PROFILE)
+        mp.setattr(estimator, "pick_peaks", recording_pick_peaks)
+        got = estimate_delays(frame, threshold=1.0, expected_targets=5,
+                              search_halfwidth=5, guard=0)
+    # Each candidate once, the dominant first: lags 13 and 27 are out of reach.
+    assert seen == [[20, 15, 17, 18, 25]]
+    assert (got.delays - frame.first_lag).tolist() == [15, 17, 18, 20, 25]
+    assert got.correlation_peak.tolist() == [3.0, 2.0, 2.0, 10.0, 4.0]
 
 
 def test_scale_invariance(default_scene):

@@ -1150,6 +1150,69 @@ def test_cli_a_quantity_past_the_float_range_is_config_error(tmp_path, capsys, s
     assert not out.exists()
 
 
+# A frame holds its echo when the last delay minus the first, plus the 3328-sample
+# preamble, is at most frame_len = 13632 samples: a spread of up to 10304
+# samples, which the second target reaches at 891.5 m.  Receding at 3000 m/s,
+# it passes that by frame m_i = 18 of the 0.2 ms CPI; at 1e7 m, frame 0 alone
+# would span 117 M samples.
+TWO_TARGETS = {"target_velocities_mps": [20.279, 21.806], "target_ranges_m": [14.0, 891.5],
+               "target_azimuths_rad": [0.0, 0.1], "target_elevations_rad": [0.0, 0.0]}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scenario, message", [
+    ({"target_ranges_m": [14.0, 15.7, 1e7]},
+     "delay spread 117414398 + preamble 3328 > frame_len 13632 samples at frame 0"),
+    (dict(TWO_TARGETS, target_ranges_m=[14.0, 891.6]),
+     "delay spread 10305 + preamble 3328 > frame_len 13632 samples at frame 0"),
+    (dict(TWO_TARGETS, target_velocities_mps=[20.279, 3000.0]),
+     "delay spread 10308 + preamble 3328 > frame_len 13632 samples at frame 18"),
+], ids=["far-target", "one-sample-past", "receding-past-by-m_i"])
+@pytest.mark.parametrize("command", [["simulate"], ["sweep-framegap", "--gaps", "6"]],
+                         ids=["simulate", "sweep-framegap"])
+def test_cli_a_delay_spread_no_frame_holds_is_config_error_before_any_trial(
+        monkeypatch, tmp_path, capsys, scenario, message, command):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(adradar.harness, "_run_trials", no_trials)
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "x.csv"
+    assert run_cli(command + ["--scenario", str(path), "--trials", "2", "--cpi", "2e-4",
+                              "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"adradar: config error: {message}\n"
+    assert not out.exists()
+
+
+def test_a_delay_spread_that_just_fits_reaches_the_trials():
+    # The far target lies beyond search_halfwidth of the near one, so the trial
+    # fails, but as an estimate, not as a configuration.
+    scenario = Scenario(**{key: tuple(values) for key, values in TWO_TARGETS.items()})
+    record, = run_experiment(scenario, ExperimentConfig(cpi_s=2e-4, trials=1))
+    assert not record.estimates and set(record.failures) == {"proposed"}
+
+
+# argparse reads an argument that starts with "-" as a flag unless it matches
+# its own negative-number pattern, which has no exponent form.
+@pytest.mark.parametrize("command, flag, extra", [
+    ("simulate", "--p-tx-dbm", ["--cpi", "2e-4"]),
+    ("sweep-framegap", "--p-tx-dbm", ["--cpi", "2e-4", "--gaps", "3"]),
+    ("sweep-cpi", "--p-tx-grid", ["--cpis", "2e-4"]),
+])
+def test_cli_reads_a_negative_number_in_exponent_form(tmp_path, command, flag, extra):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"noise_density_dbm_hz": -200.0}))  # -10 dBm still detects
+    texts = []
+    for value in ("-10", "-1e1", "-1.0E+1"):
+        out = tmp_path / f"{value}.csv"
+        assert run_cli([command, "--scenario", str(path), "--trials", "2", flag, value,
+                        *extra, "--output", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1] == texts[2]
+    assert ",-10," in texts[0]
+
+
 # At 1e-300 m/s, an estimate off by more than about 1e-146 m/s has a squared
 # relative error past the largest float.
 @pytest.mark.filterwarnings("error")
