@@ -25,11 +25,11 @@ def main():
     frames = {}
     for m in range(m_count):
         rng = np.random.default_rng([scenario.seed, 0, 0, m])
-        frames[m] = with_noise(synthesize_frame(scene, frame_truth(scene, m, h)),
+        frames[m] = with_noise(synthesize_frame(scene, frame_truth(scene, m), h),
                                scene.noise_clutter_var, rng)
 
     # The map reads every frame over the lags 40 either side of the targets.
-    truth = frame_truth(scene, 0, h)
+    truth = frame_truth(scene, 0)
     lo, hi = truth.delay_samples[0] - 40, truth.delay_samples[-1] + 40
     ddm = delay_doppler_map([f.cut_to_lags(lo, hi) for f in frames.values()],
                             wf.frame_period)

@@ -23,14 +23,14 @@ def main():
           f"m_d = {m_d}, m_i = {m_i}")
 
     h = scene_backscatter(scene)
-    frames = {m: synthesize_frame(scene, frame_truth(scene, m, h))
+    frames = {m: synthesize_frame(scene, frame_truth(scene, m), h)
               for m in (0, m_i, m_d)}
     cfg = PipelineConfig(m_d=m_d, m_i=m_i,
                          threshold=detection_threshold(scene.noise_clutter_var),
                          expected_targets=scenario.num_targets)
     res = run_pipeline(frames, wf, scene.source_velocity, scene.tx_power, cfg)
 
-    truth = frame_truth(scene, 0, h)
+    truth = frame_truth(scene, 0)
     print("\ndetected delays (frame 0):", res.delays[0].delays.tolist(),
           " true:", truth.delay_samples.tolist())
     print("\n target   true nu (Hz)   raw nu (Hz)   wraps   refined (Hz)   "

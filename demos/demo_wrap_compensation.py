@@ -32,7 +32,7 @@ def main():
                        target_elevations_rad=(0.0,))
         scene = build_scene(scn)
         h = scene_backscatter(scene)
-        frames = {m: synthesize_frame(scene, frame_truth(scene, m, h))
+        frames = {m: synthesize_frame(scene, frame_truth(scene, m), h)
                   for m in (0, m_i, m_d)}
         cfg = PipelineConfig(m_d=m_d, m_i=m_i, threshold=1e-9, expected_targets=1)
         res = run_pipeline(frames, wf, scene.source_velocity,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScenarioError
-from .scene import FrameTruth, Scene
+from .scene import FrameTruth, Scene, scene_backscatter
 from .sequences import CORR_SEGMENT_LEN, CORR_SEGMENT_OFFSET, PREAMBLE_LEN
 
 
@@ -63,10 +63,10 @@ class EchoFrame:
                          samples=self.samples[..., first:stop])
 
 
-def synthesize_window(scene: Scene, truths, k_start: int, n: int) -> EchoFrame:
-    """Noiseless echo of consecutive frames of one scene over samples
-    [k_start, k_start + n): an ``EchoFrame`` block whose row r is, bit for bit,
-    frame ``truths[r].frame`` synthesized whole there, and 0 past its echo.
+def synthesize_window(scene: Scene, h, truths, k_start: int, n: int) -> EchoFrame:
+    """Noiseless echo of consecutive frames of one scene with the CPI's gains ``h``
+    over samples [k_start, k_start + n): an ``EchoFrame`` block whose row r is,
+    bit for bit, frame ``truths[r].frame`` synthesized whole there, and 0 past its echo.
     Rows whose delays agree take each target's copy in one broadcast product.
     """
     amp, ts, big_k = np.sqrt(scene.tx_power), scene.wf.sample_period, scene.wf.frame_len
@@ -75,15 +75,14 @@ def synthesize_window(scene: Scene, truths, k_start: int, n: int) -> EchoFrame:
     for delays, run in itertools.groupby(truths, lambda t: t.delay_samples.tolist()):
         run = list(run)
         rows = samples[run[0].frame - first.frame:run[-1].frame - first.frame + 1]
-        for h, nu, ell, pre in zip(first.backscatter, scene.doppler_hz, delays,
-                                   scene.rotated_preamble):
+        for h_p, nu, ell, pre in zip(h, scene.doppler_hz, delays, scene.rotated_preamble):
             lo, hi = max(ell, k_start), min(ell + PREAMBLE_LEN, k_start + n)
             if lo >= hi:
                 continue
             # Phase at sample k = ell + i splits into a per-frame scalar at
             # the echo's first sample and the CPI-constant rotation over i.
             phases = [2.0 * np.pi * nu * (ell + t.frame * big_k) * ts for t in run]
-            coef = np.array([amp * h * np.exp(1j * phase) for phase in phases])
+            coef = np.array([amp * h_p * np.exp(1j * phase) for phase in phases])
             # numpy multiplies a (1, 1) product in its scalar loop, which
             # rounds apart from a whole frame's vector loop; one row stays 1-D.
             coef = coef[:, None] if len(run) > 1 else coef
@@ -91,14 +90,16 @@ def synthesize_window(scene: Scene, truths, k_start: int, n: int) -> EchoFrame:
     return EchoFrame(m=first.frame, k_start=k_start, samples=samples)
 
 
-def synthesize_frame(scene: Scene, truth: FrameTruth) -> EchoFrame:
-    """The noiseless echo of frame ``truth.frame``: a delayed, Doppler-rotated
-    copy of the 802.11ad preamble per target.  ``with_noise`` adds its noise.
+def synthesize_frame(scene: Scene, truth: FrameTruth, h=None) -> EchoFrame:
+    """The noiseless echo of frame ``truth.frame`` with gains ``h`` (default: the
+    pinned ones): a delayed, Doppler-rotated copy of the 802.11ad preamble per
+    target.  ``with_noise`` adds its noise.
     """
     delays = truth.delay_samples.tolist()
     if not all(delays[0] <= ell <= delays[-1] for ell in delays):
         raise ScenarioError(f"delay outside representable window at frame {truth.frame}")
-    block = synthesize_window(scene, [truth], delays[0],
+    h = scene_backscatter(scene) if h is None else h
+    block = synthesize_window(scene, h, [truth], delays[0],
                               PREAMBLE_LEN + delays[-1] - delays[0])
     return EchoFrame(m=truth.frame, k_start=block.k_start, samples=block.samples[0])
 

@@ -156,7 +156,7 @@ def _frame_indices(wf, exp: ExperimentConfig):
 
 def _noiseless_frame(scene, h, m):
     """The read-only noiseless frame m of ``scene``."""
-    echo = synthesize_frame(scene, frame_truth(scene, m, h))
+    echo = synthesize_frame(scene, frame_truth(scene, m), h)
     echo.samples.flags.writeable = False
     return echo
 
@@ -164,30 +164,23 @@ def _noiseless_frame(scene, h, m):
 def _noiseless_block(scene, h, m_count, start, k_start, n):
     """The read-only noiseless map block of ``scene`` from frame ``start``
     over samples [k_start, k_start + n)."""
-    truths = frame_truths(scene, range(start, min(start + _MAP_BLOCK, m_count)), h)
-    block = synthesize_window(scene, truths, k_start, n)
+    truths = frame_truths(scene, range(start, min(start + _MAP_BLOCK, m_count)))
+    block = synthesize_window(scene, h, truths, k_start, n)
     block.samples.flags.writeable = False
     return block
 
 
-def _run_trials(scenario: Scenario, exp: ExperimentConfig, trials,
-                pinned) -> list:
+def _run_trials(scenario: Scenario, exp: ExperimentConfig, trials, point) -> list:
     """Records of consecutive ``trials`` of a resolved experiment, in order.
 
-    ``pinned`` is the experiment's one scene and its pinned-gain h.  A
-    fixed-gain run builds each noiseless frame once, and each map block once
-    for consecutive trials with one map window; a Rayleigh trial builds its
-    own frames and blocks from its own gains, which enter only its h.
+    ``point`` is the experiment's one scene, its pinned-gain h and its
+    pipeline configuration.  A fixed-gain run builds each noiseless frame
+    once, and each map block once for consecutive trials with one map
+    window; a Rayleigh trial builds its own frames and blocks from its own
+    gains, which enter only its h.
     """
-    scene, h = pinned
-    m_count, m_d, m_i = _frame_indices(scene.wf, exp)
-    threshold = float(detection_threshold(scene.noise_clutter_var)) * scenario.threshold_scale
-    if threshold == np.inf:
-        raise ScenarioError("threshold_scale makes the detection threshold overflow")
-    cfg = PipelineConfig(m_d=m_d, m_i=m_i, threshold=threshold,
-                         expected_targets=scenario.num_targets,
-                         search_halfwidth=scenario.search_halfwidth,
-                         guard=scenario.guard)
+    scene, h, cfg = point
+    m_count = cfg.m_d + 1
     true_v = tuple(scene.velocities.tolist())
     echo = functools.cache(functools.partial(_noiseless_frame, scene, h))
     block = functools.lru_cache(maxsize=-(-(m_count - 1) // _MAP_BLOCK))(
@@ -269,26 +262,33 @@ def run_experiment(scenario: Scenario, exp: ExperimentConfig):
 
     With more than one worker, each worker runs one run of consecutive trials, the
     runs as even as the trial count allows, and builds the noiseless frames its run
-    needs.  First, a ScenarioError names a delay spread too long for frame 0, m_i or m_d.
-    """
+    needs.  First, a ScenarioError names a delay spread too long for frame 0, m_i or
+    m_d, or an overflowing detection threshold."""
     exp = exp.resolve(scenario)
     workers = min(_worker_count(), exp.trials)
     scene = build_scene(scenario, p_tx_dbm=exp.p_tx_dbm)
-    pinned = (scene, scene_backscatter(scene))
+    h = scene_backscatter(scene)
     _, m_d, m_i = _frame_indices(scene.wf, exp)
-    for truth in frame_truths(scene, (0, m_i, m_d), pinned[1]):
+    for truth in frame_truths(scene, (0, m_i, m_d)):
         spread = int(truth.delay_samples[-1] - truth.delay_samples[0])
         if spread + PREAMBLE_LEN > scene.wf.frame_len:
             raise ScenarioError(f"delay spread {spread} + preamble {PREAMBLE_LEN} > frame_len "
                                 f"{scene.wf.frame_len} samples at frame {truth.frame}")
+    threshold = float(detection_threshold(scene.noise_clutter_var)) * scenario.threshold_scale
+    if threshold == np.inf:
+        raise ScenarioError("threshold_scale makes the detection threshold overflow")
+    point = (scene, h, PipelineConfig(m_d=m_d, m_i=m_i, threshold=threshold,
+                                      expected_targets=scenario.num_targets,
+                                      search_halfwidth=scenario.search_halfwidth,
+                                      guard=scenario.guard))
     if workers == 1:
-        return _run_trials(scenario, exp, range(exp.trials), pinned)
+        return _run_trials(scenario, exp, range(exp.trials), point)
     bounds = [exp.trials * w // workers for w in range(workers + 1)]
     trial_runs = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         runs = pool.map(_run_trials, [scenario] * workers, [exp] * workers,
-                        trial_runs, [pinned] * workers)
+                        trial_runs, [point] * workers)
         return [record for run in runs for record in run]
 
 

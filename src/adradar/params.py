@@ -60,4 +60,6 @@ class WaveformParams:
         if cpi_s < 2 * self.frame_period:
             raise ValueError(f"CPI {cpi_s} s shorter than two frames "
                              f"({2 * self.frame_period:.3e} s)")
+        if not cpi_s / self.frame_period < 2.0 ** 63:
+            raise ValueError(f"CPI {cpi_s} s holds 2^63 frames or more")
         return int(cpi_s / self.frame_period)

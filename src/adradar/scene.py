@@ -3,8 +3,8 @@
 A scene fixes the source vehicle, the target vehicles as per-target arrays
 (sorted by round-trip delay) with their Doppler, the waveform, the designed
 beam, and the clutter-plus-noise variance, but no small-scale gains:
-``scene_backscatter`` takes each CPI's.  Per-frame truth (integer delay,
-backscatter coefficient) is derived under a constant-velocity model.
+``scene_backscatter`` takes each CPI's.  Per-frame truth (integer delays)
+is derived under a constant-velocity model.
 """
 
 import functools
@@ -89,7 +89,6 @@ class FrameTruth:
 
     frame: int
     delay_samples: np.ndarray  # l_p^m, integer
-    backscatter: np.ndarray    # h_p, complex
 
 
 def _power(base: float, exponent: float) -> float:
@@ -141,17 +140,16 @@ def scene_backscatter(scene: Scene, betas=None) -> np.ndarray:
             scene.ranges.tolist(), scene.azimuths.tolist(), scene.elevations.tolist(), betas)])
 
 
-def frame_truth(scene: Scene, m: int, backscatter: np.ndarray = None) -> FrameTruth:
-    """Integer delay and backscatter of every target at frame m.
+def frame_truth(scene: Scene, m: int) -> FrameTruth:
+    """Integer delay of every target at frame m.
 
     Constant-velocity model: r_p(t) = r_p(0) + (V_p - V_s)*t, rounded to whole
-    sample delays.  ``backscatter`` short-circuits the h_p computation with
-    a precomputed ``scene_backscatter`` result (h_p is frame-independent).
+    sample delays.  The gains h_p are constant over the CPI, so no truth holds them.
     """
-    return frame_truths(scene, (m,), backscatter)[0]
+    return frame_truths(scene, (m,))[0]
 
 
-def frame_truths(scene: Scene, frames, backscatter: np.ndarray = None) -> list:
+def frame_truths(scene: Scene, frames) -> list:
     """``frame_truth`` of each frame of the sequence ``frames``, all delays from
     one ``np.rint``; raises ``frame_truth``'s error for the first bad frame."""
     if min(frames) < 0:
@@ -173,9 +171,7 @@ def frame_truths(scene: Scene, frames, backscatter: np.ndarray = None) -> list:
         what = ("delays collide after rounding" if len(set(delays[i].tolist()))
                 < delays.shape[1] else "delay ordering violated")
         raise ScenarioError(f"{what} at frame {frames[i]}: {delays[i]}")
-    h = scene_backscatter(scene) if backscatter is None else backscatter
-    return [FrameTruth(frame=m, delay_samples=d, backscatter=h)
-            for m, d in zip(frames.tolist(), delays)]
+    return [FrameTruth(frame=m, delay_samples=d) for m, d in zip(frames.tolist(), delays)]
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +253,8 @@ class Scenario:
             raise ScenarioError("threshold_scale must be positive")
         if self.seed < 0:
             raise ScenarioError(f"seed must be >= 0, got {self.seed}")
+        if self.nx_tx * self.ny_tx > 1024:  # the beam scan: 3141 x 1024 complex, 51 MB
+            raise ScenarioError(f"nx_tx {self.nx_tx} * ny_tx {self.ny_tx} > 1024 elements")
         self.waveform()  # raises ScenarioError on bad waveform numbers
 
     @property

@@ -25,7 +25,7 @@ def synth_cpi(scene, cpi_s, noiseless=True, seed=5):
     h = scene_backscatter(scene)
     frames = []
     for m in range(m_count):
-        frame = synthesize_frame(scene, frame_truth(scene, m, h))
+        frame = synthesize_frame(scene, frame_truth(scene, m), h)
         if not noiseless:
             frame = with_noise(frame, scene.noise_clutter_var,
                                np.random.default_rng([seed, m]))
@@ -177,7 +177,7 @@ def test_the_map_of_frame_blocks_equals_the_map_of_single_frames(default_scene,
     # M - 1 = 11, 24, 63 and 128 frames after frame 0, in blocks of every
     # size, all cut to one window as the harness streams them.
     h = scene_backscatter(default_scene)
-    frames = [with_noise(synthesize_frame(default_scene, frame_truth(default_scene, m, h)),
+    frames = [with_noise(synthesize_frame(default_scene, frame_truth(default_scene, m), h),
                          default_scene.noise_clutter_var, np.random.default_rng([5, m]))
               for m in range(m_count)]
     first = frames[0].first_lag

@@ -23,7 +23,8 @@ within these bounds, which keep one run to a few MB and well under a second:
 - ``bandwidth_hz`` at most 4e9 Hz (at most 240 frames in the 0.2 ms CPI),
   or nonpositive, or at most 1e-300 Hz;
 - ``frame_len`` any int (below 3328 is an error; longer frames are fewer);
-- ``nx_tx`` from -1 to 16 and ``ny_tx`` from -1 to 4 (at most 64 elements);
+- ``nx_tx`` from -1 to 16 and ``ny_tx`` from -1 to 4 (at most 64 elements;
+  a scenario allows 1,024);
 - ``n_beams`` from -1 to 6;
 - ``target_ranges_m`` from 1e-3 to 300 m (echoes within 8,000 samples of
   each other), or an extreme value, which makes a gain or a delay that no
@@ -165,7 +166,8 @@ def run_simulate(scenario: dict, argv: list):
 
 # Four hand probes that once ended in a traceback or a garbled message, a
 # delay spread that would make frame 0 1.9 GB, a guard past int64, a negative
-# flag value in exponent form, then a run that passes.
+# flag value in exponent form, two CPIs of 2^63 frames or more (the later
+# ``--cpi`` wins), an array past 32 x 32 elements, then a run that passes.
 @settings(max_examples=120, deadline=None)
 @given(scenario=scenarios(), argv=flags())
 @example(scenario={"rcs_dbsm": 4000}, argv=[])
@@ -175,6 +177,9 @@ def run_simulate(scenario: dict, argv: list):
 @example(scenario={"target_ranges_m": [14.0, 15.7, 1e7]}, argv=[])
 @example(scenario={"guard": 2**100}, argv=[])
 @example(scenario={}, argv=["--p-tx-dbm", "-1e+300"])
+@example(scenario={}, argv=["--cpi", "1e300"])
+@example(scenario={"bandwidth_hz": 1e30}, argv=[])
+@example(scenario={"nx_tx": 1025, "ny_tx": 1}, argv=[])
 @example(scenario={}, argv=["--estimator", "both"])
 def test_any_scenario_and_flags_end_in_one_of_three_outcomes(scenario, argv):
     code, err, output = run_simulate(scenario, argv)

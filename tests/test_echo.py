@@ -22,7 +22,7 @@ def test_pure_shift_no_doppler(preamble):
     scene = single_target_scene(velocity=25.271)  # zero Doppler
     truth = frame_truth(scene, 0)
     frame = synthesize_frame(scene, truth)
-    h = truth.backscatter[0]
+    h = scene_backscatter(scene)[0]
     amp = np.sqrt(scene.tx_power)
     expected = amp * h * preamble
     assert frame.k_start == truth.delay_samples[0]
@@ -91,7 +91,7 @@ def per_sample_echo(scene, truth, preamble_samples):
     k = k_start + np.arange(n)
     ts = scene.wf.sample_period
     samples = np.zeros(n, dtype=complex)
-    for h, nu, ell in zip(truth.backscatter, scene.doppler_hz, delays):
+    for h, nu, ell in zip(scene_backscatter(scene), scene.doppler_hz, delays):
         idx = k - int(ell)
         occupied = (idx >= 0) & (idx < k_pre)
         phase = 2.0 * np.pi * nu * (k[occupied] + m * scene.wf.frame_len) * ts
@@ -256,13 +256,13 @@ def test_a_window_block_is_its_frames_cut_to_the_window(key, start, rows, offset
     # Row r is frame start + r synthesized whole, over the window's samples
     # inside that frame, and exactly +0 outside it, bit for bit.
     scene, h = FAST_SCENES[key]
-    truths = [frame_truth(scene, m, h) for m in range(start, start + rows)]
+    truths = [frame_truth(scene, m) for m in range(start, start + rows)]
     k_start = int(truths[0].delay_samples[0]) + offset
-    block = synthesize_window(scene, truths, k_start, width)
+    block = synthesize_window(scene, h, truths, k_start, width)
     assert (block.m, block.k_start, block.samples.shape) == (start, k_start,
                                                              (rows, width))
     for truth, got in zip(truths, block.samples):
-        whole = synthesize_frame(scene, truth)
+        whole = synthesize_frame(scene, truth, h)
         want = np.zeros(width, dtype=complex)
         lo = max(whole.k_start, k_start)
         hi = min(whole.k_start + len(whole.samples), k_start + width)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -68,7 +70,7 @@ def test_three_targets_recovered_exactly():
     ranges = np.array([l * c0 / (2 * 1.76e9) for l in (587, 800, 1050)])
     scene = scene_with_delays(ranges)
     h = scene_backscatter(scene, (ranges / ranges[0]) ** 2)
-    frame = synthesize_frame(scene, frame_truth(scene, 0, h))
+    frame = synthesize_frame(scene, frame_truth(scene, 0), h)
     est = estimate_delays(frame, threshold=1e-9, expected_targets=3)
     assert est.delays.tolist() == [587, 800, 1050]
 
@@ -195,8 +197,8 @@ def test_window_mask_on_the_default_scene(s_c, beta_mode, p_tx_dbm):
     scene = build_scene(scenario, p_tx_dbm=p_tx_dbm)
     betas = (draw_betas(scenario, np.random.default_rng([1, 0, 1]))
              if beta_mode == "rayleigh" else None)
-    frame = with_noise(synthesize_frame(scene, frame_truth(scene, 0, scene_backscatter(
-        scene, betas))), scene.noise_clutter_var, np.random.default_rng([1, 0, 0, 0]))
+    frame = with_noise(synthesize_frame(scene, frame_truth(scene, 0), scene_backscatter(
+        scene, betas)), scene.noise_clutter_var, np.random.default_rng([1, 0, 0, 0]))
     threshold = detection_threshold(scene.noise_clutter_var)
     mag = np.abs(estimator.correlation_profile(s_c, frame.samples))
     if p_tx_dbm >= 30.0:
@@ -280,7 +282,7 @@ def test_lse_noiseless_recovery():
     truth = frame_truth(scene, 0)
     frame = noiseless_frame(scene, 0)
     h_hat = lse_coefficients(frame, truth.delay_samples, scene.tx_power)
-    np.testing.assert_allclose(h_hat, truth.backscatter, rtol=1e-9)
+    np.testing.assert_allclose(h_hat, scene_backscatter(scene), rtol=1e-9)
 
 
 def test_lse_zero_observation():
@@ -526,16 +528,33 @@ def test_pipeline_noiseless_stock_scenario(default_scene, true_velocities):
     assert res.doppler.wrap_count.tolist() == [1, 0, 1]
 
 
+# Mirroring every velocity about the source, V_p -> 2 V_s - V_p, negates each
+# Doppler, so the noiseless pipeline negates each wrap count exactly and each
+# relative estimate V_p - V_s up to the rounding of the mirrored delays:
+# within 2.6e-5 m/s, against a noiseless bias of about 0.03 m/s.
+@pytest.mark.parametrize("cpi_s", [2e-4, 5e-4, 1e-3])
+def test_mirroring_every_velocity_about_the_source_negates_each_estimate(cpi_s):
+    scn = Scenario()
+    v_s = scn.source_velocity_mps
+    mirror = replace(scn, target_velocities_mps=tuple(
+        2 * v_s - v for v in scn.target_velocities_mps))
+    res, mirrored = (run_noiseless_pipeline(build_scene(s), cpi_s=cpi_s)
+                     for s in (scn, mirror))
+    assert mirrored.doppler.wrap_count.tolist() == (-res.doppler.wrap_count).tolist()
+    np.testing.assert_allclose(mirrored.velocities - v_s, v_s - res.velocities,
+                               rtol=0, atol=1e-4)
+
+
 def test_pipeline_lse_phase_matches_midpoint_model(default_scene):
     # Noiseless chain: each frame-m_d coefficient carries the mid-preamble
     # phase 2 pi nu (k_mid + m_d K) T_s, up to the frame-0 residual.
     res = run_noiseless_pipeline(default_scene)
-    truth = frame_truth(default_scene, 0)
+    truth, h = frame_truth(default_scene, 0), scene_backscatter(default_scene)
     m_d = max(res.delays)
     k_mid = (2 * truth.delay_samples[0] + K_PRE - 1) / 2
     for p in range(3):
         predicted = 2 * np.pi * default_scene.doppler_hz[p] * (k_mid + m_d * K) * TS
-        observed = np.angle(res.doppler.h_hat_md[p] / truth.backscatter[p])
+        observed = np.angle(res.doppler.h_hat_md[p] / h[p])
         resid = (predicted - observed + np.pi) % (2 * np.pi) - np.pi
         assert abs(resid) < 2.5e-2
 

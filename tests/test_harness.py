@@ -146,7 +146,7 @@ def lag_samples(frame, lags):
 def map_window_frame(scene, h, m, lags, rng):
     """Frame m synthesized without noise, over the samples the map lags read,
     plus one (2, width) noise draw from ``rng``."""
-    frame = synthesize_frame(scene, frame_truth(scene, m, h))
+    frame = synthesize_frame(scene, frame_truth(scene, m), h)
     samples = lag_samples(frame, lags)
     sigma = np.sqrt(scene.noise_clutter_var / 2.0)
     z = rng.standard_normal((2, len(samples)))
@@ -172,7 +172,7 @@ def oracle_records(scn, exp):
         scene = build_scene(scn, p_tx_dbm=exp.p_tx_dbm)
         h, wf = scene_backscatter(scene, betas), scene.wf
         m_count = wf.frames_per_cpi(exp.cpi_s)
-        frames = [with_noise(synthesize_frame(scene, frame_truth(scene, m, h)),
+        frames = [with_noise(synthesize_frame(scene, frame_truth(scene, m), h),
                              scene.noise_clutter_var,
                              np.random.default_rng([exp.seed, trial, 0, m]))
                   for m in range(m_count)]
@@ -271,8 +271,7 @@ def test_a_baseline_trial_draws_only_frame_0_whole(monkeypatch):
     scn, exp = SHARING_CASES["baseline"]
     scene = build_scene(scn, p_tx_dbm=exp.p_tx_dbm)
     m_count = scene.wf.frames_per_cpi(exp.cpi_s)
-    whole = len(synthesize_frame(scene, frame_truth(scene, 0, scene_backscatter(scene)))
-                .samples)
+    whole = len(synthesize_frame(scene, frame_truth(scene, 0)).samples)
     lengths = []
 
     def counting_with_noise(frame, noise_clutter_var, rng):
@@ -316,13 +315,13 @@ def test_a_point_synthesizes_each_whole_frame_and_map_block_once(monkeypatch,
     # differs from the trial before, a Rayleigh trial always.
     whole, blocks, windows = [], [], []
 
-    def counting_frame(scene, truth):
+    def counting_frame(scene, truth, h):
         whole.append(truth.frame)
-        return synthesize_frame(scene, truth)
+        return synthesize_frame(scene, truth, h)
 
-    def counting_window(scene, truths, k_start, n):
+    def counting_window(scene, h, truths, k_start, n):
         blocks.append(([t.frame for t in truths], k_start, n))
-        return synthesize_window(scene, truths, k_start, n)
+        return synthesize_window(scene, h, truths, k_start, n)
 
     def recording_map(frames, frame_period):
         frames = list(frames)  # the first item is frame 0's map window
@@ -397,7 +396,7 @@ def dense_map(scn, exp, trial):
     def profile(x):  # sum_k s_c[k] conj(x[l + k]); s_c is real
         return np.conj(np.correlate(x, s_c, "valid"))
 
-    frame0 = with_noise(synthesize_frame(scene, frame_truth(scene, 0, h)),
+    frame0 = with_noise(synthesize_frame(scene, frame_truth(scene, 0), h),
                         scene.noise_clutter_var,
                         np.random.default_rng([exp.seed, trial, 0, 0]))
     profile0 = profile(frame0.samples)
@@ -408,7 +407,7 @@ def dense_map(scn, exp, trial):
     rng = np.random.default_rng([exp.seed, trial, 3])
     sigma = np.sqrt(scene.noise_clutter_var / 2.0)
     for m in range(1, scene.wf.frames_per_cpi(exp.cpi_s)):
-        window = lag_samples(synthesize_frame(scene, frame_truth(scene, m, h)), lags)
+        window = lag_samples(synthesize_frame(scene, frame_truth(scene, m), h), lags)
         z = rng.standard_normal((2, len(window)))
         columns.append(profile(window + sigma * z[0] + 1j * sigma * z[1]))
     return lags, np.fft.fft(np.stack(columns, axis=1), axis=1)
@@ -1191,6 +1190,54 @@ def test_a_delay_spread_that_just_fits_reaches_the_trials():
     scenario = Scenario(**{key: tuple(values) for key, values in TWO_TARGETS.items()})
     record, = run_experiment(scenario, ExperimentConfig(cpi_s=2e-4, trials=1))
     assert not record.estimates and set(record.failures) == {"proposed"}
+
+
+# run_experiment builds a point's pipeline configuration, and so its
+# detection threshold, once, before any trial runs or any pool starts.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_a_threshold_that_overflows_is_config_error_before_any_trial(
+        monkeypatch, tmp_path, capsys, workers):
+    def no_trials(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setenv("ADRADAR_WORKERS", workers)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(adradar.harness, "_run_trials", no_trials)
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"threshold_scale": 1.7976931348623157e308,
+                                "clutter_ratio": 1e-3}))
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", "--scenario", str(path), "--trials", "2", "--cpi", "2e-4",
+                    "--output", str(out)]) == 1
+    assert capsys.readouterr().err == ("adradar: config error: threshold_scale makes the "
+                                       "detection threshold overflow\n")
+    assert not out.exists()
+
+
+# A CPI's frame indices are int64, so cpi_s / frame period must be below
+# 2^63: 1e300 s holds about 1.3e305 frames of 7.7 us, and at 1e30 Hz a frame
+# lasts 1.4e-26 s, so 0.2 ms holds about 1.5e22.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cpi, scenario", [("1e300", {}), ("2e-4", {"bandwidth_hz": 1e30})],
+                         ids=["cpi-1e300", "bandwidth-1e30"])
+@pytest.mark.parametrize("command", [["simulate"], ["sweep-framegap", "--gaps", "6"]],
+                         ids=["simulate", "sweep-framegap"])
+def test_cli_a_cpi_of_2_63_frames_or_more_is_config_error(monkeypatch, tmp_path, capsys,
+                                                          cpi, scenario, command):
+    assert config_error_before_any_trial(
+        monkeypatch, tmp_path, capsys, command + ["--cpi", cpi], scenario
+    ) == f"adradar: config error: CPI {float(cpi)} s holds 2^63 frames or more\n"
+
+
+# The beam design scans 3141 angles over every element: 51 MB of complex
+# steering vectors at 32 x 32 = 1024 elements, gigabytes at 100000 x 2.
+@pytest.mark.filterwarnings("error")
+def test_cli_an_array_past_1024_elements_is_config_error(monkeypatch, tmp_path, capsys):
+    assert config_error_before_any_trial(
+        monkeypatch, tmp_path, capsys, ["simulate"], {"nx_tx": 1025, "ny_tx": 1}
+    ) == "adradar: config error: nx_tx 1025 * ny_tx 1 > 1024 elements\n"
+    Scenario(nx_tx=32, ny_tx=32)  # the largest array
 
 
 # argparse reads an argument that starts with "-" as a flag unless it matches

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.constants import c as C0
 
+from adradar.echo import synthesize_frame
 from adradar.errors import ScenarioError
 from adradar.params import SPEED_OF_LIGHT, WaveformParams
 from adradar.phasedarray import UpaGeometry, steering_upa, wide_beam
-from adradar.scene import (Scenario, backscatter_coefficient, build_scene,
+from adradar.scene import (FrameTruth, Scenario, backscatter_coefficient, build_scene,
                            dbm_to_watts, frame_truth, frame_truths,
                            large_scale_gain, load_scenario, noise_clutter_variance,
                            save_scenario, scene_backscatter)
@@ -197,15 +198,13 @@ def test_frame_truths_equal_each_frames_truth():
     vs = 25.271
     moving = build_scene(Scenario(source_velocity_mps=vs,
                                   target_velocities_mps=(vs + 30, vs, vs - 30)))
-    h = scene_backscatter(moving)
     for frames in (range(0, 16), range(113, 129), (1000, 0, 64), (7,)):
-        truths = frame_truths(moving, frames, h)
+        truths = frame_truths(moving, frames)
         assert [t.frame for t in truths] == list(frames)
         for truth, m in zip(truths, frames):
-            one = frame_truth(moving, m, h)
+            one = frame_truth(moving, m)
             assert np.array_equal(truth.delay_samples, one.delay_samples)
             assert truth.delay_samples.dtype == np.int64
-            assert truth.backscatter is h
 
 
 @pytest.mark.parametrize("frames, first_bad", [
@@ -241,18 +240,31 @@ def test_a_waveform_needs_a_frame_below_2_63_samples_and_finite_seconds(changes)
         WaveformParams(**changes)
 
 
+# 2^14 samples at 2^30 Hz make a frame of exactly 2^-16 s, so 2^47 s holds
+# exactly 2^63 frames and the float just below it 2^63 - 1024.
+def test_a_cpi_holds_fewer_than_2_63_frames():
+    wf = WaveformParams(bandwidth_hz=2.0 ** 30, frame_len=2 ** 14)
+    assert wf.frames_per_cpi(np.nextafter(2.0 ** 47, 0)) == 2 ** 63 - 1024
+    with pytest.raises(ValueError, match=r"CPI 140737488355328.0 s holds 2\^63 frames or more"):
+        wf.frames_per_cpi(2.0 ** 47)
+
+
+# The gains h_p hold over the CPI, so no frame truth carries them, and a
+# frame synthesized without h takes the pinned gains at every frame.
 def test_backscatter_constant_across_frames(default_scene):
+    assert [f.name for f in fields(FrameTruth)] == ["frame", "delay_samples"]
     h = scene_backscatter(default_scene)
-    np.testing.assert_array_equal(frame_truth(default_scene, 0).backscatter, h)
-    np.testing.assert_array_equal(frame_truth(default_scene, 100).backscatter, h)
+    for m in (0, 100):
+        truth = frame_truth(default_scene, m)
+        assert (synthesize_frame(default_scene, truth).samples.tobytes()
+                == synthesize_frame(default_scene, truth, h).samples.tobytes())
 
 
 def test_delay_ordering_preserved_over_cpi(default_scene):
     # strictly increasing delays at every frame of the longest CPI used
-    h = scene_backscatter(default_scene)
     m_count = default_scene.wf.frames_per_cpi(1e-3)
     for m in range(m_count):
-        delays = frame_truth(default_scene, m, h).delay_samples
+        delays = frame_truth(default_scene, m).delay_samples
         assert np.all(np.diff(delays) > 0)
 
 

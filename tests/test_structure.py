@@ -3,9 +3,10 @@ importing the package does not load scipy (a test-only dependency), a
 single-worker run loads no process pool, no scan cut outlives the beam
 design, every function the benchmark's tracer wraps is still where the
 tracer looks it up, the harness reaches the baseline only through its entry
-points, no module of the package, the tests or the demos imports a name it
-never uses, and every module of the package parses as the oldest Python that
-pyproject.toml allows.
+points and builds each point's pipeline configuration once, only synthesis
+takes a CPI's gains, no module of the package, the tests or the demos
+imports a name it never uses, and every module of the package parses as the
+oldest Python that pyproject.toml allows.
 
 A ``_``-prefixed name is private to the module that defines it.  The scan
 flags ``from .sibling import _name`` (relative or absolute) and
@@ -166,6 +167,30 @@ def test_the_harness_reaches_the_baseline_only_through_its_entry_points():
         "map_window", "delay_doppler_map", "baseline_velocities"}
     assert "cut_to_lags" not in {node.attr for node in ast.walk(ast.parse(source))
                                  if isinstance(node, ast.Attribute)}
+
+
+def functions(module: str) -> dict:
+    """Each top-level function of the package's ``module`` by name."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+# A point's frame indices, threshold and pipeline configuration are built once,
+# before any trial runs, and the trials take them whole.
+def test_the_trials_take_their_pipeline_configuration_whole():
+    called = {node.func.id for node in ast.walk(functions("harness")["_run_trials"])
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert called.isdisjoint({"_frame_indices", "PipelineConfig", "detection_threshold"})
+
+
+# A target's gain h_p holds over the CPI, so no frame truth carries it: only
+# the functions that compute the gains and the two that synthesize take them.
+def test_only_the_synthesis_takes_the_gains():
+    takes = {f"{module}.{name}" for module in ("scene", "echo")
+             for name, node in functions(module).items()
+             if {arg.arg for arg in node.args.args} & {"h", "backscatter", "betas", "beta"}}
+    assert takes == {"scene.backscatter_coefficient", "scene.scene_backscatter",
+                     "echo.synthesize_window", "echo.synthesize_frame"}
 
 
 def unused_imports(source: str):
