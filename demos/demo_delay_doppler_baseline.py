@@ -10,6 +10,7 @@ import numpy as np
 
 from adradar import (PipelineConfig, baseline_velocities, delay_doppler_map,
                      detection_threshold, run_pipeline, synthesize_frame)
+from adradar.baseline import map_columns
 from adradar.echo import with_noise
 from adradar.scene import Scenario, build_scene, frame_truth, scene_backscatter
 
@@ -31,8 +32,9 @@ def main():
     # The map reads every frame over the lags 40 either side of the targets.
     truth = frame_truth(scene, 0)
     lo, hi = truth.delay_samples[0] - 40, truth.delay_samples[-1] + 40
-    ddm = delay_doppler_map([f.cut_to_lags(lo, hi) for f in frames.values()],
-                            wf.frame_period)
+    window = frames[0].cut_to_lags(lo, hi)
+    ddm = delay_doppler_map((map_columns(f.cut_to_lags(lo, hi), window)
+                             for f in frames.values()), window, wf.frame_period)
     threshold = detection_threshold(scene.noise_clutter_var)
     base_v = baseline_velocities(ddm, scene.source_velocity, wf.wavelength,
                                  scenario.num_targets, threshold)

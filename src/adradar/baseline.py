@@ -46,74 +46,71 @@ class DelayDopplerMap:
         return values
 
 
-def map_window(frame0: EchoFrame, profile0: np.ndarray) -> EchoFrame:
-    """Frame 0 cut to the map lags: within ``BASELINE_LAG_HALFWIDTH`` of the
-    dominant peak of its correlation profile ``profile0``, clipped to the frame
-    (targets are assumed close together, as in the proposed delay stage)."""
+def map_window(frame0: EchoFrame, profile0: np.ndarray):
+    """``(window, (frame0.m, column0))``: frame 0 cut to the lags within
+    ``BASELINE_LAG_HALFWIDTH`` of the dominant peak of its correlation profile
+    ``profile0``, clipped to the frame (targets are assumed close together, as in
+    the proposed delay stage), and its map column there, sliced from ``profile0``.
+    Each correlator output reads only its own 512 samples, so the slice is
+    ``map_columns(window, window)``'s column bit for bit."""
     first = frame0.first_lag
     dominant = first + int(np.argmax(np.abs(profile0)))
-    return frame0.cut_to_lags(max(dominant - BASELINE_LAG_HALFWIDTH, first),
-                              min(dominant + BASELINE_LAG_HALFWIDTH,
-                                  first + len(profile0) - 1))
+    lo = max(dominant - BASELINE_LAG_HALFWIDTH, first)
+    hi = min(dominant + BASELINE_LAG_HALFWIDTH, first + len(profile0) - 1)
+    return frame0.cut_to_lags(lo, hi), (frame0.m, profile0[lo - first:hi - first + 1, None])
 
 
-def delay_doppler_map(frames, frame_period: float) -> DelayDopplerMap:
-    """Build the delay-Doppler map from all frames of a CPI.
+def map_columns(frame: EchoFrame, window: EchoFrame):
+    """``(frame.m, columns)``: the (lags, rows) map columns of one frame or a
+    block of consecutive frames (``EchoFrame`` rows) on the map ``window``.
+    The rows of W samples go through one correlator call laid end to end:
+    output r W + i reads only row r's samples i to i + 511, so it is row r's
+    own output i, and the outputs that straddle two rows are dropped.
+    ValueError if ``frame`` is off the window (another ``k_start`` or width),
+    or the window is shorter than the correlation segment."""
+    got = (frame.k_start, frame.samples.shape[-1])
+    want = (window.k_start, window.samples.shape[-1])
+    if got != want:
+        raise ValueError(f"frame {frame.m} is off the map window: k_start and "
+                         f"width {got}, not {want}")
+    s_c, width = correlation_segment(build_preamble()), want[1]
+    rows = np.arange(width - len(s_c) + 1)
+    if rows.size == 0:
+        raise ValueError("empty lag range: the map has no lags to evaluate")
+    profile = correlation_profile(s_c, frame.samples.reshape(-1))
+    return frame.m, profile[rows[:, None] + width * np.arange(frame.samples.size // width)]
+
+
+def delay_doppler_map(columns, window: EchoFrame, frame_period: float) -> DelayDopplerMap:
+    """Stack the map columns of all frames of a CPI into the delay-Doppler map.
 
     Entry (l, q) is sum_m R_m[l] exp(-j 2 pi q m / M): the slow-time DFT of
     the per-frame cross-correlations with the 802.11ad correlation segment.
     A target's correlator output rotates by exp(-j 2 pi nu T_f) per frame, so
     it concentrates in the bin whose ``doppler_bins_hz`` value is nearest nu.
 
-    Parameters
-    ----------
-    frames : iterable of EchoFrame
-        All M >= 2 frames in frame order 0 to M-1, each item one frame or a
-        block of consecutive frames (``EchoFrame`` rows), every item on the
-        first item's window: the same ``k_start`` and width, as
-        ``map_window``'s cut and frames cut to its lags have.  The map lags
-        are every lag that window computes.  Items are read one at a time
-        and only their correlator outputs are kept, so a generator need hold
-        only one item.  An item's rows of W samples go through one
-        correlator call laid end to end: output r W + i of that call reads
-        only row r's samples i to i + 511, so it is row r's own output i,
-        and the outputs that straddle two rows are dropped.
-
-    Raises
-    ------
-    ValueError
-        If a frame arrives out of order or off the first item's window,
-        fewer than two frames arrive, or the window is shorter than the
-        correlation segment.
+    ``columns`` yields the ``(m, columns)`` items of ``map_window`` and
+    ``map_columns`` on ``window``, whose lags are the map's, for frames 0 to
+    M-1 in order, M >= 2; a generator need hold only one item.  ValueError if
+    a frame arrives out of order or fewer than two frames arrive.
     """
-    s_c = correlation_segment(build_preamble())
-    columns, m_count = [], 0
-    for frame in frames:
-        if frame.m != m_count:
-            raise ValueError(f"frame {frame.m} out of order: expected frame "
+    stacked, m_count = [], 0
+    for m, cols in columns:
+        if m != m_count:
+            raise ValueError(f"frame {m} out of order: expected frame "
                              f"{m_count} (frames 0 to M-1 in order)")
-        window = (frame.k_start, frame.samples.shape[-1])
-        if not columns:
-            k_start, width = window
-            rows = np.arange(width - len(s_c) + 1)
-            lags = frame.first_lag + rows
-            if rows.size == 0:
-                raise ValueError("empty lag range: the map has no lags to evaluate")
-        elif window != (k_start, width):
-            raise ValueError(f"frame {frame.m} is off the map window: k_start and "
-                             f"width {window}, not {(k_start, width)}")
-        row_starts = width * np.arange(frame.samples.size // width)
-        profile = correlation_profile(s_c, frame.samples.reshape(-1))
-        columns.append(profile[rows[:, None] + row_starts])
-        m_count += len(row_starts)
+        stacked.append(cols)
+        m_count += cols.shape[1]
     if m_count < 2:
         raise ValueError("delay-Doppler map needs at least two frames")
     # The correlator conjugates the echo, so a Doppler nu appears at -nu on
     # the DFT frequency axis; negate to read bins directly in echo Doppler.
     doppler_bins = -np.fft.fftfreq(m_count, d=frame_period)
-    slow_time = np.concatenate(columns, axis=1)
+    slow_time = np.concatenate(stacked, axis=1)
     slow_time.flags.writeable = False
-    return DelayDopplerMap(slow_time=slow_time, lags=lags, doppler_bins_hz=doppler_bins,
+    return DelayDopplerMap(slow_time=slow_time,
+                           lags=window.first_lag + np.arange(len(slow_time)),
+                           doppler_bins_hz=doppler_bins,
                            doppler_bin_width_hz=1.0 / (m_count * frame_period))
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baseline import baseline_velocities, delay_doppler_map, map_window
+from .baseline import baseline_velocities, delay_doppler_map, map_columns, map_window
 from .echo import synthesize_frame, synthesize_window, with_noise
 from .errors import AggregationError, EstimationError, ScenarioError
 from .estimator import PipelineConfig, detection_threshold, run_pipeline
@@ -204,12 +204,12 @@ def _run_trial(exp: ExperimentConfig, trial: int, scene: Scene, echo, block,
 
     Frame 0, and frames m_i and m_d when the proposed estimator runs, are
     whole, each with the noise of substream [seed, trial, 0, m], as if
-    synthesized at once.  The baseline reads frame 0 cut to its
-    ``map_window``, then frames 1 to M-1 over that window's samples (zeros
-    past an echo) in blocks of ``_MAP_BLOCK`` frames, streamed through
-    ``delay_doppler_map`` one at a time.  Each block draws its noise at once
-    from one generator per trial, [seed, trial, 3]: frame by frame, (2,
-    width) draws in order.
+    synthesized at once.  The baseline takes frame 0's map column from the
+    profile that picks its ``map_window``, then ``map_columns`` of frames 1
+    to M-1 over that window's samples (zeros past an echo) in blocks of
+    ``_MAP_BLOCK`` frames, streamed into ``delay_doppler_map`` one at a time.
+    Each block draws its noise at once from one generator per trial, [seed,
+    trial, 3]: frame by frame, (2, width) draws in order.
     """
     s_c = correlation_segment(build_preamble())  # for the baseline's frame-0 profile
     names = ESTIMATORS[exp.estimators]
@@ -228,15 +228,15 @@ def _run_trial(exp: ExperimentConfig, trial: int, scene: Scene, echo, block,
                 delays = tuple(res.delays[0].delays.tolist())
             else:
                 profile0 = correlation_profile(s_c, frames[0].samples)
-                window = map_window(frames[0], profile0)
+                window, column0 = map_window(frames[0], profile0)
                 map_rng = np.random.default_rng([exp.seed, trial, _STREAM_MAP])
-                blocks = itertools.chain((window,), (with_noise(
+                columns = itertools.chain((column0,), (map_columns(with_noise(
                     block(start, window.k_start, window.samples.shape[-1]),
-                    scene.noise_clutter_var, map_rng)
+                    scene.noise_clutter_var, map_rng), window)
                     for start in range(1, m_count, _MAP_BLOCK)))
-                velocities = baseline_velocities(
-                    delay_doppler_map(blocks, scene.wf.frame_period), scene.source_velocity,
-                    scene.wf.wavelength, cfg.expected_targets, cfg.threshold, guard=cfg.guard)
+                ddm = delay_doppler_map(columns, window, scene.wf.frame_period)
+                velocities = baseline_velocities(ddm, scene.source_velocity, scene.wf.wavelength,
+                                                 cfg.expected_targets, cfg.threshold, cfg.guard)
             estimates[name] = tuple(velocities.tolist())
         except EstimationError as exc:
             failures[name] = f"{type(exc).__name__}: {exc}"

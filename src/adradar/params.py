@@ -58,8 +58,8 @@ class WaveformParams:
     def frames_per_cpi(self, cpi_s: float) -> int:
         """Number of whole frames fitting in one coherent processing interval."""
         if cpi_s < 2 * self.frame_period:
-            raise ValueError(f"CPI {cpi_s} s shorter than two frames "
-                             f"({2 * self.frame_period:.3e} s)")
+            raise ValueError(f"CPI {cpi_s} s shorter than two frames of "
+                             f"{self.frame_period:.3e} s")
         if not cpi_s / self.frame_period < 2.0 ** 63:
             raise ValueError(f"CPI {cpi_s} s holds 2^63 frames or more")
         return int(cpi_s / self.frame_period)

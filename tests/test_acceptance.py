@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from adradar.baseline import baseline_velocities, delay_doppler_map
+from adradar.baseline import baseline_velocities, delay_doppler_map, map_columns
 from adradar.cli import run_cli
 from adradar.echo import synthesize_frame
 from adradar.estimator import (PipelineConfig, denominator_inverse,
@@ -291,7 +291,8 @@ def test_criterion_8_baseline_quantization_bound():
         frames = [synthesize_frame(scene, frame_truth(scene, m), h)
                   for m in range(m_count)]
         frames = [f.cut_to_lags(delay - 16, delay + 16) for f in frames]
-        ddm = delay_doppler_map(frames, wf.frame_period)
+        ddm = delay_doppler_map((map_columns(f, frames[0]) for f in frames), frames[0],
+                                wf.frame_period)
         v = baseline_velocities(ddm, scene.source_velocity, wf.wavelength,
                                 1, 1e-12)
         worst = max(worst, abs(v[0] - scn.target_velocities_mps[0]))

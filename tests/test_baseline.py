@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 
 import adradar.harness
 from adradar.baseline import (BASELINE_LAG_HALFWIDTH, DelayDopplerMap,
-                              baseline_velocities, delay_doppler_map, map_window)
+                              baseline_velocities, delay_doppler_map, map_columns,
+                              map_window)
 from adradar.echo import EchoFrame, synthesize_frame, with_noise
 from adradar.errors import DetectionShortfallError
 from adradar.estimator import detection_threshold, pick_peaks, velocity_from_doppler
 from adradar.harness import ExperimentConfig, run_experiment
 from adradar.scene import Scenario, build_scene, frame_truth, scene_backscatter
+from adradar.sequences import build_preamble, correlation_profile, correlation_segment
 
 
 def single_target_scene(velocity):
@@ -38,23 +40,33 @@ def cut(frames, lags):
     return [f.cut_to_lags(lags[0], lags[-1]) for f in frames]
 
 
+def frame_map(items, frame_period):
+    """The map of ``items``, frames or blocks on the first item's window."""
+    items = list(items)
+    return delay_doppler_map((map_columns(item, items[0]) for item in items), items[0],
+                             frame_period)
+
+
 def velocity_for_doppler(scene, nu):
     return scene.source_velocity - nu * scene.wf.wavelength / 2.0
 
 
 def test_map_needs_two_frames(default_scene):
     frames = synth_cpi(default_scene, 0.2e-3)
-    with pytest.raises(ValueError):
-        delay_doppler_map(frames[:1], default_scene.wf.frame_period)
+    for items in (frames[:1], []):
+        with pytest.raises(ValueError, match="at least two frames"):
+            delay_doppler_map((map_columns(f, frames[0]) for f in items), frames[0],
+                              default_scene.wf.frame_period)
 
 
 def test_map_of_a_frame_stream_equals_the_map_of_the_list(default_scene):
     frames = synth_cpi(default_scene, 0.4e-3, noiseless=False)
     period = default_scene.wf.frame_period
     for listed in (frames, cut(frames, np.arange(140, 240))):
-        want = delay_doppler_map(listed, period)
-        for stream in (iter(listed), (f for f in listed)):
-            got = delay_doppler_map(stream, period)
+        columns = [map_columns(f, listed[0]) for f in listed]
+        want = delay_doppler_map(columns, listed[0], period)
+        for stream in (iter(columns), (c for c in columns)):
+            got = delay_doppler_map(stream, listed[0], period)
             assert got.values.tobytes() == want.values.tobytes()
             assert np.array_equal(got.lags, want.lags)
             assert np.array_equal(got.doppler_bins_hz, want.doppler_bins_hz)
@@ -72,12 +84,36 @@ def test_map_window_is_the_dominant_peak_plus_minus_128_clipped_to_the_frame(
     assert len(profile0) == 2863 and BASELINE_LAG_HALFWIDTH == 128
     profile0[peak] = -2.0  # the dominant peak is the largest magnitude
     profile0[(peak + 300) % len(profile0)] = 1.5j
-    window = map_window(frame0, profile0)
-    assert window.m == 0
+    window, (m, column0) = map_window(frame0, profile0)
+    assert window.m == m == 0
+    assert np.array_equal(column0, profile0[first:first + n_lags, None])
     assert window.first_lag == frame0.first_lag + first
     assert len(window.samples) == n_lags + 511
     assert np.shares_memory(window.samples, frame0.samples)
     assert np.array_equal(window.samples, frame0.samples[first:first + n_lags + 511])
+
+
+# Each correlator output reads only its own 512 samples, so frame 0's map
+# column sliced from its whole profile is the window's own, bit for bit, also
+# where the window is clipped at the frame's first or last lag.  A strong
+# copy of the segment at lag index ``peak`` moves the dominant peak there.
+@pytest.mark.parametrize("peak, n_lags", [
+    (None, 257), (0, 129), (60, 189), (2800, 191), (2862, 129)],
+    ids=["scene", "first", "near-first", "near-last", "last"])
+def test_the_map_window_column_is_its_window_columns_bit_for_bit(default_scene, peak,
+                                                                  n_lags):
+    s_c = correlation_segment(build_preamble())
+    echo = synth_cpi(default_scene, 0.2e-3)[0]
+    for seed in range(20):
+        frame0 = with_noise(echo, default_scene.noise_clutter_var,
+                            np.random.default_rng([seed]))
+        if peak is not None:
+            frame0.samples[peak:peak + 512] += 100 * np.abs(frame0.samples).max() * s_c
+        profile0 = correlation_profile(s_c, frame0.samples)
+        window, (m, column0) = map_window(frame0, profile0)
+        assert m == 0 and column0.shape == (n_lags, 1)
+        assert peak is None or np.argmax(np.abs(profile0)) == peak
+        assert column0.tobytes() == map_columns(window, window)[1].tobytes()
 
 
 @pytest.mark.parametrize("clipped", [False, True], ids=["peak", "clipped"])
@@ -88,8 +124,8 @@ def test_the_map_of_frames_cut_to_its_lags_equals_the_map_of_whole_frames(
     assert len({(f.k_start, len(f.samples)) for f in frames}) == 1
     first = frames[0].first_lag
     if clipped:  # the window map_window gives when the peak is near the start
-        window = map_window(frames[0],
-                            np.r_[1.0, np.zeros(len(frames[0].samples) - 512)])
+        window, _ = map_window(frames[0],
+                               np.r_[1.0, np.zeros(len(frames[0].samples) - 512)])
         assert window.first_lag == first
         lags = first + np.arange(len(window.samples) - 511)
     else:
@@ -98,8 +134,8 @@ def test_the_map_of_frames_cut_to_its_lags_equals_the_map_of_whole_frames(
     assert all(len(f.samples) == len(lags) + 511 for f in cut_frames)
     assert all(f.first_lag == lags[0] for f in cut_frames)
     period = default_scene.wf.frame_period
-    whole = delay_doppler_map(frames, period)
-    got = delay_doppler_map(cut_frames, period)
+    whole = frame_map(frames, period)
+    got = frame_map(cut_frames, period)
     assert np.array_equal(got.lags, lags)
     assert np.array_equal(got.values, whole.values[lags - first])
 
@@ -123,13 +159,14 @@ def test_a_cut_outside_the_frame_is_an_error(default_scene):
             frames[0].cut_to_lags(lo, hi)
 
 
-def test_an_empty_lag_range_is_named(default_scene):
-    # The map lags are those the first item computes: none if it is shorter
-    # than the correlation segment.
-    period = default_scene.wf.frame_period
-    short = [EchoFrame(m=m, k_start=0, samples=np.ones(511, complex)) for m in range(2)]
-    with pytest.raises(ValueError, match="empty lag range"):
-        delay_doppler_map(short, period)
+def test_an_empty_lag_range_is_named():
+    # The map lags are those the window computes: none if it is shorter than
+    # the correlation segment, even for a block whose rows laid end to end
+    # are longer.
+    short = EchoFrame(m=0, k_start=0, samples=np.ones(511, complex))
+    for frame in (short, EchoFrame(m=1, k_start=0, samples=np.ones((2, 511), complex))):
+        with pytest.raises(ValueError, match="empty lag range"):
+            map_columns(frame, short)
 
 
 @pytest.mark.parametrize("shift, trim", [(0, 1), (0, -1), (1, 0), (-1, 0), (3, -3)],
@@ -148,9 +185,9 @@ def test_an_item_off_the_first_items_window_is_named(default_scene, shift, trim,
         bad.samples.shape[:-1] + (bad.samples.shape[-1] - shift - trim,), complex))
     period = default_scene.wf.frame_period
     with pytest.raises(ValueError, match=f"frame {bad.m} is off the map window"):
-        delay_doppler_map(items, period)
+        map_columns(items[item], items[0])
     items[item] = bad
-    assert delay_doppler_map(items, period).values.shape == (200, 6)
+    assert frame_map(items, period).values.shape == (200, 6)
 
 
 @pytest.mark.parametrize("order", [[1, 0, 2, 3], [0, 2, 1, 3], [0, 1, 3]],
@@ -158,7 +195,7 @@ def test_an_item_off_the_first_items_window_is_named(default_scene, shift, trim,
 def test_map_rejects_frames_out_of_order(default_scene, order):
     frames = synth_cpi(default_scene, 0.2e-3)
     with pytest.raises(ValueError, match="out of order"):
-        delay_doppler_map((frames[m] for m in order), default_scene.wf.frame_period)
+        frame_map((frames[m] for m in order), default_scene.wf.frame_period)
 
 
 def frame_blocks(frames, size):
@@ -184,21 +221,21 @@ def test_the_map_of_frame_blocks_equals_the_map_of_single_frames(default_scene,
     lags = np.arange(first + 40, first + 297)
     window = cut(frames, lags)
     period = default_scene.wf.frame_period
-    want = delay_doppler_map(window, period)
+    want = frame_map(window, period)
     assert want.values.shape == (257, m_count)
     assert np.array_equal(want.lags, lags)
     for size in (1, 5, 16, 128):
-        got = delay_doppler_map(frame_blocks(window, size), period)
+        got = frame_map(frame_blocks(window, size), period)
         assert got.values.tobytes() == want.values.tobytes()
         assert np.array_equal(got.lags, lags)
     # one block of every frame, whole or cut
     every = EchoFrame(m=0, k_start=frames[0].k_start,
                       samples=np.stack([f.samples for f in frames]))
-    whole = delay_doppler_map(frames, period)
-    got = delay_doppler_map([every], period)
+    whole = frame_map(frames, period)
+    got = frame_map([every], period)
     assert got.values.tobytes() == whole.values.tobytes()
     assert np.array_equal(got.lags, whole.lags)
-    got = delay_doppler_map(cut([every], lags), period)
+    got = frame_map(cut([every], lags), period)
     assert got.values.tobytes() == want.values.tobytes()
 
 
@@ -210,7 +247,7 @@ def test_map_rejects_blocks_out_of_order(default_scene, order):
                           3)
     assert [b.m for b in blocks] == [0, 1, 4, 7]
     with pytest.raises(ValueError, match="out of order"):
-        delay_doppler_map((blocks[i] for i in order), default_scene.wf.frame_period)
+        frame_map((blocks[i] for i in order), default_scene.wf.frame_period)
 
 
 def test_single_target_on_bin_center():
@@ -226,7 +263,7 @@ def test_single_target_on_bin_center():
     truth = frame_truth(scene, 0)
     assert scene.doppler_hz[0] == pytest.approx(bin_hz, rel=1e-9)
 
-    ddm = delay_doppler_map(frames, wf.frame_period)
+    ddm = frame_map(frames, wf.frame_period)
     i, q = np.unravel_index(np.argmax(np.abs(ddm.values)), ddm.values.shape)
     assert ddm.lags[i] == truth.delay_samples[0]
     assert ddm.doppler_bins_hz[q] == pytest.approx(bin_hz, rel=1e-12)
@@ -237,7 +274,7 @@ def test_single_target_on_bin_center():
 def test_zero_doppler_peaks_in_zero_bin():
     scene = single_target_scene(25.271)
     frames = synth_cpi(scene, 0.2e-3)
-    ddm = delay_doppler_map(frames, scene.wf.frame_period)
+    ddm = frame_map(frames, scene.wf.frame_period)
     _, q = np.unravel_index(np.argmax(np.abs(ddm.values)), ddm.values.shape)
     assert ddm.doppler_bins_hz[q] == 0.0
 
@@ -251,7 +288,7 @@ def test_empty_cells_are_zero(preamble):
                         samples=preamble.astype(complex))
               for m in range(25)]
     lags = delay + np.arange(1, 64)
-    ddm = delay_doppler_map(cut(frames, lags), 7.745454545e-6)
+    ddm = frame_map(cut(frames, lags), 7.745454545e-6)
     assert np.max(np.abs(ddm.values)) == 0.0
 
 
@@ -259,7 +296,7 @@ def test_doppler_axis_convention():
     scene = single_target_scene(20.0)  # positive Doppler (closing target)
     frames = synth_cpi(scene, 0.2e-3)
     wf = scene.wf
-    ddm = delay_doppler_map(frames, wf.frame_period)
+    ddm = frame_map(frames, wf.frame_period)
     _, q = np.unravel_index(np.argmax(np.abs(ddm.values)), ddm.values.shape)
     bw = ddm.doppler_bin_width_hz
     assert bw == pytest.approx(1.0 / (len(frames) * wf.frame_period), rel=1e-12)
@@ -271,7 +308,7 @@ def test_doppler_axis_convention():
     assert ddm.doppler_bins_hz.min() > -nyquist
     # even frame count: the +Nyquist bin itself is present
     frames64 = synth_cpi(scene, 0.5e-3)
-    ddm64 = delay_doppler_map(cut(frames64, np.arange(340, 360)), wf.frame_period)
+    ddm64 = frame_map(cut(frames64, np.arange(340, 360)), wf.frame_period)
     assert len(frames64) % 2 == 0
     assert ddm64.doppler_bins_hz.max() == pytest.approx(nyquist, rel=1e-12)
 
@@ -286,7 +323,7 @@ def test_quantization_bound_midway():
     nu = (3 + 0.5) / cpi_eff  # halfway between bins 3 and 4
     scene = single_target_scene(velocity_for_doppler(scn0, nu))
     frames = synth_cpi(scene, cpi)
-    ddm = delay_doppler_map(frames, wf.frame_period)
+    ddm = frame_map(frames, wf.frame_period)
     v = baseline_velocities(ddm, scene.source_velocity, wf.wavelength, 1, 1e-9)
     err = abs(v[0] - scene.velocities[0])
     bound = wf.wavelength / (4 * cpi_eff)
@@ -298,15 +335,15 @@ def test_bin_width_halves_when_cpi_doubles(default_scene):
     wf = default_scene.wf
     f1 = synth_cpi(default_scene, 0.2e-3)
     f2 = synth_cpi(default_scene, 0.4e-3)
-    d1 = delay_doppler_map(cut(f1, np.arange(160, 220)), wf.frame_period)
-    d2 = delay_doppler_map(cut(f2, np.arange(160, 220)), wf.frame_period)
+    d1 = frame_map(cut(f1, np.arange(160, 220)), wf.frame_period)
+    d2 = frame_map(cut(f2, np.arange(160, 220)), wf.frame_period)
     ratio = d1.doppler_bin_width_hz / d2.doppler_bin_width_hz
     assert ratio == pytest.approx(len(f2) / len(f1), rel=1e-12)
 
 
 def test_shortfall_error(default_scene):
     frames = synth_cpi(default_scene, 0.2e-3)
-    ddm = delay_doppler_map(frames, default_scene.wf.frame_period)
+    ddm = frame_map(frames, default_scene.wf.frame_period)
     with pytest.raises(DetectionShortfallError):
         baseline_velocities(ddm, default_scene.source_velocity,
                             default_scene.wf.wavelength, 3, threshold=1e9)
@@ -317,7 +354,7 @@ def test_three_target_association_by_delay(default_scene, true_velocities):
     cpi = 1e-3
     frames = synth_cpi(default_scene, cpi)
     m_count = len(frames)
-    ddm = delay_doppler_map(cut(frames, np.arange(130, 250)), wf.frame_period)
+    ddm = frame_map(cut(frames, np.arange(130, 250)), wf.frame_period)
     thr = detection_threshold(default_scene.noise_clutter_var)
     v = baseline_velocities(ddm, default_scene.source_velocity, wf.wavelength,
                             3, thr)
@@ -333,7 +370,7 @@ def test_power_invariance_high_snr():
         scn = Scenario(p_tx_dbm=p_dbm)
         scene = build_scene(scn)
         frames = synth_cpi(scene, 0.4e-3, noiseless=False, seed=3)
-        ddm = delay_doppler_map(cut(frames, np.arange(130, 250)), scene.wf.frame_period)
+        ddm = frame_map(cut(frames, np.arange(130, 250)), scene.wf.frame_period)
         thr = detection_threshold(scene.noise_clutter_var)
         results.append(baseline_velocities(ddm, scene.source_velocity,
                                            scene.wf.wavelength, 3, thr))
@@ -420,8 +457,8 @@ def test_the_screened_rows_read_a_harness_map_like_the_full_map(p_tx_dbm, seed,
                                                                 cpi_s):
     maps = []
 
-    def recording_map(frames, frame_period):
-        maps.append(delay_doppler_map(frames, frame_period))
+    def recording_map(columns, window, frame_period):
+        maps.append(delay_doppler_map(columns, window, frame_period))
         return maps[-1]
 
     scn = Scenario()
@@ -486,7 +523,7 @@ def test_a_map_with_every_row_below_the_threshold_is_a_shortfall():
 
 def test_the_map_values_are_the_read_only_dft_of_the_slow_time_rows(default_scene):
     frames = synth_cpi(default_scene, 0.2e-3, noiseless=False)
-    ddm = delay_doppler_map(cut(frames, np.arange(140, 240)),
+    ddm = frame_map(cut(frames, np.arange(140, 240)),
                             default_scene.wf.frame_period)
     assert "values" not in ddm.__dict__
     assert ddm.values is ddm.values

@@ -1,11 +1,15 @@
 """Fuzz the CLI boundary: any scenario file and flags end in one of three
 outcomes, never in a traceback or a warning.
 
-Each example writes a drawn scenario JSON and runs, in process,
+Each example writes a drawn scenario JSON and runs, in process, one of
 
-    simulate --scenario S --trials 1 --cpi 2e-4 --output O [drawn flags]
+    simulate --scenario S --trials 1 --output O --cpi 2e-4 [drawn flags]
+    sweep-framegap --scenario S --trials 1 --output O --gaps 1 --cpi 2e-4 [drawn flags]
+    sweep-cpi --scenario S --trials 1 --output O --cpis 2e-4 [drawn flags]
 
-with warnings as errors and ``ADRADAR_WORKERS`` unset.  Exactly one must hold:
+with warnings as errors and ``ADRADAR_WORKERS`` unset.  The drawn flags are
+the subcommand's own and, one time in ten, one it does not take.  Exactly one
+must hold:
 
 - exit 0, and O starts with the CSV header;
 - exit 1, stderr holds ``adradar: config error:`` or a usage line, and O is gone;
@@ -43,7 +47,7 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from adradar.cli import run_cli
@@ -132,25 +136,43 @@ def scenarios(draw) -> dict:
     return data
 
 
+# Subcommand -> the flags every run of it passes after --output, which keep
+# a run short (the later of two equal flags wins).
+COMMANDS = {"simulate": ["--cpi", "2e-4"], "sweep-framegap": ["--gaps", "1", "--cpi", "2e-4"],
+            "sweep-cpi": ["--cpis", "2e-4"]}
+# Flag -> the scenario key its values are drawn from.
+VALUES = {"--p-tx-dbm": "p_tx_dbm", "--seed": "seed", "--mi-offset": "m_i_offset",
+          "--gaps": "m_i_offset", "--p-tx-grid": "p_tx_dbm"}
+# Subcommand -> its own flags that are drawn.
+OWN = {"simulate": ["--p-tx-dbm", "--seed", "--mi-offset", "--estimator"],
+       "sweep-framegap": ["--p-tx-dbm", "--seed", "--gaps"],
+       "sweep-cpi": ["--seed", "--mi-offset", "--p-tx-grid"]}
+
+
 @st.composite
-def flags(draw) -> list:
-    """Optional simulate flags, as ``--flag value`` or ``--flag=value``, rarely
-    with a value that does not parse."""
-    argv = []
-    for flag, key in (("--p-tx-dbm", "p_tx_dbm"), ("--seed", "seed"),
-                      ("--mi-offset", "m_i_offset")):
-        if draw(st.booleans()):
+def invocations(draw) -> list:
+    """A subcommand and some of its flags, as ``--flag value`` or
+    ``--flag=value``, rarely with a value that does not parse or a flag the
+    subcommand does not take."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [command]
+    drawn = [flag for flag in OWN[command] if draw(st.booleans())]
+    if rarely(draw):
+        drawn.append(draw(st.sampled_from(sorted(set(VALUES) - set(OWN[command])))))
+    for flag in drawn:
+        if flag == "--estimator":
+            value = (draw(st.sampled_from(["proposed", "baseline", "both"]))
+                     if not rarely(draw) else "dense")
+        else:
             value = (draw(st.sampled_from(["abc", "", "1e", "0x10", "2.5"]))
-                     if rarely(draw) else repr(draw(SCALARS[key])))
-            argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
-    if draw(st.booleans()):
-        argv += ["--estimator", draw(st.sampled_from(["proposed", "baseline", "both"]))
-                 if not rarely(draw) else "dense"]
+                     if rarely(draw) else repr(draw(SCALARS[VALUES[flag]])))
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
     return argv
 
 
-def run_simulate(scenario: dict, argv: list):
-    """(exit code, stderr, output text or None) of one in-process run."""
+def run_command(scenario: dict, argv: list):
+    """(exit code, stderr, output text or None) of one in-process run of the
+    subcommand ``argv[0]`` with the flags ``argv[1:]``."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "scn.json", Path(tmp) / "out.csv"
         path.write_text(json.dumps(scenario))
@@ -159,30 +181,35 @@ def run_simulate(scenario: dict, argv: list):
                 contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             os.environ.pop("ADRADAR_WORKERS", None)
             warnings.simplefilter("error")
-            code = run_cli(["simulate", "--scenario", str(path), "--trials", "1",
-                            "--cpi", "2e-4", "--output", str(out)] + argv)
+            code = run_cli([argv[0], "--scenario", str(path), "--trials", "1",
+                            "--output", str(out)] + COMMANDS[argv[0]] + argv[1:])
         return code, err.getvalue(), out.read_text() if out.exists() else None
 
 
 # Four hand probes that once ended in a traceback or a garbled message, a
 # delay spread that would make frame 0 1.9 GB, a guard past int64, a negative
 # flag value in exponent form, two CPIs of 2^63 frames or more (the later
-# ``--cpi`` wins), an array past 32 x 32 elements, then a run that passes.
+# ``--cpi`` wins), an array past 32 x 32 elements, a frame period whose double
+# overflows, then a run of each subcommand that passes.
 @settings(max_examples=120, deadline=None)
-@given(scenario=scenarios(), argv=flags())
-@example(scenario={"rcs_dbsm": 4000}, argv=[])
-@example(scenario={"target_ranges_m": [1e-300, 15.7, 17.9]}, argv=[])
-@example(scenario={"target_ranges_m": [1e300] * 3}, argv=[])
-@example(scenario={"target_velocities_mps": [1e300, 24.949, 21.806]}, argv=[])
-@example(scenario={"target_ranges_m": [14.0, 15.7, 1e7]}, argv=[])
-@example(scenario={"guard": 2**100}, argv=[])
-@example(scenario={}, argv=["--p-tx-dbm", "-1e+300"])
-@example(scenario={}, argv=["--cpi", "1e300"])
-@example(scenario={"bandwidth_hz": 1e30}, argv=[])
-@example(scenario={"nx_tx": 1025, "ny_tx": 1}, argv=[])
-@example(scenario={}, argv=["--estimator", "both"])
+@given(scenario=scenarios(), argv=invocations())
+@example(scenario={"rcs_dbsm": 4000}, argv=["simulate"])
+@example(scenario={"target_ranges_m": [1e-300, 15.7, 17.9]}, argv=["simulate"])
+@example(scenario={"target_ranges_m": [1e300] * 3}, argv=["simulate"])
+@example(scenario={"target_velocities_mps": [1e300, 24.949, 21.806]}, argv=["simulate"])
+@example(scenario={"target_ranges_m": [14.0, 15.7, 1e7]}, argv=["simulate"])
+@example(scenario={"guard": 2**100}, argv=["simulate"])
+@example(scenario={}, argv=["simulate", "--p-tx-dbm", "-1e+300"])
+@example(scenario={}, argv=["simulate", "--cpi", "1e300"])
+@example(scenario={"bandwidth_hz": 1e30}, argv=["simulate"])
+@example(scenario={"nx_tx": 1025, "ny_tx": 1}, argv=["simulate"])
+@example(scenario={"bandwidth_hz": 1e-304}, argv=["simulate"])
+@example(scenario={}, argv=["simulate", "--estimator", "both"])
+@example(scenario={}, argv=["sweep-framegap"])
+@example(scenario={}, argv=["sweep-cpi", "--p-tx-grid", "20"])
 def test_any_scenario_and_flags_end_in_one_of_three_outcomes(scenario, argv):
-    code, err, output = run_simulate(scenario, argv)
+    code, err, output = run_command(scenario, argv)
+    event(f"{argv[0]} exit {code}")
     config = err.startswith("adradar: config error: ") or err.startswith("usage: ")
     outcomes = [code == 0 and output is not None
                 and output.startswith(",".join(CSV_HEADER) + "\n"),

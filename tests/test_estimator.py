@@ -15,6 +15,7 @@ from adradar.estimator import (PipelineConfig, build_shift_matrix,
                                estimate_delays, lse_coefficients, pick_peaks,
                                raw_doppler, refine_doppler,
                                run_pipeline, velocity_from_doppler, wrap_count)
+from adradar.harness import ExperimentConfig, run_experiment
 from adradar.params import WaveformParams
 from adradar.scene import (Scenario, build_scene, draw_betas, frame_truth,
                            scene_backscatter)
@@ -543,6 +544,36 @@ def test_mirroring_every_velocity_about_the_source_negates_each_estimate(cpi_s):
     assert mirrored.doppler.wrap_count.tolist() == (-res.doppler.wrap_count).tolist()
     np.testing.assert_allclose(mirrored.velocities - v_s, v_s - res.velocities,
                                rtol=0, atol=1e-4)
+
+
+# The LSE error of frame m's coefficients is CN(0, (sigma^2 / P) G_m^-1), with
+# G_m = S^T S, so at high SNR the phase of h_md / h_0 has variance
+# (sigma^2 / 2P) [(G_0^-1)_pp + (G_md^-1)_pp] / |h_p|^2 and the velocity
+# (lambda / 2)^2 D_md^2 times that, around the noiseless estimate.  The mean
+# square of N Gaussian deviations has a standard error of sqrt(2 / N) of its
+# mean; the tolerance is three of those.  Being a ratio, the check cannot see
+# the LSE's 1 / sqrt(P) normalisation, and a spread cannot see the velocity's
+# sign.
+@pytest.mark.parametrize("p_tx_dbm, cpi_s", [(20.0, 2e-4), (30.0, 5e-4), (20.0, 1e-3)])
+def test_the_velocity_spread_matches_the_lse_error_model(p_tx_dbm, cpi_s):
+    scn, trials = Scenario(p_tx_dbm=p_tx_dbm), 300
+    scene = build_scene(scn)
+    clean = run_noiseless_pipeline(scene, cpi_s=cpi_s, gap=scn.m_i_offset)
+    m_d = max(clean.delays)
+    g_inv = [np.diag(np.linalg.inv(s.T @ s)) for s in (
+        build_shift_matrix(d, K_PRE + d[-1] - d[0])
+        for d in (clean.delays[m].delays for m in (0, m_d)))]
+    var_phase = (scene.noise_clutter_var / (2 * scene.tx_power) * (g_inv[0] + g_inv[1])
+                 / np.abs(scene_backscatter(scene)) ** 2)
+    d_md = denominator_inverse(int(clean.delays[m_d].delays[0]), m_d, K, TS)
+    predicted = (scene.wf.wavelength / 2 * d_md) ** 2 * var_phase
+    records = run_experiment(scn, ExperimentConfig(cpi_s=cpi_s, trials=trials, seed=3))
+    assert all(r.failures == {} for r in records)
+    assert {r.wrap_counts for r in records} == {tuple(clean.doppler.wrap_count.tolist())}
+    estimates = np.array([r.estimates["proposed"] for r in records])
+    spread = np.mean((estimates - clean.velocities) ** 2, axis=0)
+    assert np.all(np.abs(spread / predicted - 1) <= 3 * np.sqrt(2 / trials)), \
+        spread / predicted
 
 
 def test_pipeline_lse_phase_matches_midpoint_model(default_scene):

@@ -13,10 +13,12 @@ import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+import adradar.baseline
 import adradar.harness
 import adradar.selftest
 from adradar import cli
-from adradar.baseline import baseline_velocities, delay_doppler_map, map_window
+from adradar.baseline import (baseline_velocities, delay_doppler_map, map_columns,
+                              map_window)
 from adradar.cli import run_cli
 from adradar.echo import EchoFrame, synthesize_frame, synthesize_window, with_noise
 from adradar.errors import AggregationError, EstimationError, ScenarioError
@@ -162,7 +164,8 @@ def oracle_records(scn, exp):
     and, for Rayleigh gains, the gain substream [seed, trial, 1].  The
     baseline reads frame 0's ``map_window`` and then, for m = 1 to M-1 in
     order, ``map_window_frame`` with the next noise block of the one
-    substream [seed, trial, 3]."""
+    substream [seed, trial, 3], each correlated on its own by
+    ``map_columns``, frame 0 too."""
     exp = exp.resolve(scn)
     records = []
     for trial in range(exp.trials):
@@ -192,12 +195,13 @@ def oracle_records(scn, exp):
                 else:
                     profile0 = correlation_profile(
                         correlation_segment(build_preamble()), frames[0].samples)
-                    window = map_window(frames[0], profile0)
+                    window, _ = map_window(frames[0], profile0)
                     lags = window.first_lag + np.arange(len(window.samples) - 511)
                     map_rng = np.random.default_rng([exp.seed, trial, 3])
                     cut = [map_window_frame(scene, h, m, lags, map_rng)
                            for m in range(1, m_count)]
-                    ddm = delay_doppler_map([window] + cut, wf.frame_period)
+                    ddm = delay_doppler_map([map_columns(f, window) for f in [window] + cut],
+                                            window, wf.frame_period)
                     velocities = baseline_velocities(
                         ddm, scene.source_velocity, wf.wavelength,
                         scn.num_targets, threshold, guard=scn.guard)
@@ -323,10 +327,9 @@ def test_a_point_synthesizes_each_whole_frame_and_map_block_once(monkeypatch,
         blocks.append(([t.frame for t in truths], k_start, n))
         return synthesize_window(scene, h, truths, k_start, n)
 
-    def recording_map(frames, frame_period):
-        frames = list(frames)  # the first item is frame 0's map window
-        windows.append((frames[0].k_start, len(frames[0].samples)))
-        return delay_doppler_map(frames, frame_period)
+    def recording_map(columns, window, frame_period):
+        windows.append((window.k_start, len(window.samples)))
+        return delay_doppler_map(columns, window, frame_period)
 
     monkeypatch.setenv("ADRADAR_WORKERS", "1")
     monkeypatch.setattr(adradar.harness, "synthesize_frame", counting_frame)
@@ -348,14 +351,20 @@ def test_a_point_synthesizes_each_whole_frame_and_map_block_once(monkeypatch,
 def test_the_map_frames_are_common_across_cpis(monkeypatch):
     # Frame m's map noise is the m-th block of its trial's map stream, so a
     # longer CPI begins with the shorter CPI's frames, bit for bit.
-    maps = []
+    maps = []  # each run's map window, then every item it correlates
 
-    def recording_map(frames, frame_period):
-        maps.append(list(frames))
-        return delay_doppler_map(maps[-1], frame_period)
+    def recording_window(frame0, profile0):
+        window, column0 = map_window(frame0, profile0)
+        maps.append([window])
+        return window, column0
+
+    def recording_columns(frame, window):
+        maps[-1].append(frame)
+        return map_columns(frame, window)
 
     monkeypatch.setenv("ADRADAR_WORKERS", "1")
-    monkeypatch.setattr(adradar.harness, "delay_doppler_map", recording_map)
+    monkeypatch.setattr(adradar.harness, "map_window", recording_window)
+    monkeypatch.setattr(adradar.harness, "map_columns", recording_columns)
     for cpi_s in (5e-4, 1e-3):
         run_experiment(Scenario(), ExperimentConfig(
             cpi_s=cpi_s, trials=1, estimators="baseline", seed=5))
@@ -444,8 +453,8 @@ def test_the_step_case_steps_a_delay_inside_a_block_past_the_window_end():
 def test_the_baseline_map_matches_a_dense_reference(monkeypatch, scn, exp):
     maps = []
 
-    def recording_map(frames, frame_period):
-        maps.append(delay_doppler_map(frames, frame_period))
+    def recording_map(columns, window, frame_period):
+        maps.append(delay_doppler_map(columns, window, frame_period))
         return maps[-1]
 
     monkeypatch.setenv("ADRADAR_WORKERS", "1")
@@ -530,8 +539,8 @@ def test_any_scene_reads_the_baseline_velocities_the_dense_map_gives(case):
         assume(False)  # delays collide or cross
     maps = []
 
-    def recording_map(frames, frame_period):
-        maps.append(delay_doppler_map(frames, frame_period))
+    def recording_map(columns, window, frame_period):
+        maps.append(delay_doppler_map(columns, window, frame_period))
         return maps[-1]
 
     with pytest.MonkeyPatch.context() as monkeypatch:
@@ -691,13 +700,33 @@ def test_sweep_cpi_checks_every_point_before_running_any(monkeypatch):
     assert calls == []
 
 
+# Frame 0 is correlated once, whole, and its map column is sliced from that
+# profile; frames 1 to M-1 take one correlator call per block of 16.
+@pytest.mark.parametrize("cpi_s, calls", [(2e-4, 3), (5e-4, 5), (1e-3, 9)])
+def test_a_baseline_trial_correlates_frame_0_once_and_each_map_block_once(
+        monkeypatch, cpi_s, calls):
+    callers = []
+    for module in (adradar.harness, adradar.baseline):
+        def counting(s_c, window, module=module, original=module.correlation_profile):
+            callers.append(module.__name__)
+            return original(s_c, window)
+        monkeypatch.setattr(module, "correlation_profile", counting)
+    monkeypatch.setenv("ADRADAR_WORKERS", "1")
+    records = run_experiment(Scenario(), ExperimentConfig(
+        cpi_s=cpi_s, trials=2, p_tx_dbm=20.0, estimators="baseline", seed=1))
+    assert all("baseline" in r.estimates for r in records)
+    m_count = build_scene(Scenario()).wf.frames_per_cpi(cpi_s)
+    assert calls == 1 + -(-(m_count - 1) // 16)
+    assert callers == (["adradar.harness"] + ["adradar.baseline"] * (calls - 1)) * 2
+
+
 def test_a_baseline_trial_never_transforms_the_whole_map(monkeypatch):
     # baseline_velocities transforms only the rows that can peak; the whole
     # map's DFT is left to whoever reads ``values``.
     maps = []
 
-    def recording_map(frames, frame_period):
-        maps.append(delay_doppler_map(frames, frame_period))
+    def recording_map(columns, window, frame_period):
+        maps.append(delay_doppler_map(columns, window, frame_period))
         return maps[-1]
 
     monkeypatch.setenv("ADRADAR_WORKERS", "1")
@@ -1124,20 +1153,23 @@ def test_cli_a_target_the_scene_cannot_represent_is_config_error(tmp_path, capsy
 
 
 # Cases the CLI fuzzer found.  A subnormal bandwidth makes the frame period
-# inf, a frame_len past the float range cannot become one, 2 (V_s - V_p)
-# overflows at the largest float, and 512 sigma_cn is about 5.1 with this
-# clutter, so the largest float as the threshold's scale overflows it.
+# inf, a frame_len past the float range cannot become one, a frame period of
+# 1.3632e308 s is finite but two of them are not, 2 (V_s - V_p) overflows at
+# the largest float, and 512 sigma_cn is about 5.1 with this clutter, so the
+# largest float as the threshold's scale overflows it.
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scenario, message", [
     ({"bandwidth_hz": 5e-324}, "frame_len 13632 at bandwidth_hz 5e-324 is past 2^63 "
      "samples or the largest float in seconds"),
     ({"frame_len": 10 ** 400}, f"frame_len {10 ** 400} at bandwidth_hz 1760000000.0 is "
      "past 2^63 samples or the largest float in seconds"),
+    ({"bandwidth_hz": 1e-304}, "CPI 0.0002 s shorter than two frames of 1.363e+308 s"),
     ({"target_velocities_mps": [20.279, 24.949, -1.7976931348623157e308]},
      "Doppler of [20.279, 24.949, -1.7976931348623157e+308] m/s overflows"),
     ({"threshold_scale": 1.7976931348623157e308, "clutter_ratio": 1e-3},
      "threshold_scale makes the detection threshold overflow"),
-], ids=["bandwidth-subnormal", "frame_len-1e400", "velocity-max-float", "threshold-scale"])
+], ids=["bandwidth-subnormal", "frame_len-1e400", "frame-period-1e308", "velocity-max-float",
+        "threshold-scale"])
 def test_cli_a_quantity_past_the_float_range_is_config_error(tmp_path, capsys, scenario,
                                                               message):
     path = tmp_path / "scn.json"

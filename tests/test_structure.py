@@ -159,12 +159,13 @@ def imported_names(source: str, module: str):
             for alias in node.names}
 
 
-# The baseline picks its own map window, and the map takes its lags from
-# the window, so the harness hands frames through and reads the result.
+# The baseline picks its own map window, correlates each frame on it and
+# takes the map lags from it, so the harness hands frames through and reads
+# the result.
 def test_the_harness_reaches_the_baseline_only_through_its_entry_points():
     source = (PACKAGE / "harness.py").read_text(encoding="utf-8")
     assert imported_names(source, "baseline") == {
-        "map_window", "delay_doppler_map", "baseline_velocities"}
+        "map_window", "map_columns", "delay_doppler_map", "baseline_velocities"}
     assert "cut_to_lags" not in {node.attr for node in ast.walk(ast.parse(source))
                                  if isinstance(node, ast.Attribute)}
 
