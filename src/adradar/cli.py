@@ -106,16 +106,15 @@ def run_cli(argv) -> int:
         print(f"adradar: error: {exc}", file=sys.stderr)
         return 1
 
-    output, created = getattr(args, "output", "-"), False
+    output, created, code = getattr(args, "output", "-"), False, 1
     try:
         if output != "-":  # an unwritable path fails before any trial runs
             existed = os.path.exists(output)
             open(output, "a", encoding="utf-8").close()
             created = not existed
         if args.command == "selftest":
-            return 0 if run_selftest() else 2
-
-        if args.command == "beam-pattern":
+            code = 0 if run_selftest() else 2
+        elif args.command == "beam-pattern":
             if not 0 < args.resolution < np.pi:  # else the angle grid is empty
                 raise ValueError(f"--resolution must lie in (0, pi), "
                                  f"got {args.resolution}")
@@ -129,31 +128,31 @@ def run_cli(argv) -> int:
                 f"{ang:.6f},{db:.6f}\n" for ang, db in zip(angles, gains_db)), args.output)
             print(f"beam-pattern: {len(angles)} points, "
                   f"peak {10 * np.log10(gains.max()):.2f} dB", file=sys.stderr)
-            return 0
-
-        scenario = _load(args)
-        exp = ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(
-            ExperimentConfig) if hasattr(args, f.name)}).resolve(scenario)
-        if args.command == "simulate":
-            rows = harness.sweep_cpi(scenario, exp, [exp.cpi_s])
-        elif args.command == "sweep-framegap":
-            rows = harness.sweep_framegap(scenario, exp, args.gaps)
-        else:  # sweep-cpi
-            rows = harness.sweep_cpi(scenario, replace(exp, estimators="both"),
-                                     args.cpis, p_tx_dbm_grid=args.p_tx_grid)
-        _emit(harness.format_csv(rows), args.output)
-        worst = max(row["nmse"] for row in rows)
-        print(f"{args.command}: {len(rows)} rows, worst NMSE {worst:.3e}",
-              file=sys.stderr)
-        return 0
+            code = 0
+        else:
+            scenario = _load(args)
+            exp = ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(
+                ExperimentConfig) if hasattr(args, f.name)}).resolve(scenario)
+            if args.command == "simulate":
+                rows = harness.sweep_cpi(scenario, exp, [exp.cpi_s])
+            elif args.command == "sweep-framegap":
+                rows = harness.sweep_framegap(scenario, exp, args.gaps)
+            else:  # sweep-cpi
+                rows = harness.sweep_cpi(scenario, replace(exp, estimators="both"),
+                                         args.cpis, p_tx_dbm_grid=args.p_tx_grid)
+            _emit(harness.format_csv(rows), args.output)
+            worst = max(row["nmse"] for row in rows)
+            print(f"{args.command}: {len(rows)} rows, worst NMSE {worst:.3e}",
+                  file=sys.stderr)
+            code = 0
     except (ScenarioError, ValueError, OSError) as exc:
         print(f"adradar: config error: {exc}", file=sys.stderr)
-        code = 1
     except (EstimationError, AggregationError) as exc:
         print(f"adradar: estimation failure: {exc}", file=sys.stderr)
         code = 2
-    if created:  # a failed run leaves no file
-        os.remove(output)
+    finally:
+        if created and code != 0:  # a failed or interrupted run leaves no file
+            os.remove(output)
     return code
 
 

@@ -142,18 +142,6 @@ def bootstrap_ci(records, estimator: str, seed: int):
     return float(lo), float(hi)
 
 
-def _frame_indices(wf, exp: ExperimentConfig):
-    """(M, m_d, m_i) of a resolved experiment: m_d = M - 1 and
-    m_i = m_d - m_i_offset.  ValueError if the CPI holds fewer than two frames
-    or the offset is not in [1, M - 1]."""
-    m_count = wf.frames_per_cpi(exp.cpi_s)
-    m_d = m_count - 1
-    m_i = m_d - exp.m_i_offset
-    if not 0 <= m_i < m_d:
-        raise ValueError(f"m_i offset {exp.m_i_offset} not in [1, M-1] for M={m_count}")
-    return m_count, m_d, m_i
-
-
 def _noiseless_frame(scene, h, m):
     """The read-only noiseless frame m of ``scene``."""
     echo = synthesize_frame(scene, frame_truth(scene, m), h)
@@ -257,18 +245,18 @@ def _worker_count() -> int:
     return min(workers, os.cpu_count() or 1)
 
 
-def run_experiment(scenario: Scenario, exp: ExperimentConfig):
-    """Run all trials of one experiment; results are in trial order.
-
-    With more than one worker, each worker runs one run of consecutive trials, the
-    runs as even as the trial count allows, and builds the noiseless frames its run
-    needs.  First, a ScenarioError names a delay spread too long for frame 0, m_i or
-    m_d, or an overflowing detection threshold."""
+def _set_up(scenario: Scenario, exp: ExperimentConfig):
+    """(resolved ``exp``, scene, PipelineConfig) of one experiment, m_d = M - 1
+    and m_i = m_d - m_i_offset.  ValueError if the CPI holds fewer than two
+    frames or the offset is not in [1, M - 1]; then ScenarioError for a delay
+    spread too long for frame 0, m_i or m_d, or an overflowing threshold."""
     exp = exp.resolve(scenario)
-    workers = min(_worker_count(), exp.trials)
+    m_count = scenario.waveform().frames_per_cpi(exp.cpi_s)
+    m_d = m_count - 1
+    m_i = m_d - exp.m_i_offset
+    if not 0 <= m_i < m_d:
+        raise ValueError(f"m_i offset {exp.m_i_offset} not in [1, M-1] for M={m_count}")
     scene = build_scene(scenario, p_tx_dbm=exp.p_tx_dbm)
-    h = scene_backscatter(scene)
-    _, m_d, m_i = _frame_indices(scene.wf, exp)
     for truth in frame_truths(scene, (0, m_i, m_d)):
         spread = int(truth.delay_samples[-1] - truth.delay_samples[0])
         if spread + PREAMBLE_LEN > scene.wf.frame_len:
@@ -277,10 +265,21 @@ def run_experiment(scenario: Scenario, exp: ExperimentConfig):
     threshold = float(detection_threshold(scene.noise_clutter_var)) * scenario.threshold_scale
     if threshold == np.inf:
         raise ScenarioError("threshold_scale makes the detection threshold overflow")
-    point = (scene, h, PipelineConfig(m_d=m_d, m_i=m_i, threshold=threshold,
+    return exp, scene, PipelineConfig(m_d=m_d, m_i=m_i, threshold=threshold,
                                       expected_targets=scenario.num_targets,
                                       search_halfwidth=scenario.search_halfwidth,
-                                      guard=scenario.guard))
+                                      guard=scenario.guard)
+
+
+def run_experiment(scenario: Scenario, exp: ExperimentConfig):
+    """Run all trials of one experiment after ``_set_up``, in trial order.
+
+    With more than one worker, each worker runs one run of consecutive trials, the
+    runs as even as the trial count allows, and builds the noiseless frames its run
+    needs."""
+    exp, scene, cfg = _set_up(scenario, exp)
+    workers = min(_worker_count(), exp.trials)
+    point = (scene, scene_backscatter(scene), cfg)
     if workers == 1:
         return _run_trials(scenario, exp, range(exp.trials), point)
     bounds = [exp.trials * w // workers for w in range(workers + 1)]
@@ -311,11 +310,12 @@ def _point_rows(scenario, exp, x_value):
 
 
 def _sweep_rows(scenario, points):
-    """CSV rows of every (resolved experiment, x value) point, in order; no
-    target may be stationary, and every point's frame indices are checked."""
+    """CSV rows of every (resolved experiment, x value) point, in order.  No
+    target may be stationary, and every point is set up, in order, before the
+    first trial, so the first point that fails raises its own error."""
     _check_moving(scenario.target_velocities_mps, ScenarioError)
     for exp, _ in points:
-        _frame_indices(scenario.waveform(), exp)
+        _set_up(scenario, exp)
     return [row for exp, x_value in points
             for row in _point_rows(scenario, exp, x_value)]
 

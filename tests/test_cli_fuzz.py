@@ -8,11 +8,13 @@ Each example writes a drawn scenario JSON and runs, in process, one of
     sweep-cpi --scenario S --trials 1 --output O --cpis 2e-4 [drawn flags]
 
 with warnings as errors and ``ADRADAR_WORKERS`` unset.  The drawn flags are
-the subcommand's own and, one time in ten, one it does not take.  Exactly one
+the subcommand's own and, one time in ten, one it does not take; ``--gaps``
+and ``--cpis`` take one or two values, the CPIs 1e-4 or 2e-4 s.  Exactly one
 must hold:
 
 - exit 0, and O starts with the CSV header;
-- exit 1, stderr holds ``adradar: config error:`` or a usage line, and O is gone;
+- exit 1, stderr holds ``adradar: config error:`` or a usage line, O is gone,
+  and no trial ran: every sweep point is set up before the first trial;
 - exit 2, stderr holds ``adradar: estimation failure:``, and O is gone.
 
 No run may name ``nan``, ``inf`` or an int64 that wrapped round.  Every drawn
@@ -50,6 +52,7 @@ from unittest import mock
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from adradar import harness
 from adradar.cli import run_cli
 from adradar.harness import CSV_HEADER
 
@@ -140,18 +143,21 @@ def scenarios(draw) -> dict:
 # a run short (the later of two equal flags wins).
 COMMANDS = {"simulate": ["--cpi", "2e-4"], "sweep-framegap": ["--gaps", "1", "--cpi", "2e-4"],
             "sweep-cpi": ["--cpis", "2e-4"]}
-# Flag -> the scenario key its values are drawn from.
-VALUES = {"--p-tx-dbm": "p_tx_dbm", "--seed": "seed", "--mi-offset": "m_i_offset",
-          "--gaps": "m_i_offset", "--p-tx-grid": "p_tx_dbm"}
+# Flag -> the strategy its values are drawn from.
+VALUES = {"--p-tx-dbm": SCALARS["p_tx_dbm"], "--seed": SCALARS["seed"],
+          "--mi-offset": SCALARS["m_i_offset"], "--gaps": SCALARS["m_i_offset"],
+          "--p-tx-grid": SCALARS["p_tx_dbm"], "--cpis": st.sampled_from([1e-4, 2e-4])}
+# Flags that take one or two drawn values.
+LISTS = {"--gaps", "--cpis"}
 # Subcommand -> its own flags that are drawn.
 OWN = {"simulate": ["--p-tx-dbm", "--seed", "--mi-offset", "--estimator"],
        "sweep-framegap": ["--p-tx-dbm", "--seed", "--gaps"],
-       "sweep-cpi": ["--seed", "--mi-offset", "--p-tx-grid"]}
+       "sweep-cpi": ["--seed", "--mi-offset", "--p-tx-grid", "--cpis"]}
 
 
 @st.composite
 def invocations(draw) -> list:
-    """A subcommand and some of its flags, as ``--flag value`` or
+    """A subcommand and some of its flags, as ``--flag value ...`` or
     ``--flag=value``, rarely with a value that does not parse or a flag the
     subcommand does not take."""
     command = draw(st.sampled_from(sorted(COMMANDS)))
@@ -161,36 +167,42 @@ def invocations(draw) -> list:
         drawn.append(draw(st.sampled_from(sorted(set(VALUES) - set(OWN[command])))))
     for flag in drawn:
         if flag == "--estimator":
-            value = (draw(st.sampled_from(["proposed", "baseline", "both"]))
-                     if not rarely(draw) else "dense")
+            values = [draw(st.sampled_from(["proposed", "baseline", "both"]))
+                      if not rarely(draw) else "dense"]
         else:
-            value = (draw(st.sampled_from(["abc", "", "1e", "0x10", "2.5"]))
-                     if rarely(draw) else repr(draw(SCALARS[VALUES[flag]])))
-        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+            values = [draw(st.sampled_from(["abc", "", "1e", "0x10", "2.5"]))
+                      if rarely(draw) else repr(draw(VALUES[flag]))
+                      for _ in range(draw(st.integers(1, 2)) if flag in LISTS else 1)]
+        argv += ([f"{flag}={values[0]}"] if len(values) == 1 and draw(st.booleans())
+                 else [flag, *values])
     return argv
 
 
 def run_command(scenario: dict, argv: list):
-    """(exit code, stderr, output text or None) of one in-process run of the
-    subcommand ``argv[0]`` with the flags ``argv[1:]``."""
+    """(exit code, stderr, output text or None, runs of trials) of one
+    in-process run of the subcommand ``argv[0]`` with the flags ``argv[1:]``."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "scn.json", Path(tmp) / "out.csv"
         path.write_text(json.dumps(scenario))
         err = io.StringIO()
         with mock.patch.dict(os.environ), warnings.catch_warnings(), \
-                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                mock.patch.object(harness, "_run_trials", wraps=harness._run_trials) as trials:
             os.environ.pop("ADRADAR_WORKERS", None)
             warnings.simplefilter("error")
             code = run_cli([argv[0], "--scenario", str(path), "--trials", "1",
                             "--output", str(out)] + COMMANDS[argv[0]] + argv[1:])
-        return code, err.getvalue(), out.read_text() if out.exists() else None
+        return (code, err.getvalue(), out.read_text() if out.exists() else None,
+                trials.call_count)
 
 
 # Four hand probes that once ended in a traceback or a garbled message, a
 # delay spread that would make frame 0 1.9 GB, a guard past int64, a negative
 # flag value in exponent form, two CPIs of 2^63 frames or more (the later
 # ``--cpi`` wins), an array past 32 x 32 elements, a frame period whose double
-# overflows, then a run of each subcommand that passes.
+# overflows, two sweeps whose second point fails its set-up (a delay spread
+# frame m_i = 122 does not hold, an overflowing threshold) after a first point
+# that sets up, then a run of each subcommand that passes.
 @settings(max_examples=120, deadline=None)
 @given(scenario=scenarios(), argv=invocations())
 @example(scenario={"rcs_dbsm": 4000}, argv=["simulate"])
@@ -204,16 +216,21 @@ def run_command(scenario: dict, argv: list):
 @example(scenario={"bandwidth_hz": 1e30}, argv=["simulate"])
 @example(scenario={"nx_tx": 1025, "ny_tx": 1}, argv=["simulate"])
 @example(scenario={"bandwidth_hz": 1e-304}, argv=["simulate"])
+@example(scenario={"target_velocities_mps": [20.279, 300.0], "target_ranges_m": [14.0, 891.5],
+                   "target_azimuths_rad": [0.0, 0.1], "target_elevations_rad": [0.0, 0.0]},
+         argv=["sweep-cpi", "--cpis", "1e-4", "1e-3", "--p-tx-grid", "20"])
+@example(scenario={"threshold_scale": 5e307, "clutter_ratio": 1e-3},
+         argv=["sweep-cpi", "--p-tx-grid", "10", "20"])
 @example(scenario={}, argv=["simulate", "--estimator", "both"])
 @example(scenario={}, argv=["sweep-framegap"])
 @example(scenario={}, argv=["sweep-cpi", "--p-tx-grid", "20"])
 def test_any_scenario_and_flags_end_in_one_of_three_outcomes(scenario, argv):
-    code, err, output = run_command(scenario, argv)
+    code, err, output, trial_runs = run_command(scenario, argv)
     event(f"{argv[0]} exit {code}")
     config = err.startswith("adradar: config error: ") or err.startswith("usage: ")
     outcomes = [code == 0 and output is not None
                 and output.startswith(",".join(CSV_HEADER) + "\n"),
-                code == 1 and config and output is None,
+                code == 1 and config and output is None and trial_runs == 0,
                 code == 2 and err.startswith("adradar: estimation failure: ")
                 and output is None]
     assert outcomes.count(True) == 1, (code, err)

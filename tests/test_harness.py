@@ -1247,6 +1247,64 @@ def test_cli_a_threshold_that_overflows_is_config_error_before_any_trial(
     assert not out.exists()
 
 
+# The far target of TWO_TARGETS receding at 300 m/s: frame 0 holds the pair,
+# and at CPI 1e-3 s frame m_i = 122 no longer does.
+RECEDING_PAIR = dict(TWO_TARGETS, target_velocities_mps=[20.279, 300.0])
+SPREAD_AT_122 = "delay spread 10307 + preamble 3328 > frame_len 13632 samples at frame 122"
+
+
+def no_trials(*args):
+    raise AssertionError("a trial ran")
+
+
+# A sweep sets every point up, in sweep order, before the first trial, so the
+# first point that fails raises its own error and no point runs a trial.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scenario, cpis, powers, message", [
+    (RECEDING_PAIR, (1e-4, 1e-3), (20.0,), SPREAD_AT_122),
+    ({"threshold_scale": 5e307, "clutter_ratio": 1e-3}, (2e-4,), (10.0, 20.0),
+     "threshold_scale makes the detection threshold overflow"),
+    (RECEDING_PAIR, (1e-3, 1e-6), (20.0,), SPREAD_AT_122),
+], ids=["spread-at-the-second-cpi", "threshold-at-the-second-power",
+        "spread-before-a-cpi-too-short"])
+def test_a_sweep_sets_every_point_up_before_the_first_trial(monkeypatch, scenario, cpis,
+                                                            powers, message):
+    monkeypatch.setattr(adradar.harness, "_run_trials", no_trials)
+    scn = Scenario(**{key: tuple(value) if isinstance(value, list) else value
+                      for key, value in scenario.items()})
+    with pytest.raises(ScenarioError) as info:
+        sweep_cpi(scn, ExperimentConfig(trials=2), cpis, p_tx_dbm_grid=powers)
+    assert str(info.value) == message
+
+
+def test_cli_a_sweep_point_that_fails_its_set_up_ends_the_run_before_any_trial(
+        monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(adradar.harness, "_run_trials", no_trials)
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(RECEDING_PAIR))
+    out = tmp_path / "x.csv"
+    assert run_cli(["sweep-cpi", "--scenario", str(path), "--trials", "2", "--cpis", "1e-4",
+                    "1e-3", "--p-tx-grid", "20", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"adradar: config error: {SPREAD_AT_122}\n"
+    assert not out.exists()
+
+
+# An interrupt propagates, and still a run leaves no file it created.
+def test_cli_an_interrupted_run_leaves_no_file_it_created(monkeypatch, tmp_path):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(adradar.harness, "sweep_cpi", interrupt)
+    out = tmp_path / "x.csv"
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(["sweep-cpi", "--output", str(out)])
+    assert not out.exists()
+    out.write_text("kept\n")
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(["simulate", "--output", str(out)])
+    assert out.read_text() == "kept\n"
+
+
 # A CPI's frame indices are int64, so cpi_s / frame period must be below
 # 2^63: 1e300 s holds about 1.3e305 frames of 7.7 us, and at 1e30 Hz a frame
 # lasts 1.4e-26 s, so 0.2 ms holds about 1.5e22.

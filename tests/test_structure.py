@@ -3,7 +3,7 @@ importing the package does not load scipy (a test-only dependency), a
 single-worker run loads no process pool, no scan cut outlives the beam
 design, every function the benchmark's tracer wraps is still where the
 tracer looks it up, the harness reaches the baseline only through its entry
-points and builds each point's pipeline configuration once, only synthesis
+points and sets each point up in one function, only synthesis
 takes a CPI's gains, no module of the package, the tests or the demos
 imports a name it never uses, and every module of the package parses as the
 oldest Python that pyproject.toml allows.
@@ -176,12 +176,23 @@ def functions(module: str) -> dict:
     return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
+def called_names(function: ast.FunctionDef) -> set:
+    """The names and attribute names that ``function`` calls."""
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(function) if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
 # A point's frame indices, threshold and pipeline configuration are built once,
-# before any trial runs, and the trials take them whole.
+# by ``_set_up``, before any trial runs, and the trials take them whole.
 def test_the_trials_take_their_pipeline_configuration_whole():
-    called = {node.func.id for node in ast.walk(functions("harness")["_run_trials"])
-              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
-    assert called.isdisjoint({"_frame_indices", "PipelineConfig", "detection_threshold"})
+    harness = functions("harness")
+    assert called_names(harness["_run_trials"]).isdisjoint(
+        {"_set_up", "build_scene", "PipelineConfig", "detection_threshold"})
+    run = called_names(harness["run_experiment"])
+    assert "_set_up" in run
+    assert run.isdisjoint({"frames_per_cpi", "waveform", "build_scene", "frame_truths",
+                           "detection_threshold", "PipelineConfig"})
 
 
 # A target's gain h_p holds over the CPI, so no frame truth carries it: only
