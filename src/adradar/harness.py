@@ -20,6 +20,7 @@ The ADRADAR_WORKERS environment variable sets the worker count (default 1, at
 most the CPU count).  Only a multi-worker run imports the process pool.
 """
 
+import contextlib
 import functools
 import itertools
 import os
@@ -246,16 +247,15 @@ def _worker_count() -> int:
 
 
 def _set_up(scenario: Scenario, exp: ExperimentConfig):
-    """(resolved ``exp``, scene, PipelineConfig) of one experiment, m_d = M - 1
-    and m_i = m_d - m_i_offset.  ValueError if the CPI holds fewer than two
-    frames or the offset is not in [1, M - 1]; then ScenarioError for a delay
-    spread too long for frame 0, m_i or m_d, or an overflowing threshold."""
+    """(resolved ``exp``, its trials, (scene, pinned-gain h, PipelineConfig)) of one
+    experiment, m_d = M - 1 and m_i = m_d - m_i_offset.  ValueError if the CPI holds
+    fewer than two frames or the offset is not in [1, M - 1]; then ScenarioError for
+    a delay spread too long for frame 0, m_i or m_d, or an overflowing threshold."""
     exp = exp.resolve(scenario)
-    m_count = scenario.waveform().frames_per_cpi(exp.cpi_s)
-    m_d = m_count - 1
+    m_d = scenario.waveform().frames_per_cpi(exp.cpi_s) - 1
     m_i = m_d - exp.m_i_offset
     if not 0 <= m_i < m_d:
-        raise ValueError(f"m_i offset {exp.m_i_offset} not in [1, M-1] for M={m_count}")
+        raise ValueError(f"m_i offset {exp.m_i_offset} not in [1, M-1] for M={m_d + 1}")
     scene = build_scene(scenario, p_tx_dbm=exp.p_tx_dbm)
     for truth in frame_truths(scene, (0, m_i, m_d)):
         spread = int(truth.delay_samples[-1] - truth.delay_samples[0])
@@ -265,36 +265,37 @@ def _set_up(scenario: Scenario, exp: ExperimentConfig):
     threshold = float(detection_threshold(scene.noise_clutter_var)) * scenario.threshold_scale
     if threshold == np.inf:
         raise ScenarioError("threshold_scale makes the detection threshold overflow")
-    return exp, scene, PipelineConfig(m_d=m_d, m_i=m_i, threshold=threshold,
-                                      expected_targets=scenario.num_targets,
-                                      search_halfwidth=scenario.search_halfwidth,
-                                      guard=scenario.guard)
+    return exp, range(exp.trials), (scene, scene_backscatter(scene), PipelineConfig(
+        m_d=m_d, m_i=m_i, threshold=threshold, expected_targets=scenario.num_targets,
+        search_halfwidth=scenario.search_halfwidth, guard=scenario.guard))
+
+
+def _run_points(scenario: Scenario, set_ups):
+    """Each ``_set_up`` point's records from ``_run_trials``, in trial order, yielded
+    point by point.  With more than one worker one process pool serves the call: its
+    tasks are (point, run) pairs in point order, one even run of trials a worker."""
+    workers = min([_worker_count(), *(len(trials) for _, trials, _ in set_ups)])
+    if workers == 1:
+        while set_ups:  # popped, so a point's scene and the preamble it caches go with its trials
+            yield _run_trials(scenario, *set_ups.pop(0))
+        return
+    tasks = [(exp, trials[len(trials) * w // workers:len(trials) * (w + 1) // workers], point)
+             for exp, trials, point in set_ups for w in range(workers)]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool, contextlib.closing(
+            pool.map(_run_trials, [scenario] * len(tasks), *zip(*tasks))) as runs:
+        for _ in set_ups:  # closing cancels the tasks left if the caller stops early
+            yield [record for run in itertools.islice(runs, workers) for record in run]
 
 
 def run_experiment(scenario: Scenario, exp: ExperimentConfig):
-    """Run all trials of one experiment after ``_set_up``, in trial order.
-
-    With more than one worker, each worker runs one run of consecutive trials, the
-    runs as even as the trial count allows, and builds the noiseless frames its run
-    needs."""
-    exp, scene, cfg = _set_up(scenario, exp)
-    workers = min(_worker_count(), exp.trials)
-    point = (scene, scene_backscatter(scene), cfg)
-    if workers == 1:
-        return _run_trials(scenario, exp, range(exp.trials), point)
-    bounds = [exp.trials * w // workers for w in range(workers + 1)]
-    trial_runs = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        runs = pool.map(_run_trials, [scenario] * workers, [exp] * workers,
-                        trial_runs, [point] * workers)
-        return [record for run in runs for record in run]
+    """Run all trials of one experiment after ``_set_up``, in trial order."""
+    (records,) = _run_points(scenario, [_set_up(scenario, exp)])
+    return records
 
 
-def _point_rows(scenario, exp, x_value):
-    """Run one sweep point of a resolved experiment; CSV rows, one per estimator."""
-    records = run_experiment(scenario, exp)
-    rows = []
+def _point_rows(exp, x_value, records):
+    """CSV rows of one sweep point's records, one per estimator."""
     for name in ESTIMATORS[exp.estimators]:
         try:  # a nearly stationary target's relative error may overflow
             with np.errstate(over="raise"):
@@ -303,10 +304,9 @@ def _point_rows(scenario, exp, x_value):
         except (AggregationError, FloatingPointError) as exc:
             raise AggregationError(f"{exc} at x={x_value}") from exc
         n_fail = sum(1 for r in records if name in r.failures)
-        rows.append({"x": x_value, "estimator": name, "p_tx_dbm": exp.p_tx_dbm,
-                     "nmse": value, "ci_lo": lo, "ci_hi": hi,
-                     "trials": len(records) - n_fail, "failures": n_fail})
-    return rows
+        yield {"x": x_value, "estimator": name, "p_tx_dbm": exp.p_tx_dbm,
+               "nmse": value, "ci_lo": lo, "ci_hi": hi,
+               "trials": len(records) - n_fail, "failures": n_fail}
 
 
 def _sweep_rows(scenario, points):
@@ -314,10 +314,10 @@ def _sweep_rows(scenario, points):
     target may be stationary, and every point is set up, in order, before the
     first trial, so the first point that fails raises its own error."""
     _check_moving(scenario.target_velocities_mps, ScenarioError)
-    for exp, _ in points:
-        _set_up(scenario, exp)
-    return [row for exp, x_value in points
-            for row in _point_rows(scenario, exp, x_value)]
+    set_ups = [_set_up(scenario, exp) for exp, _ in points]
+    # map binds no name to a point's records, so they go once its rows are made
+    return list(itertools.chain.from_iterable(
+        map(_point_rows, *zip(*points), _run_points(scenario, set_ups))))
 
 
 def sweep_framegap(scenario: Scenario, exp: ExperimentConfig, gaps):

@@ -5,6 +5,7 @@ import json
 import os
 import shlex
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -597,17 +598,15 @@ def test_the_noise_and_gain_keys_are_distinct_streams():
         assert len({state(key) for key in keys}) == len(keys)
 
 
-@pytest.mark.parametrize("workers, trials, runs", [
-    (2, 8, [(0, 4), (4, 8)]), (2, 3, [(0, 1), (1, 3)]), (3, 2, [(0, 1), (1, 2)]),
-    (2, 1, None)])
-def test_the_pool_gets_one_even_run_of_trials_per_worker(monkeypatch, workers,
-                                                         trials, runs):
-    # An in-process stand-in for the pool records the runs it is given.
-    given = []
+@pytest.fixture
+def pool_log(monkeypatch):
+    """What an in-process stand-in for the process pool is given, in order:
+    each pool's worker count, then (CPI, start, stop) of each run it maps."""
+    log = []
 
     class RecordingPool:
         def __init__(self, max_workers):
-            given.append(max_workers)
+            log.append(max_workers)
 
         def __enter__(self):
             return self
@@ -616,17 +615,67 @@ def test_the_pool_gets_one_even_run_of_trials_per_worker(monkeypatch, workers,
             return False
 
         def map(self, fn, *columns):
-            given.append([(r.start, r.stop) for r in columns[2]])
-            return map(fn, *columns)
+            log.append([(exp.cpi_s, run.start, run.stop)
+                        for exp, run in zip(columns[1], columns[2])])
+            return (fn(*task) for task in zip(*columns))
 
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setenv("ADRADAR_WORKERS", str(workers))
     # The harness imports the pool from concurrent.futures when it starts one.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return log
+
+
+@pytest.mark.parametrize("workers, trials, runs", [
+    (2, 8, [(0, 4), (4, 8)]), (2, 3, [(0, 1), (1, 3)]), (3, 2, [(0, 1), (1, 2)]),
+    (2, 1, None)])
+def test_the_pool_gets_one_even_run_of_trials_per_worker(monkeypatch, pool_log, workers,
+                                                         trials, runs):
+    monkeypatch.setenv("ADRADAR_WORKERS", str(workers))
     exp = ExperimentConfig(cpi_s=2e-4, trials=trials, seed=2)
     records = run_experiment(Scenario(), exp)
     assert [r.trial for r in records] == list(range(trials))
-    assert given == ([] if runs is None else [len(runs), runs])
+    assert pool_log == ([] if runs is None
+                        else [len(runs), [(2e-4, lo, hi) for lo, hi in runs]])
+
+
+def test_a_sweep_runs_every_point_on_one_pool(monkeypatch, pool_log):
+    # The pool takes each point's runs in point order, and the rows are those
+    # of one worker, so each point gets back its own runs in trial order.
+    exp, cpis = ExperimentConfig(trials=5, seed=2), (2e-4, 3e-4, 4e-4)
+    monkeypatch.setenv("ADRADAR_WORKERS", "1")
+    serial = sweep_cpi(Scenario(), exp, cpis)
+    assert pool_log == []
+    monkeypatch.setenv("ADRADAR_WORKERS", "2")
+    assert sweep_cpi(Scenario(), exp, cpis) == serial
+    assert pool_log == [2, [(cpi, lo, hi) for cpi in cpis for lo, hi in ((0, 2), (2, 5))]]
+
+
+def test_a_sweep_builds_each_points_scene_once(monkeypatch):
+    built = []
+
+    def counting_build_scene(*args, **kwargs):
+        built.append(kwargs["p_tx_dbm"])
+        return build_scene(*args, **kwargs)
+
+    monkeypatch.setattr(adradar.harness, "build_scene", counting_build_scene)
+    sweep_cpi(Scenario(), ExperimentConfig(cpi_s=2e-4, trials=1), [2e-4], [10.0, 20.0])
+    assert built == [10.0, 20.0]
+
+
+def test_a_single_worker_sweep_lets_each_points_scene_go_with_its_trials(monkeypatch):
+    # A scene caches its rotated preamble (160 KB for three targets) in its
+    # trials, so a sweep that kept every point's scene would hold one a point.
+    scenes = []
+
+    def run_trials(scenario, exp, trials, point):
+        assert [ref() for ref in scenes] == [None] * len(scenes)
+        scenes.append(weakref.ref(point[0]))
+        return original(scenario, exp, trials, point)
+
+    original = adradar.harness._run_trials
+    monkeypatch.setattr(adradar.harness, "_run_trials", run_trials)
+    sweep_cpi(Scenario(), ExperimentConfig(trials=1), [2e-4, 3e-4, 4e-4])
+    assert len(scenes) == 3
 
 
 def test_a_baseline_trial_streams_its_frames(monkeypatch):
@@ -688,8 +737,7 @@ def test_sweep_framegap_shape_and_crn():
 
 def test_sweep_cpi_checks_every_point_before_running_any(monkeypatch):
     calls = []
-    monkeypatch.setattr(adradar.harness, "run_experiment",
-                        lambda *args: calls.append(args))
+    monkeypatch.setattr(adradar.harness, "_run_trials", lambda *args: calls.append(args))
     exp = ExperimentConfig(cpi_s=2e-4, trials=2, m_i_offset=6)
     # a CPI shorter than two frames, then one of M = 5 frames, where the
     # m_i offset 6 leaves no frame m_i
@@ -1060,14 +1108,15 @@ def test_cli_non_finite_flag_is_config_error(tmp_path, capsys, argv, field):
     assert not out.exists()
 
 
+def no_trials(*args):
+    raise AssertionError("a trial ran")
+
+
 def config_error_before_any_trial(monkeypatch, tmp_path, capsys, argv, scenario):
-    """stderr of ``argv`` run on ``scenario`` with a ``run_experiment`` that
+    """stderr of ``argv`` run on ``scenario`` with a ``_run_trials`` that
     fails the test if called, after checking that the run exits 1 with a
     config error, no traceback or warning, and no output file."""
-    def no_trials(scenario, exp):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(adradar.harness, "run_experiment", no_trials)
+    monkeypatch.setattr(adradar.harness, "_run_trials", no_trials)
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(scenario))
     out = tmp_path / "x.csv"
@@ -1203,9 +1252,6 @@ TWO_TARGETS = {"target_velocities_mps": [20.279, 21.806], "target_ranges_m": [14
                          ids=["simulate", "sweep-framegap"])
 def test_cli_a_delay_spread_no_frame_holds_is_config_error_before_any_trial(
         monkeypatch, tmp_path, capsys, scenario, message, command):
-    def no_trials(*args):
-        raise AssertionError("a trial ran")
-
     monkeypatch.setattr(adradar.harness, "_run_trials", no_trials)
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(scenario))
@@ -1230,9 +1276,6 @@ def test_a_delay_spread_that_just_fits_reaches_the_trials():
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_cli_a_threshold_that_overflows_is_config_error_before_any_trial(
         monkeypatch, tmp_path, capsys, workers):
-    def no_trials(*args):
-        raise AssertionError("a trial ran")
-
     monkeypatch.setenv("ADRADAR_WORKERS", workers)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(adradar.harness, "_run_trials", no_trials)
@@ -1251,10 +1294,6 @@ def test_cli_a_threshold_that_overflows_is_config_error_before_any_trial(
 # and at CPI 1e-3 s frame m_i = 122 no longer does.
 RECEDING_PAIR = dict(TWO_TARGETS, target_velocities_mps=[20.279, 300.0])
 SPREAD_AT_122 = "delay spread 10307 + preamble 3328 > frame_len 13632 samples at frame 122"
-
-
-def no_trials(*args):
-    raise AssertionError("a trial ran")
 
 
 # A sweep sets every point up, in sweep order, before the first trial, so the

@@ -195,6 +195,18 @@ def test_the_trials_take_their_pipeline_configuration_whole():
                            "detection_threshold", "PipelineConfig"})
 
 
+# One engine runs the points of a call: a sweep sets each point up once and
+# hands the set-ups to ``_run_points``, the one place a process pool starts.
+def test_one_engine_runs_a_sweeps_points():
+    harness = functions("harness")
+    sweep = called_names(harness["_sweep_rows"])
+    assert {"_set_up", "_run_points"} <= sweep and "run_experiment" not in sweep
+    assert [name for name, function in harness.items()
+            if "ProcessPoolExecutor" in called_names(function)] == ["_run_points"]
+    assert sum(path.read_text(encoding="utf-8").count("ProcessPoolExecutor(")
+               for path in MODULES) == 1
+
+
 # A target's gain h_p holds over the CPI, so no frame truth carries it: only
 # the functions that compute the gains and the two that synthesize take them.
 def test_only_the_synthesis_takes_the_gains():
