@@ -244,10 +244,13 @@ def denominator_inverse(l_0: int, m: int, frame_len: int,
 
 def raw_doppler(h_md, h, d_md: float):
     """Wrapped Doppler estimates (scalar or array): angle(h_md / h) * D_md,
-    angle in [-pi, pi]."""
+    angle in [-pi, pi]; angle(h_md conj(h)) where h_md / h over- or underflows."""
     if (np.asarray(h) == 0).any():
         raise ZeroCoefficientError("frame-0 coefficient is zero")
-    ratio = h_md / h
+    with np.errstate(over="ignore"):
+        ratio = h_md / h
+        lost = ~np.isfinite(ratio) | (np.abs(ratio) < np.finfo(float).tiny) & (h_md != 0)
+        ratio = np.where(lost, h_md * np.conj(h), ratio)
     return np.arctan2(ratio.imag, ratio.real) * d_md  # np.angle, without its wrapper
 
 

@@ -105,7 +105,11 @@ def correlation_profile(s_c: np.ndarray, window: np.ndarray) -> np.ndarray:
     # swap and both change sign, which the six such stages cancel.
     f = np.ascontiguousarray(window, dtype=np.complex128).view(np.float64)
     k = len(f) - 2 * _AD_DELAYS[0]  # the first stage (w = -1) fills a new a, b
-    a, b, spare = f[:k] - f[-k:], f[:k] + f[-k:], np.empty(k)
+    span = -(-k // 8) * 8
+    ws = np.empty(3 * span + 7)  # a, b and the spare, each from a 64-byte line
+    a, b, spare = ws[-ws.ctypes.data % 64 // 8:][:3 * span].reshape(3, span)[:, :k]
+    np.subtract(f[:k], f[-k:], out=a)
+    np.add(f[:k], f[-k:], out=b)
     for d, w in zip(_AD_DELAYS[1:], _AD_WEIGHTS[1:]):
         k -= 2 * d
         head, tail = a[:k], b[2 * d:2 * d + k]

@@ -339,6 +339,20 @@ def test_raw_doppler_identity_and_scaling():
         raw_doppler(1.0, 0.0, 160.4)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_raw_doppler_keeps_the_phase_where_the_quotient_leaves_the_float_range():
+    # h_md / h overflows for a tiny h and flushes to zero for a large one;
+    # h_md conj(h) has the same phase.  Quotients in range keep their bits.
+    h_md = np.array([-1000 + 1j, 1e-300 + 2e-300j, 1e-300 + 2e-300j, 0.3 - 0.2j, 0j])
+    h = np.array([1e-307 + 1e-307j, 1e30 + 1e30j, 1e20 + 1e20j, 0.1 + 0.7j, 2 + 1j])
+    expected = np.angle(h_md * np.conj(h))
+    assert raw_doppler(h_md, h, 1.0) == pytest.approx(expected, rel=1e-15)
+    assert expected[:2] == pytest.approx([2.355194490525678, 0.3217505543966422])
+    ratio = h_md[3] / h[3]
+    assert raw_doppler(h_md[3], h[3], 2.5) == np.arctan2(ratio.imag, ratio.real) * 2.5
+    assert raw_doppler(-1000 + 1j, 1e-307 + 1e-307j, 1.0) == pytest.approx(expected[0])
+
+
 def test_raw_doppler_no_wrap_recovery():
     # true phase within [-pi, pi]: the raw estimate alone recovers nu
     nu = 300.0

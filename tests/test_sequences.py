@@ -229,6 +229,43 @@ def test_lattice_profile_is_bit_identical_to_the_complex_lattice(s_c, length, se
     assert correlation_profile(s_c, strided).tobytes() == profile.tobytes()
 
 
+def placed_in_a_line(window, offset):
+    """A copy of ``window`` whose first byte sits ``offset`` bytes past a
+    64-byte line."""
+    raw = np.empty(window.nbytes + 128, np.uint8)
+    start = -raw.ctypes.data % 64 + offset
+    placed = raw[start:start + window.nbytes].view(window.dtype).reshape(window.shape)
+    placed[...] = window
+    return placed
+
+
+# One 3374-sample frame, one 16 x 768 map block laid end to end, and lengths
+# on both sides of each: the first stage's 2n - 2 floats are a multiple of 8
+# at 513, 3373 and 12,289 samples and not at 512, 3374 and 12,288, so the
+# workspace's spans are rounded up at some lengths and not at others.
+@pytest.mark.parametrize("shape", [(512,), (513,), (3373,), (3374,), (16, 768), (12289,)],
+                         ids=str)
+def test_the_profile_does_not_depend_on_where_the_window_sits_in_a_line(s_c, shape):
+    rng = np.random.default_rng(shape[-1])
+    block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = complex_lattice(block.reshape(-1)).tobytes()
+    for offset in (0, 16, 32, 48):
+        window = placed_in_a_line(block, offset)
+        assert window.ctypes.data % 64 == offset
+        assert correlation_profile(s_c, window.reshape(-1)).tobytes() == want
+
+
+def test_a_profile_holds_no_stage_array(s_c):
+    # The map slices frame 0's column from its profile and keeps it for the
+    # trial, so a profile that viewed the stage workspace would keep three
+    # stage arrays alive with it.
+    profile = correlation_profile(s_c, np.ones(16 * 768, dtype=complex))
+    owner = profile
+    while owner.base is not None:
+        owner = owner.base
+    assert owner.nbytes == profile.nbytes
+
+
 def test_the_lattice_holds_three_stage_arrays_and_its_output(s_c):
     # A 16 x 768 map block.  The stages run in three float64 buffers of the
     # first stage's 2n - 2 entries, and the output takes 2 (n - 511); a
