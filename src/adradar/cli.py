@@ -115,9 +115,11 @@ def run_cli(argv) -> int:
         if args.command == "selftest":
             code = 0 if run_selftest() else 2
         elif args.command == "beam-pattern":
-            if not 0 < args.resolution < np.pi:  # else the angle grid is empty
-                raise ValueError(f"--resolution must lie in (0, pi), "
-                                 f"got {args.resolution}")
+            # Outside (0, pi) the angle grid is empty; below pi / 2**18 it
+            # holds more than 2**18 angles, at about 490 B each.
+            if not np.pi / 2**18 <= args.resolution < np.pi:
+                raise ValueError(f"--resolution must lie in [pi / 2**18, pi), a grid "
+                                 f"of at most 2**18 angles, got {args.resolution}")
             scenario = _load(args)
             angles = np.arange(-np.pi / 2 + args.resolution, np.pi / 2,
                                args.resolution)

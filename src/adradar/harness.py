@@ -67,6 +67,11 @@ class ExperimentConfig:
     seed: int = None              # None: use the scenario value
 
     def __post_init__(self):
+        for name in ("trials", "m_i_offset", "seed"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials is not None and self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed is not None and self.seed < 0:

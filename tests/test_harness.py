@@ -723,6 +723,16 @@ def test_an_experiment_needs_a_trial_and_a_known_estimator_selection(fields, mes
         ExperimentConfig(**fields)
 
 
+# From Python these would fail later as bare TypeErrors (range, SeedSequence,
+# a slice index) or, for True, run as 1; numpy integers are integers.
+@pytest.mark.parametrize("field", ["trials", "m_i_offset", "seed"])
+@pytest.mark.parametrize("value", [2.5, 1.0, True, "3"], ids=repr)
+def test_an_experiments_integer_fields_take_only_integers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        ExperimentConfig(**{field: value})
+    assert getattr(ExperimentConfig(**{field: np.int64(3)}), field) == 3
+
+
 def test_sweep_framegap_shape_and_crn():
     scn = Scenario()
     exp = ExperimentConfig(cpi_s=2e-4, trials=2)
@@ -1512,7 +1522,7 @@ def test_cli_beam_pattern(tmp_path):
     assert gains.max() == pytest.approx(10 * np.log10(9.086), abs=0.1)
 
 
-@pytest.mark.parametrize("resolution", ["0", "-1", "4"])
+@pytest.mark.parametrize("resolution", ["0", "-1", "4", "1e-12"])
 def test_cli_beam_pattern_rejects_a_resolution_outside_0_pi(tmp_path, capsys,
                                                             resolution):
     out = tmp_path / "beam.csv"
